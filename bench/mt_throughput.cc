@@ -642,8 +642,8 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
         eo.num_shards = 32;  // Over-provisioned so locksets rarely collide.
         eo.starvation_fix = true;
         // When serving live telemetry, publish into the global registry so
-        // the exporter has something to show. Mirroring costs ~1% (part 3),
-        // which is uniform across the sweep.
+        // the exporter has something to show. An attached registry costs
+        // ~1% (part 3), which is uniform across the sweep.
         if (live_sampler != nullptr) eo.metrics = &GlobalMetrics();
         // The stop-the-world sweep is O(items): scale the period with the
         // item count so compaction stays amortized, with a floor so hot
@@ -725,10 +725,10 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
                          : std::vector<size_t>{1, 8, 32};
   const std::vector<int> enc_axis =
       enc_only ? std::vector<int>{1} : std::vector<int>{0, 1};
-  // Both arms run with a metrics registry attached: mirroring is one of the
-  // per-operation costs the batch pipeline amortizes (one flush per batch
-  // instead of per op), so benching without it would hide part of the win.
-  // Arms are interleaved and the medians compared, like part 3.
+  // Both arms run with a metrics registry attached (the deployed
+  // configuration: the engine's counters are pulled at snapshot time, and
+  // the sampled phase histograms are recorded per batch). Arms are
+  // interleaved and the medians compared, like part 3.
   constexpr int kBatchReps = 3;
   constexpr double kBatchSecs = 0.4;
   double perop_goodput_low_off = 0, batch8_goodput_low_off = 0;
@@ -886,8 +886,8 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   // -------------------------------------------------------------------
   // Part 3: observability overhead. Same engine cell as part 2 (k=3, low
   // contention, 32 shards), tracing runtime-disabled; the only difference
-  // between the two arms is EngineOptions::metrics (nullptr = mirroring
-  // off). Adjacent A/B pairs, order flipped per pair, median of per-pair
+  // between the two arms is EngineOptions::metrics (nullptr = no registry
+  // collector and no phase histograms). Adjacent A/B pairs, order flipped per pair, median of per-pair
   // deltas (see MeasureAbOverhead), so drift and interference bursts hit
   // both arms alike.
   // -------------------------------------------------------------------

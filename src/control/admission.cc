@@ -21,17 +21,6 @@ void AppendU64(std::string* out, uint64_t v) {
   *out += buf;
 }
 
-/// The reject classes a wider vector can absorb: conflicts lost to
-/// encoding capacity or to an order fixed through the (too-few) shared
-/// elements - as opposed to staleness, throttling, or invalid input,
-/// which no amount of dimensions helps.
-bool VectorClassReason(size_t r) {
-  const AbortReason a = static_cast<AbortReason>(r);
-  return a == AbortReason::kLexOrder ||
-         a == AbortReason::kEncodingExhausted ||
-         a == AbortReason::kVersionConflict;
-}
-
 }  // namespace
 
 const char* AdmissionActionName(AdmissionAction action) {
@@ -121,15 +110,6 @@ AdmissionController::AdmissionController(
   }
 
   MetricsRegistry* reg = options_.registry;
-  c_commits_ = reg->GetCounter("engine.commits");
-  for (size_t r = 1; r < kNumAbortReasons; ++r) {
-    c_rejected_[r] =
-        reg->GetCounter(std::string("engine.rejected.") +
-                        AbortReasonName(static_cast<AbortReason>(r)));
-  }
-  c_fallbacks_ = reg->GetCounter("engine.batch_fallbacks");
-  c_contention_ = reg->GetCounter("engine.lock_contention");
-
   g_batch_ = reg->GetGauge("engine.adaptive.batch_size");
   g_k_ = reg->GetGauge("engine.adaptive.k");
   m_grows_ = reg->GetCounter("engine.adaptive.grows");
@@ -140,12 +120,27 @@ AdmissionController::AdmissionController(
 
   // Baseline the sensors at attach time so the first window only covers
   // activity after construction.
-  last_commits_ = c_commits_->Value();
-  for (size_t r = 1; r < kNumAbortReasons; ++r) {
-    last_rejects_[r] = c_rejected_[r]->Value();
+  last_ = ReadSensors();
+}
+
+AdmissionController::Sensors AdmissionController::ReadSensors() const {
+  const MetricsSnapshot snap = options_.registry->Snapshot();
+  Sensors s;
+  s.commits = snap.CounterValue("engine.commits");
+  s.rejects = snap.CounterSum("engine.rejected.");
+  // The reject classes a wider vector can absorb: conflicts lost to
+  // encoding capacity or to an order fixed through the (too-few) shared
+  // elements - as opposed to staleness, throttling, or invalid input,
+  // which no amount of dimensions helps.
+  for (const AbortReason r :
+       {AbortReason::kLexOrder, AbortReason::kEncodingExhausted,
+        AbortReason::kVersionConflict}) {
+    s.vector_rejects +=
+        snap.CounterValue(std::string("engine.rejected.") + AbortReasonName(r));
   }
-  last_fallbacks_ = c_fallbacks_->Value();
-  last_contention_ = c_contention_->Value();
+  s.fallbacks = snap.CounterValue("engine.batch_fallbacks");
+  s.contention = snap.CounterValue("engine.lock_contention");
+  return s;
 }
 
 void AdmissionController::ActuateLocked(uint64_t seq, double now,
@@ -211,25 +206,14 @@ void AdmissionController::ActuateLocked(uint64_t seq, double now,
 void AdmissionController::TickOnce(uint64_t seq, double now) {
   std::lock_guard<std::mutex> g(mu_);
 
-  // Window deltas from the cumulative mirrors.
-  const uint64_t commits_cum = c_commits_->Value();
-  const uint64_t commits = commits_cum - last_commits_;
-  last_commits_ = commits_cum;
-  uint64_t rejects = 0;
-  uint64_t vector_rejects = 0;
-  for (size_t r = 1; r < kNumAbortReasons; ++r) {
-    const uint64_t cum = c_rejected_[r]->Value();
-    const uint64_t d = cum - last_rejects_[r];
-    last_rejects_[r] = cum;
-    rejects += d;
-    if (VectorClassReason(r)) vector_rejects += d;
-  }
-  const uint64_t fallbacks_cum = c_fallbacks_->Value();
-  const uint64_t fallbacks = fallbacks_cum - last_fallbacks_;
-  last_fallbacks_ = fallbacks_cum;
-  const uint64_t contention_cum = c_contention_->Value();
-  const uint64_t contention = contention_cum - last_contention_;
-  last_contention_ = contention_cum;
+  // Window deltas from the cumulative counters.
+  const Sensors cur = ReadSensors();
+  const uint64_t commits = cur.commits - last_.commits;
+  const uint64_t rejects = cur.rejects - last_.rejects;
+  const uint64_t vector_rejects = cur.vector_rejects - last_.vector_rejects;
+  const uint64_t fallbacks = cur.fallbacks - last_.fallbacks;
+  const uint64_t contention = cur.contention - last_.contention;
+  last_ = cur;
 
   if (cooldown_ > 0) --cooldown_;
 

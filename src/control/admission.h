@@ -52,11 +52,12 @@ struct AdmissionDecision {
 };
 
 struct AdmissionControlOptions {
-  /// Registry carrying the engine's mirrors ("engine.commits",
+  /// Registry carrying the engine's counters ("engine.commits",
   /// "engine.rejected.<reason>", "engine.batch_fallbacks",
-  /// "engine.lock_contention") - the controller's sensors - and receiving
-  /// its own "engine.adaptive.*" gauges/counters. Required; must outlive
-  /// the controller.
+  /// "engine.lock_contention") - the controller's sensors, read from one
+  /// snapshot per tick, so every window is exact - and receiving its own
+  /// "engine.adaptive.*" gauges/counters. Required; must outlive the
+  /// controller.
   MetricsRegistry* registry = nullptr;
 
   /// Engine whose runtime width the k actuator drives (SetActiveK).
@@ -120,7 +121,7 @@ struct AdmissionControlOptions {
 };
 
 /// Closed-loop admission controller: consumes the engine's registry
-/// mirrors window by window (drive it from Sampler::AddTickHook, after
+/// counters window by window (drive it from Sampler::AddTickHook, after
 /// the watchdogs) and feeds two actuators back into admission - the
 /// advisory per-group batch size (AIMD with hysteresis and cool-down) and
 /// the engine's runtime MT(k+) width (SetActiveK). The starvation
@@ -177,6 +178,16 @@ class AdmissionController {
   const AdmissionControlOptions& options() const { return options_; }
 
  private:
+  /// Cumulative sensor values, read from one registry snapshot.
+  struct Sensors {
+    uint64_t commits = 0;
+    uint64_t rejects = 0;
+    uint64_t vector_rejects = 0;  ///< The vector-capacity reject classes.
+    uint64_t fallbacks = 0;
+    uint64_t contention = 0;
+  };
+  Sensors ReadSensors() const;
+
   /// Applies `action`, records it (trace, registry, flight), and publishes
   /// the new batch/k gauges. mu_ held.
   void ActuateLocked(uint64_t seq, double now, AdmissionAction action,
@@ -188,12 +199,6 @@ class AdmissionController {
   size_t num_groups_;
   uint32_t physical_k_;  ///< Upper bound for the k actuator.
 
-  // Sensors (stable registry pointers, resolved once).
-  Counter* c_commits_ = nullptr;
-  Counter* c_rejected_[kNumAbortReasons] = {};
-  Counter* c_fallbacks_ = nullptr;
-  Counter* c_contention_ = nullptr;
-
   // Published state ("engine.adaptive.*").
   Gauge* g_batch_ = nullptr;
   Gauge* g_k_ = nullptr;
@@ -203,10 +208,7 @@ class AdmissionController {
 
   mutable std::mutex mu_;
   // Last-seen cumulative sensor values (window deltas subtract these).
-  uint64_t last_commits_ = 0;
-  uint64_t last_rejects_[kNumAbortReasons] = {};
-  uint64_t last_fallbacks_ = 0;
-  uint64_t last_contention_ = 0;
+  Sensors last_;
   // Streak state (see AdmissionControlOptions).
   uint64_t quiet_streak_ = 0;
   uint64_t widen_streak_ = 0;

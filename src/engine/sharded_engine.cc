@@ -22,6 +22,33 @@ uint64_t NowNs() {
                       .count());
 }
 
+/// Publishes `st` under the names the engine's registry collector owns.
+void AppendEngineMetrics(const EngineStats& st, MetricsSnapshot& out) {
+  auto counter = [&out](std::string name, uint64_t v) {
+    out.counters.emplace_back(std::move(name), v);
+  };
+  counter("engine.accepted", st.accepted);
+  counter("engine.ignored_writes", st.ignored_writes);
+  for (size_t r = 1; r < kNumAbortReasons; ++r) {
+    const AbortReason reason = static_cast<AbortReason>(r);
+    counter(std::string("engine.rejected.") + AbortReasonName(reason),
+            st.reject_reasons[reason]);
+  }
+  counter("engine.lock_contention", st.lock_contention);
+  counter("engine.lock_retries", st.lock_retries);
+  counter("engine.full_lock_fallbacks", st.full_lock_fallbacks);
+  counter("engine.compactions", st.compactions);
+  counter("engine.batches", st.batches);
+  counter("engine.batch_ops", st.batch_ops);
+  counter("engine.hot_encodings", st.hot_encodings);
+  counter("engine.batch_fallbacks", st.batch_fallbacks);
+  counter("engine.versions_installed", st.versions_installed);
+  counter("engine.versions_gc", st.versions_gc);
+  counter("engine.commits", st.commits);
+  out.gauges.emplace_back("engine.live_versions",
+                          static_cast<int64_t>(st.live_versions));
+}
+
 /// Sorted set of shard indices for the deadlock-free ordered acquisition:
 /// insertion keeps the array ordered, membership is O(1) through the
 /// bitmask for indices < 64 (a linear scan beyond). Bounded at kCapacity
@@ -76,26 +103,7 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
     shards_.back().index = static_cast<uint32_t>(s);
   }
   if (MetricsRegistry* reg = options_.metrics) {
-    m_accepted_ = reg->GetCounter("engine.accepted");
-    m_ignored_ = reg->GetCounter("engine.ignored_writes");
-    for (size_t r = 1; r < kNumAbortReasons; ++r) {
-      m_rejected_[r] = reg->GetCounter(
-          std::string("engine.rejected.") +
-          AbortReasonName(static_cast<AbortReason>(r)));
-    }
-    m_contention_ = reg->GetCounter("engine.lock_contention");
-    m_retries_ = reg->GetCounter("engine.lock_retries");
-    m_fallbacks_ = reg->GetCounter("engine.full_lock_fallbacks");
-    m_compactions_ = reg->GetCounter("engine.compactions");
-    m_batches_ = reg->GetCounter("engine.batches");
-    m_batch_ops_ = reg->GetCounter("engine.batch_ops");
-    m_hot_encodings_ = reg->GetCounter("engine.hot_encodings");
-    m_batch_fallbacks_ = reg->GetCounter("engine.batch_fallbacks");
-    m_versions_installed_ = reg->GetCounter("engine.versions_installed");
-    m_versions_gc_ = reg->GetCounter("engine.versions_gc");
-    m_commits_ = reg->GetCounter("engine.commits");
     m_consec_aborts_ = reg->GetGauge("engine.max_consecutive_aborts");
-    m_live_versions_ = reg->GetGauge("engine.live_versions");
     for (size_t p = 0; p < kNumTxnPhases; ++p) {
       m_phase_[p] = reg->GetHistogram(
           std::string("engine.phase.") +
@@ -112,9 +120,16 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
   shards_[0].next_slot = 1;
   t0_.ts = TimestampVector::Virtual(options_.k);
   t0_.life = 2;  // Committed, incarnation 0; never written again.
+  // Last: a concurrent snapshot may call the collector immediately.
+  if (options_.metrics != nullptr) {
+    options_.metrics->AddCollector(this, [this](MetricsSnapshot& out) {
+      AppendEngineMetrics(stats(), out);
+    });
+  }
 }
 
 ShardedMtkEngine::~ShardedMtkEngine() {
+  if (options_.metrics != nullptr) options_.metrics->RemoveCollector(this);
   for (Shard& sh : shards_) {
     for (auto& entry : sh.dir) {
       delete entry.load(std::memory_order_relaxed);
@@ -234,7 +249,7 @@ VectorCompareResult ShardedMtkEngine::CompareStates(Shard& shx,
 
 bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
                                  TxnId j, TxnId i, bool hot_item,
-                                 MirrorDelta& mir, AbortReason* why) {
+                                 AbortReason* why) {
   if (j == i) return true;  // Line 15.
   ++shx.stats.set_calls;
   const VectorCompareResult cr = CompareStates(shx, sj, si);
@@ -258,10 +273,7 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
       j == kVirtualTxn, hot_item, options_.optimized_encoding,
       Counters{this, &shx});
   shx.stats.elements_assigned += out.elements_assigned;
-  if (out.hot_path) {
-    ++shx.stats.hot_encodings;
-    ++mir.hot_encodings;
-  }
+  if (out.hot_path) ++shx.stats.hot_encodings;
   if (!out.ok) {
     *why = out.why;
     return false;
@@ -273,22 +285,19 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
                                           ItemState& item, TxnState& si,
                                           const LiveRef& jr,
                                           const LiveRef& jw,
-                                          AbortReason* why,
-                                          MirrorDelta& mir) {
+                                          AbortReason* why) {
   EngineStats& st = shx.stats;
   const TxnId i = op.txn;
 
   auto refuse = [&](AbortReason reason, TxnId blocker = kVirtualTxn) {
     ++st.rejected;
     st.reject_reasons.Add(reason);
-    ++mir.rejected[static_cast<size_t>(reason)];
     NoteRejectLocked(shx, reason, op, blocker);
     if (why != nullptr) *why = reason;
     return OpDecision::kReject;
   };
   auto accept = [&]() {
     ++st.accepted;
-    ++mir.accepted;
     return OpDecision::kAccept;
   };
 
@@ -334,7 +343,7 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   };
 
   if (op.type == OpType::kRead) {
-    if (SetStates(shx, *j.state, si, j.txn, i, hot, mir, &cause)) {
+    if (SetStates(shx, *j.state, si, j.txn, i, hot, &cause)) {
       item.readers.push_back({i, inc_i});  // Line 7: RT(x) := i.
       item.top_reader = item.readers.back();
       return accept();
@@ -343,7 +352,7 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
     if (j.txn == jr.txn && !options_.disable_old_read_path) {
       const bool write_ordered =
           options_.relaxed_read_path
-              ? SetStates(shx, *jw.state, si, jw.txn, i, hot, mir, &cause)
+              ? SetStates(shx, *jw.state, si, jw.txn, i, hot, &cause)
               : CompareStates(shx, *jw.state, si).order == VectorOrder::kLess;
       if (write_ordered) {
         return accept();  // RT(x) is not updated.
@@ -353,7 +362,7 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   }
 
   // Write.
-  if (SetStates(shx, *j.state, si, j.txn, i, hot, mir, &cause)) {
+  if (SetStates(shx, *j.state, si, j.txn, i, hot, &cause)) {
     item.writers.push_back({i, inc_i});  // Line 12: WT(x) := i.
     item.top_writer = item.writers.back();
     // Writes are tracked for the WAL's commit record (CommitTxn swaps the
@@ -381,7 +390,6 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
         CompareStates(shx, si, *jw.state).order == VectorOrder::kLess;
     if (after_reads && before_writer) {
       ++st.ignored_writes;
-      ++mir.ignored;
       return OpDecision::kIgnore;
     }
   }
@@ -398,8 +406,7 @@ void ShardedMtkEngine::EnsureChainLocked(ItemState& item) {
   item.mv_newest = MvVersion{};
 }
 
-void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item,
-                                          MirrorDelta& mir) {
+void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item) {
   if (!item.mv_init) return;
   // Dead (txn, incarnation) pairs are permanent - RestartTxn bumps the
   // incarnation in the store that clears the aborted bit - so unlinking on
@@ -453,15 +460,13 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item,
   }
   if (gone != 0) {
     shx.stats.versions_gc += gone;
-    mir.versions_gc += gone;
     live_versions_.fetch_add(-static_cast<int64_t>(gone),
                              std::memory_order_relaxed);
   }
 }
 
 void ShardedMtkEngine::MvPruneLocked(Shard& shx, ItemState& item,
-                                     uint64_t watermark, MirrorDelta& mir,
-                                     bool force) {
+                                     uint64_t watermark, bool force) {
   if (!item.mv_init || item.mv_older.empty() || watermark == 0) return;
   // Hysteresis gate (incremental GC only; sweeps pass force): in steady
   // state a chain hovers at the keep-tail length, where the scan below
@@ -543,7 +548,6 @@ void ShardedMtkEngine::MvPruneLocked(Shard& shx, ItemState& item,
                       item.mv_older.begin() + static_cast<long>(cut));
   if (gone != 0) {
     shx.stats.versions_gc += gone;
-    mir.versions_gc += gone;
     live_versions_.fetch_add(-static_cast<int64_t>(gone),
                              std::memory_order_relaxed);
   }
@@ -551,22 +555,19 @@ void ShardedMtkEngine::MvPruneLocked(Shard& shx, ItemState& item,
 
 OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
                                             ItemState& item, TxnState& si,
-                                            AbortReason* why,
-                                            MirrorDelta& mir) {
+                                            AbortReason* why) {
   EngineStats& st = shx.stats;
   const TxnId i = op.txn;
 
   auto refuse = [&](AbortReason reason, TxnId blocker = kVirtualTxn) {
     ++st.rejected;
     st.reject_reasons.Add(reason);
-    ++mir.rejected[static_cast<size_t>(reason)];
     NoteRejectLocked(shx, reason, op, blocker);
     if (why != nullptr) *why = reason;
     return OpDecision::kReject;
   };
   auto accept = [&]() {
     ++st.accepted;
-    ++mir.accepted;
     return OpDecision::kAccept;
   };
 
@@ -608,7 +609,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
         return accept();  // Reads its own pending write.
       }
       TxnState& sw = *PeekState(ver.writer.txn);
-      if (SetStates(shx, sw, si, ver.writer.txn, i, hot, mir, &cause)) {
+      if (SetStates(shx, sw, si, ver.writer.txn, i, hot, &cause)) {
         ver.readers.push_back({i, inc_i});
         if (num_shards_ <= 64) {
           item.mv_cover |= uint64_t{1} << (i % num_shards_);
@@ -723,14 +724,14 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
   {
     const Access pred = version_at(chosen).writer;
     if (pred.txn != i &&
-        !SetStates(shx, *PeekState(pred.txn), si, pred.txn, i, hot, mir,
+        !SetStates(shx, *PeekState(pred.txn), si, pred.txn, i, hot,
                    &cause)) {
       blocker = pred;
       ok = false;
     }
     if (ok && chosen + 1 < chain_len) {
       const Access nx = version_at(chosen + 1).writer;
-      if (!SetStates(shx, si, *PeekState(nx.txn), i, nx.txn, hot, mir,
+      if (!SetStates(shx, si, *PeekState(nx.txn), i, nx.txn, hot,
                      &cause)) {
         blocker = nx;
         ok = false;
@@ -739,7 +740,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     for (size_t lj = 0; ok && lj <= chosen; ++lj) {
       for (const Access& r : version_at(lj).readers) {
         if (r.txn == i) continue;
-        if (!SetStates(shx, *PeekState(r.txn), si, r.txn, i, hot, mir,
+        if (!SetStates(shx, *PeekState(r.txn), si, r.txn, i, hot,
                        &cause)) {
           blocker = r;
           ok = false;
@@ -774,7 +775,6 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     item.mv_cover |= uint64_t{1} << (i % num_shards_);
   }
   ++st.versions_installed;
-  ++mir.versions_installed;
   live_versions_.fetch_add(1, std::memory_order_relaxed);
   // CommitTxn prunes the written chains (and the WAL logs the write set),
   // so multiversion mode always tracks writes.
@@ -786,42 +786,6 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     options_.wal->CrashNow(options_.install_crash->point);
   }
   return accept();
-}
-
-void ShardedMtkEngine::MergePendingLocked(Shard& sh, const MirrorDelta& mir,
-                                          MirrorDelta* flush) {
-  if (m_accepted_ == nullptr) return;  // No registry attached.
-  sh.pending.MergeFrom(mir);
-  if (options_.mirror_flush_ops == 0 ||
-      sh.pending.events >= options_.mirror_flush_ops) {
-    flush->MergeFrom(sh.pending);
-    sh.pending = MirrorDelta{};
-  }
-}
-
-void ShardedMtkEngine::ApplyMirror(const MirrorDelta& d) {
-  if (m_accepted_ == nullptr || d.events == 0) return;
-  if (d.accepted != 0) m_accepted_->Add(d.accepted);
-  if (d.ignored != 0) m_ignored_->Add(d.ignored);
-  if (d.hot_encodings != 0) m_hot_encodings_->Add(d.hot_encodings);
-  for (size_t r = 1; r < kNumAbortReasons; ++r) {
-    if (d.rejected[r] != 0) m_rejected_[r]->Add(d.rejected[r]);
-  }
-  if (d.contention != 0) m_contention_->Add(d.contention);
-  if (d.retries != 0) m_retries_->Add(d.retries);
-  if (d.fallbacks != 0) m_fallbacks_->Add(d.fallbacks);
-  if (d.batch_fallbacks != 0) m_batch_fallbacks_->Add(d.batch_fallbacks);
-  if (d.batches != 0) m_batches_->Add(d.batches);
-  if (d.batch_ops != 0) m_batch_ops_->Add(d.batch_ops);
-  if (d.compactions != 0) m_compactions_->Add(d.compactions);
-  if (d.versions_installed != 0) {
-    m_versions_installed_->Add(d.versions_installed);
-  }
-  if (d.versions_gc != 0) m_versions_gc_->Add(d.versions_gc);
-  if (options_.multiversion) {
-    const int64_t lv = live_versions_.load(std::memory_order_relaxed);
-    m_live_versions_->Set(lv < 0 ? 0 : lv);
-  }
 }
 
 void ShardedMtkEngine::RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag) {
@@ -889,14 +853,7 @@ std::string ShardedMtkEngine::ExplainLastReject() const {
 void ShardedMtkEngine::LockShard(Shard& sh) {
   if (sh.mu.try_lock()) return;
   sh.mu.lock();
-  // We now hold sh.mu, so the per-shard counter needs no further sync; the
-  // registry mirror is buffered (EngineOptions::mirror_flush_ops) and
-  // flushed at the next batch boundary or stats() call.
-  ++sh.stats.lock_contention;
-  if (m_contention_ != nullptr) {
-    ++sh.pending.contention;
-    ++sh.pending.events;
-  }
+  ++sh.stats.lock_contention;  // sh.mu is held now.
   MDTS_TRACE_INSTANT_ARG("engine.shard_lock_contention", "shard", sh.index);
 }
 
@@ -912,22 +869,9 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
                                       AbortReason* reasons) {
   MDTS_TRACE_SPAN("engine.batch");
   const size_t n = ops.size();
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_ops_.fetch_add(n, std::memory_order_relaxed);
   if (n == 0) {
-    if (m_accepted_ != nullptr) {
-      // Even an empty batch must eventually reach the mirror so the
-      // "engine.batches" counter reconciles with stats().
-      MirrorDelta d;
-      d.events = 1;
-      d.batches = 1;
-      MirrorDelta flush;
-      {
-        std::lock_guard<std::mutex> g(shards_[0].mu);
-        MergePendingLocked(shards_[0], d, &flush);
-      }
-      ApplyMirror(flush);
-    }
+    std::lock_guard<std::mutex> g(shards_[0].mu);
+    ++shards_[0].stats.batches;
     return 0;
   }
   if (reasons != nullptr) std::fill_n(reasons, n, AbortReason::kNone);
@@ -1034,8 +978,6 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
     }
   }
 
-  MirrorDelta mir;
-  MirrorDelta flush;
   size_t accepted = 0;
   size_t undecided = n;
   uint64_t retries = 0;
@@ -1078,7 +1020,6 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         // decision, so the single/cross-shard counters stay untouched.
         ++shx.stats.rejected;
         shx.stats.reject_reasons.Add(AbortReason::kInvalidOp);
-        ++mir.rejected[static_cast<size_t>(AbortReason::kInvalidOp)];
         NoteRejectLocked(shx, AbortReason::kInvalidOp, op, kVirtualTxn);
         if (why != nullptr) *why = AbortReason::kInvalidOp;
         decisions[q] = OpDecision::kReject;
@@ -1126,7 +1067,6 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         }
         ++shx.stats.rejected;
         shx.stats.reject_reasons.Add(reason);
-        ++mir.rejected[static_cast<size_t>(reason)];
         NoteRejectLocked(
             shx, reason, op,
             reason == AbortReason::kBatchThrottled ? champion : kVirtualTxn,
@@ -1158,7 +1098,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         const uint64_t dead_epoch =
             mv_dead_epoch_.load(std::memory_order_acquire);
         if (item.mv_unlink_epoch != dead_epoch) {
-          MvUnlinkDeadLocked(shx, item, mir);
+          MvUnlinkDeadLocked(shx, item);
           item.mv_unlink_epoch = dead_epoch;
         }
         bool covered = all;
@@ -1215,10 +1155,10 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         OpDecision d;
         if (phase_sampled && op.type == OpType::kRead) {
           const uint64_t t0 = NowNs();
-          d = DecideMvLocked(op, shx, item, si, why, mir);
+          d = DecideMvLocked(op, shx, item, si, why);
           mv_read_ns += NowNs() - t0;
         } else {
-          d = DecideMvLocked(op, shx, item, si, why, mir);
+          d = DecideMvLocked(op, shx, item, si, why);
         }
         decisions[q] = d;
         if (d == OpDecision::kAccept) ++accepted;
@@ -1259,7 +1199,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       } else {
         ++shx.stats.single_shard_ops;
       }
-      const OpDecision d = DecideLocked(op, shx, item, si, jr, jw, why, mir);
+      const OpDecision d = DecideLocked(op, shx, item, si, jr, jw, why);
       decisions[q] = d;
       if (d == OpDecision::kAccept) ++accepted;
       decided[q] = 1;
@@ -1268,21 +1208,13 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
     if (phase_sampled) decide_ns += NowNs() - t_decide0;
 
     if (undecided == 0) {
-      // Attribute the batch's retry work to a shard we still hold, and
-      // merge the batch's mirror deltas into its pending buffer - the
-      // buffer hands back a flush batch once it crosses mirror_flush_ops.
+      // Attribute the batch itself and its retry work to a shard we
+      // still hold.
       Shard& sh0 = all ? shards_[0] : shards_[want.At(0)];
+      ++sh0.stats.batches;
+      sh0.stats.batch_ops += n;
       sh0.stats.lock_retries += retries;
       sh0.stats.full_lock_fallbacks += fallbacks;
-      if (m_accepted_ != nullptr) {
-        mir.events += n;
-        mir.batches += 1;
-        mir.batch_ops += n;
-        mir.retries += retries;
-        mir.fallbacks += fallbacks;
-        if (champion != kVirtualTxn) mir.batch_fallbacks += 1;
-        MergePendingLocked(sh0, mir, &flush);
-      }
       if (all) {
         for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
           it->mu.unlock();
@@ -1308,10 +1240,6 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
     }
   }
 
-  // Deliver any flushed buffer outside the locks (the registry counters
-  // are themselves atomic); a batch that stays under the flush threshold
-  // costs zero registry touches here.
-  ApplyMirror(flush);
   if (phase_sampled) {
     RecordPhase(TxnPhase::kAdmission, admission_ns, phase_tag);
     RecordPhase(TxnPhase::kLock, lock_ns, phase_tag);
@@ -1380,7 +1308,7 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
     const uint64_t w = s.life;
     assert(!LifeAborted(w));
     StoreLife(s, w | 2);
-    if (m_commits_ != nullptr) m_commits_->Add(1);
+    ++sh.stats.commits;
     // Without a WAL the write set is still needed by multiversion mode
     // (commit-side chain pruning below); grab it here in that case. The
     // flight record reads it in place instead - see below.
@@ -1440,22 +1368,15 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
     // Epoch read before the scrub: any death ordered before this load is
     // seen by the unlink, so stamping the items with it is conservative.
     const uint64_t dead_epoch = mv_dead_epoch_.load(std::memory_order_acquire);
-    MirrorDelta flush;
     for (const ItemId x : writes) {
       Shard& shx = ShardForItem(x);
-      MirrorDelta mir;
       LockShard(shx);
       ItemState& item = ItemLocked(shx, x);
-      MvUnlinkDeadLocked(shx, item, mir);
+      MvUnlinkDeadLocked(shx, item);
       item.mv_unlink_epoch = dead_epoch;
-      MvPruneLocked(shx, item, wm, mir);
-      if (m_accepted_ != nullptr) {
-        mir.events += 1;
-        MergePendingLocked(shx, mir, &flush);
-      }
+      MvPruneLocked(shx, item, wm);
       shx.mu.unlock();
     }
-    ApplyMirror(flush);
   }
   // A commit is exactly what the livelock guardrail waits for: reset the
   // commit-free streak and depose the champion once it gets through.
@@ -1566,17 +1487,12 @@ size_t ShardedMtkEngine::CompactAllLocked() {
     // Every shard lock is held, so the epoch read here covers every death
     // the sweep's unlinks will observe.
     const uint64_t dead_epoch = mv_dead_epoch_.load(std::memory_order_acquire);
-    MirrorDelta mir;
     for (Shard& sh : shards_) {
       for (ItemState& item : sh.items) {
-        MvUnlinkDeadLocked(sh, item, mir);
+        MvUnlinkDeadLocked(sh, item);
         item.mv_unlink_epoch = dead_epoch;
-        MvPruneLocked(sh, item, wm, mir, /*force=*/true);
+        MvPruneLocked(sh, item, wm, /*force=*/true);
       }
-    }
-    if (m_accepted_ != nullptr && (mir.versions_gc != 0 || mir.events != 0)) {
-      mir.events += 1;
-      shards_[0].pending.MergeFrom(mir);  // Delivered at the next flush.
     }
   } else {
     // 1. Truncate every item history to its live top (Section III-D-6a/b).
@@ -1651,7 +1567,6 @@ size_t ShardedMtkEngine::CompactAllLocked() {
     }
   }
   ++shards_[0].stats.compactions;
-  if (m_compactions_ != nullptr) m_compactions_->Add(1);
   return total;
 }
 
@@ -1704,7 +1619,6 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
     // write at the newest position reproduces the chains' version order.
     // Reader state is not logged (reads leave nothing to rebuild), so
     // recovered versions carry no readers.
-    MirrorDelta mir;
     for (size_t idx = 0; idx < recovery.records.size(); ++idx) {
       const WalCommitRecord& r = recovery.records[idx];
       if (r.txn == kVirtualTxn) continue;
@@ -1720,7 +1634,6 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
         it.mv_newest.writer = {r.txn, 0};
         it.mv_newest.begin_stamp = stamp;
         ++shx.stats.versions_installed;
-        ++mir.versions_installed;
         live_versions_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -1731,13 +1644,9 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
     mv_watermark_.store(wm, std::memory_order_release);
     for (Shard& sh : shards_) {
       for (ItemState& it : sh.items) {
-        MvUnlinkDeadLocked(sh, it, mir);
-        MvPruneLocked(sh, it, wm, mir, /*force=*/true);
+        MvUnlinkDeadLocked(sh, it);
+        MvPruneLocked(sh, it, wm, /*force=*/true);
       }
-    }
-    if (m_accepted_ != nullptr) {
-      mir.events += 1;
-      shards_[0].pending.MergeFrom(mir);  // Delivered at the next flush.
     }
   } else {
     // Reinstall the per-item committed top writers from the merged order;
@@ -1801,7 +1710,6 @@ bool ShardedMtkEngine::MvAuditChains() const {
 
 EngineStats ShardedMtkEngine::stats() const {
   EngineStats out;
-  MirrorDelta flush;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> g(sh.mu);
     const EngineStats& s = sh.stats;
@@ -1818,29 +1726,19 @@ EngineStats ShardedMtkEngine::stats() const {
     out.full_lock_fallbacks += s.full_lock_fallbacks;
     out.lock_contention += s.lock_contention;
     out.compactions += s.compactions;
+    out.commits += s.commits;
+    out.batches += s.batches;
+    out.batch_ops += s.batch_ops;
     out.hot_encodings += s.hot_encodings;
     out.versions_installed += s.versions_installed;
     out.versions_gc += s.versions_gc;
     out.old_version_reads += s.old_version_reads;
     out.read_rejects += s.read_rejects;
     out.reject_reasons += s.reject_reasons;
-    // An observation point: drain every pending mirror buffer so the
-    // registry snapshot reconciles exactly with the returned stats.
-    if (m_accepted_ != nullptr && sh.pending.events != 0) {
-      flush.MergeFrom(sh.pending);
-      sh.pending = MirrorDelta{};
-    }
   }
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.batch_ops = batch_ops_.load(std::memory_order_relaxed);
   out.batch_fallbacks = batch_fallbacks_.load(std::memory_order_relaxed);
   const int64_t lv = live_versions_.load(std::memory_order_relaxed);
   out.live_versions = lv < 0 ? 0 : static_cast<uint64_t>(lv);
-  auto* self = const_cast<ShardedMtkEngine*>(this);
-  self->ApplyMirror(flush);
-  if (options_.multiversion && m_live_versions_ != nullptr) {
-    m_live_versions_->Set(lv < 0 ? 0 : lv);
-  }
   return out;
 }
 

@@ -103,16 +103,20 @@ struct EngineOptions {
   /// before falling back to locking every shard.
   size_t max_lock_retries = 16;
 
-  /// Registry the engine mirrors its hot counters into ("engine.accepted",
-  /// "engine.rejected.<reason>", "engine.lock_contention", ...). Null
-  /// disables mirroring entirely; the per-shard EngineStats keep counting
-  /// either way. The registry must outlive the engine. bench/mt_throughput
-  /// measures the attached-vs-null delta as obs_overhead_pct.
+  /// Registry the engine publishes its counters through ("engine.accepted",
+  /// "engine.rejected.<reason>", "engine.lock_contention", ...). The engine
+  /// registers a collector that sums the per-shard EngineStats when a
+  /// snapshot is taken, so counting costs nothing beyond EngineStats and
+  /// every snapshot is exact; on destruction the final values fold into
+  /// the registry's own counters, which therefore never decrease across
+  /// engines. Null publishes nothing. The registry must outlive the engine.
   ///
-  /// Attached registries also receive the live starvation signal: every
-  /// RestartTxn raises the gauge "engine.max_consecutive_aborts" to the
-  /// restarting transaction's consecutive-abort count (its incarnation
-  /// number), the windowed peak a Sampler's StarvationWatchdog consumes.
+  /// Attached registries also receive two push instruments: the
+  /// "engine.phase.*_us" histograms (see phase_sample_shift) and the live
+  /// starvation signal - every RestartTxn raises the gauge
+  /// "engine.max_consecutive_aborts" to the restarting transaction's
+  /// consecutive-abort count (its incarnation number), the windowed peak a
+  /// Sampler's StarvationWatchdog consumes.
   MetricsRegistry* metrics = nullptr;
 
   /// Write-ahead log for durability: when attached, the engine tracks each
@@ -153,23 +157,10 @@ struct EngineOptions {
   /// admission: one live transaction is elected champion and every other
   /// batched operation is throttled (rejected with kBatchThrottled, no
   /// starvation seeding) until the champion commits, which guarantees
-  /// forward progress. Counted in EngineStats::batch_fallbacks and the
-  /// "engine.batch_fallbacks" registry mirror. 0 disables the guardrail.
+  /// forward progress. Counted in EngineStats::batch_fallbacks (published
+  /// as "engine.batch_fallbacks"). 0 disables the guardrail.
   /// Process (a batch of one) is never throttled.
   size_t batch_fallback_rounds = 64;
-
-  /// Registry-mirror buffering: counter deltas accumulate in per-shard
-  /// buffers (plain increments under shard locks the engine already holds)
-  /// and reach the attached registry only once a buffer has absorbed about
-  /// this many operations' worth of events - so mirroring costs a handful
-  /// of registry touches per flush window instead of several per
-  /// operation. stats() always flushes every buffer first, keeping the
-  /// snapshot == stats() reconciliation exact at observation points; live
-  /// consumers (Sampler windows) see deltas at most one window late under
-  /// load. 0 flushes every batch (the pre-buffering behavior). The
-  /// "engine.max_consecutive_aborts" gauge is never buffered - it is the
-  /// starvation watchdog's liveness signal.
-  size_t mirror_flush_ops = 256;
 };
 
 /// Work counters, aggregated over shards by ShardedMtkEngine::stats().
@@ -194,6 +185,8 @@ struct EngineStats {
   uint64_t lock_contention = 0;
   /// CompactAll() invocations.
   uint64_t compactions = 0;
+  /// CommitTxn calls, counted at the commit point.
+  uint64_t commits = 0;
   /// ProcessBatch invocations (Process counts as a batch of one) and the
   /// operations they carried; batch_ops / batches is the mean batch size.
   uint64_t batches = 0;
@@ -274,8 +267,8 @@ class ShardedMtkEngine {
   /// The batch's shard lockset - the union of every operation's item and
   /// issuer shards - is acquired once per optimistic round in sorted order,
   /// and every operation whose top accessors are covered by it is decided
-  /// under that one acquisition, amortizing LockShard calls, liveness
-  /// resolution, and registry mirroring across the batch. Operations left
+  /// under that one acquisition, amortizing LockShard calls and liveness
+  /// resolution across the batch. Operations left
   /// uncovered (a top accessor lives on an unlocked shard) are retried on
   /// the next round under a lockset rebuilt around the tops just observed,
   /// falling back to locking every shard after max_lock_retries rounds.
@@ -452,47 +445,6 @@ class ShardedMtkEngine {
     uint64_t mv_unlink_epoch = 0;
   };
 
-  /// Registry deltas accumulated across one batch, then merged into a
-  /// per-shard pending buffer (under a shard lock the batch already holds)
-  /// and flushed to the registry only once the buffer has absorbed about
-  /// mirror_flush_ops events - so mirroring costs a handful of registry
-  /// touches per flush window instead of several per operation. The
-  /// per-shard EngineStats are still updated inline under the shard locks;
-  /// stats() flushes every buffer, keeping reconciliation exact there.
-  struct MirrorDelta {
-    uint64_t events = 0;  // Operations merged in; drives the flush trigger.
-    uint64_t accepted = 0;
-    uint64_t ignored = 0;
-    uint64_t hot_encodings = 0;
-    uint64_t batches = 0;
-    uint64_t batch_ops = 0;
-    uint64_t retries = 0;
-    uint64_t fallbacks = 0;
-    uint64_t batch_fallbacks = 0;
-    uint64_t contention = 0;
-    uint64_t compactions = 0;
-    uint64_t versions_installed = 0;
-    uint64_t versions_gc = 0;
-    uint64_t rejected[kNumAbortReasons] = {};
-
-    void MergeFrom(const MirrorDelta& d) {
-      events += d.events;
-      accepted += d.accepted;
-      ignored += d.ignored;
-      hot_encodings += d.hot_encodings;
-      batches += d.batches;
-      batch_ops += d.batch_ops;
-      retries += d.retries;
-      fallbacks += d.fallbacks;
-      batch_fallbacks += d.batch_fallbacks;
-      contention += d.contention;
-      compactions += d.compactions;
-      versions_installed += d.versions_installed;
-      versions_gc += d.versions_gc;
-      for (size_t r = 0; r < kNumAbortReasons; ++r) rejected[r] += d.rejected[r];
-    }
-  };
-
   /// Most recent rejection decided on a shard, recorded under its mutex at
   /// the decision point (the locks the reject paths already hold) and read
   /// back by ExplainLastReject. `seq` comes from the engine-wide
@@ -520,9 +472,6 @@ class ShardedMtkEngine {
     TsElement ucount = 1;  // Raw last-column counters; encoded value is
     TsElement lcount = 0;  // raw * N + index.
     EngineStats stats;
-    /// Buffered registry deltas (EngineOptions::mirror_flush_ops); mutated
-    /// under mu, flushed by FlushMirrorLocked once past the threshold.
-    MirrorDelta pending;
     /// Newest rejection decided on this shard (see RejectRecord).
     RejectRecord last_reject;
     Shard() : dir(kDirSize) {}
@@ -588,14 +537,13 @@ class ShardedMtkEngine {
   /// assignments. On false, `why` receives the classified cause (kLexOrder
   /// or kEncodingExhausted).
   bool SetStates(Shard& shx, TxnState& sj, TxnState& si, TxnId j, TxnId i,
-                 bool hot_item, MirrorDelta& mir, AbortReason* why);
+                 bool hot_item, AbortReason* why);
 
   /// The decision body; every referenced shard's mutex is held. On kReject,
-  /// `*why` (when non-null) receives the classified cause. Registry deltas
-  /// go to `mir`, flushed by ProcessBatch after the locks drop.
+  /// `*why` (when non-null) receives the classified cause.
   OpDecision DecideLocked(const Op& op, Shard& shx, ItemState& item,
                           TxnState& si, const LiveRef& jr, const LiveRef& jw,
-                          AbortReason* why, MirrorDelta& mir);
+                          AbortReason* why);
 
   /// Multiversion decision body (the MvMtkScheduler read walk and two-phase
   /// write placement run under shard locking): every shard referenced by
@@ -604,7 +552,7 @@ class ShardedMtkEngine {
   /// SetStates, and classifies rejects (kVersionConflict for infeasible
   /// write placements).
   OpDecision DecideMvLocked(const Op& op, Shard& shx, ItemState& item,
-                            TxnState& si, AbortReason* why, MirrorDelta& mir);
+                            TxnState& si, AbortReason* why);
 
   /// Lazily creates the chain's virtual-T0 base version.
   static void EnsureChainLocked(ItemState& item);
@@ -612,7 +560,7 @@ class ShardedMtkEngine {
   /// Unlinks versions whose writer is dead and reader entries that are
   /// dead (permanent states, so safe under shard(item) alone); counts the
   /// unlinked non-T0 versions as versions_gc. Requires shard(item).mu.
-  void MvUnlinkDeadLocked(Shard& shx, ItemState& item, MirrorDelta& mir);
+  void MvUnlinkDeadLocked(Shard& shx, ItemState& item);
 
   /// Watermark truncation: after unlinking dead state, drops the
   /// oldest-prefix of versions strictly older than the newest committed
@@ -622,17 +570,7 @@ class ShardedMtkEngine {
   /// gate that the per-commit incremental path uses to skip chains still
   /// within keep_tail + slack of their floor.
   void MvPruneLocked(Shard& shx, ItemState& item, uint64_t watermark,
-                     MirrorDelta& mir, bool force = false);
-
-  /// Merges `mir` into sh.pending under sh.mu; when the buffer crosses
-  /// mirror_flush_ops (or the threshold is 0), moves it into *flush so the
-  /// caller can ApplyMirror after dropping the lock. No-op registry-wise
-  /// when no registry is attached.
-  void MergePendingLocked(Shard& sh, const MirrorDelta& mir,
-                          MirrorDelta* flush);
-
-  /// Applies a flushed buffer to the registry mirrors; lock-free.
-  void ApplyMirror(const MirrorDelta& d);
+                     bool force = false);
 
   /// Records one attributed phase slice: microseconds into the
   /// "engine.phase.<name>_us" histogram (exemplar-tagged with the
@@ -659,7 +597,7 @@ class ShardedMtkEngine {
                         TxnId blocker, uint64_t fallback_round = 0);
 
   /// Acquires sh.mu, counting the acquisition as contended (per-shard
-  /// stats, registry mirror, trace instant) when try_lock fails first.
+  /// stats, trace instant) when try_lock fails first.
   void LockShard(Shard& sh);
 
   size_t CompactAllLocked();
@@ -674,9 +612,6 @@ class ShardedMtkEngine {
   /// Engine-wide commit counter driving the compact_every trigger. Relaxed:
   /// an occasional early or late CompactAll is harmless.
   std::atomic<uint64_t> commits_since_compact_{0};
-  /// Engine-wide batch counters (a batch has no single owning shard).
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batch_ops_{0};
 
   // Livelock guardrail (see EngineOptions::batch_fallback_rounds). All
   // relaxed: the guardrail is a heuristic trigger, not a correctness gate -
@@ -689,7 +624,9 @@ class ShardedMtkEngine {
   /// clears a champion that stopped submitting (committed via another
   /// engine API, or its issuer gave up) so the guardrail cannot wedge.
   std::atomic<uint64_t> champion_missing_{0};
-  /// Fallback batches decided (EngineStats::batch_fallbacks).
+  /// Fallback batches decided (EngineStats::batch_fallbacks); throttle
+  /// RejectRecords carry it as their fallback round. Engine-wide, not
+  /// per-shard, because that round number must be one global sequence.
   std::atomic<uint64_t> batch_fallbacks_{0};
 
   /// Runtime MT(k+) width (see SetActiveK); initialized to options_.k.
@@ -720,28 +657,9 @@ class ShardedMtkEngine {
   /// seeds mv_cover.
   std::atomic<uint64_t> mv_dead_epoch_{1};
 
-  /// Registry mirrors, resolved once at construction; all null when
-  /// options.metrics == nullptr, so the hot path pays one predictable
-  /// branch per event in the detached configuration.
-  Counter* m_accepted_ = nullptr;
-  Counter* m_ignored_ = nullptr;
-  Counter* m_rejected_[kNumAbortReasons] = {};
-  Counter* m_contention_ = nullptr;
-  Counter* m_retries_ = nullptr;
-  Counter* m_fallbacks_ = nullptr;
-  Counter* m_compactions_ = nullptr;
-  Counter* m_batches_ = nullptr;
-  Counter* m_batch_ops_ = nullptr;
-  Counter* m_hot_encodings_ = nullptr;
-  Counter* m_batch_fallbacks_ = nullptr;
-  Counter* m_versions_installed_ = nullptr;
-  Counter* m_versions_gc_ = nullptr;
-  /// Unbuffered commit mirror ("engine.commits"): bumped at the commit
-  /// point so windowed goodput - the admission controller's reward signal -
-  /// is never a flush window stale, unlike the buffered counters above.
-  Counter* m_commits_ = nullptr;
+  /// Starvation gauge ("engine.max_consecutive_aborts"); null without a
+  /// registry. Every counter reaches the registry through the collector.
   Gauge* m_consec_aborts_ = nullptr;
-  Gauge* m_live_versions_ = nullptr;
 
   /// Phase-attribution state: the per-phase histograms (null without a
   /// registry), the sampling mask (2^phase_sample_shift - 1), and the

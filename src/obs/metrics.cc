@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -68,6 +69,10 @@ uint64_t HistogramSnapshot::Percentile(double p) const {
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> g(mu_);
+  return CounterLocked(name);
+}
+
+Counter* MetricsRegistry::CounterLocked(const std::string& name) {
   auto it = counters_.find(name);
   if (it != counters_.end()) return it->second;
   counter_storage_.emplace_back();
@@ -78,6 +83,10 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> g(mu_);
+  return GaugeLocked(name);
+}
+
+Gauge* MetricsRegistry::GaugeLocked(const std::string& name) {
   auto it = gauges_.find(name);
   if (it != gauges_.end()) return it->second;
   gauge_storage_.emplace_back();
@@ -96,6 +105,44 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return h;
 }
 
+void MetricsRegistry::AddCollector(const void* owner, MetricsCollector fn) {
+  std::lock_guard<std::mutex> g(mu_);
+  collectors_.emplace_back(owner, std::move(fn));
+}
+
+void MetricsRegistry::RemoveCollector(const void* owner) {
+  std::lock_guard<std::mutex> g(mu_);
+  auto it = std::find_if(collectors_.begin(), collectors_.end(),
+                         [owner](const auto& c) { return c.first == owner; });
+  if (it == collectors_.end()) return;
+  MetricsSnapshot last;
+  it->second(last);
+  collectors_.erase(it);
+  for (const auto& [name, v] : last.counters) CounterLocked(name)->Add(v);
+  for (const auto& [name, v] : last.gauges) GaugeLocked(name);
+}
+
+namespace {
+
+/// Sorts (name, value) pairs by name and sums the values of equal names.
+template <typename V>
+void SortAndSum(std::vector<std::pair<std::string, V>>& entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t kept = 0;
+  for (size_t r = 0; r < entries.size(); ++r) {
+    if (kept > 0 && entries[kept - 1].first == entries[r].first) {
+      entries[kept - 1].second += entries[r].second;
+    } else {
+      if (kept != r) entries[kept] = std::move(entries[r]);
+      ++kept;
+    }
+  }
+  entries.resize(kept);
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot out;
   std::lock_guard<std::mutex> g(mu_);
@@ -106,6 +153,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   out.gauges.reserve(gauges_.size());
   for (const auto& [name, g2] : gauges_) {
     out.gauges.emplace_back(name, g2->Value());
+  }
+  if (!collectors_.empty()) {
+    for (const auto& [owner, fn] : collectors_) fn(out);
+    SortAndSum(out.counters);
+    SortAndSum(out.gauges);
   }
   out.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -218,11 +219,17 @@ struct MetricsSnapshot {
   int64_t GaugeValue(const std::string& name) const;
 };
 
+/// Pull source of counter and gauge values: appends (name, value) pairs to
+/// the snapshot's counters and gauges, in any order.
+using MetricsCollector = std::function<void(MetricsSnapshot& out)>;
+
 /// Named counter/histogram registry. Get* registers on first use and
 /// returns a pointer that stays valid for the registry's lifetime (deque
 /// storage), so hot paths resolve each metric once and then touch only the
-/// lock-free instruments. Snapshot order is sorted by name, making
-/// snapshots of equal states byte-identical.
+/// lock-free instruments. Components that already keep their own counts
+/// register a collector instead and pay nothing until a snapshot reads
+/// them. Snapshot order is sorted by name, and entries that share a name
+/// are summed, making snapshots of equal states byte-identical.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -233,9 +240,23 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
+  /// Registers `fn` under `owner` (one collector per owner). Snapshot()
+  /// calls it under the registry mutex, so it must not call back into this
+  /// registry. Its counters must be cumulative for the owner's lifetime.
+  void AddCollector(const void* owner, MetricsCollector fn);
+  /// Calls `owner`'s collector one last time, adds its counter values into
+  /// this registry's own counters, and unregisters it - so a cumulative
+  /// counter never decreases when its owner goes away. Gauges are levels
+  /// of the owner and are not carried over; their names stay listed at the
+  /// plain gauge's value. No-op for an unknown owner.
+  void RemoveCollector(const void* owner);
+
   MetricsSnapshot Snapshot() const;
 
  private:
+  Counter* CounterLocked(const std::string& name);
+  Gauge* GaugeLocked(const std::string& name);
+
   mutable std::mutex mu_;
   std::map<std::string, Counter*> counters_;
   std::map<std::string, Gauge*> gauges_;
@@ -243,6 +264,7 @@ class MetricsRegistry {
   std::deque<Counter> counter_storage_;
   std::deque<Gauge> gauge_storage_;
   std::deque<Histogram> histogram_storage_;
+  std::vector<std::pair<const void*, MetricsCollector>> collectors_;
 };
 
 /// The process-wide registry every component publishes into by default.

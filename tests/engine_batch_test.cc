@@ -1,7 +1,7 @@
 // Concurrency suite for the batched admission pipeline: mixed
 // Process / ProcessBatch / CommitTxn / RestartTxn / CompactAll traffic from
 // several threads must be race-clean (the suite is labeled engine-batch so
-// the tsan-engine-batch preset can run exactly this binary under
+// ctest --preset tsan -L engine-batch can run exactly this binary under
 // ThreadSanitizer) and must reconcile its counters afterwards.
 
 #include <gtest/gtest.h>
@@ -160,7 +160,7 @@ TEST(EngineBatchConcurrencyTest, MixedBatchPerOpAndCompactionTraffic) {
   // Every decided operation took exactly one covered lock round.
   EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
             st.single_shard_ops + st.cross_shard_ops);
-  // Registry mirrors flushed per batch must agree with the shard stats.
+  // The registry's collected counters must agree with the shard stats.
   const auto snap = reg.Snapshot();
   EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
   EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);

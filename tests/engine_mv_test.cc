@@ -1,5 +1,5 @@
-// Multiversion engine suite (labeled engine-mv so the asan-engine-mv /
-// tsan-engine-mv presets can run exactly this binary):
+// Multiversion engine suite (labeled engine-mv so ctest --preset tsan
+// -L engine-mv can run exactly this binary):
 //
 //  1. Differential: with num_shards == 1 the engine's multiversion mode
 //     must make bit-identical decisions and assign bit-identical vectors
@@ -7,8 +7,8 @@
 //     protocol variants, on seeded closed-loop workloads.
 //  2. Concurrency: multi-threaded chain traffic with commit-side GC and
 //     CompactAll sweeps must be race-clean, keep every chain's version
-//     order encoded (MvAuditChains), reconcile stats with the registry
-//     mirror, and keep live versions bounded.
+//     order encoded (MvAuditChains), reconcile stats with the registry,
+//     and keep live versions bounded.
 //  3. GC: the live watermark must reclaim superseded versions once no live
 //     transaction can reach them, and never a version a live reader pins.
 
@@ -280,7 +280,6 @@ TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {
   eo.multiversion = true;
   eo.starvation_fix = true;
   eo.metrics = &reg;
-  eo.mirror_flush_ops = 64;  // Force buffering to actually buffer.
   eo.compact_every = 16;
   ShardedMtkEngine engine(eo);
 
@@ -306,8 +305,6 @@ TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {
                             // and writes accepted so far are consistent.
     }
   }
-  // stats() is the observation point: it drains every pending mirror
-  // buffer, so the snapshot below must reconcile exactly.
   const EngineStats st = engine.stats();
   const MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
@@ -512,7 +509,6 @@ TEST(EngineMvConcurrencyTest, ChainAndGcRaces) {
   eo.multiversion = true;
   eo.starvation_fix = true;
   eo.metrics = &reg;
-  eo.mirror_flush_ops = 128;
   eo.compact_every = 64;
   ShardedMtkEngine engine(eo);
 

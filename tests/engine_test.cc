@@ -575,7 +575,7 @@ TEST(ShardedEngineTest, VirtualTransactionIsProtectedAndImmutable) {
 }
 
 // Batch-path rejects must land in EngineStats.reject_reasons and in the
-// mirrored registry counters: per-reason equality, total() == rejected, and
+// registry's collected counters: per-reason equality, total() == rejected, and
 // the engine.batches / engine.batch_ops counters matching the stats struct.
 TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
   MetricsRegistry reg;

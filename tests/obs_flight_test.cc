@@ -1,5 +1,5 @@
-// Flight recorder + latency attribution suite (labeled `obs-flight` so the
-// asan-obs-flight / tsan-obs-flight presets run exactly this binary under
+// Flight recorder + latency attribution suite (labeled `obs-flight` so
+// `ctest --preset asan|tsan -L obs-flight` runs exactly this binary under
 // the sanitizers):
 //   - FlightRecorder unit coverage: seqlock ring round trips, overwrite
 //     semantics, capacity rounding, write-set truncation, JSON/dump shape;

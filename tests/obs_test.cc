@@ -1,5 +1,7 @@
 #include "obs/metrics.h"
 
+#include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +23,7 @@ namespace {
 
 // ===========================================================================
 // Counter / Histogram under concurrent writers (exactness; run under tsan
-// via the asan-obs / tsan-obs presets).
+// via ctest --preset tsan -L obs).
 // ===========================================================================
 
 TEST(CounterTest, ConcurrentWritersLoseNothing) {
@@ -122,6 +124,118 @@ TEST(MetricsRegistryTest, StablePointersAndLookups) {
   EXPECT_EQ(s.CounterValue("x.accepted"), 4u);
   EXPECT_EQ(s.CounterValue("absent"), 0u);
   EXPECT_EQ(s.CounterSum("x.rejected."), 3u);
+}
+
+// ===========================================================================
+// Collectors: pull sources merged into snapshots.
+// ===========================================================================
+
+TEST(MetricsRegistryTest, CollectorsSumDuplicateNamesInSortedOrder) {
+  int owner1 = 0;
+  int owner2 = 0;
+  auto first = [](MetricsSnapshot& out) {
+    out.counters.emplace_back("zeta", 5);
+    out.counters.emplace_back("alpha", 1);
+    out.gauges.emplace_back("level", 2);
+  };
+  auto second = [](MetricsSnapshot& out) {
+    out.counters.emplace_back("alpha", 10);
+    out.gauges.emplace_back("level", 3);
+  };
+  // Equal states reached in different registration orders.
+  MetricsRegistry a, b;
+  a.AddCollector(&owner1, first);
+  a.AddCollector(&owner2, second);
+  a.GetCounter("alpha")->Add(100);
+  a.GetCounter("mid")->Add(7);
+  b.GetCounter("mid")->Add(7);
+  b.GetCounter("alpha")->Add(100);
+  b.AddCollector(&owner2, second);
+  b.AddCollector(&owner1, first);
+  const MetricsSnapshot s = a.Snapshot();
+  ASSERT_EQ(s.counters.size(), 3u);
+  EXPECT_EQ(s.counters[0], (std::pair<std::string, uint64_t>("alpha", 111)));
+  EXPECT_EQ(s.counters[1], (std::pair<std::string, uint64_t>("mid", 7)));
+  EXPECT_EQ(s.counters[2], (std::pair<std::string, uint64_t>("zeta", 5)));
+  EXPECT_EQ(s.GaugeValue("level"), 5);
+  EXPECT_EQ(s.gauges.size(), 1u);
+  EXPECT_EQ(s.ToJson(), b.Snapshot().ToJson());
+  EXPECT_EQ(s.ToText(), a.Snapshot().ToText());
+}
+
+TEST(MetricsRegistryTest, RemoveCollectorFoldsLastValues) {
+  MetricsRegistry reg;
+  uint64_t events = 0;
+  int owner1 = 0;
+  int owner2 = 0;
+  auto publish = [&events](MetricsSnapshot& out) {
+    out.counters.emplace_back("src.events", events);
+    out.gauges.emplace_back("src.level", 9);
+  };
+  reg.AddCollector(&owner1, publish);
+  events = 40;
+  EXPECT_EQ(reg.Snapshot().CounterValue("src.events"), 40u);
+  events = 42;  // Not yet observed by any snapshot.
+  reg.RemoveCollector(&owner1);
+  reg.RemoveCollector(&owner1);  // Unknown owner now: no-op.
+  MetricsSnapshot s = reg.Snapshot();
+  EXPECT_EQ(s.CounterValue("src.events"), 42u);
+  // The gauge was the owner's level: its name stays, its value does not.
+  ASSERT_EQ(s.gauges.size(), 1u);
+  EXPECT_EQ(s.gauges[0].first, "src.level");
+  EXPECT_EQ(s.gauges[0].second, 0);
+
+  // A successor with the same names continues from the folded value.
+  events = 0;
+  reg.AddCollector(&owner2, publish);
+  EXPECT_EQ(reg.Snapshot().CounterValue("src.events"), 42u);
+  events = 8;
+  s = reg.Snapshot();
+  EXPECT_EQ(s.CounterValue("src.events"), 50u);
+  EXPECT_EQ(s.GaugeValue("src.level"), 9);
+  reg.RemoveCollector(&owner2);
+  EXPECT_EQ(reg.Snapshot().CounterValue("src.events"), 50u);
+}
+
+// Snapshots racing collector removal (run under tsan): a snapshot sees
+// either the live collector or its folded value, never both or neither,
+// and never calls a collector whose owner is gone.
+TEST(MetricsRegistryTest, SnapshotRacesRemoveCollector) {
+  MetricsRegistry reg;
+  constexpr int kRounds = 300;
+  constexpr uint64_t kEventsPerRound = 10;
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      auto source = std::make_unique<std::atomic<uint64_t>>(0);
+      std::atomic<uint64_t>* p = source.get();
+      reg.AddCollector(p, [p](MetricsSnapshot& out) {
+        out.counters.emplace_back("churn.events",
+                                  p->load(std::memory_order_relaxed));
+      });
+      for (uint64_t n = 0; n < kEventsPerRound; ++n) {
+        p->fetch_add(1, std::memory_order_relaxed);
+      }
+      reg.RemoveCollector(p);
+    }  // Each source is freed right after its removal.
+    done.store(true, std::memory_order_release);
+  });
+  bool monotone = true;
+  auto watch = [&] {
+    uint64_t prev = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t v = reg.Snapshot().CounterValue("churn.events");
+      if (v < prev) monotone = false;
+      prev = v;
+    }
+  };
+  std::thread watcher(watch);
+  watch();
+  churn.join();
+  watcher.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(reg.Snapshot().CounterValue("churn.events"),
+            kRounds * kEventsPerRound);
 }
 
 // ===========================================================================
@@ -262,19 +376,15 @@ TEST(ReconciliationTest, FiveProtocolsShareTheTaxonomy) {
   }
 }
 
-TEST(ReconciliationTest, EngineStatsMatchMirroredRegistry) {
-  MetricsRegistry reg;
-  EngineOptions eo;
-  eo.k = 2;
-  eo.num_shards = 4;
-  eo.metrics = &reg;
-  ShardedMtkEngine engine(eo);
+// Hot-set closed-loop traffic from several threads: every transaction
+// either commits or is restarted (same id) after its first reject.
+void RunHotTraffic(ShardedMtkEngine& engine, uint64_t seed) {
   constexpr int kThreads = 4;
   constexpr uint64_t kTxnsPerThread = 2000;
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&engine, t] {
-      uint64_t x = 88172645463325252ull + t;
+    pool.emplace_back([&engine, seed, t] {
+      uint64_t x = seed + t;
       for (uint64_t n = 0; n < kTxnsPerThread; ++n) {
         const TxnId txn = 1 + t + n * kThreads;
         bool ok = true;
@@ -302,17 +412,89 @@ TEST(ReconciliationTest, EngineStatsMatchMirroredRegistry) {
     });
   }
   for (auto& th : pool) th.join();
+}
+
+TEST(ReconciliationTest, EngineStatsMatchMirroredRegistry) {
+  MetricsRegistry reg;
+  EngineOptions eo;
+  eo.k = 2;
+  eo.num_shards = 4;
+  eo.compact_every = 512;
+  eo.metrics = &reg;
+  ShardedMtkEngine engine(eo);
+  RunHotTraffic(engine, 88172645463325252ull);
+  // The snapshot comes first: the registry reads EngineStats itself, so no
+  // stats() call is needed to make it exact.
+  const MetricsSnapshot snap = reg.Snapshot();
   const EngineStats st = engine.stats();
   EXPECT_GT(st.rejected, 0u);  // The hot item set guarantees conflicts.
+  EXPECT_GT(st.commits, 0u);
+  EXPECT_GT(st.compactions, 0u);
   EXPECT_EQ(st.rejected, st.reject_reasons.total());
   EXPECT_EQ(st.reject_reasons.unclassified(), 0u);
-  const MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
+  EXPECT_EQ(snap.CounterValue("engine.ignored_writes"), st.ignored_writes);
   EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
-  EXPECT_EQ(snap.CounterValue("engine.rejected.lex_order"),
-            st.reject_reasons[AbortReason::kLexOrder]);
-  EXPECT_EQ(snap.CounterValue("engine.lock_contention"),
-            st.lock_contention);
+  for (size_t r = 1; r < kNumAbortReasons; ++r) {
+    const AbortReason reason = static_cast<AbortReason>(r);
+    EXPECT_EQ(snap.CounterValue(std::string("engine.rejected.") +
+                                AbortReasonName(reason)),
+              st.reject_reasons[reason])
+        << AbortReasonName(reason);
+  }
+  EXPECT_EQ(snap.CounterValue("engine.lock_contention"), st.lock_contention);
+  EXPECT_EQ(snap.CounterValue("engine.lock_retries"), st.lock_retries);
+  EXPECT_EQ(snap.CounterValue("engine.full_lock_fallbacks"),
+            st.full_lock_fallbacks);
+  EXPECT_EQ(snap.CounterValue("engine.compactions"), st.compactions);
+  EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
+  EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
+  EXPECT_EQ(snap.CounterValue("engine.hot_encodings"), st.hot_encodings);
+  EXPECT_EQ(snap.CounterValue("engine.batch_fallbacks"), st.batch_fallbacks);
+  EXPECT_EQ(snap.CounterValue("engine.versions_installed"),
+            st.versions_installed);
+  EXPECT_EQ(snap.CounterValue("engine.versions_gc"), st.versions_gc);
+  EXPECT_EQ(snap.CounterValue("engine.commits"), st.commits);
+  EXPECT_EQ(snap.GaugeValue("engine.live_versions"),
+            static_cast<int64_t>(st.live_versions));
+}
+
+// Engines created and destroyed in turn on one registry: the registry
+// folds each engine's final counts in, so cumulative counters never step
+// back and end at the sum over both engines.
+TEST(ReconciliationTest, CountersStayMonotoneAcrossSequentialEngines) {
+  MetricsRegistry reg;
+  EngineOptions eo;
+  eo.k = 2;
+  eo.num_shards = 4;
+  eo.metrics = &reg;
+  uint64_t accepted = 0;
+  uint64_t commits = 0;
+  uint64_t prev_accepted = 0;
+  uint64_t prev_commits = 0;
+  auto check = [&](const char* when) {
+    const MetricsSnapshot s = reg.Snapshot();
+    const uint64_t a = s.CounterValue("engine.accepted");
+    const uint64_t c = s.CounterValue("engine.commits");
+    EXPECT_GE(a, prev_accepted) << when;
+    EXPECT_GE(c, prev_commits) << when;
+    prev_accepted = a;
+    prev_commits = c;
+  };
+  for (uint64_t seed : {11ull, 29ull}) {
+    auto engine = std::make_unique<ShardedMtkEngine>(eo);
+    check("after construction");
+    RunHotTraffic(*engine, seed);
+    check("after traffic");
+    const EngineStats st = engine->stats();
+    accepted += st.accepted;
+    commits += st.commits;
+    engine.reset();
+    check("after destruction");
+  }
+  EXPECT_EQ(prev_accepted, accepted);
+  EXPECT_EQ(prev_commits, commits);
+  EXPECT_GT(commits, 0u);
 }
 
 TEST(ReconciliationTest, DmtAbortsMatchReasonsAndRegistry) {

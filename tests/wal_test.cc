@@ -1,7 +1,7 @@
 // Durability suite for the Taurus-style parallel WAL (src/wal) and its
 // engine integration: record framing (length + CRC), torn-tail truncation,
 // group-commit sync policies and their metrics, concurrent appends (the
-// suite is labeled `wal` so the asan-wal / tsan-wal presets run exactly
+// suite is labeled `wal` so `ctest --preset asan|tsan -L wal` runs exactly
 // this binary under the sanitizers), and the seeded crash-point property
 // sweep: crash at random points across every WalCrashPoint plus random
 // byte-offset truncation, recover, and check the result against two

@@ -222,9 +222,12 @@ def main():
 
     # Multiversion bookkeeping lint: when a snapshot carries the
     # version-chain series, the live-version gauge should equal installs
-    # minus reclaims. A drained snapshot (taken after EngineStats, which
-    # flushes every mirror buffer) must satisfy it exactly; one taken
-    # mid-run can lag by the buffered counter deltas, so this is a warning
+    # minus reclaims. The engine's registry collector reads all three in
+    # one EngineStats pass, so a snapshot of a quiescent engine satisfies
+    # it exactly. That pass locks the shards one at a time rather than
+    # taking an atomic cut, so a snapshot taken mid-run can be off by the
+    # installs and reclaims in flight; and counters outlive a destroyed
+    # engine while its live-version level does not. So this is a warning
     # and does not affect the exit code.
     for label, counters, gauges in (("before", counters_a, gauges_a),
                                     ("after", counters_b, gauges_b)):
@@ -236,8 +239,9 @@ def main():
         if live != installed - gc:
             print(f"warning ({label}): engine.live_versions={live} != "
                   f"versions_installed={installed} - versions_gc={gc} "
-                  f"(= {installed - gc}; consistent only in drained "
-                  f"snapshots - buffered mirror deltas lag mid-run)")
+                  f"(= {installed - gc}; consistent only in snapshots of "
+                  f"a quiescent live engine - collection locks shards one "
+                  f"at a time, not an atomic cut)")
 
     if changed == 0:
         print("snapshots match"
