@@ -13,8 +13,7 @@ constexpr TsElement U = kUndefinedElement;
 MtkPlus::MtkPlus(size_t k)
     : k_(k),
       stopped_(k, false),
-      ucount_(k, 1),
-      lcount_(k, 0) {
+      counters_(k) {
   assert(k_ >= 1);
   // The virtual transaction T0 = <0, *, ..., *> under every subprotocol:
   // its first column is PREFIX(1) for MT(2..k) and LASTCOL(1) for MT(1).
@@ -83,16 +82,8 @@ bool MtkPlus::EncodeDependency(TxnId j, TxnId i) {
       if (cj != U && ci != U) {
         // LASTCOL values are distinct by construction, so cj != ci.
         if (cj > ci) StopSub(h);
-      } else if (cj == U && ci == U) {
-        cj = ucount_[h - 1];
-        ci = ucount_[h - 1] + 1;
-        ucount_[h - 1] += 2;
-      } else if (ci == U) {
-        ci = ucount_[h - 1];
-        ucount_[h - 1] += 1;
       } else {
-        cj = lcount_[h - 1];
-        lcount_[h - 1] -= 1;
+        EncodeColumn(cj, ci, &counters_[h - 1]);  // MT(h)'s last column.
       }
     }
     if (h == k_) break;
@@ -113,16 +104,7 @@ bool MtkPlus::EncodeDependency(TxnId j, TxnId i) {
       }
       continue;                              // Equal: walk one column deeper.
     }
-    if (pj == U && pi == U) {
-      pj = 1;  // The '=' encoding of Algorithm 1 in a non-last column.
-      pi = 2;
-      break;
-    }
-    if (pi == U) {
-      pi = pj + 1;
-      break;
-    }
-    pj = pi - 1;
+    EncodeColumn(pj, pi, nullptr);  // Algorithm 1 in a non-last column.
     break;
   }
   return live_count() > 0;

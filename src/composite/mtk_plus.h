@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/encoding.h"
 #include "core/log.h"
 #include "core/mtk_scheduler.h"
 #include "core/timestamp_vector.h"
@@ -110,8 +111,7 @@ class MtkPlus {
   std::deque<TxnState> txns_;
   std::vector<ItemState> items_;
   std::vector<bool> stopped_;       // Per subprotocol, 0-based.
-  std::vector<TsElement> ucount_;   // Per subprotocol LASTCOL counters.
-  std::vector<TsElement> lcount_;
+  std::vector<StripedCounters> counters_;  // Per subprotocol LASTCOL.
 };
 
 /// TO(k+) membership decided by the shared-prefix implementation (the

@@ -1,13 +1,125 @@
 #ifndef MDTS_CORE_ENCODING_H_
 #define MDTS_CORE_ENCODING_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
 #include "core/timestamp_vector.h"
+#include "core/types.h"
 #include "obs/abort_reason.h"
 
 namespace mdts {
+
+/// Algorithm 1's last-column counters ucount/lcount, striped across n
+/// owners that draw values without coordinating: stripe s hands out only
+/// values v = raw * n + s, so two stripes never collide. This is DMT(k)'s
+/// "concatenate the site number as low order bits" (Section V-B, n =
+/// sites) and the sharded engine's per-shard counters (n = shards); with
+/// n = 1 it is the plain ucount = 1, 2, ... / lcount = 0, -1, ... pair.
+///
+/// Upper/Lower respect the caller's bound. A stripe's own counter already
+/// exceeds (undercuts) every value it handed out, but the element it must
+/// order after may come from another stripe whose counter ran ahead; a
+/// value drawn below that bound would encode the dependency backwards.
+class StripedCounters {
+ public:
+  explicit StripedCounters(uint32_t stripe = 0, uint32_t n = 1)
+      : stripe_(stripe), n_(n) {}
+
+  /// Smallest value of this stripe's class that is > `above` and > every
+  /// value Upper returned before. `above` may be kUndefinedElement, meaning
+  /// "no bound beyond the counter itself".
+  TsElement Upper(TsElement above) {
+    const TsElement n = n_;
+    TsElement raw = upper_;
+    TsElement val = raw * n + stripe_;
+    while (above != kUndefinedElement && val <= above) {
+      ++raw;
+      val += n;
+    }
+    upper_ = raw + 1;
+    return val;
+  }
+
+  /// Largest value of this stripe's class that is < `below` (defined) and
+  /// < every value Lower returned before.
+  TsElement Lower(TsElement below) {
+    const TsElement n = n_;
+    TsElement raw = lower_;
+    TsElement val = raw * n + stripe_;
+    while (val >= below) {
+      --raw;
+      val -= n;
+    }
+    lower_ = raw - 1;
+    return val;
+  }
+
+  /// The stripe whose class holds value v.
+  static uint32_t StripeOf(TsElement v, uint32_t n) {
+    const TsElement sn = n;
+    return static_cast<uint32_t>(((v % sn) + sn) % sn);
+  }
+
+  /// Recovery resync: moves this stripe's counters past v, a value of its
+  /// class (StripeOf(v, n) == stripe), so later draws never reuse or
+  /// undercut it.
+  void AdvancePast(TsElement v) {
+    const TsElement raw =
+        (v - static_cast<TsElement>(stripe_)) / static_cast<TsElement>(n_);
+    if (v >= 0) {
+      upper_ = std::max(upper_, raw + 1);
+    } else {
+      lower_ = std::min(lower_, raw - 1);
+    }
+  }
+
+  /// Moves both counters outward to at least `other`'s positions (DMT(k)'s
+  /// clock synchronization adopts the global extremes this way).
+  void Widen(const StripedCounters& other) {
+    upper_ = std::max(upper_, other.upper_);
+    lower_ = std::min(lower_, other.lower_);
+  }
+
+ private:
+  TsElement upper_ = 1;  // Raw positions; the drawn value is raw * n + stripe.
+  TsElement lower_ = 0;
+  uint32_t stripe_;
+  uint32_t n_;
+};
+
+/// Algorithm 1's plain encoding of TS(j, m) < TS(i, m) on one column whose
+/// elements a = TS(j, m) and b = TS(i, m) are not both defined. Both
+/// undefined ('=', line 19): the constants 1 < 2, or two counter values in
+/// the last column. One undefined (line 20): one past the defined side, or
+/// a counter value bounded by it in the last column. `last` is the counter
+/// pair when m is the last column, null otherwise. Returns the number of
+/// elements assigned.
+///
+/// Columns other than the last may hold equal values across vectors,
+/// which is what lets MT(k) keep transactions unordered longer than
+/// MT(k-1) (Section III-C); counter values keep every fully assigned
+/// vector distinguishable from every other.
+inline uint32_t EncodeColumn(TsElement& a, TsElement& b,
+                             StripedCounters* last) {
+  if (a == kUndefinedElement && b == kUndefinedElement) {
+    if (last != nullptr) {
+      a = last->Upper(kUndefinedElement);
+      b = last->Upper(a);
+    } else {
+      a = 1;
+      b = 2;
+    }
+    return 2;
+  }
+  if (b == kUndefinedElement) {
+    b = last != nullptr ? last->Upper(a) : a + 1;
+  } else {
+    a = last != nullptr ? last->Lower(b) : b - 1;
+  }
+  return 1;
+}
 
 /// Result of one EncodeDependency call (the body of Algorithm 1's Set(j, i)
 /// after the vector comparison): whether TS(j) < TS(i) now holds, whether
@@ -22,38 +134,29 @@ struct EncodeOutcome {
   AbortReason why = AbortReason::kNone;
 };
 
-/// Algorithm 1's Set(j, i) encoding step, shared by MtkScheduler and
-/// ShardedMtkEngine so the two implementations cannot drift. The callers
-/// differ only in where last-column values come from, abstracted as the
-/// Counters policy:
-///
-///   TsElement Upper(TsElement above);  // Next value > above (and > every
-///                                      // value Upper returned before).
-///   TsElement Lower(TsElement below);  // Next value < below (and < every
-///                                      // value Lower returned before).
-///
-/// MtkScheduler's global counters ignore the bound argument - monotonicity
-/// alone guarantees it - while the engine's per-shard counters (value * N +
-/// shard) skip ahead past cross-shard values. `above` may be
-/// kUndefinedElement, meaning "no bound beyond the counter itself".
+/// Algorithm 1's Set(j, i) encoding step: the one implementation behind
+/// MtkScheduler, ShardedMtkEngine, VectorTable (and through it the MV and
+/// nested schedulers) and DMT(k). Callers differ only in which
+/// StripedCounters supply last-column values.
 ///
 /// Every branch that would write TS(j) refuses when j is the virtual
 /// transaction: TS(0) must stay <0, *, ..., *> forever (the engine reads it
 /// lock-free from every shard, and mutating it would retroactively reorder
-/// every transaction already encoded against T0). Those branches are only
-/// reachable when optimized encoding has produced a live vector whose
-/// prefix collides with T0's; with the option off they never fire.
+/// every transaction already encoded against T0). Those branches are
+/// reachable when a live vector's prefix collides with T0's - through
+/// optimized encoding, or through the non-last-column TS(i, m) - 1 step
+/// that can hand a live transaction a leading 0.
 ///
 /// Section III-D-5 (`optimized_encoding` && `hot_item`): a dependency born
 /// on a frequently accessed item is pushed toward the right end of the
 /// vectors - equal filler up to column k-2 with the 1 < 2 pair there, or
 /// TS(j)'s defined prefix copied into TS(i) with the pair just past it - so
 /// a hot item does not force a premature total order through column m.
-template <typename Counters>
-EncodeOutcome EncodeDependency(const VectorCompareResult& cr, size_t k,
-                               TimestampVector& tj, TimestampVector& ti,
-                               bool j_is_virtual, bool hot_item,
-                               bool optimized_encoding, Counters&& counters) {
+inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
+                                      size_t k, TimestampVector& tj,
+                                      TimestampVector& ti, bool j_is_virtual,
+                                      bool hot_item, bool optimized_encoding,
+                                      StripedCounters& counters) {
   EncodeOutcome out;
   const size_t m = cr.index;
   switch (cr.order) {
@@ -69,102 +172,124 @@ EncodeOutcome EncodeDependency(const VectorCompareResult& cr, size_t k,
       // externally seeded vector could in principle collide; refuse safely.
       out.why = AbortReason::kEncodingExhausted;
       return out;
-    case VectorOrder::kEqual: {
-      // Line 19: both elements undefined; encode TS(j, m) < TS(i, m).
-      if (j_is_virtual) {
-        out.why = AbortReason::kEncodingExhausted;  // TS(0) is immutable.
-        return out;
-      }
-      if (optimized_encoding && hot_item && m + 1 < k) {
-        // Section III-D-5: extend both prefixes with equal filler up to
-        // column k-2 and place the 1 < 2 pair there.
-        const size_t e = k - 2;
-        for (size_t h = m; h < e; ++h) {
-          tj.Set(h, 0);
-          ti.Set(h, 0);
-          out.elements_assigned += 2;
-        }
-        tj.Set(e, 1);
-        ti.Set(e, 2);
-        out.elements_assigned += 2;
-        out.hot_path = true;
-      } else if (m + 1 == k) {
-        // Last column: counter values keep every fully assigned vector
-        // distinguishable from every other.
-        const TsElement a = counters.Upper(kUndefinedElement);
-        const TsElement b = counters.Upper(a);
-        tj.Set(m, a);
-        ti.Set(m, b);
-        out.elements_assigned += 2;
-      } else {
-        // The plain '=' case below the last column: the constants 1 < 2.
-        // Columns other than the k-th may therefore hold equal values
-        // across different vectors, which is what lets MT(k) keep
-        // transactions unordered longer than MT(k-1) (Section III-C).
-        tj.Set(m, 1);
-        ti.Set(m, 2);
-        out.elements_assigned += 2;
-      }
-      out.ok = true;
-      out.encoded = true;
-      return out;
+    case VectorOrder::kEqual:         // Line 19: both elements undefined.
+    case VectorOrder::kUndetermined:  // Line 20: exactly one is undefined.
+      break;
+  }
+  if (!tj.IsDefined(m) && j_is_virtual) {
+    out.why = AbortReason::kEncodingExhausted;  // TS(0) is immutable.
+    return out;
+  }
+  out.ok = true;
+  out.encoded = true;
+  const bool hot = optimized_encoding && hot_item;
+  if (hot && cr.order == VectorOrder::kEqual && m + 1 < k) {
+    // Section III-D-5: extend both prefixes with equal filler up to
+    // column k-2 and place the 1 < 2 pair there.
+    const size_t e = k - 2;
+    for (size_t h = m; h < e; ++h) {
+      tj.Set(h, 0);
+      ti.Set(h, 0);
+      out.elements_assigned += 2;
     }
-    case VectorOrder::kUndetermined: {
-      // Line 20: exactly one of the two elements is undefined.
-      if (!ti.IsDefined(m)) {
-        // TS(i, m) is the undefined one.
-        const size_t p = tj.DefinedPrefixLength();
-        const bool optimize = optimized_encoding && hot_item && !j_is_virtual;
-        if (optimize && p + 1 < k) {
-          // Section III-D-5, the worked variant: copy TS(j)'s defined
-          // prefix into TS(i) and encode the dependency just past it
-          // (e.g. <1,3,*,*> vs <*,*,*,*> becomes <1,3,1,*> vs <1,3,2,*>).
-          for (size_t h = m; h < p; ++h) {
-            ti.Set(h, tj.Get(h));
-            ++out.elements_assigned;
-          }
-          tj.Set(p, 1);
-          ti.Set(p, 2);
-          out.elements_assigned += 2;
-          out.hot_path = true;
-        } else if (optimize && p + 1 == k) {
-          for (size_t h = m; h < p; ++h) {
-            ti.Set(h, tj.Get(h));
-            ++out.elements_assigned;
-          }
-          const TsElement a = counters.Upper(kUndefinedElement);
-          const TsElement b = counters.Upper(a);
-          tj.Set(p, a);
-          ti.Set(p, b);
-          out.elements_assigned += 2;
-          out.hot_path = true;
-        } else if (m + 1 == k) {
-          ti.Set(m, counters.Upper(tj.Get(m)));
-          ++out.elements_assigned;
-        } else {
-          ti.Set(m, tj.Get(m) + 1);
-          ++out.elements_assigned;
-        }
-      } else {
-        // TS(j, m) is the undefined one: shrink from the low side.
-        if (j_is_virtual) {
-          out.why = AbortReason::kEncodingExhausted;  // TS(0) is immutable.
-          return out;
-        }
-        if (m + 1 == k) {
-          tj.Set(m, counters.Lower(ti.Get(m)));
-        } else {
-          tj.Set(m, ti.Get(m) - 1);
-        }
+    tj.Set(e, 1);
+    ti.Set(e, 2);
+    out.elements_assigned += 2;
+    out.hot_path = true;
+    return out;
+  }
+  if (hot && !j_is_virtual && tj.IsDefined(m)) {
+    // Section III-D-5, the worked variant: copy TS(j)'s defined prefix into
+    // TS(i) and encode the dependency just past it (e.g. <1,3,*,*> vs
+    // <*,*,*,*> becomes <1,3,1,*> vs <1,3,2,*>).
+    const size_t p = tj.DefinedPrefixLength();
+    if (p < k) {
+      for (size_t h = m; h < p; ++h) {
+        ti.Set(h, tj.Get(h));
         ++out.elements_assigned;
       }
-      out.ok = true;
-      out.encoded = true;
+      TsElement a = kUndefinedElement;
+      TsElement b = kUndefinedElement;
+      out.elements_assigned +=
+          EncodeColumn(a, b, p + 1 == k ? &counters : nullptr);
+      tj.Set(p, a);
+      ti.Set(p, b);
+      out.hot_path = true;
       return out;
     }
   }
-  out.why = AbortReason::kEncodingExhausted;
+  TsElement a = tj.Get(m);  // Undefined slots hold kUndefinedElement.
+  TsElement b = ti.Get(m);
+  out.elements_assigned += EncodeColumn(a, b, m + 1 == k ? &counters : nullptr);
+  // Write back only the element that changed: TS(j) may be T0's shared
+  // vector when only TS(i, m) was undefined.
+  if (!tj.IsDefined(m)) tj.Set(m, a);
+  if (!ti.IsDefined(m)) ti.Set(m, b);
   return out;
+}
+
+/// What Decide reports: the decision, and j - the RT(x)/WT(x) entry that
+/// lines 5-6 picked, which is the blocker when the decision is kReject.
+template <typename Ref>
+struct Decided {
+  OpDecision decision;
+  const Ref* j;
+};
+
+/// Algorithm 1 lines 5-14: the read/write decision around Set(j, i), the
+/// one implementation behind MtkScheduler, the engine's single-version
+/// path, NestedMtScheduler and DMT(k). `Ref` is however the caller names a
+/// transaction; jr/jw are the live tops of RT(x)/WT(x) and i the issuer.
+/// The policy supplies
+///
+///   VectorOrder Order(const Ref& a, const Ref& b);  // Definition 6.
+///   bool Set(const Ref& j, const Ref& i);           // Algorithm 1 Set.
+///   void PushReader();                              // Line 7: RT(x) := i.
+///   void PushWriter();                              // Line 12: WT(x) := i.
+///   bool old_read_path;      // Lines 9-10 enabled.
+///   bool relaxed_read_path;  // Line 9 encodes WT(x) -> i with Set.
+///   bool thomas_write_rule;  // Section III-D-6c.
+///
+/// and keeps everything a decision leaves behind besides the RT/WT push:
+/// counts, the reject's cause (recorded by its Set), abort marking, and
+/// the starvation seed.
+template <typename Ref, typename Policy>
+Decided<Ref> Decide(OpType type, const Ref& jr, const Ref& jw, const Ref& i,
+                    Policy& p) {
+  // Lines 5-6: j is whichever of RT(x), WT(x) has the larger timestamp,
+  // with RT(x) winning ties and undetermined comparisons.
+  const bool j_is_writer = p.Order(jr, jw) == VectorOrder::kLess;
+  const Ref& j = j_is_writer ? jw : jr;
+  if (type == OpType::kRead) {
+    if (p.Set(j, i)) {
+      p.PushReader();  // Line 7.
+      return {OpDecision::kAccept, &j};
+    }
+    // Line 9: a read older than the most recent reader is still safe if it
+    // follows the most recent writer. The relaxed variant (noted after
+    // Theorem 3) encodes the WT dependency with Set instead of testing it.
+    if (!j_is_writer && p.old_read_path) {
+      const bool write_ordered = p.relaxed_read_path
+                                     ? p.Set(jw, i)
+                                     : p.Order(jw, i) == VectorOrder::kLess;
+      if (write_ordered) {
+        return {OpDecision::kAccept, &j};  // Line 10; RT(x) is not updated.
+      }
+    }
+    return {OpDecision::kReject, &j};  // Line 11.
+  }
+  if (p.Set(j, i)) {
+    p.PushWriter();  // Line 12.
+    return {OpDecision::kAccept, &j};
+  }
+  if (p.thomas_write_rule) {
+    // Section III-D-6c: TS(RT(x)) < TS(i) < TS(WT(x)) makes the write
+    // obsolete; skip it instead of aborting T_i. Both comparisons run.
+    const bool after_reads = p.Order(jr, i) == VectorOrder::kLess;
+    const bool before_writer = p.Order(i, jw) == VectorOrder::kLess;
+    if (after_reads && before_writer) return {OpDecision::kIgnore, &j};
+  }
+  return {OpDecision::kReject, &j};  // Line 14.
 }
 
 }  // namespace mdts

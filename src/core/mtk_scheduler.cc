@@ -26,8 +26,8 @@ MtkScheduler::MtkScheduler(const MtkOptions& options)
   // Line 2 of Algorithm 1: the virtual transaction T0, which conceptually
   // read and wrote every item first, starts with TS(0) = <0, *, ..., *> and
   // is permanently committed. Lines 3-4: RT(x) = WT(x) = 0 is realized by
-  // TopLive falling back to kVirtualTxn on empty stacks; lcount/ucount start
-  // at 0 / 1.
+  // TopLive falling back to kVirtualTxn on empty stacks; counters_ starts
+  // lcount/ucount at 0 / 1.
   t0_.ts = TimestampVector::Virtual(options_.k);
   t0_.committed = true;
 }
@@ -96,17 +96,9 @@ bool MtkScheduler::SetStates(TxnState& sj, TxnState& si, TxnId j, TxnId i,
   if (j == i) return true;  // Line 15.
   ++stats_.set_calls;
   const VectorCompareResult cr = CompareStates(sj, si);
-  // The scheduler's global counters ignore EncodeDependency's bound
-  // argument: a single monotone sequence per direction already exceeds
-  // (resp. undercuts) every value it handed out before.
-  struct Counters {
-    MtkScheduler* s;
-    TsElement Upper(TsElement) { return s->ucount_++; }
-    TsElement Lower(TsElement) { return s->lcount_--; }
-  };
   const EncodeOutcome out = EncodeDependency(
       cr, options_.k, sj.ts, si.ts, j == kVirtualTxn, hot_item,
-      options_.optimized_encoding, Counters{this});
+      options_.optimized_encoding, counters_);
   stats_.elements_assigned += out.elements_assigned;
   if (!out.ok) {
     set_failure_ = out.why;
@@ -149,66 +141,50 @@ OpDecision MtkScheduler::Process(const Op& op) {
   const bool hot = item.access_count >= options_.hot_item_threshold;
   ++item.access_count;
 
-  // Lines 5-6: j is whichever of RT(x), WT(x) has the larger timestamp,
-  // with RT(x) winning ties and undetermined comparisons. All states are
-  // resolved to pointers once here; everything below works on them.
+  struct Policy {
+    MtkScheduler* s;
+    ItemState& item;
+    Access me;
+    bool hot;
+    bool old_read_path, relaxed_read_path, thomas_write_rule;
+    VectorOrder Order(const LiveRef& a, const LiveRef& b) {
+      return s->CompareStates(*a.state, *b.state).order;
+    }
+    bool Set(const LiveRef& j, const LiveRef& to) {
+      return s->SetStates(*j.state, *to.state, j.txn, to.txn, hot);
+    }
+    void PushReader() {
+      item.readers.push_back(me);
+      item.top_reader = me;
+    }
+    void PushWriter() {
+      item.writers.push_back(me);
+      item.top_writer = me;
+    }
+  };
+  Policy policy{this, item, {i, state.incarnation}, hot,
+                !options_.disable_old_read_path, options_.relaxed_read_path,
+                options_.thomas_write_rule};
+  // All states are resolved to pointers once here; everything below works
+  // on them.
   const LiveRef jr = TopLiveOf(item.top_reader, item.readers);
   const LiveRef jw = TopLiveOf(item.top_writer, item.writers);
-  const LiveRef j =
-      CompareStates(*jr.state, *jw.state).order == VectorOrder::kLess ? jw
-                                                                      : jr;
-
-  auto reject = [&](const LiveRef& blocker) {
-    // set_failure_ carries the cause recorded by the SetStates call that
-    // refused the dependency (kLexOrder or kEncodingExhausted).
-    state.aborted = true;
-    if (options_.starvation_fix) ApplyStarvationSeed(state, *blocker.state);
-    return refuse(set_failure_, blocker.txn);
-  };
-
-  if (op.type == OpType::kRead) {
-    if (SetStates(*j.state, state, j.txn, i, hot)) {
-      item.readers.push_back({i, state.incarnation});  // Line 7: RT(x) := i.
-      item.top_reader = item.readers.back();
+  const auto d = Decide(op.type, jr, jw, LiveRef{i, &state}, policy);
+  switch (d.decision) {
+    case OpDecision::kAccept:
       ++stats_.accepted;
-      return OpDecision::kAccept;
-    }
-    // Line 9: a read older than the most recent reader is still safe if it
-    // follows the most recent writer. The relaxed variant (noted after
-    // Theorem 3) encodes the WT dependency with Set instead of testing it.
-    if (j.txn == jr.txn && !options_.disable_old_read_path) {
-      const bool write_ordered =
-          options_.relaxed_read_path
-              ? SetStates(*jw.state, state, jw.txn, i, hot)
-              : CompareStates(*jw.state, state).order == VectorOrder::kLess;
-      if (write_ordered) {
-        ++stats_.accepted;
-        return OpDecision::kAccept;  // Line 10; RT(x) is not updated.
-      }
-    }
-    return reject(j);  // Line 11.
-  }
-
-  // Write.
-  if (SetStates(*j.state, state, j.txn, i, hot)) {
-    item.writers.push_back({i, state.incarnation});  // Line 12: WT(x) := i.
-    item.top_writer = item.writers.back();
-    ++stats_.accepted;
-    return OpDecision::kAccept;
-  }
-  if (options_.thomas_write_rule) {
-    // Section III-D-6c: if TS(RT(x)) < TS(i) < TS(WT(x)), the write is
-    // obsolete and can be ignored rather than aborting T_i.
-    const bool after_reads =
-        CompareStates(*jr.state, state).order == VectorOrder::kLess;
-    const bool before_writer =
-        CompareStates(state, *jw.state).order == VectorOrder::kLess;
-    if (after_reads && before_writer) {
+      break;
+    case OpDecision::kIgnore:
       ++stats_.ignored_writes;
-      return OpDecision::kIgnore;
-    }
+      break;
+    case OpDecision::kReject:
+      // set_failure_ carries the cause recorded by the SetStates call that
+      // refused the dependency (kLexOrder or kEncodingExhausted).
+      state.aborted = true;
+      if (options_.starvation_fix) ApplyStarvationSeed(state, *d.j->state);
+      return refuse(set_failure_, d.j->txn);
   }
-  return reject(j);  // Line 14.
+  return d.decision;
 }
 
 std::string MtkScheduler::ExplainLastReject() const {

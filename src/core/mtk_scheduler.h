@@ -6,21 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "core/encoding.h"
 #include "core/timestamp_vector.h"
 #include "core/types.h"
 #include "obs/abort_reason.h"
 
 namespace mdts {
-
-/// Decision of the scheduler for one incoming operation.
-enum class OpDecision {
-  kAccept,  // Operation executes.
-  kReject,  // Operation refused; the issuing transaction must abort.
-  kIgnore,  // Thomas-write-rule case: the write is skipped but the
-            // transaction continues (Section III-D-6c).
-};
-
-const char* OpDecisionName(OpDecision d);
 
 /// Configuration of the MT(k) protocol (Algorithm 1) and its paper-described
 /// variations.
@@ -280,8 +271,7 @@ class MtkScheduler {
   TxnId base_ = 1;
   uint64_t commits_since_compact_ = 0;
   std::vector<ItemState> items_;
-  TsElement lcount_ = 0;  // Current lower bound for k-th elements.
-  TsElement ucount_ = 1;  // Current upper bound for k-th elements.
+  StripedCounters counters_;  // lcount/ucount for k-th elements.
   RejectInfo last_reject_;
   // Cause of the most recent SetStates() == false, consumed by the reject
   // paths of Process: kGreater -> kLexOrder, kIdentical -> kEncodingExhausted.

@@ -35,6 +35,16 @@ struct Op {
   }
 };
 
+/// Decision of the scheduler for one incoming operation.
+enum class OpDecision {
+  kAccept,  // Operation executes.
+  kReject,  // Operation refused; the issuing transaction must abort.
+  kIgnore,  // Thomas-write-rule case: the write is skipped but the
+            // transaction continues (Section III-D-6c).
+};
+
+const char* OpDecisionName(OpDecision d);
+
 /// True iff the two operations conflict (Definition 1).
 inline bool Conflicts(const Op& a, const Op& b) {
   return a.txn != b.txn && a.item == b.item &&

@@ -22,49 +22,16 @@ VectorCompareResult VectorTable::CompareIds(uint32_t a, uint32_t b) {
   return r;
 }
 
-bool VectorTable::Set(uint32_t j, uint32_t i) {
+bool VectorTable::Set(uint32_t j, uint32_t i, StripedCounters& counters,
+                      AbortReason* why) {
   if (j == i) return true;
-  const VectorCompareResult cr = CompareIds(j, i);
-  const size_t m = cr.index;
-  TimestampVector& tj = Mutable(j);
-  TimestampVector& ti = Mutable(i);
-  switch (cr.order) {
-    case VectorOrder::kLess:
-      return true;
-    case VectorOrder::kGreater:
-    case VectorOrder::kIdentical:
-      return false;
-    case VectorOrder::kEqual:
-      if (m + 1 == k_) {
-        tj.Set(m, ucount_);
-        ti.Set(m, ucount_ + 1);
-        ucount_ += 2;
-      } else {
-        tj.Set(m, 1);
-        ti.Set(m, 2);
-      }
-      elements_assigned_ += 2;
-      return true;
-    case VectorOrder::kUndetermined:
-      if (!ti.IsDefined(m)) {
-        if (m + 1 == k_) {
-          ti.Set(m, ucount_);
-          ucount_ += 1;
-        } else {
-          ti.Set(m, tj.Get(m) + 1);
-        }
-      } else {
-        if (m + 1 == k_) {
-          tj.Set(m, lcount_);
-          lcount_ -= 1;
-        } else {
-          tj.Set(m, ti.Get(m) - 1);
-        }
-      }
-      ++elements_assigned_;
-      return true;
-  }
-  return false;
+  const EncodeOutcome out =
+      EncodeDependency(CompareIds(j, i), k_, Mutable(j), Mutable(i), j == 0,
+                       /*hot_item=*/false, /*optimized_encoding=*/false,
+                       counters);
+  elements_assigned_ += out.elements_assigned;
+  if (!out.ok && why != nullptr) *why = out.why;
+  return out.ok;
 }
 
 void VectorTable::Reset(uint32_t id) { Mutable(id).Reset(); }

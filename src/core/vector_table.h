@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 
+#include "core/encoding.h"
 #include "core/timestamp_vector.h"
 
 namespace mdts {
@@ -29,17 +30,18 @@ class VectorTable {
   /// The entity's current vector (auto-creating it fully undefined).
   const TimestampVector& Ts(uint32_t id) { return Mutable(id); }
 
-  /// Mutable access for owners that run their own encoding rules over this
-  /// table's storage (e.g. DMT(k)'s per-site counters).
-  TimestampVector& MutableTs(uint32_t id) { return Mutable(id); }
-
   /// Definition-6 comparison of two entities' vectors.
   VectorCompareResult CompareIds(uint32_t a, uint32_t b);
 
-  /// Algorithm 1's Set(j, i): ensures TS(j) < TS(i), encoding the
-  /// dependency if undetermined. Returns false iff TS(j) > TS(i) is
-  /// already fixed (the caller must reject the operation).
-  bool Set(uint32_t j, uint32_t i);
+  /// Algorithm 1's Set(j, i) (core/encoding.h, normal encoding): ensures
+  /// TS(j) < TS(i), encoding the dependency if undetermined. Returns false
+  /// iff it cannot - TS(j) > TS(i) is already fixed, or the encoding would
+  /// rewrite the immutable TS(0) - with the cause in `why` when non-null.
+  /// Last-column values come from the table's own counters, or from
+  /// `counters` (DMT(k)'s per-site stripes) in the second form.
+  bool Set(uint32_t j, uint32_t i) { return Set(j, i, counters_); }
+  bool Set(uint32_t j, uint32_t i, StripedCounters& counters,
+           AbortReason* why = nullptr);
 
   /// Resets an entity's vector to fully undefined (abort support).
   void Reset(uint32_t id);
@@ -72,8 +74,7 @@ class VectorTable {
   TimestampVector virtual_;              // Entity 0, never released.
   std::deque<TimestampVector> vectors_;  // Ids [base_, base_ + size()).
   uint32_t base_ = 1;
-  TsElement lcount_ = 0;
-  TsElement ucount_ = 1;
+  StripedCounters counters_;
   uint64_t element_comparisons_ = 0;
   uint64_t elements_assigned_ = 0;
 };

@@ -217,7 +217,7 @@ class DmtSim {
                           : VectorSite(static_cast<TxnId>(o - num_items_));
   }
 
-  TimestampVector& Ts(TxnId t) { return table_.MutableTs(t); }
+  const TimestampVector& Ts(TxnId t) { return table_.Ts(t); }
 
   ItemState& Item(ItemId x) {
     if (items_.size() <= x) items_.resize(x + 1);
@@ -244,26 +244,9 @@ class DmtSim {
            rt.incarnation == ctx.incarnation;
   }
 
-  /// Globally unique last-column value from a site's upper counter: the
-  /// paper's "concatenate the site number as low order bits".
-  TsElement UpperValue(uint32_t site) {
-    const TsElement v = ucount_[site] * options_.num_sites + site;
-    ucount_[site] += 1;
-    return v;
-  }
-  TsElement LowerValue(uint32_t site) {
-    const TsElement v = lcount_[site] * options_.num_sites + site;
-    lcount_[site] -= 1;
-    return v;
-  }
-
   /// Simulated time in integer microseconds, the unit of the pid-2 trace
   /// lanes (one simulated time unit = 1 ms of trace time).
   uint64_t SimUs() const { return static_cast<uint64_t>(now_ * 1000.0); }
-
-  /// Algorithm 1's Set(j, i) with per-site counters for the last column.
-  /// On false, `why` receives the classified cause.
-  bool DistSet(TxnId j, TxnId i, uint32_t site, AbortReason* why);
 
   /// Full scheduling decision for a context whose locks are all held.
   /// On false, `why` receives the classified cause.
@@ -329,8 +312,9 @@ class DmtSim {
   std::vector<ItemState> items_;
   std::map<ObjectId, LockState> locks_;
   std::vector<OpContext> contexts_;
-  std::vector<TsElement> ucount_;
-  std::vector<TsElement> lcount_;
+  // Per-site last-column counters, striped by site id: the paper's
+  // "concatenate the site number as low order bits".
+  std::vector<StripedCounters> counters_;
   std::vector<bool> site_up_;
   std::vector<ExecutedOp> executed_;
   std::vector<double> response_times_;
@@ -533,67 +517,37 @@ void DmtSim::ExtractPath(TxnId txn, bool committed) {
   tr = TxnTrace{};  // root back to 0: extracted, frees the span storage.
 }
 
-bool DmtSim::DistSet(TxnId j, TxnId i, uint32_t site, AbortReason* why) {
-  if (j == i) return true;
-  const VectorCompareResult cr = Compare(Ts(j), Ts(i));
-  const size_t m = cr.index;
-  const size_t k = options_.k;
-  TimestampVector& tj = Ts(j);
-  TimestampVector& ti = Ts(i);
-  switch (cr.order) {
-    case VectorOrder::kLess:
-      return true;
-    case VectorOrder::kGreater:
-      *why = AbortReason::kLexOrder;
-      return false;
-    case VectorOrder::kIdentical:
-      *why = AbortReason::kEncodingExhausted;
-      return false;
-    case VectorOrder::kEqual:
-      if (m + 1 == k) {
-        tj.Set(m, UpperValue(site));
-        ti.Set(m, UpperValue(site));
-      } else {
-        tj.Set(m, 1);
-        ti.Set(m, 2);
-      }
-      return true;
-    case VectorOrder::kUndetermined:
-      if (!ti.IsDefined(m)) {
-        ti.Set(m, m + 1 == k ? UpperValue(site) : tj.Get(m) + 1);
-      } else {
-        tj.Set(m, m + 1 == k ? LowerValue(site) : ti.Get(m) - 1);
-      }
-      return true;
-  }
-  *why = AbortReason::kEncodingExhausted;
-  return false;
-}
-
 bool DmtSim::Decide(OpContext* ctx, AbortReason* why) {
   const TxnId i = ctx->txn;
   ItemState& item = Item(ctx->op.item);
+  struct Policy {
+    DmtSim* d;
+    ItemState& item;
+    const OpContext& ctx;
+    AbortReason* why;
+    bool old_read_path = true;
+    bool relaxed_read_path = false;
+    bool thomas_write_rule = false;
+    VectorOrder Order(TxnId a, TxnId b) {
+      return Compare(d->Ts(a), d->Ts(b)).order;
+    }
+    // Last-column values come from the deciding site's counter stripe.
+    bool Set(TxnId j, TxnId i) {
+      return d->table_.Set(j, i, d->counters_[ctx.site], why);
+    }
+    void PushReader() {
+      item.readers.push_back({ctx.txn, d->txns_[ctx.txn].incarnation});
+    }
+    void PushWriter() {
+      item.writers.push_back({ctx.txn, d->txns_[ctx.txn].incarnation});
+    }
+  };
+  Policy policy{this, item, *ctx, why};
   const TxnId jr = TopLive(&item.readers);
   const TxnId jw = TopLive(&item.writers);
-  const TxnId j =
-      Compare(Ts(jr), Ts(jw)).order == VectorOrder::kLess ? jw : jr;
-  TxnRuntime& rt = txns_[i];
-  if (ctx->op.type == OpType::kRead) {
-    if (DistSet(j, i, ctx->site, why)) {
-      item.readers.push_back({i, rt.incarnation});
-      return true;
-    }
-    // Old-read path; on failure *why keeps the DistSet(j, i) cause.
-    if (j == jr && Compare(Ts(jw), Ts(i)).order == VectorOrder::kLess) {
-      return true;
-    }
-    return false;
-  }
-  if (DistSet(j, i, ctx->site, why)) {
-    item.writers.push_back({i, rt.incarnation});
-    return true;
-  }
-  return false;
+  // On reject, *why keeps the cause of the Set(j, i) that refused.
+  return mdts::Decide(ctx->op.type, jr, jw, i, policy).decision ==
+         OpDecision::kAccept;
 }
 
 void DmtSim::StartNextTxn(double at) {
@@ -869,17 +823,12 @@ void DmtSim::OnSiteRecover(uint32_t site) {
 }
 
 void DmtSim::ResyncCounters() {
-  TsElement umax = 1, lmin = 0;
-  for (uint32_t s = 0; s < options_.num_sites; ++s) {
-    umax = std::max(umax, ucount_[s]);
-    lmin = std::min(lmin, lcount_[s]);
-  }
+  StripedCounters extremes;
+  for (const StripedCounters& c : counters_) extremes.Widen(c);
   // Only reachable sites adopt the extremes; a down site keeps its stale
   // (durable) values until its own recovery runs this path.
   for (uint32_t s = 0; s < options_.num_sites; ++s) {
-    if (!site_up_[s]) continue;
-    ucount_[s] = umax;
-    lcount_[s] = lmin;
+    if (site_up_[s]) counters_[s].Widen(extremes);
   }
 }
 
@@ -1038,8 +987,9 @@ DmtResult DmtSim::Run() {
   for (TxnId t = 1; t <= options_.num_txns; ++t) {
     txns_[t].program = programs[t - 1];
   }
-  ucount_.assign(options_.num_sites, 1);
-  lcount_.assign(options_.num_sites, 0);
+  for (uint32_t s = 0; s < options_.num_sites; ++s) {
+    counters_.emplace_back(s, options_.num_sites);
+  }
   site_up_.assign(options_.num_sites, true);
   result_.ops_per_site.assign(options_.num_sites, 0);
 
@@ -1101,7 +1051,7 @@ DmtResult DmtSim::Run() {
         rt.aborted = false;
         ++rt.incarnation;
         rt.next_op = 0;
-        Ts(ev.txn).Reset();
+        table_.Reset(ev.txn);
         // Backoff over: the new incarnation starts processing.
         SegTransition(ev.txn, DistSegment::kProcessing, VectorSite(ev.txn));
         Push(now_, Event::Kind::kIssue, ev.txn, 0, 0);

@@ -101,6 +101,8 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
   for (size_t s = 0; s < num_shards_; ++s) {
     shards_.emplace_back();
     shards_.back().index = static_cast<uint32_t>(s);
+    shards_.back().counters = StripedCounters(
+        static_cast<uint32_t>(s), static_cast<uint32_t>(num_shards_));
   }
   if (MetricsRegistry* reg = options_.metrics) {
     m_consec_aborts_ = reg->GetGauge("engine.max_consecutive_aborts");
@@ -211,34 +213,6 @@ ShardedMtkEngine::LiveRef ShardedMtkEngine::TopLiveOf(
   return {kVirtualTxn, 0, const_cast<TxnState*>(&t0_)};
 }
 
-TsElement ShardedMtkEngine::NextUpper(Shard& sh, TsElement above) {
-  const TsElement n = static_cast<TsElement>(num_shards_);
-  TsElement raw = sh.ucount;
-  TsElement val = raw * n + static_cast<TsElement>(sh.index);
-  // The counter alone guarantees val exceeds every value this shard
-  // assigned; bump it past cross-shard values when the caller needs
-  // val > above. With one shard the loop never runs, reproducing
-  // MtkScheduler's plain ucount sequence.
-  while (above != kUndefinedElement && val <= above) {
-    ++raw;
-    val += n;
-  }
-  sh.ucount = raw + 1;
-  return val;
-}
-
-TsElement ShardedMtkEngine::NextLower(Shard& sh, TsElement below) {
-  const TsElement n = static_cast<TsElement>(num_shards_);
-  TsElement raw = sh.lcount;
-  TsElement val = raw * n + static_cast<TsElement>(sh.index);
-  while (val >= below) {
-    --raw;
-    val -= n;
-  }
-  sh.lcount = raw - 1;
-  return val;
-}
-
 VectorCompareResult ShardedMtkEngine::CompareStates(Shard& shx,
                                                     const TxnState& a,
                                                     const TxnState& b) {
@@ -253,15 +227,8 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
   if (j == i) return true;  // Line 15.
   ++shx.stats.set_calls;
   const VectorCompareResult cr = CompareStates(shx, sj, si);
-  // Last-column values come from shard shx's counter pair, globally unique
-  // via the value * N + shard encoding; NextUpper/NextLower respect the
-  // caller's bound, which the cross-shard counter classes need.
-  struct Counters {
-    ShardedMtkEngine* e;
-    Shard* sh;
-    TsElement Upper(TsElement above) { return e->NextUpper(*sh, above); }
-    TsElement Lower(TsElement below) { return e->NextLower(*sh, below); }
-  };
+  // Last-column values come from shard shx's counter stripe, globally
+  // unique via the value * N + shard encoding.
   // New encodings use the runtime MT(k+) width, not the physical k: the
   // vectors stay physically k wide (Compare walks them in full, and the
   // elements beyond the active width hold the constants every narrower
@@ -271,7 +238,7 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
   const EncodeOutcome out = EncodeDependency(
       cr, active_k_.load(std::memory_order_relaxed), sj.ts, si.ts,
       j == kVirtualTxn, hot_item, options_.optimized_encoding,
-      Counters{this, &shx});
+      shx.counters);
   shx.stats.elements_assigned += out.elements_assigned;
   if (out.hot_path) ++shx.stats.hot_encodings;
   if (!out.ok) {
@@ -296,11 +263,6 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
     if (why != nullptr) *why = reason;
     return OpDecision::kReject;
   };
-  auto accept = [&]() {
-    ++st.accepted;
-    return OpDecision::kAccept;
-  };
-
   const uint64_t wi = si.life;  // Owner shard held: no concurrent writer.
   if (LifeAborted(wi) || LifeCommitted(wi)) {
     return refuse(AbortReason::kStaleTxn);
@@ -313,87 +275,78 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   const bool hot = item.access_count >= options_.hot_item_threshold;
   ++item.access_count;
 
-  // Lines 5-6: j is whichever of RT(x), WT(x) has the larger timestamp,
-  // with RT(x) winning ties and undetermined comparisons.
-  const LiveRef& j =
-      CompareStates(shx, *jr.state, *jw.state).order == VectorOrder::kLess
-          ? jw
-          : jr;
-
   // Cause recorded by the SetStates call that refused the dependency.
   AbortReason cause = AbortReason::kNone;
-
-  auto reject = [&]() {
-    StoreLife(si, wi | 1);
-    if (options_.flight != nullptr) {
-      // Captured before the starvation-fix reset flushes TS(i).
-      options_.flight->RecordAbort(
-          i, i, cause, j.txn, &op,
-          ShardBit(shx.index) | ShardBit(ShardIndex(i)), &si.ts,
-          FlightRecorder::CoarseNowUs());
+  struct Policy {
+    ShardedMtkEngine* e;
+    Shard& shx;
+    ItemState& item;
+    TxnState& si;
+    const Op& op;
+    Access me;
+    bool hot;
+    AbortReason* cause;
+    bool old_read_path, relaxed_read_path, thomas_write_rule;
+    VectorOrder Order(const LiveRef& a, const LiveRef& b) {
+      return e->CompareStates(shx, *a.state, *b.state).order;
     }
-    if (options_.starvation_fix) {
-      // Section III-D-4: flush TS(i), seed past the blocker.
-      const TimestampVector& tb = j.state->ts;
-      assert(tb.IsDefined(0));
-      si.ts.Reset();
-      si.ts.Set(0, tb.Get(0) + 1);
+    bool Set(const LiveRef& j, const LiveRef& i) {
+      return e->SetStates(shx, *j.state, *i.state, j.txn, i.txn, hot, cause);
     }
-    return refuse(cause, j.txn);
+    void PushReader() {
+      item.readers.push_back(me);
+      item.top_reader = me;
+    }
+    void PushWriter() {
+      item.writers.push_back(me);
+      item.top_writer = me;
+      // Writes are tracked for the WAL's commit record (CommitTxn swaps
+      // the list out; RestartTxn and the batch throttle clear it). With
+      // only a flight recorder attached the fixed-size fw fields suffice -
+      // the commit record wants the first kMaxWrites items, the count, and
+      // the shard mask, and the array costs no allocation.
+      if (e->options_.wal != nullptr) {
+        si.writes.push_back(op.item);
+      } else if (e->options_.flight != nullptr) {
+        if (si.fw_total < FlightRecorder::kMaxWrites) {
+          si.fw[si.fw_total] = op.item;
+        }
+        ++si.fw_total;
+        si.fw_mask |= ShardBit(shx.index);
+      }
+    }
   };
-
-  if (op.type == OpType::kRead) {
-    if (SetStates(shx, *j.state, si, j.txn, i, hot, &cause)) {
-      item.readers.push_back({i, inc_i});  // Line 7: RT(x) := i.
-      item.top_reader = item.readers.back();
-      return accept();
-    }
-    // Lines 9-10: an old read is still safe after the most recent writer.
-    if (j.txn == jr.txn && !options_.disable_old_read_path) {
-      const bool write_ordered =
-          options_.relaxed_read_path
-              ? SetStates(shx, *jw.state, si, jw.txn, i, hot, &cause)
-              : CompareStates(shx, *jw.state, si).order == VectorOrder::kLess;
-      if (write_ordered) {
-        return accept();  // RT(x) is not updated.
-      }
-    }
-    return reject();  // Line 11.
-  }
-
-  // Write.
-  if (SetStates(shx, *j.state, si, j.txn, i, hot, &cause)) {
-    item.writers.push_back({i, inc_i});  // Line 12: WT(x) := i.
-    item.top_writer = item.writers.back();
-    // Writes are tracked for the WAL's commit record (CommitTxn swaps the
-    // list out; RestartTxn and the batch throttle clear it). With only a
-    // flight recorder attached the fixed-size fw fields suffice - the
-    // commit record wants the first kMaxWrites items, the count, and the
-    // shard mask, and the array costs no allocation.
-    if (options_.wal != nullptr) {
-      si.writes.push_back(op.item);
-    } else if (options_.flight != nullptr) {
-      if (si.fw_total < FlightRecorder::kMaxWrites) {
-        si.fw[si.fw_total] = op.item;
-      }
-      ++si.fw_total;
-      si.fw_mask |= ShardBit(shx.index);
-    }
-    return accept();
-  }
-  if (options_.thomas_write_rule) {
-    // Section III-D-6c: TS(RT(x)) < TS(i) < TS(WT(x)) makes the write
-    // obsolete; skip it instead of aborting T_i.
-    const bool after_reads =
-        CompareStates(shx, *jr.state, si).order == VectorOrder::kLess;
-    const bool before_writer =
-        CompareStates(shx, si, *jw.state).order == VectorOrder::kLess;
-    if (after_reads && before_writer) {
+  Policy policy{this, shx, item, si, op, {i, inc_i}, hot, &cause,
+                !options_.disable_old_read_path, options_.relaxed_read_path,
+                options_.thomas_write_rule};
+  const auto d = Decide(op.type, jr, jw, LiveRef{i, inc_i, &si}, policy);
+  switch (d.decision) {
+    case OpDecision::kAccept:
+      ++st.accepted;
+      return OpDecision::kAccept;
+    case OpDecision::kIgnore:
       ++st.ignored_writes;
       return OpDecision::kIgnore;
-    }
+    case OpDecision::kReject:
+      break;
   }
-  return reject();  // Line 14.
+  const LiveRef& j = *d.j;
+  StoreLife(si, wi | 1);
+  if (options_.flight != nullptr) {
+    // Captured before the starvation-fix reset flushes TS(i).
+    options_.flight->RecordAbort(
+        i, i, cause, j.txn, &op,
+        ShardBit(shx.index) | ShardBit(ShardIndex(i)), &si.ts,
+        FlightRecorder::CoarseNowUs());
+  }
+  if (options_.starvation_fix) {
+    // Section III-D-4: flush TS(i), seed past the blocker.
+    const TimestampVector& tb = j.state->ts;
+    assert(tb.IsDefined(0));
+    si.ts.Reset();
+    si.ts.Set(0, tb.Get(0) + 1);
+  }
+  return refuse(cause, j.txn);
 }
 
 void ShardedMtkEngine::EnsureChainLocked(ItemState& item) {
@@ -1585,7 +1538,6 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
   }
   MDTS_TRACE_SPAN("engine.recover");
   for (Shard& sh : shards_) LockShard(sh);
-  const TsElement n = static_cast<TsElement>(num_shards_);
   size_t applied = 0;
   for (const WalCommitRecord& r : recovery.records) {
     if (r.txn == kVirtualTxn) continue;
@@ -1602,14 +1554,8 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
     for (size_t m = 0; m < options_.k; ++m) {
       if (!r.vec.IsDefined(m)) continue;
       const TsElement v = r.vec.Get(m);
-      const TsElement cls = ((v % n) + n) % n;
-      const TsElement raw = (v - cls) / n;
-      Shard& shc = shards_[static_cast<size_t>(cls)];
-      if (v >= 0) {
-        shc.ucount = std::max(shc.ucount, raw + 1);
-      } else {
-        shc.lcount = std::min(shc.lcount, raw - 1);
-      }
+      shards_[StripedCounters::StripeOf(v, static_cast<uint32_t>(num_shards_))]
+          .counters.AdvancePast(v);
     }
     ++applied;
   }

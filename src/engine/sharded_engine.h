@@ -469,8 +469,7 @@ class ShardedMtkEngine {
     std::atomic<uint32_t> base_slot{0};  // Slots below are released.
     uint32_t next_slot = 0;              // One past the highest created.
     std::vector<ItemState> items;        // Local index item / N.
-    TsElement ucount = 1;  // Raw last-column counters; encoded value is
-    TsElement lcount = 0;  // raw * N + index.
+    StripedCounters counters;  // Last-column stripe `index` of N.
     EngineStats stats;
     /// Newest rejection decided on this shard (see RejectRecord).
     RejectRecord last_reject;
@@ -522,12 +521,6 @@ class ShardedMtkEngine {
   /// entries. Requires the item's shard mutex (stack mutation); liveness is
   /// read through the lock-free words.
   LiveRef TopLiveOf(Access& top, std::vector<Access>& stack) const;
-
-  /// Smallest value of this shard's counter class that is > above (and
-  /// consistent with the counter); advances the counter past it.
-  TsElement NextUpper(Shard& sh, TsElement above);
-  /// Largest value of this shard's counter class that is < below.
-  TsElement NextLower(Shard& sh, TsElement below);
 
   VectorCompareResult CompareStates(Shard& shx, const TxnState& a,
                                     const TxnState& b);

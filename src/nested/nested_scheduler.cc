@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/table_printer.h"
+#include "core/encoding.h"
 
 namespace mdts {
 
@@ -106,30 +107,27 @@ OpDecision NestedMtScheduler::Process(const Op& op) {
     state.ancestors.clear();
   }
 
+  // Algorithm 1 lines 5-14 with the hierarchical order: the line-9 old
+  // read is safe if it is hierarchically ordered after the latest writer.
   ItemState& item = Item(op.item);
+  struct Policy {
+    NestedMtScheduler* s;
+    ItemState& item;
+    Access me;
+    bool old_read_path = true;
+    bool relaxed_read_path = false;
+    bool thomas_write_rule = false;
+    VectorOrder Order(TxnId a, TxnId b) { return s->HierCompare(a, b).order; }
+    bool Set(TxnId j, TxnId to) { return s->HierSet(j, to); }
+    void PushReader() { item.readers.push_back(me); }
+    void PushWriter() { item.writers.push_back(me); }
+  };
+  Policy policy{this, item, {i, state.incarnation}};
   const TxnId jr = TopLive(&item.readers);
   const TxnId jw = TopLive(&item.writers);
-  const TxnId j = HierCompare(jr, jw).order == VectorOrder::kLess ? jw : jr;
-
-  if (op.type == OpType::kRead) {
-    if (HierSet(j, i)) {
-      item.readers.push_back({i, state.incarnation});
-      return OpDecision::kAccept;
-    }
-    // Line-9 analog: an old read is safe if it is hierarchically ordered
-    // after the most recent writer.
-    if (j == jr && HierCompare(jw, i).order == VectorOrder::kLess) {
-      return OpDecision::kAccept;
-    }
-    state.aborted = true;
-    return OpDecision::kReject;
-  }
-  if (HierSet(j, i)) {
-    item.writers.push_back({i, state.incarnation});
-    return OpDecision::kAccept;
-  }
-  state.aborted = true;
-  return OpDecision::kReject;
+  const OpDecision d = Decide(op.type, jr, jw, i, policy).decision;
+  if (d == OpDecision::kReject) state.aborted = true;
+  return d;
 }
 
 void NestedMtScheduler::RestartTxn(TxnId txn) {

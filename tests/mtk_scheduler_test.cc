@@ -484,6 +484,23 @@ TEST(MtkSchedulerTest, Mt1AssignsDistinctScalarTimestamps) {
   EXPECT_NE(s.Ts(1).Get(0), s.Ts(3).Get(0));
 }
 
+TEST(MtkSchedulerTest, Mt1CounterSkipsPastStarvationSeed) {
+  // At k=1 the seed TS(1) := TS(2) + 1 lands on the value ucount would
+  // hand out next. Encoding T1 -> T3 must draw past it, not reuse it.
+  MtkOptions options;
+  options.k = 1;
+  options.starvation_fix = true;
+  MtkScheduler s(options);
+  EXPECT_EQ(s.Process(Op{1, OpType::kRead, 0}), OpDecision::kAccept);
+  EXPECT_EQ(s.Process(Op{2, OpType::kWrite, 1}), OpDecision::kAccept);
+  EXPECT_EQ(s.Process(Op{1, OpType::kRead, 1}), OpDecision::kReject);
+  EXPECT_EQ(s.Ts(1).ToString(), "<3>");
+  s.RestartTxn(1);
+  EXPECT_EQ(s.Process(Op{1, OpType::kRead, 2}), OpDecision::kAccept);
+  EXPECT_EQ(s.Process(Op{3, OpType::kWrite, 2}), OpDecision::kAccept);
+  EXPECT_TRUE(VectorLess(s.Ts(1), s.Ts(3)));
+}
+
 // --- ExplainLastReject: one test per producible reject reason; the
 // rendered one-liner must name the cause and, where one exists, the
 // blocking transaction. ---

@@ -1,8 +1,11 @@
 #include "core/timestamp_vector.h"
 
+#include <set>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/encoding.h"
+#include "core/vector_table.h"
 #include "gtest/gtest.h"
 
 namespace mdts {
@@ -262,6 +265,76 @@ TEST(TimestampVectorDifferentialTest, CopyAndMovePreserveHeapVectors) {
   moved = small;  // Copy-assign shrinking heap -> inline.
   EXPECT_TRUE(moved == small);
   EXPECT_EQ(moved.size(), 3u);
+}
+
+TEST(StripedCountersTest, SingleStripeIsThePlainSequence) {
+  // n = 1 is Algorithm 1's ucount = 1, 2, ... / lcount = 0, -1, ... pair.
+  StripedCounters c;
+  EXPECT_EQ(c.Upper(U), 1);
+  EXPECT_EQ(c.Upper(1), 2);
+  EXPECT_EQ(c.Upper(U), 3);
+  EXPECT_EQ(c.Lower(1), 0);
+  EXPECT_EQ(c.Lower(3), -1);
+  EXPECT_EQ(c.Lower(-1), -2);
+}
+
+TEST(StripedCountersTest, DrawsRespectBoundsFromOtherStripes) {
+  StripedCounters s0(0, 3), s1(1, 3);
+  TsElement hi = U;
+  for (int r = 0; r < 5; ++r) hi = s1.Upper(U);  // 4, 7, 10, 13, 16.
+  EXPECT_EQ(hi, 16);
+  // Stripe 0's own counter would hand out 3; the bound lifts it past 16
+  // within its class, and later draws stay above that.
+  const TsElement up = s0.Upper(hi);
+  EXPECT_GT(up, hi);
+  EXPECT_EQ(StripedCounters::StripeOf(up, 3), 0u);
+  EXPECT_GT(s0.Upper(U), up);
+
+  TsElement lo = 0;
+  for (int r = 0; r < 5; ++r) lo = s1.Lower(lo + 100);  // 1, -2, ..., -11.
+  EXPECT_EQ(lo, -11);
+  const TsElement down = s0.Lower(lo);
+  EXPECT_LT(down, lo);
+  EXPECT_EQ(StripedCounters::StripeOf(down, 3), 0u);
+  EXPECT_LT(s0.Lower(100), down);
+}
+
+TEST(StripedCountersTest, StripesNeverCollide) {
+  std::vector<StripedCounters> stripes;
+  for (uint32_t s = 0; s < 3; ++s) stripes.emplace_back(s, 3);
+  Rng rng(7);
+  std::set<TsElement> seen;
+  TsElement last_up = U;
+  TsElement last_down = 1;
+  for (int draw = 0; draw < 600; ++draw) {
+    StripedCounters& c = stripes[rng.Uniform(0, 2)];
+    const bool bounded = rng.Uniform(0, 1) == 1;
+    if (rng.Uniform(0, 1) == 0) {
+      const TsElement v = c.Upper(bounded ? last_up : U);
+      if (bounded && last_up != U) EXPECT_GT(v, last_up);
+      last_up = v;
+      EXPECT_TRUE(seen.insert(v).second) << "duplicate " << v;
+    } else {
+      const TsElement v = c.Lower(bounded ? last_down : 1000000);
+      if (bounded) EXPECT_LT(v, last_down);
+      last_down = v;
+      EXPECT_TRUE(seen.insert(v).second) << "duplicate " << v;
+    }
+  }
+}
+
+TEST(VectorTableTest, SetNeverRewritesTheVirtualEntity) {
+  // Set(0, b) gives b <1,*,*>; Set(a, b) hands a the leading 0 that
+  // collides with TS(0) = <0,*,*>; Set(0, a) then finds '=' at column 2,
+  // whose encoding would have to rewrite TS(0). It refuses instead.
+  VectorTable table(3);
+  const uint32_t a = 1, b = 2;
+  ASSERT_TRUE(table.Set(0, b));
+  ASSERT_TRUE(table.Set(a, b));
+  EXPECT_EQ(table.Ts(a).ToString(), "<0,*,*>");
+  EXPECT_FALSE(table.Set(0, a));
+  EXPECT_EQ(table.Ts(0).ToString(), "<0,*,*>");
+  EXPECT_EQ(table.Ts(a).ToString(), "<0,*,*>");
 }
 
 }  // namespace
