@@ -69,6 +69,14 @@ struct ShardLockSet {
     }
     return false;
   }
+  /// False when `o` overflowed: its untracked shards cannot be vouched for.
+  bool Covers(const ShardLockSet& o) const {
+    if (o.overflow) return false;
+    for (size_t q = 0; q < o.count; ++q) {
+      if (!Has(o.v[q])) return false;
+    }
+    return true;
+  }
   void Add(uint32_t s) {
     if (Has(s)) return;
     if (count == kCapacity) {
@@ -830,8 +838,9 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
   if (reasons != nullptr) std::fill_n(reasons, n, AbortReason::kNone);
 
   // Phase attribution (sampled): admission = batch entry to the first
-  // lock acquisition, lock = acquiring the sorted locksets (all rounds),
-  // decide = the decision loops minus the MV read walks, mv_read = the MV
+  // lock acquisition, lock = acquiring the sorted locksets (all rounds)
+  // plus the in-place extensions taken mid-round, decide = the decision
+  // loops minus those extensions and the MV read walks, mv_read = the MV
   // read-path decisions. Unsampled batches skip every clock read.
   const bool phase_sampled = SamplePhases(batch_seq_);
   uint64_t t_entry = 0;
@@ -920,9 +929,10 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
   }
 
   // Round-one lockset: the union of every operation's base pair (item
-  // shard, issuer shard). Tops are discovered under the locks; with a few
-  // operations per batch the union usually covers them already, so the
-  // whole batch is decided under one sorted acquisition.
+  // shard, issuer shard), acquired in sorted order. Tops are discovered
+  // under the locks, and a top on a shard outside the set extends it in
+  // place (see `cover` below), so an uncontended batch needing at most 64
+  // shards is decided in this one round.
   ShardLockSet want;
   for (size_t q = 0; q < n; ++q) {
     want.Add(static_cast<uint32_t>(ops[q].item % num_shards_));
@@ -960,9 +970,68 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       t_decide0 = NowNs();
       lock_ns += t_decide0 - t_lock0;
     }
-    const bool cross = all || want.count > 1;
-
     ShardLockSet next;
+    uint64_t extend_ns = 0;  // Extension lock time inside this round.
+
+    // The one coverage-miss path, shared by the single-version tops and
+    // the multiversion chains. `resolve(need)` adds to `need` every shard
+    // the decision reads besides shard(x) and shard(i); it runs under
+    // shard(x), reading liveness lock-free. Shards the held lockset misses
+    // are added to it in place, ascending: a blocking LockShard for a shard
+    // above every held one, a try_lock for the rest. A thread never blocks
+    // on a shard below one it holds, so no wait cycle can form - all the
+    // Section V-B ordered-locking argument asks - and every shard taken
+    // joins `want`, so the unlock paths stay exact even when the extension
+    // stops early. Then `resolve` runs again (a top can die between the
+    // peek and the moment its shard is held) and the op is decided in
+    // place if it is covered. A failed try_lock, a full lockset or a need
+    // still uncovered defers the op: its whole lockset goes into `next`,
+    // the lockset of the round after.
+    auto cover = [&](Shard& shx, Shard& shi, auto&& resolve) -> bool {
+      ShardLockSet need;
+      resolve(need);
+      if (all || want.Covers(need)) return true;
+      if (!need.overflow) {
+        const uint64_t t0 = phase_sampled ? NowNs() : 0;
+        bool held = true;
+        for (size_t q = 0; q < need.count && held; ++q) {
+          const uint32_t s = need.At(q);
+          if (want.Has(s)) continue;
+          if (want.count == ShardLockSet::kCapacity) {
+            held = false;
+          } else if (s > want.At(want.count - 1)) {
+            LockShard(shards_[s]);
+            want.Add(s);
+          } else if (shards_[s].mu.try_lock()) {
+            want.Add(s);
+          } else {
+            held = false;
+          }
+        }
+        if (phase_sampled) extend_ns += NowNs() - t0;
+        if (held) {
+          ShardLockSet again;
+          resolve(again);
+          if (want.Covers(again)) return true;
+          need = again;
+        }
+      }
+      next.Add(shx.index);
+      next.Add(shi.index);
+      for (size_t q = 0; q < need.count; ++q) next.Add(need.At(q));
+      next.overflow |= need.overflow;
+      return false;
+    };
+    // Single- vs cross-shard is read off the lockset held at decision
+    // time, extensions included.
+    auto count_admission = [&](Shard& shx) {
+      if (all || want.count > 1) {
+        ++shx.stats.cross_shard_ops;
+      } else {
+        ++shx.stats.single_shard_ops;
+      }
+    };
+
     for (size_t q = 0; q < n; ++q) {
       if (decided[q] != 0) continue;
       const Op& op = ops[q];
@@ -990,11 +1059,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         // holds. The vector reset (and no starvation seeding) keeps the
         // throttled transaction from rejoining as a super-competitor that
         // could outrank the champion.
-        if (cross) {
-          ++shx.stats.cross_shard_ops;
-        } else {
-          ++shx.stats.single_shard_ops;
-        }
+        count_admission(shx);
         const uint64_t wi = si.life;
         AbortReason reason = AbortReason::kBatchThrottled;
         if (LifeAborted(wi) || LifeCommitted(wi)) {
@@ -1054,57 +1119,30 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
           MvUnlinkDeadLocked(shx, item);
           item.mv_unlink_epoch = dead_epoch;
         }
-        bool covered = all;
-        if (!covered && num_shards_ <= 64) {
-          // One mask test against the chain's shard-coverage summary. The
-          // mask is a superset of the live accessors' shards, so a pass
-          // here is exactly as sound as the full walk; a stale bit at
-          // worst defers the op one round with an over-wide lockset.
-          covered = (item.mv_cover & ~want.mask) == 0;
-        } else if (!covered) {
-          covered = true;
-          auto check = [&](const Access& a) {
-            if (a.txn != kVirtualTxn &&
-                !want.Has(static_cast<uint32_t>(a.txn % num_shards_))) {
-              covered = false;
+        // The chain's live accessors: the mv_cover summary bits (a
+        // superset of the live population, so a stale bit at worst widens
+        // the lockset), or a walk of the chain beyond 64 shards.
+        auto chain_shards = [&](ShardLockSet& need) {
+          if (num_shards_ <= 64) {
+            for (uint64_t m = item.mv_cover; m != 0; m &= m - 1) {
+              need.Add(static_cast<uint32_t>(std::countr_zero(m)));
+            }
+            return;
+          }
+          auto add = [&](const Access& a) {
+            if (a.txn != kVirtualTxn) {
+              need.Add(static_cast<uint32_t>(ShardIndex(a.txn)));
             }
           };
           for (const MvVersion& v : item.mv_older) {
-            check(v.writer);
-            for (const Access& r : v.readers) check(r);
+            add(v.writer);
+            for (const Access& r : v.readers) add(r);
           }
-          check(item.mv_newest.writer);
-          for (const Access& r : item.mv_newest.readers) check(r);
-        }
-        if (!covered) {
-          next.Add(shx.index);
-          next.Add(shi.index);
-          if (num_shards_ <= 64) {
-            uint64_t missing = item.mv_cover & ~want.mask;
-            while (missing != 0) {
-              next.Add(static_cast<uint32_t>(std::countr_zero(missing)));
-              missing &= missing - 1;
-            }
-          } else {
-            auto widen = [&](const Access& a) {
-              if (a.txn != kVirtualTxn) {
-                next.Add(static_cast<uint32_t>(a.txn % num_shards_));
-              }
-            };
-            for (const MvVersion& v : item.mv_older) {
-              widen(v.writer);
-              for (const Access& r : v.readers) widen(r);
-            }
-            widen(item.mv_newest.writer);
-            for (const Access& r : item.mv_newest.readers) widen(r);
-          }
-          continue;
-        }
-        if (cross) {
-          ++shx.stats.cross_shard_ops;
-        } else {
-          ++shx.stats.single_shard_ops;
-        }
+          add(item.mv_newest.writer);
+          for (const Access& r : item.mv_newest.readers) add(r);
+        };
+        if (!cover(shx, shi, chain_shards)) continue;
+        count_admission(shx);
         OpDecision d;
         if (phase_sampled && op.type == OpType::kRead) {
           const uint64_t t0 = NowNs();
@@ -1121,44 +1159,33 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       }
       // Resolve the tops under shard(x); liveness reads are lock-free, so
       // this works even when the accessors' shards are not (yet) held.
-      const LiveRef jr = TopLiveOf(item.top_reader, item.readers);
-      const LiveRef jw = TopLiveOf(item.top_writer, item.writers);
-      bool covered = all;
-      if (!covered) {
-        covered = (jr.txn == kVirtualTxn ||
-                   want.Has(static_cast<uint32_t>(jr.txn % num_shards_))) &&
-                  (jw.txn == kVirtualTxn ||
-                   want.Has(static_cast<uint32_t>(jw.txn % num_shards_)));
-      }
-      if (!covered) {
-        // Defer to the next round: its lockset is rebuilt from scratch
-        // around the undecided ops' base pairs plus the tops just
-        // observed, so stale shards from earlier rounds drop out.
-        next.Add(shx.index);
-        next.Add(shi.index);
+      LiveRef jr;
+      LiveRef jw;
+      auto top_shards = [&](ShardLockSet& need) {
+        jr = TopLiveOf(item.top_reader, item.readers);
+        jw = TopLiveOf(item.top_writer, item.writers);
         if (jr.txn != kVirtualTxn) {
-          next.Add(static_cast<uint32_t>(jr.txn % num_shards_));
+          need.Add(static_cast<uint32_t>(ShardIndex(jr.txn)));
         }
         if (jw.txn != kVirtualTxn) {
-          next.Add(static_cast<uint32_t>(jw.txn % num_shards_));
+          need.Add(static_cast<uint32_t>(ShardIndex(jw.txn)));
         }
-        continue;
-      }
+      };
+      if (!cover(shx, shi, top_shards)) continue;
       // Everything DecideLocked touches - item stacks, the three vectors,
       // shard(x)'s counters - is under a held mutex. Liveness of jr/jw is
       // frozen too: clearing it needs their (held) shards.
-      if (cross) {
-        ++shx.stats.cross_shard_ops;
-      } else {
-        ++shx.stats.single_shard_ops;
-      }
+      count_admission(shx);
       const OpDecision d = DecideLocked(op, shx, item, si, jr, jw, why);
       decisions[q] = d;
       if (d == OpDecision::kAccept) ++accepted;
       decided[q] = 1;
       --undecided;
     }
-    if (phase_sampled) decide_ns += NowNs() - t_decide0;
+    if (phase_sampled) {
+      decide_ns += NowNs() - t_decide0 - extend_ns;
+      lock_ns += extend_ns;
+    }
 
     if (undecided == 0) {
       // Attribute the batch itself and its retry work to a shard we
@@ -1180,9 +1207,11 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       break;
     }
 
-    // Some tops live on shards outside the lockset. all == false here: a
-    // full lock covers every top. Tops can keep shifting under contention,
-    // so after max_lock_retries unstable rounds take every lock.
+    // Some ops were deferred: a try_lock met a peer's lock, a top died and
+    // its successor's shard was missing, or the set was full. all == false
+    // here: a full lock covers every top. Tops can keep shifting under
+    // contention, so after max_lock_retries unstable rounds take every
+    // lock.
     assert(!all);
     for (size_t q = want.count; q-- > 0;) shards_[want.At(q)].mu.unlock();
     ++retries;

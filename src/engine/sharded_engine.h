@@ -226,16 +226,22 @@ struct EngineStats {
 ///
 /// Processing an operation T_i on item x needs x's shard, i's shard, and
 /// the shards of the item's current top reader and writer. Those tops are
-/// only known after looking, so the engine runs an optimistic loop: lock
-/// {shard(x), shard(i)} sorted, peek the tops (liveness is readable without
-/// the owner's lock), and if their shards are already covered - the common
-/// case, and always true with one shard - decide in place. Otherwise
-/// release, widen the lockset, relock in sorted order (the deadlock-free
-/// ordered-locking discipline), and revalidate that the tops are unchanged;
-/// after max_lock_retries unstable rounds it falls back to locking all
-/// shards, which trivially validates. Transaction states live in
-/// chunk-granular arrays published through an atomic directory, so the
-/// lock-free liveness peeks never race with a growing container.
+/// only known after looking. Round one locks {shard(x), shard(i)} sorted
+/// and peeks the tops (liveness is readable without the owner's lock).
+/// When a top lives on a shard outside the held set - nearly every op on a
+/// large table - that shard is added to the set in place, the tops are
+/// resolved again under it, and the op is decided in the same round.
+/// Deadlock freedom rests on one rule: block only on a shard above every
+/// held shard; try_lock the rest. A thread never waits for a shard below
+/// one it holds, so no wait cycle can form (the ordered-locking argument of
+/// the paper's Section V-B). Only when a try_lock meets a peer's lock, a
+/// top dies and its successor lives elsewhere, or the set would exceed 64
+/// shards is the op deferred: the engine releases, relocks the rebuilt
+/// lockset in sorted order and revalidates; after max_lock_retries such
+/// rounds it falls back to locking all shards, which trivially validates.
+/// Transaction states live in chunk-granular arrays published through an
+/// atomic directory, so the lock-free liveness peeks never race with a
+/// growing container.
 ///
 /// Aborts are lazy, exactly like MtkScheduler: a rejected transaction's
 /// item accesses stay on the stacks until a later operation pops entries
@@ -265,20 +271,25 @@ class ShardedMtkEngine {
   /// operations. Thread-safe; `decisions` must hold ops.size() entries.
   ///
   /// The batch's shard lockset - the union of every operation's item and
-  /// issuer shards - is acquired once per optimistic round in sorted order,
-  /// and every operation whose top accessors are covered by it is decided
-  /// under that one acquisition, amortizing LockShard calls and liveness
-  /// resolution across the batch. Operations left
-  /// uncovered (a top accessor lives on an unlocked shard) are retried on
-  /// the next round under a lockset rebuilt around the tops just observed,
-  /// falling back to locking every shard after max_lock_retries rounds.
+  /// issuer shards - is acquired once per round in sorted order, and every
+  /// operation is decided under it, amortizing LockShard calls and
+  /// liveness resolution across the batch. A top accessor on an unlocked
+  /// shard extends the held lockset in place (see the class comment).
+  /// Operations the extension cannot cover - a try_lock failed, a top died
+  /// and its successor's shard is missing, or the set is full - are
+  /// retried on the next round under a lockset rebuilt around the tops just
+  /// observed, falling back to locking every shard after max_lock_retries
+  /// rounds.
   ///
-  /// Within a round, operations are decided in array order; an operation
-  /// deferred by coverage is decided in a later round, after array-later
-  /// covered operations - observably equivalent to the caller interleaving
-  /// its ops with other threads'. With num_shards == 1 every operation is
-  /// covered in round one, so the array order is exactly the decision
-  /// order and the batch is equivalent to ops.size() Process calls.
+  /// Within a round, operations are decided in array order; a deferred
+  /// operation is decided in a later round, after array-later operations -
+  /// observably equivalent to the caller interleaving its ops with other
+  /// threads'. Deferral needs a peer thread (a held lock or a death) or a
+  /// lockset of more than 64 shards, so when no other thread touches the
+  /// engine and num_shards <= 64 (always with num_shards == 1), every
+  /// operation is decided in round one, the array order is exactly the
+  /// decision order, and the batch is equivalent to ops.size() Process
+  /// calls.
   size_t ProcessBatch(std::span<const Op> ops, OpDecision* decisions,
                       AbortReason* reasons = nullptr);
 

@@ -1,8 +1,10 @@
-// Concurrency suite for the batched admission pipeline: mixed
+// Suite for the batched admission pipeline. Concurrency: mixed
 // Process / ProcessBatch / CommitTxn / RestartTxn / CompactAll traffic from
 // several threads must be race-clean (the suite is labeled engine-batch so
 // ctest --preset tsan -L engine-batch can run exactly this binary under
-// ThreadSanitizer) and must reconcile its counters afterwards.
+// ThreadSanitizer) and must reconcile its counters afterwards. Ordering:
+// single-threaded, a multi-shard batch must decide exactly like one
+// Process call per operation.
 
 #include <gtest/gtest.h>
 
@@ -208,6 +210,76 @@ TEST(EngineBatchConcurrencyTest, ConcurrentBatchesOnDisjointPartitions) {
   EXPECT_EQ(st.cross_shard_ops, 0u);
   EXPECT_EQ(st.batches, kThreads * 500);
   EXPECT_EQ(st.batch_ops, kThreads * 500 * 8);
+}
+
+// Uncontended, a multi-shard batch extends its lockset in place for every
+// top outside it, so nothing is deferred and the batch decides in array
+// order at up to 64 shards: a twin engine fed the same operations through
+// one Process call each must reach identical decisions, reasons and
+// vectors.
+TEST(EngineBatchOrderTest, MultiShardBatchMatchesSequentialProcess) {
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = 32;
+  eo.starvation_fix = true;
+  ShardedMtkEngine batched(eo);
+  ShardedMtkEngine sequential(eo);
+
+  std::mt19937_64 rng(20261017);
+  constexpr ItemId kItems = 256;
+  constexpr size_t kLive = 24;
+  constexpr size_t kRounds = 2000;
+  std::vector<TxnId> live;
+  TxnId next_txn = 1;
+  for (size_t n = 0; n < kLive; ++n) live.push_back(next_txn++);
+  std::vector<TxnId> all_txns = live;
+
+  std::vector<Op> batch;
+  std::vector<OpDecision> got(8);
+  std::vector<AbortReason> why(8);
+  uint64_t total_ops = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    const size_t size = 2 + round % 7;  // Batch sizes 2..8.
+    batch.resize(size);
+    for (Op& op : batch) {
+      op.txn = live[rng() % live.size()];
+      op.type = rng() % 8 < 5 ? OpType::kRead : OpType::kWrite;
+      op.item = static_cast<ItemId>(rng() % kItems);
+    }
+    total_ops += size;
+    batched.ProcessBatch(std::span<const Op>(batch), got.data(), why.data());
+    for (size_t b = 0; b < size; ++b) {
+      AbortReason want_why = AbortReason::kNone;
+      const OpDecision want = sequential.Process(batch[b], &want_why);
+      ASSERT_EQ(want, got[b]) << "round " << round << " pos " << b;
+      ASSERT_EQ(want_why, why[b]) << "round " << round << " pos " << b;
+    }
+    for (TxnId& slot : live) {
+      const TxnId t = slot;
+      ASSERT_EQ(sequential.IsAborted(t), batched.IsAborted(t)) << "txn " << t;
+      if (batched.IsAborted(t)) {
+        batched.RestartTxn(t);
+        sequential.RestartTxn(t);
+      } else if (rng() % 6 == 0) {
+        batched.CommitTxn(t);
+        sequential.CommitTxn(t);
+        slot = next_txn++;
+        all_txns.push_back(slot);
+      }
+    }
+  }
+
+  for (TxnId t : all_txns) {
+    EXPECT_TRUE(sequential.TsSnapshot(t) == batched.TsSnapshot(t))
+        << "txn " << t << ": " << sequential.TsSnapshot(t).ToString()
+        << " vs " << batched.TsSnapshot(t).ToString();
+  }
+  const EngineStats st = batched.stats();
+  EXPECT_EQ(st.batch_ops, total_ops);
+  EXPECT_GT(st.cross_shard_ops, 0u);
+  EXPECT_EQ(st.lock_retries, 0u);
+  EXPECT_EQ(st.full_lock_fallbacks, 0u);
+  EXPECT_EQ(st.batch_fallbacks, 0u);
 }
 
 // Regression test for the batched-admission livelock collapse: a single
