@@ -1,8 +1,7 @@
 // Closed-loop multithreaded MT(k) throughput benchmark (the perf experiment
 // behind the sharded engine): sweeps threads x contention x k over the
-// thread-safe ShardedMtkEngine, and measures the single-thread speedup of
-// the optimized scheduler/engine against the real pre-refactor
-// MtkScheduler, vendored verbatim under bench/prepr/. Every
+// thread-safe ShardedMtkEngine, and measures the single-thread throughput
+// of the sharded engine with one shard against MtkScheduler. Every
 // worker retries its transaction until it commits (a closed loop), so abort
 // handling and restart costs are part of every number and the compaction
 // watermark can always advance.
@@ -42,18 +41,9 @@
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "prepr/mtk_scheduler.h"
 
 namespace mdts {
 namespace {
-
-
-// The vendored baseline has its own OpDecision enum; both spellings of
-// "rejected" funnel through this pair so ClosedLoop stays generic.
-inline bool IsReject(OpDecision d) { return d == OpDecision::kReject; }
-inline bool IsReject(prepr::OpDecision d) {
-  return d == prepr::OpDecision::kReject;
-}
 
 // ===========================================================================
 // Workload: transaction programs generated OUTSIDE the timed loops.
@@ -162,7 +152,7 @@ LoopResult ClosedLoop(S& sched, const Workload& w, size_t t, size_t stride,
         op.txn = txn;
         op.type = prog[o].is_read ? OpType::kRead : OpType::kWrite;
         op.item = prog[o].item;
-        ok = !IsReject(sched.Process(op));
+        ok = sched.Process(op) != OpDecision::kReject;
         if (ok) ++res.ops_accepted;
       }
       if (ok) {
@@ -261,7 +251,7 @@ LoopResult BatchedClosedLoop(ShardedMtkEngine& engine, const Workload& w,
     engine.ProcessBatch(std::span<const Op>(ops.data(), batch), dec.data());
     for (size_t b = 0; b < batch; ++b) {
       Slot& s = slots[b];
-      if (IsReject(dec[b])) {
+      if (dec[b] == OpDecision::kReject) {
         ++res.aborts;
         // Same bounded-retry rule as ClosedLoop: abandon a transaction
         // that keeps being rejected (deterministic multiversion read
@@ -395,7 +385,7 @@ LoopResult AdaptivePhaseLoop(ShardedMtkEngine& engine, const Workload& w,
     engine.ProcessBatch(std::span<const Op>(ops.data(), live), dec.data());
     for (size_t b = 0; b < live; ++b) {
       Slot& s = slots[b];
-      if (IsReject(dec[b])) {
+      if (dec[b] == OpDecision::kReject) {
         ++res.aborts;
         // Same bounded-retry rule as BatchedClosedLoop.
         if (++s.tries >= 128) {
@@ -548,34 +538,20 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   }
 
   // -------------------------------------------------------------------
-  // Part 1: single-thread speedup against the frozen pre-refactor
-  // scheduler, at k = 3 on both contention levels. "sched" is the current
-  // MtkScheduler (what MtkOnline runs), "engine x1" the sharded engine
-  // with one shard.
+  // Part 1: single-thread throughput at k = 3 on both contention levels.
+  // "sched" is MtkScheduler (what MtkOnline runs), "engine x1" the sharded
+  // engine with one shard.
   // -------------------------------------------------------------------
   std::printf("--- single-thread, k=3, %u ops/txn, %.0f%% reads ---\n",
               kOpsPerTxn, kReadFraction * 100);
-  TablePrinter single({"items", "prepr Mops", "sched Mops", "engine Mops",
-                       "sched/prepr", "engine/prepr", "abort rate"});
-  double speedup_sched_low = 0, speedup_engine_low = 0;
-  double prepr_low_mops = 0, sched_low_mops = 0, engine_low_mops = 0;
+  TablePrinter single({"items", "sched Mops", "engine Mops", "abort rate"});
+  double sched_low_mops = 0, engine_low_mops = 0;
   for (uint32_t items : {kLowContentionItems, kHighContentionItems}) {
     const Workload w =
         MakeWorkload(1, items, kOpsPerTxn, kReadFraction, 42);
     const double secs = 1.0;
     // Warmup + run, each system fresh.
-    LoopResult rp, rs, re;
-    prepr::MtkOptions po;
-    po.k = 3;
-    po.starvation_fix = true;
-    {
-      prepr::MtkScheduler s(po);
-      (void)ClosedLoop(s, w, 0, 1, 0.1);  // Warmup.
-    }
-    {
-      prepr::MtkScheduler s(po);
-      rp = ClosedLoop(s, w, 0, 1, secs);
-    }
+    LoopResult rs, re;
     {
       MtkOptions mo;
       mo.k = 3;
@@ -597,17 +573,11 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
       eo.starvation_fix = true;
       re = RunEngine(eo, w, 1, secs);
     }
-    const double sp_s = Mops(rs) / Mops(rp);
-    const double sp_e = Mops(re) / Mops(rp);
     if (items == kLowContentionItems) {
-      speedup_sched_low = sp_s;
-      speedup_engine_low = sp_e;
-      prepr_low_mops = Mops(rp);
       sched_low_mops = Mops(rs);
       engine_low_mops = Mops(re);
     }
-    single.AddRow({std::to_string(items), Fmt(Mops(rp)), Fmt(Mops(rs)),
-                   Fmt(Mops(re)), Fmt(sp_s), Fmt(sp_e),
+    single.AddRow({std::to_string(items), Fmt(Mops(rs)), Fmt(Mops(re)),
                    Fmt(rs.abort_rate(), 3)});
   }
   std::printf("%s\n", single.ToString().c_str());
@@ -616,11 +586,8 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
       out_path, "mt_throughput_single_thread_k3",
       {{"hardware_threads", JsonNum(hw)},
        {"items_low_contention", JsonNum(kLowContentionItems)},
-       {"prepr_mops", JsonNum(prepr_low_mops)},
        {"sched_mops", JsonNum(sched_low_mops)},
-       {"engine_1shard_mops", JsonNum(engine_low_mops)},
-       {"single_thread_speedup_vs_prepr", JsonNum(speedup_sched_low)},
-       {"engine_speedup_vs_prepr", JsonNum(speedup_engine_low)}});
+       {"engine_1shard_mops", JsonNum(engine_low_mops)}});
 
   // -------------------------------------------------------------------
   // Part 2: engine scaling sweep, threads x contention x k. Compaction is
@@ -1454,8 +1421,6 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
 
   std::vector<std::pair<std::string, std::string>> acceptance = {
       {"hardware_threads", JsonNum(hw)},
-      {"single_thread_speedup_vs_prepr_k3", JsonNum(speedup_sched_low)},
-      {"engine_1shard_speedup_vs_prepr_k3", JsonNum(speedup_engine_low)},
       {"scaling_4t_over_1t_low_contention_k3", JsonNum(scaling_4t)},
       {"obs_overhead_pct", JsonNum(obs_overhead_pct)},
       {"live_obs_overhead_pct", JsonNum(live_obs_overhead_pct)},
@@ -1476,9 +1441,9 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   UpsertBenchRecord(out_path, "mt_throughput_acceptance", acceptance);
 
   std::printf(
-      "single-thread speedup vs pre-refactor scheduler (k=3, low "
-      "contention): %.2fx (sched), %.2fx (engine x1)\n",
-      speedup_sched_low, speedup_engine_low);
+      "single-thread (k=3, low contention): %.2f Mops sched, %.2f Mops "
+      "engine x1\n",
+      sched_low_mops, engine_low_mops);
   std::printf("engine scaling 4t/1t (low contention, k=3): %.2fx%s\n",
               scaling_4t,
               hw < 4 ? "  [hardware threads < 4: timeslicing, not a "

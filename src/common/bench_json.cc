@@ -91,4 +91,16 @@ bool UpsertBenchRecord(const std::string& path, const std::string& bench,
   return out.good();
 }
 
+bool WriteTextFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  std::fclose(f);
+  if (!ok) std::fprintf(stderr, "short write to %s\n", path.c_str());
+  return ok;
+}
+
 }  // namespace mdts

@@ -29,6 +29,11 @@ std::string JsonNum(double v);
 bool UpsertBenchRecord(const std::string& path, const std::string& bench,
                        const BenchFields& fields);
 
+/// Writes `text` to `path`, replacing the file; false (with a message on
+/// stderr) when it cannot be opened or fully written. The JSON dump
+/// writers (flight recorder, tracer, metrics snapshots) share it.
+bool WriteTextFile(const std::string& path, const std::string& text);
+
 }  // namespace mdts
 
 #endif  // MDTS_COMMON_BENCH_JSON_H_

@@ -39,21 +39,18 @@ std::string DistSpan::ToJson() const {
 }
 
 SpanRing::SpanRing(const SpanRingOptions& options)
-    : mask_(std::bit_ceil(options.capacity < 2 ? size_t{2} : options.capacity) -
-            1),
-      ring_mask_(std::bit_ceil(options.rings < 1 ? size_t{1} : options.rings) -
-                 1) {
-  rings_ = std::make_unique<Ring[]>(ring_mask_ + 1);
+    : ring_mask_(std::bit_ceil(std::max<size_t>(options.rings, 1)) - 1),
+      rings_(std::make_unique<Ring[]>(ring_mask_ + 1)) {
   for (size_t r = 0; r <= ring_mask_; ++r) {
-    rings_[r].slots = std::make_unique<Slot[]>(mask_ + 1);
+    rings_[r].Init(std::max<size_t>(options.capacity, 2));
   }
 }
 
 void SpanRing::Record(uint32_t site, const DistSpan& span) {
   // Single-writer (the simulation thread): plain load+store on the totals
-  // and the ticket instead of locked RMWs - a concurrent Drain still reads
-  // them atomically, and the LOCK prefixes would otherwise dominate the
-  // record cost on this sub-100ns path.
+  // instead of locked RMWs - a concurrent Drain still reads them
+  // atomically, and the LOCK prefixes would otherwise dominate the record
+  // cost on this sub-100ns path.
   recorded_.store(recorded_.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
   if (span.aborted) {
@@ -64,63 +61,14 @@ void SpanRing::Record(uint32_t site, const DistSpan& span) {
     hops_.store(hops_.load(std::memory_order_relaxed) + 1,
                 std::memory_order_relaxed);
   }
-  Ring& r = rings_[site & ring_mask_];
-  const uint64_t ticket = r.head.load(std::memory_order_relaxed);
-  r.head.store(ticket + 1, std::memory_order_relaxed);
-  Slot& s = r.slots[ticket & mask_];
-  // Invalidate first so a drain caught mid-copy sees the stamp move and
-  // drops the slot instead of mixing two spans.
-  s.stamp.store(0, std::memory_order_release);
-  uint64_t flags = 0;
-  if (span.hop) flags |= 1;
-  if (span.aborted) flags |= 2;
-  auto put = [&](size_t idx, uint64_t v) {
-    s.w[idx].store(v, std::memory_order_relaxed);
-  };
-  put(0, span.id);
-  put(1, span.parent);
-  put(2, span.start_us);
-  put(3, span.end_us);
-  put(4, static_cast<uint64_t>(span.txn) |
-             (static_cast<uint64_t>(span.site & 0xFFFFu) << 32) |
-             (static_cast<uint64_t>(span.incarnation & 0xFFFFu) << 48));
-  put(5, static_cast<uint64_t>(span.segment) | (flags << 8) |
-             (static_cast<uint64_t>(span.defined) << 16));
-  s.stamp.store(ticket + 1, std::memory_order_release);
-  // The ring cycles through capacity * 64B of slots, so the next slot's
-  // line is cold by the time it is written again; prefetching it now (with
-  // write intent) overlaps the RFO with the simulation's work instead of
-  // stalling the next Record (the FlightRecorder discipline).
-  __builtin_prefetch(&r.slots[(ticket + 1) & mask_], 1, 0);
+  rings_[site & ring_mask_].WriteValue(span);
 }
 
 std::vector<DistSpan> SpanRing::Drain() const {
   std::vector<DistSpan> out;
-  uint64_t words[kPayloadWords];
   for (size_t ri = 0; ri <= ring_mask_; ++ri) {
-    const Ring& r = rings_[ri];
-    for (uint64_t sl = 0; sl <= mask_; ++sl) {
-      const Slot& s = r.slots[sl];
-      const uint64_t s1 = s.stamp.load(std::memory_order_acquire);
-      if (s1 == 0) continue;
-      for (size_t w = 0; w < kPayloadWords; ++w) {
-        words[w] = s.w[w].load(std::memory_order_relaxed);
-      }
-      if (s.stamp.load(std::memory_order_acquire) != s1) continue;  // Torn.
-      DistSpan span;
-      span.id = words[0];
-      span.parent = words[1];
-      span.start_us = words[2];
-      span.end_us = words[3];
-      span.txn = static_cast<TxnId>(words[4] & 0xFFFFFFFFu);
-      span.site = static_cast<uint32_t>((words[4] >> 32) & 0xFFFFu);
-      span.incarnation = static_cast<uint32_t>(words[4] >> 48);
-      span.segment = static_cast<DistSegment>(words[5] & 0xFF);
-      span.hop = (words[5] & 0x100) != 0;
-      span.aborted = (words[5] & 0x200) != 0;
-      span.defined = static_cast<uint8_t>((words[5] >> 16) & 0xFF);
-      out.push_back(span);
-    }
+    rings_[ri].ForEach<DistSpan>(
+        [&](const DistSpan& span) { out.push_back(span); });
   }
   std::sort(out.begin(), out.end(),
             [](const DistSpan& a, const DistSpan& b) { return a.id < b.id; });

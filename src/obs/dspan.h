@@ -11,6 +11,7 @@
 
 #include "core/timestamp_vector.h"
 #include "core/types.h"
+#include "obs/seqlock_ring.h"
 
 namespace mdts {
 
@@ -78,15 +79,13 @@ struct SpanRingOptions {
   size_t capacity = 256;
 };
 
-/// Per-site ring of the last N closed distributed spans, modeled on
-/// FlightRecorder: fixed-size seqlock slots written with relaxed stores
-/// between an invalidate (stamp 0) and a release stamp, so recording never
-/// blocks and a concurrent drain (the exporter scraping mid-run) detects
-/// and skips torn slots. Exact once the writer is quiescent - the state at
-/// every end-of-run dump. Record assumes a SINGLE writer (the
-/// single-threaded simulation): tickets and lifetime totals use plain
-/// load+store instead of locked RMWs, which concurrent drains read safely
-/// but concurrent writers would race on.
+/// Per-site ring of the last N closed distributed spans, one SeqlockRing
+/// per ring: recording never blocks, and a concurrent drain (the exporter
+/// scraping mid-run) skips torn slots. Exact once the writer is quiescent -
+/// the state at every end-of-run dump. The lifetime totals assume a SINGLE
+/// writer (the single-threaded simulation): they use plain load+store
+/// instead of locked RMWs, which concurrent drains read safely but
+/// concurrent writers would race on.
 class SpanRing {
  public:
   explicit SpanRing(const SpanRingOptions& options);
@@ -112,27 +111,11 @@ class SpanRing {
   uint64_t hops() const { return hops_.load(std::memory_order_relaxed); }
 
   size_t rings() const { return ring_mask_ + 1; }
-  size_t capacity() const { return mask_ + 1; }
+  size_t capacity() const { return rings_[0].capacity(); }
 
  private:
-  // Payload word layout (all relaxed atomics):
-  //   w0 id, w1 parent, w2 start_us, w3 end_us,
-  //   w4 txn | site<<32 | incarnation<<48,
-  //   w5 segment | flags<<8 | defined<<16 (flags: 1 hop, 2 aborted).
-  static constexpr size_t kPayloadWords = 6;
+  using Ring = SeqlockRing<(sizeof(DistSpan) + 7) / 8>;
 
-  struct Slot {
-    /// 0 = never written / being rewritten; ticket + 1 once complete.
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<uint64_t> w[kPayloadWords] = {};
-  };
-
-  struct alignas(64) Ring {
-    std::atomic<uint64_t> head{0};  ///< Next ticket; slot = ticket & mask.
-    std::unique_ptr<Slot[]> slots;
-  };
-
-  uint64_t mask_;       ///< capacity - 1 (power of two).
   uint64_t ring_mask_;  ///< ring count - 1 (power of two).
   std::unique_ptr<Ring[]> rings_;
   std::atomic<uint64_t> recorded_{0};

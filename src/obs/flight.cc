@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <ctime>
 #include <string>
+
+#include "common/bench_json.h"
 
 namespace mdts {
 
@@ -95,26 +96,15 @@ std::string ControlEvent::ToJson() const {
   return out;
 }
 
-namespace {
-
-uint64_t RoundUpPow2(uint64_t v) {
-  if (v < 2) return 2;
-  return std::bit_ceil(v);
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
     : options_(options),
-      mask_(RoundUpPow2(options.capacity == 0 ? 1 : options.capacity) - 1),
-      ring_mask_(std::bit_ceil(options.rings < 1 ? size_t{1} : options.rings) -
-                 1) {
+      ring_mask_(std::bit_ceil(std::max<size_t>(options.rings, 1)) - 1),
+      rings_(std::make_unique<Ring[]>(ring_mask_ + 1)) {
+  const size_t capacity = std::max<size_t>(options.capacity, 2);
+  for (size_t r = 0; r <= ring_mask_; ++r) rings_[r].Init(capacity);
+  control_.Init(capacity);
   options_.rings = ring_mask_ + 1;
-  options_.capacity = mask_ + 1;
-  rings_ = std::make_unique<Ring[]>(ring_mask_ + 1);
-  for (size_t r = 0; r <= ring_mask_; ++r) {
-    rings_[r].slots = std::make_unique<Slot[]>(mask_ + 1);
-  }
+  options_.capacity = rings_[0].capacity();
 }
 
 void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
@@ -124,14 +114,6 @@ void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
                             std::span<const ItemId> writes,
                             const uint32_t* phase_us,
                             const TimestampVector* vec, uint64_t time_us) {
-  Ring& r = rings_[ring & ring_mask_];
-  const uint64_t ticket = r.head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = r.slots[ticket & mask_];
-  // Invalidate first so a concurrent drain caught mid-copy sees the stamp
-  // move and drops the slot instead of mixing two records.
-  s.stamp.store(0, std::memory_order_release);
-  const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-
   const size_t k = vec != nullptr ? vec->size() : 0;
   const size_t k_rec = std::min(k, kMaxVecElements);
   const size_t nw = std::min(writes.size(), kMaxWrites);
@@ -141,57 +123,44 @@ void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
   if (sampled) flags |= 4;
   if (op != nullptr && op->type == OpType::kWrite) flags |= 8;
 
-  auto put = [&](size_t idx, uint64_t v) {
-    s.w[idx].store(v, std::memory_order_relaxed);
-  };
-  put(0, seq);
-  put(1, time_us);
-  put(2, static_cast<uint64_t>(txn) | (flags << 32) |
-             (static_cast<uint64_t>(reason) << 40) |
-             (static_cast<uint64_t>(k_rec) << 48) |
-             (static_cast<uint64_t>(nw) << 56));
-  put(3, static_cast<uint64_t>(blocker) |
-             (static_cast<uint64_t>(op != nullptr ? op->item : 0) << 32));
-  put(4, static_cast<uint64_t>(shard_mask) |
-             (static_cast<uint64_t>(writes_total) << 32));
-  // Dead words are not stored: Drain() decodes phase words only when the
-  // sampled flag is set, write words only up to nw, and vector words only
-  // up to k_rec, so whatever a slot's previous occupant left there is
-  // unreachable. A typical record (k <= 4, unsampled) then touches two
-  // cache lines instead of three - on a cycling ring every line is cold,
-  // so the skipped stores are the record's main cost.
-  if (phase_us != nullptr) {
-    for (size_t w = 0; w < kPhaseWords; ++w) {
-      const size_t p = w * 2;
-      uint64_t v = phase_us[p];
-      if (p + 1 < kNumTxnPhases) {
-        v |= static_cast<uint64_t>(phase_us[p + 1]) << 32;
+  rings_[ring & ring_mask_].Write([&](const Ring::Payload& p) {
+    p.Put(0, seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+    p.Put(1, time_us);
+    p.Put(2, static_cast<uint64_t>(txn) | (flags << 32) |
+                 (static_cast<uint64_t>(reason) << 40) |
+                 (static_cast<uint64_t>(k_rec) << 48) |
+                 (static_cast<uint64_t>(nw) << 56));
+    p.Put(3, static_cast<uint64_t>(blocker) |
+                 (static_cast<uint64_t>(op != nullptr ? op->item : 0) << 32));
+    p.Put(4, static_cast<uint64_t>(shard_mask) |
+                 (static_cast<uint64_t>(writes_total) << 32));
+    // Dead words are not stored: Drain() decodes phase words only when the
+    // sampled flag is set, write words only up to nw, and vector words only
+    // up to k_rec, so whatever a slot's previous occupant left there is
+    // unreachable. A typical record (k <= 4, unsampled) then touches two
+    // cache lines instead of three - on a cycling ring every line is cold,
+    // so the skipped stores are the record's main cost.
+    if (phase_us != nullptr) {
+      for (size_t w = 0; w < kPhaseWords; ++w) {
+        const size_t ph = w * 2;
+        uint64_t v = phase_us[ph];
+        if (ph + 1 < kNumTxnPhases) {
+          v |= static_cast<uint64_t>(phase_us[ph + 1]) << 32;
+        }
+        p.Put(kHeaderWords + w, v);
       }
-      put(kHeaderWords + w, v);
     }
-  }
-  for (size_t w = 0; w * 2 < nw; ++w) {
-    const size_t q = w * 2;
-    uint64_t v = writes[q];
-    if (q + 1 < nw) v |= static_cast<uint64_t>(writes[q + 1]) << 32;
-    put(kHeaderWords + kPhaseWords + w, v);
-  }
-  for (size_t m = 0; m < k_rec; ++m) {
-    put(kHeaderWords + kPhaseWords + kWriteWords + m,
-        std::bit_cast<uint64_t>(static_cast<int64_t>(vec->Get(m))));
-  }
-  s.stamp.store(ticket + 1, std::memory_order_release);
-  // Warm this ring's NEXT slot before leaving. The stores above hit cold
-  // lines (a cycling ring evicts faster than it revisits); they sit in the
-  // store buffer until the RFOs complete, and the caller's next locked RMW
-  // - commit-point unlock, shard lock, metrics counter - drains the buffer
-  // and eats that latency. Prefetching here gives the lines a full
-  // inter-record gap (microseconds) to arrive, where a hint at commit
-  // entry only leads the stores by tens of nanoseconds.
-  const char* next = reinterpret_cast<const char*>(&r.slots[(ticket + 1) & mask_]);
-  __builtin_prefetch(next, 1, 0);
-  __builtin_prefetch(next + 64, 1, 0);
-  __builtin_prefetch(next + 128, 1, 0);
+    for (size_t w = 0; w * 2 < nw; ++w) {
+      const size_t q = w * 2;
+      uint64_t v = writes[q];
+      if (q + 1 < nw) v |= static_cast<uint64_t>(writes[q + 1]) << 32;
+      p.Put(kHeaderWords + kPhaseWords + w, v);
+    }
+    for (size_t m = 0; m < k_rec; ++m) {
+      p.Put(kHeaderWords + kPhaseWords + kWriteWords + m,
+            std::bit_cast<uint64_t>(static_cast<int64_t>(vec->Get(m))));
+    }
+  });
 }
 
 void FlightRecorder::RecordCommit(size_t ring, TxnId txn,
@@ -199,11 +168,8 @@ void FlightRecorder::RecordCommit(size_t ring, TxnId txn,
                                   uint32_t shard_mask,
                                   std::span<const ItemId> writes,
                                   const uint32_t* phase_us, uint64_t time_us) {
-  commits_.fetch_add(1, std::memory_order_relaxed);
-  Record(ring, txn, /*commit=*/true, AbortReason::kNone, 0, nullptr,
-         phase_us != nullptr, shard_mask,
-         static_cast<uint32_t>(writes.size()), writes, phase_us, &vec,
-         time_us);
+  RecordCommit(ring, txn, vec, shard_mask, writes,
+               static_cast<uint32_t>(writes.size()), phase_us, time_us);
 }
 
 void FlightRecorder::RecordCommit(size_t ring, TxnId txn,
@@ -229,37 +195,38 @@ void FlightRecorder::RecordAbort(size_t ring, TxnId txn, AbortReason reason,
          0, {}, nullptr, vec, time_us);
 }
 
-void FlightRecorder::RecordControl(std::string action, uint32_t batch_size,
+void FlightRecorder::RecordControl(const char* action, uint32_t batch_size,
                                    uint32_t k, uint64_t time_us) {
-  ControlEvent ev;
-  ev.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ev.time_us = time_us;
-  ev.action = std::move(action);
-  ev.batch_size = batch_size;
-  ev.k = k;
-  std::lock_guard<std::mutex> g(control_mu_);
-  control_.push_back(std::move(ev));
-  if (control_.size() > mask_ + 1) control_.pop_front();
+  control_.Write([&](const ControlRing::Payload& p) {
+    p.Put(0, seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+    p.Put(1, time_us);
+    p.Put(2, reinterpret_cast<uintptr_t>(action));
+    p.Put(3, batch_size | static_cast<uint64_t>(k) << 32);
+  });
 }
 
 std::vector<ControlEvent> FlightRecorder::ControlEvents() const {
-  std::lock_guard<std::mutex> g(control_mu_);
-  return {control_.begin(), control_.end()};
+  std::vector<ControlEvent> out;
+  control_.ForEach([&](const auto& w) {
+    ControlEvent ev;
+    ev.seq = w[0];
+    ev.time_us = w[1];
+    ev.action = reinterpret_cast<const char*>(static_cast<uintptr_t>(w[2]));
+    ev.batch_size = static_cast<uint32_t>(w[3]);
+    ev.k = static_cast<uint32_t>(w[3] >> 32);
+    out.push_back(std::move(ev));
+  });
+  std::sort(out.begin(), out.end(),
+            [](const ControlEvent& a, const ControlEvent& b) {
+              return a.seq < b.seq;
+            });
+  return out;
 }
 
 std::vector<FlightRecord> FlightRecorder::Drain() const {
   std::vector<FlightRecord> out;
-  uint64_t words[kPayloadWords];
   for (size_t ri = 0; ri <= ring_mask_; ++ri) {
-    const Ring& r = rings_[ri];
-    for (uint64_t sl = 0; sl <= mask_; ++sl) {
-      const Slot& s = r.slots[sl];
-      const uint64_t s1 = s.stamp.load(std::memory_order_acquire);
-      if (s1 == 0) continue;
-      for (size_t w = 0; w < kPayloadWords; ++w) {
-        words[w] = s.w[w].load(std::memory_order_relaxed);
-      }
-      if (s.stamp.load(std::memory_order_acquire) != s1) continue;  // Torn.
+    rings_[ri].ForEach([&](const auto& words) {
       FlightRecord rec;
       rec.seq = words[0];
       rec.time_us = words[1];
@@ -300,7 +267,7 @@ std::vector<FlightRecord> FlightRecorder::Drain() const {
             words[kHeaderWords + kPhaseWords + kWriteWords + m])));
       }
       out.push_back(std::move(rec));
-    }
+    });
   }
   std::sort(out.begin(), out.end(),
             [](const FlightRecord& a, const FlightRecord& b) {
@@ -328,7 +295,7 @@ AbortReasonCounts FlightRecorder::abort_reasons() const {
 std::string FlightRecorder::ToJson() const {
   const std::vector<FlightRecord> records = Drain();
   std::string out = "{\"meta\": {\"rings\": " + std::to_string(ring_mask_ + 1);
-  out += ", \"capacity\": " + std::to_string(mask_ + 1);
+  out += ", \"capacity\": " + std::to_string(capacity());
   out += ", \"k\": " + std::to_string(options_.k) + "}";
   out += ", \"totals\": {\"commits\": " + std::to_string(commits());
   out += ", \"aborts\": " + std::to_string(aborts());
@@ -355,16 +322,7 @@ std::string FlightRecorder::ToJson() const {
 }
 
 bool FlightRecorder::DumpToFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "flight: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "flight: short write to %s\n", path.c_str());
-  return ok;
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace mdts

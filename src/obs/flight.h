@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -14,6 +12,7 @@
 #include "core/timestamp_vector.h"
 #include "core/types.h"
 #include "obs/abort_reason.h"
+#include "obs/seqlock_ring.h"
 
 namespace mdts {
 
@@ -100,17 +99,17 @@ struct FlightRecorderOptions {
 };
 
 /// Always-on lock-free flight recorder: per-ring bounded histories of the
-/// last N commit/abort records, written with relaxed atomics (a record is
-/// a handful of stores into a prefetchable slot, stamped with the coarse
-/// monotonic clock - cheap enough to leave attached in production) and
-/// drained to JSON on demand. Dump triggers in this repository: the StarvationWatchdog
-/// on alert raise, the WAL crash hook before a planned _Exit, and the
-/// HttpExporter's /flight.json endpoint.
+/// last N commit/abort records, each ring a SeqlockRing (a record is a
+/// handful of relaxed stores into a prefetched slot, stamped with the
+/// coarse monotonic clock - cheap enough to leave attached in production)
+/// drained to JSON on demand. Dump triggers in this repository: the
+/// StarvationWatchdog on alert raise, the WAL crash hook before a planned
+/// _Exit, and the HttpExporter's /flight.json endpoint.
 ///
-/// Concurrency contract: recording is wait-free and never blocks or loses
-/// newer records (a ring overwrites its oldest entry). Drain/ToJson are
-/// best-effort under concurrent writers - a slot overwritten mid-copy is
-/// detected by its sequence stamp and skipped - and exact once writers are
+/// Concurrency contract: recording never blocks or loses newer records (a
+/// ring overwrites its oldest entry), control events included. Drain/ToJson
+/// are best-effort under concurrent writers - a slot overwritten mid-copy
+/// is detected by its stamp and skipped - and exact once writers are
 /// quiescent, which is the state at every dump trigger above.
 class FlightRecorder {
  public:
@@ -152,10 +151,11 @@ class FlightRecorder {
                    const TimestampVector* vec, uint64_t time_us);
 
   /// Records a control-plane decision (admission-controller actuation).
-  /// Mutex-guarded, not wait-free: decisions arrive at sampler cadence
-  /// (tens of Hz), never on the transaction hot path. The ring keeps the
-  /// last `capacity` events; ToJson() includes them under "control".
-  void RecordControl(std::string action, uint32_t batch_size, uint32_t k,
+  /// `action` must be a static string (AdmissionActionName); the control
+  /// ring stores the pointer. Lock-free like the transaction records, on
+  /// its own ring of `capacity` events; ToJson() includes them under
+  /// "control".
+  void RecordControl(const char* action, uint32_t batch_size, uint32_t k,
                      uint64_t time_us);
 
   /// Snapshot of the retained control events, oldest first.
@@ -170,11 +170,7 @@ class FlightRecorder {
   /// record (e.g. per batch for the minority that aborts): stores to a
   /// cold slot drain through the store buffer without stalling the core.
   void PrefetchNext(size_t ring) const {
-    const Ring& r = rings_[ring & ring_mask_];
-    const char* p = reinterpret_cast<const char*>(
-        &r.slots[r.head.load(std::memory_order_relaxed) & mask_]);
-    __builtin_prefetch(p, 1, 0);
-    __builtin_prefetch(p + 64, 1, 0);
+    rings_[ring & ring_mask_].PrefetchNext();
   }
 
   /// Snapshot of every currently retained record, sorted by seq.
@@ -194,11 +190,11 @@ class FlightRecorder {
   AbortReasonCounts abort_reasons() const;
 
   size_t rings() const { return ring_mask_ + 1; }
-  size_t capacity() const { return mask_ + 1; }
+  size_t capacity() const { return rings_[0].capacity(); }
   const FlightRecorderOptions& options() const { return options_; }
 
  private:
-  // Payload word layout (all relaxed atomics; see Record()):
+  // Payload word layout (see Record()):
   //   w0 seq, w1 time_us,
   //   w2 txn | flags<<32 | reason<<40 | k_rec<<48 | nwrites_rec<<56,
   //   w3 blocker | op_item<<32, w4 shard_mask | writes_total<<32,
@@ -210,20 +206,10 @@ class FlightRecorder {
   static constexpr size_t kWriteWords = (kMaxWrites + 1) / 2;
   static constexpr size_t kPayloadWords =
       kHeaderWords + kPhaseWords + kWriteWords + kMaxVecElements;
-
-  struct Slot {
-    /// 0 = never written; ticket + 1 once the payload below is complete.
-    /// Writers store 0 first (invalidate), payload, then the new stamp
-    /// (release), so a drain that reads the same nonzero stamp on both
-    /// sides of its copy holds a consistent record.
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<uint64_t> w[kPayloadWords] = {};
-  };
-
-  struct alignas(64) Ring {
-    std::atomic<uint64_t> head{0};  ///< Next ticket; slot = ticket & mask.
-    std::unique_ptr<Slot[]> slots;
-  };
+  using Ring = SeqlockRing<kPayloadWords>;
+  // Control event words: w0 seq, w1 time_us, w2 action (static string
+  // pointer), w3 batch_size | k<<32.
+  using ControlRing = SeqlockRing<4>;
 
   void Record(size_t ring, TxnId txn, bool commit, AbortReason reason,
               TxnId blocker, const Op* op, bool sampled, uint32_t shard_mask,
@@ -232,15 +218,12 @@ class FlightRecorder {
               uint64_t time_us);
 
   FlightRecorderOptions options_;
-  uint64_t mask_;       ///< capacity - 1 (capacity is a power of two).
-  uint64_t ring_mask_;  ///< ring count - 1 (also a power of two).
+  uint64_t ring_mask_;  ///< ring count - 1 (a power of two).
   std::unique_ptr<Ring[]> rings_;
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> aborts_by_reason_[kNumAbortReasons] = {};
-
-  mutable std::mutex control_mu_;
-  std::deque<ControlEvent> control_;  ///< Last `capacity` control events.
+  ControlRing control_;  ///< Last `capacity` control events.
 };
 
 }  // namespace mdts

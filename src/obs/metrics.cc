@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/bench_json.h"
+
 namespace mdts {
 
 namespace obs_internal {
@@ -275,15 +277,7 @@ std::string MetricsSnapshot::ToJson() const {
 }
 
 bool MetricsSnapshot::WriteJsonFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "metrics: cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+  return WriteTextFile(path, ToJson());
 }
 
 uint64_t MetricsSnapshot::CounterValue(const std::string& name) const {

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <vector>
 
 #include "common/bench_json.h"
 
@@ -40,11 +41,9 @@ Tracer::Ring* Tracer::LocalRing() {
   const uint64_t e = epoch_.load(std::memory_order_acquire);
   if (cached == nullptr || cached_epoch != e) {
     std::lock_guard<std::mutex> g(mu_);
-    rings_.emplace_back();
-    Ring& r = rings_.back();  // Deque: address stable across registration.
-    r.events.resize(events_per_thread_);
-    r.default_tid = next_tid_++;
-    cached = &r;
+    cached = &rings_.emplace_back();  // Deque: addresses stay stable.
+    cached->events.Init(events_per_thread_);
+    cached->default_tid = next_tid_++;
     cached_epoch = epoch_.load(std::memory_order_relaxed);
   }
   return cached;
@@ -54,16 +53,14 @@ void Tracer::Emit(const TraceEvent& event) {
   Ring* r = LocalRing();
   TraceEvent e = event;
   if (e.pid == 1 && e.tid == 0) e.tid = r->default_tid;
-  r->events[r->count % r->events.size()] = e;
-  ++r->count;
+  r->events.WriteValue(e);
 }
 
 size_t Tracer::event_count() const {
   std::lock_guard<std::mutex> g(mu_);
   size_t total = 0;
   for (const Ring& r : rings_) {
-    total += static_cast<size_t>(
-        std::min<uint64_t>(r.count, r.events.size()));
+    r.events.ForEach([&](const auto&) { ++total; });
   }
   return total;
 }
@@ -76,20 +73,17 @@ void Tracer::Reset() {
 }
 
 std::string Tracer::ToJson() const {
-  // Collect the retained window of every ring, then bucket into lanes and
-  // sort each lane by timestamp so every (pid, tid) lane is monotone - the
-  // invariant the schema test checks and Perfetto's track builder expects.
+  // Collect the retained window of every ring (oldest first), then bucket
+  // into lanes and sort each lane by timestamp so every (pid, tid) lane is
+  // monotone - the invariant the schema test checks and Perfetto's track
+  // builder expects.
   std::map<std::pair<uint32_t, uint32_t>, std::vector<TraceEvent>> lanes;
   {
     std::lock_guard<std::mutex> g(mu_);
     for (const Ring& r : rings_) {
-      const uint64_t n = std::min<uint64_t>(r.count, r.events.size());
-      // Oldest retained event first: the ring wraps at count % size.
-      const uint64_t start = r.count - n;
-      for (uint64_t q = 0; q < n; ++q) {
-        const TraceEvent& e = r.events[(start + q) % r.events.size()];
+      r.events.ForEach<TraceEvent>([&](const TraceEvent& e) {
         lanes[{e.pid, e.tid}].push_back(e);
-      }
+      });
     }
   }
   for (auto& [lane, events] : lanes) {
@@ -144,15 +138,7 @@ std::string Tracer::ToJson() const {
 }
 
 bool Tracer::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "trace: cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace mdts

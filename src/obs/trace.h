@@ -6,7 +6,8 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <vector>
+
+#include "obs/seqlock_ring.h"
 
 /// Compile-time gate for the event tracer. The build defines MDTS_TRACE=1
 /// by default (CMake option MDTS_TRACE); with it off every MDTS_TRACE_*
@@ -37,11 +38,13 @@ struct TraceEvent {
 /// Process-wide ring-buffer event tracer with Chrome trace_event JSON
 /// export (load the file in chrome://tracing or https://ui.perfetto.dev).
 ///
-/// Each emitting thread owns a private ring buffer (registered on first
+/// Each emitting thread owns a private SeqlockRing (registered on first
 /// emit), so concurrent Emit calls never contend; when a ring wraps, the
 /// oldest events of that thread are overwritten. Exporting (ToJson /
-/// WriteFile) and Reset require emitters to be quiescent: stop worker
-/// threads (or Disable() and finish in-flight operations) first.
+/// WriteFile / event_count) is safe while threads emit: it skips the few
+/// slots caught mid-write and is exact once emitters are quiescent. Only
+/// Reset requires quiescence: stop worker threads (or Disable() and finish
+/// in-flight operations) first.
 ///
 /// Real-time lanes (pid 1) default tid to the emitting thread; simulated
 /// timelines (the DMT event loop) pass pid 2 and an explicit tid per site.
@@ -50,7 +53,8 @@ class Tracer {
   static Tracer& Get();
 
   /// Turns event capture on. Each emitting thread gets a ring of
-  /// `events_per_thread` slots (~56 bytes each).
+  /// `events_per_thread` slots (at least 16, rounded up to a power of two;
+  /// 64 bytes each).
   void Enable(size_t events_per_thread = 1 << 16);
   void Disable();
 
@@ -66,7 +70,7 @@ class Tracer {
   static uint64_t NowUs();
 
   /// All captured events as Chrome trace JSON, each lane (pid, tid) sorted
-  /// by timestamp. Requires emitter quiescence.
+  /// by timestamp.
   std::string ToJson() const;
 
   /// Writes ToJson() to `path`; false (with a message on stderr) on error.
@@ -81,8 +85,7 @@ class Tracer {
 
  private:
   struct Ring {
-    std::vector<TraceEvent> events;  // Fixed size once allocated.
-    uint64_t count = 0;              // Total emitted; index = count % size.
+    SeqlockRing<(sizeof(TraceEvent) + 7) / 8> events;
     uint32_t default_tid = 0;
   };
 

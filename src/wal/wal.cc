@@ -167,9 +167,6 @@ ParallelWal::ParallelWal(const WalOptions& options) : options_(options) {
   fs::create_directories(options_.dir, ec);
   if (ec) return;
   if (options_.metrics != nullptr) {
-    m_appends_ = options_.metrics->GetCounter("wal.appends");
-    m_fsyncs_ = options_.metrics->GetCounter("wal.fsyncs");
-    m_bytes_ = options_.metrics->GetCounter("wal.bytes");
     m_group_size_ = options_.metrics->GetHistogram("wal.group_commit_size");
   }
   for (uint32_t i = 0; i < options_.num_streams; ++i) {
@@ -185,6 +182,14 @@ ParallelWal::ParallelWal(const WalOptions& options) : options_(options) {
     s.flushed = header.size();
   }
   ok_ = true;
+  if (options_.metrics != nullptr) {
+    options_.metrics->AddCollector(this, [this](MetricsSnapshot& out) {
+      const WalStats st = stats();
+      out.counters.emplace_back("wal.appends", st.appends);
+      out.counters.emplace_back("wal.fsyncs", st.fsyncs);
+      out.counters.emplace_back("wal.bytes", st.bytes);
+    });
+  }
   if (options_.sync_policy == WalSyncPolicy::kGroupCommit &&
       options_.sync_interval_ms > 0) {
     flusher_ = std::thread([this] {
@@ -217,7 +222,6 @@ void ParallelWal::SyncLocked(Stream& s) {
   ::fdatasync(s.fd);
   s.synced = s.flushed;
   fsyncs_total_.fetch_add(1, std::memory_order_relaxed);
-  if (m_fsyncs_ != nullptr) m_fsyncs_->Add(1);
   if (m_group_size_ != nullptr) m_group_size_->Record(s.pending_records);
   s.pending_records = 0;
 }
@@ -332,15 +336,14 @@ bool ParallelWal::AppendCommit(TxnId txn, const TimestampVector& vec,
     return false;
   }
   s.buf.insert(s.buf.end(), frame.begin(), frame.end());
-  ++s.seq;
+  ++s.appended;
+  s.frame_bytes += frame.size();
   ++s.pending_records;
   if (ticket != nullptr) {
     ticket->stream = idx;
     ticket->end_offset = s.flushed + s.buf.size();
     ticket->sync_wait_us = 0;
   }
-  if (m_appends_ != nullptr) m_appends_->Add(1);
-  if (m_bytes_ != nullptr) m_bytes_->Add(frame.size());
   // Clock reads only when the caller asked for the ticket (phase
   // attribution); the unticketed hot path stays clock-free.
   const auto sync_timed = [&] {
@@ -413,6 +416,9 @@ void ParallelWal::Close() {
     ::close(s.fd);
     s.fd = -1;
   }
+  // Only a usable WAL registered the collector; this folds its final counts
+  // into the registry.
+  if (options_.metrics != nullptr) options_.metrics->RemoveCollector(this);
 }
 
 uint64_t ParallelWal::SyncedBytes(uint32_t stream) const {
@@ -423,17 +429,12 @@ uint64_t ParallelWal::SyncedBytes(uint32_t stream) const {
 
 WalStats ParallelWal::stats() const {
   WalStats out;
-  out.appends = appends_total_.load(std::memory_order_relaxed);
   out.append_failures = append_failures_.load(std::memory_order_relaxed);
   out.fsyncs = fsyncs_total_.load(std::memory_order_relaxed);
-  // Crash-triggering appends are counted in appends_total_ but never
-  // acknowledged; report only acknowledged appends.
-  uint64_t refused = 0;
-  if (crashed_.load(std::memory_order_acquire)) refused = 1;
-  out.appends -= std::min(out.appends, refused);
   for (const Stream& s : streams_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    out.bytes += s.flushed + s.buf.size();
+    out.appends += s.appended;
+    out.bytes += s.frame_bytes;
   }
   return out;
 }

@@ -85,9 +85,10 @@ struct WalOptions {
   /// stuck in a group that never fills. 0 = no flusher.
   uint64_t sync_interval_ms = 0;
 
-  /// Registry receiving `wal.appends`, `wal.fsyncs`, `wal.bytes` counters
-  /// and the `wal.group_commit_size` histogram (records per fsync). Null
-  /// disables mirroring. Must outlive the ParallelWal.
+  /// Registry that reads `wal.appends`, `wal.fsyncs` and `wal.bytes` from
+  /// stats() through a collector at snapshot time, and receives the
+  /// `wal.group_commit_size` histogram (records per fsync). Null disables
+  /// both. Must outlive the ParallelWal.
   MetricsRegistry* metrics = nullptr;
 
   /// Optional process-crash injection (src/fault): when armed, the
@@ -158,11 +159,12 @@ struct WalRecovery {
   }
 };
 
-/// Work counters (mirrored into WalOptions::metrics when attached).
+/// Work counters (published as `wal.appends`, `wal.fsyncs`, `wal.bytes`
+/// by a WalOptions::metrics collector when a registry is attached).
 struct WalStats {
-  uint64_t appends = 0;
+  uint64_t appends = 0;          ///< Acknowledged appends.
   uint64_t fsyncs = 0;
-  uint64_t bytes = 0;            ///< Frame bytes appended.
+  uint64_t bytes = 0;            ///< Frame bytes of acknowledged appends.
   uint64_t append_failures = 0;  ///< Appends refused (crashed / closed WAL).
 };
 
@@ -277,7 +279,8 @@ class ParallelWal {
     uint64_t flushed = 0;          // Bytes written to the fd.
     uint64_t synced = 0;           // Bytes covered by fdatasync.
     uint64_t pending_records = 0;  // Records appended since the last sync.
-    uint64_t seq = 0;              // Records ever appended.
+    uint64_t appended = 0;         // Records ever acknowledged.
+    uint64_t frame_bytes = 0;      // Their frame bytes (headers excluded).
     /// Crash image override (kMidRecord / kBetweenStreams trigger stream);
     /// ~0 means "use `synced`".
     uint64_t surviving_override = ~0ull;
@@ -295,6 +298,7 @@ class ParallelWal {
   bool ok_ = false;
   std::atomic<bool> closed_{false};
   std::atomic<bool> crashed_{false};
+  // Appends that reached the crash gate (WalCrashPlan::at_append).
   std::atomic<uint64_t> appends_total_{0};
   std::atomic<uint64_t> append_failures_{0};
   std::atomic<uint64_t> fsyncs_total_{0};
@@ -306,9 +310,6 @@ class ParallelWal {
   std::condition_variable flusher_cv_;
   bool flusher_stop_ = false;
 
-  Counter* m_appends_ = nullptr;
-  Counter* m_fsyncs_ = nullptr;
-  Counter* m_bytes_ = nullptr;
   Histogram* m_group_size_ = nullptr;
 };
 

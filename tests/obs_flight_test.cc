@@ -3,6 +3,9 @@
 // the sanitizers):
 //   - FlightRecorder unit coverage: seqlock ring round trips, overwrite
 //     semantics, capacity rounding, write-set truncation, JSON/dump shape;
+//   - SeqlockRing (the ring behind the recorder, SpanRing and the Tracer):
+//     concurrent writers + drain never yield a torn slot, and partially
+//     rewritten slots decode only the new record's words;
 //   - engine integration: commit/reject records reconcile exactly with
 //     EngineStats, commit records carry the committed vector and write set,
 //     and phase_sample_shift = 0 deterministically populates every
@@ -20,9 +23,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <atomic>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/timestamp_vector.h"
@@ -34,6 +39,7 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
+#include "obs/seqlock_ring.h"
 #include "obs/watchdog.h"
 #include "wal/wal.h"
 
@@ -218,6 +224,162 @@ TEST(FlightRecorderTest, JsonAndDumpShape) {
   const std::string path = FreshDir("dump") + "/flight.json";
   ASSERT_TRUE(flight.DumpToFile(path));
   EXPECT_EQ(ReadFile(path), json);
+}
+
+// ===========================================================================
+// SeqlockRing: the shared ring under concurrent writers and drains.
+// ===========================================================================
+
+// Payload word `i` of the record whose word 0 is `v`: every word depends on
+// the writer's value, so a slot mixing two records fails the check.
+uint64_t DerivedWord(uint64_t v, size_t i) {
+  return v ^ (0x9E3779B97F4A7C15ull * (i + 1));
+}
+
+constexpr size_t kTestRingWords = 6;
+using TestRing = SeqlockRing<kTestRingWords>;
+
+TEST(SeqlockRingTest, MultiWriterConcurrentDrainNeverTears) {
+  // Four writers on one ring of capacity 4 lap each other constantly (and
+  // a writer preempted mid-record is lapped by the others); a concurrent
+  // drain must still return only slots written by one record.
+  constexpr int kWriters = 4;
+  TestRing ring;
+  ring.Init(4);
+  ASSERT_EQ(ring.capacity(), 4u);
+  std::atomic<int> started{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      started.fetch_add(1);
+      for (uint64_t n = 1; !stop.load(std::memory_order_relaxed); ++n) {
+        const uint64_t v = (static_cast<uint64_t>(t) << 40) | n;
+        ring.Write([&](const TestRing::Payload& p) {
+          for (size_t i = 0; i < kTestRingWords; ++i) {
+            p.Put(i, DerivedWord(v, i));
+          }
+        });
+      }
+    });
+  }
+  while (started.load() < kWriters) std::this_thread::yield();
+  uint64_t drained = 0;
+  for (int round = 0; round < 5000; ++round) {
+    ring.ForEach([&](const auto& w) {
+      const uint64_t v = DerivedWord(w[0], 0);
+      for (size_t i = 1; i < kTestRingWords; ++i) {
+        ASSERT_EQ(w[i], DerivedWord(v, i)) << "torn slot, word " << i;
+      }
+      ++drained;
+    });
+  }
+  stop.store(true);
+  for (auto& th : writers) th.join();
+  // Quiescent: every slot holds a complete record.
+  size_t retained = 0;
+  ring.ForEach([&](const auto&) { ++retained; });
+  EXPECT_EQ(retained, 4u);
+  EXPECT_GT(drained, 0u);
+}
+
+TEST(SeqlockRingTest, PartialWritesRoundTrip) {
+  // Word 0 says how many payload words follow; a shorter record leaves
+  // the previous occupant's tail in place, and decoding must not reach it.
+  SeqlockRing<4> ring;
+  ring.Init(1);
+  auto write = [&](std::vector<uint64_t> words) {
+    ring.Write([&](const SeqlockRing<4>::Payload& p) {
+      p.Put(0, words.size());
+      for (size_t i = 0; i < words.size(); ++i) p.Put(i + 1, words[i]);
+    });
+  };
+  auto drain = [&] {
+    std::vector<std::vector<uint64_t>> out;
+    ring.ForEach([&](const auto& w) {
+      out.emplace_back(w.begin() + 1, w.begin() + 1 + w[0]);
+    });
+    return out;
+  };
+  write({11, 12, 13});
+  EXPECT_EQ(drain(), (std::vector<std::vector<uint64_t>>{{11, 12, 13}}));
+  write({21});  // Same slot (capacity 1): words 2..3 keep 12, 13.
+  EXPECT_EQ(drain(), (std::vector<std::vector<uint64_t>>{{21}}));
+
+  // The recorder's dead-words rule on top of it: a small unsampled commit
+  // that overwrites a full sampled one decodes no phases, no writes and
+  // only its own vector elements.
+  FlightRecorderOptions fo;
+  fo.rings = 1;
+  fo.capacity = 2;
+  fo.k = 8;
+  FlightRecorder flight(fo);
+  TimestampVector big(8);
+  for (size_t m = 0; m < 8; ++m) big.Set(m, static_cast<TsElement>(100 + m));
+  uint32_t phases[kNumTxnPhases];
+  for (size_t p = 0; p < kNumTxnPhases; ++p) phases[p] = 7 + p;
+  const std::vector<ItemId> writes = {1, 2, 3, 4};
+  flight.RecordCommit(0, 1, big, 0, writes, phases, 1);
+  TimestampVector small(1);
+  small.Set(0, 5);
+  flight.RecordCommit(0, 2, small, 0, {}, nullptr, 2);
+  flight.RecordCommit(0, 3, small, 0, {}, nullptr, 3);  // Reuses txn 1's slot.
+  const std::vector<FlightRecord> records = flight.Drain();
+  ASSERT_EQ(records.size(), 2u);
+  const FlightRecord& r = records[1];
+  EXPECT_EQ(r.txn, 3u);
+  EXPECT_FALSE(r.phases_sampled);
+  for (size_t p = 0; p < kNumTxnPhases; ++p) EXPECT_EQ(r.phase_us[p], 0u);
+  EXPECT_TRUE(r.writes.empty());
+  EXPECT_EQ(r.k, 1u);
+  EXPECT_EQ(r.vec, std::vector<TsElement>{5});
+}
+
+TEST(FlightRecorderTest, DrainWhileRecordingSeesOnlyWholeRecords) {
+  // Writers on every ring (two per ring) while a reader drains: each
+  // drained record's vector and write set are functions of its txn.
+  FlightRecorderOptions fo;
+  fo.rings = 2;
+  fo.capacity = 4;
+  fo.k = 4;
+  FlightRecorder flight(fo);
+  constexpr int kWriters = 4;
+  constexpr TxnId kPerWriter = 1 << 20;
+  std::atomic<int> started{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> recorded{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      started.fetch_add(1);
+      TimestampVector vec(4);
+      TxnId n = 1;
+      for (; !stop.load(std::memory_order_relaxed); ++n) {
+        const TxnId txn = static_cast<TxnId>(t) * kPerWriter + n;
+        for (size_t m = 0; m < 4; ++m) {
+          vec.Set(m, static_cast<TsElement>(txn * 10 + m));
+        }
+        const ItemId w[2] = {txn, txn + 1};
+        flight.RecordCommit(t, txn, vec, 1u << t, w, nullptr, txn);
+      }
+      recorded.fetch_add(n - 1);
+    });
+  }
+  while (started.load() < kWriters) std::this_thread::yield();
+  for (int round = 0; round < 500; ++round) {
+    for (const FlightRecord& r : flight.Drain()) {
+      ASSERT_EQ(r.k, 4u);
+      for (size_t m = 0; m < 4; ++m) {
+        ASSERT_EQ(r.vec[m], static_cast<TsElement>(r.txn * 10 + m));
+      }
+      ASSERT_EQ(r.writes, (std::vector<ItemId>{r.txn, r.txn + 1}));
+      ASSERT_EQ(r.time_us, r.txn);
+    }
+  }
+  stop.store(true);
+  for (auto& th : writers) th.join();
+  EXPECT_EQ(flight.commits(), recorded.load());
+  EXPECT_EQ(flight.Drain().size(), 8u);
 }
 
 // ===========================================================================

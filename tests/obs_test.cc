@@ -1,7 +1,10 @@
 #include "obs/metrics.h"
 
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -609,6 +612,62 @@ TEST_F(TracerTest, ConcurrentEmittersGetPrivateLanes) {
   for (auto& th : pool) th.join();
   Tracer::Get().Disable();
   EXPECT_EQ(Tracer::Get().event_count(), kThreads * kPerThread);
+}
+
+TEST_F(TracerTest, ToJsonWhileEmittingIsWellFormed) {
+  // Export runs concurrently with emitters on small, constantly wrapping
+  // rings: every exported event must be one whole emitted event (its arg
+  // is a function of its ts), and every lane stays ordered.
+  Tracer::Get().Enable(/*events_per_thread=*/64);
+  constexpr uint32_t kThreads = 3;
+  std::atomic<uint32_t> warm{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> pool;
+  for (uint32_t t = 1; t <= kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (uint64_t ts = 1; !stop.load(std::memory_order_relaxed); ++ts) {
+        MDTS_TRACE_AT_ARG("tick", 'i', 2, t, ts, "n", ts * 3 + t);
+        if (ts == 64) warm.fetch_add(1);  // This thread's ring is full.
+      }
+    });
+  }
+  while (warm.load() < kThreads) std::this_thread::yield();
+  const std::string head = "{\"traceEvents\":[\n";
+  const std::string tail = "\n],\"displayTimeUnit\":\"ms\"}\n";
+  size_t events = 0;
+  for (int round = 0; round < 100; ++round) {
+    const std::string json = Tracer::Get().ToJson();
+    ASSERT_EQ(json.rfind(head, 0), 0u);
+    ASSERT_GE(json.size(), head.size() + tail.size());
+    ASSERT_EQ(json.substr(json.size() - tail.size()), tail);
+    uint64_t last_ts[kThreads + 1] = {};
+    std::istringstream lines(
+        json.substr(head.size(), json.size() - head.size() - tail.size()));
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.find("\"process_name\"") != std::string::npos) continue;
+      unsigned tid = 0;
+      uint64_t ts = 0, n = 0;
+      ASSERT_EQ(std::sscanf(line.c_str(),
+                            "{\"name\":\"tick\",\"ph\":\"i\",\"pid\":2,"
+                            "\"tid\":%u,\"ts\":%" SCNu64
+                            ",\"s\":\"t\",\"args\":{\"n\":%" SCNu64 "}}",
+                            &tid, &ts, &n),
+                3)
+          << line;
+      ASSERT_GE(tid, 1u);
+      ASSERT_LE(tid, kThreads);
+      ASSERT_EQ(n, ts * 3 + tid) << line;
+      ASSERT_GE(ts, last_ts[tid]) << line;
+      last_ts[tid] = ts;
+      ++events;
+    }
+  }
+  stop.store(true);
+  for (auto& th : pool) th.join();
+  Tracer::Get().Disable();
+  EXPECT_GT(events, 0u);
+  EXPECT_EQ(Tracer::Get().event_count(), kThreads * 64u);
 }
 
 #endif  // MDTS_TRACE_COMPILED
