@@ -114,14 +114,23 @@ struct LoopResult {
   }
 };
 
+// Client-side work between operations: busy-waits `ns` nanoseconds.
+void SpinFor(uint64_t ns) {
+  if (ns == 0) return;
+  const Stopwatch spin;
+  while (spin.ElapsedNanos() < ns) {
+  }
+}
+
 // One worker's closed loop over any scheduler-shaped S (Process /
 // CommitTxn / RestartTxn). Transaction ids are 1 + t + n * stride so
 // multithreaded runs produce globally unique ids striped across engine
 // shards. Runs for `seconds` of wall time, checking the clock every few
-// transactions.
+// transactions. `work_ns` > 0 spins that long after every accepted
+// operation: the application work that keeps a transaction open.
 template <typename S>
 LoopResult ClosedLoop(S& sched, const Workload& w, size_t t, size_t stride,
-                      double seconds) {
+                      double seconds, uint64_t work_ns = 0) {
   LoopResult res;
   const std::vector<StreamOp>& stream = w.ops[t];
   const size_t txns_in_stream = stream.size() / w.ops_per_txn;
@@ -138,13 +147,14 @@ LoopResult ClosedLoop(S& sched, const Workload& w, size_t t, size_t stride,
     const StreamOp* prog = &stream[(n % txns_in_stream) * w.ops_per_txn];
     const bool sample = (n & 7) == 0;
     if (sample) txn_clock.Reset();
-    // Retry until commit, bounded: a multiversion reader whose vector was
-    // pinned by its earlier operations can be rejected deterministically
-    // on every replay once GC has pruned its fallback versions, so an
-    // unbounded retry loop livelocks. Abandon (leave the id aborted - an
-    // aborted id never pins the GC watermark) and move on; each failed
-    // attempt already counted as an abort. The cap is generous enough
-    // that single-version starvation-fix retries (a handful) never hit it.
+    // Retry until commit, bounded at 128 tries: past the cap, abandon the
+    // transaction (leave the id aborted - an aborted id never pins the GC
+    // watermark) and move on; each failed attempt already counted as an
+    // abort. Single-version starvation-fix retries take a handful. A
+    // multiversion replay can be rejected deterministically when no
+    // surviving version orders before the restart's pinned vector; the
+    // engine's GC floor (see EngineOptions::multiversion) keeps the older
+    // versions that makes rare, not impossible.
     for (uint64_t tries = 0;; ++tries) {
       bool ok = true;
       for (uint32_t o = 0; o < w.ops_per_txn && ok; ++o) {
@@ -153,7 +163,10 @@ LoopResult ClosedLoop(S& sched, const Workload& w, size_t t, size_t stride,
         op.type = prog[o].is_read ? OpType::kRead : OpType::kWrite;
         op.item = prog[o].item;
         ok = sched.Process(op) != OpDecision::kReject;
-        if (ok) ++res.ops_accepted;
+        if (ok) {
+          ++res.ops_accepted;
+          SpinFor(work_ns);
+        }
       }
       if (ok) {
         sched.CommitTxn(txn);
@@ -185,16 +198,16 @@ LoopResult MergeThreadResults(std::vector<LoopResult> parts) {
 
 LoopResult RunEngine(const EngineOptions& eo, const Workload& w,
                      size_t threads, double seconds,
-                     EngineStats* stats_out = nullptr) {
+                     EngineStats* stats_out = nullptr, uint64_t work_ns = 0) {
   ShardedMtkEngine engine(eo);
   std::vector<LoopResult> parts(threads);
   if (threads == 1) {
-    parts[0] = ClosedLoop(engine, w, 0, 1, seconds);
+    parts[0] = ClosedLoop(engine, w, 0, 1, seconds, work_ns);
   } else {
     std::vector<std::thread> pool;
     for (size_t t = 0; t < threads; ++t) {
       pool.emplace_back([&, t] {
-        parts[t] = ClosedLoop(engine, w, t, threads, seconds);
+        parts[t] = ClosedLoop(engine, w, t, threads, seconds, work_ns);
       });
     }
     for (auto& th : pool) th.join();
@@ -254,9 +267,8 @@ LoopResult BatchedClosedLoop(ShardedMtkEngine& engine, const Workload& w,
       if (dec[b] == OpDecision::kReject) {
         ++res.aborts;
         // Same bounded-retry rule as ClosedLoop: abandon a transaction
-        // that keeps being rejected (deterministic multiversion read
-        // rejects after GC livelock an unbounded retry) - leave the id
-        // aborted and give the slot a fresh transaction.
+        // rejected 128 times - leave the id aborted and give the slot a
+        // fresh transaction.
         if (++s.tries >= 128) {
           s.n = next_n++;
           s.txn = static_cast<TxnId>(1 + t + s.n * stride);
@@ -1071,10 +1083,6 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
           eo.num_shards = 32;
           eo.starvation_fix = true;
           eo.compact_every = 256;
-          // Keep one fallback version per chain through GC so post-sweep
-          // readers with pinned vectors stay orderable (see
-          // EngineOptions::mv_gc_keep_tail); ignored by the SV arm.
-          eo.mv_gc_keep_tail = 16;
           // A/B interleaved: SV then MV per rep, medians compared.
           constexpr int kMvReps = 3;
           std::vector<double> sv_gp, mv_gp, sv_ab, mv_ab;
@@ -1145,7 +1153,6 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
                        {"ops_per_txn", JsonNum(kOpsPerTxn)},
                        {"read_fraction", JsonNum(kReadFraction)},
                        {"compact_every", JsonNum(256)},
-                       {"mv_gc_keep_tail", JsonNum(16)},
                        {"ab_reps", JsonNum(3)},
                        {"cells", "[" + cells + "]"}});
   }
@@ -1166,7 +1173,6 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
        {"k", JsonNum(3)},
        {"batch", JsonNum(8)},
        {"threads", JsonNum(static_cast<double>(mv_threads_hi))},
-       {"mv_gc_keep_tail", JsonNum(16)},
        {"sv_abort_rate", JsonNum(acc_sv_abort)},
        {"mv_abort_rate", JsonNum(acc_mv_abort)},
        {"sv_goodput_mops", JsonNum(acc_sv_goodput)},
@@ -1178,6 +1184,80 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
         JsonNum(static_cast<double>(acc_mv_live_versions))},
        {"mv_versions_installed",
         JsonNum(static_cast<double>(acc_mv_installed))}});
+
+  // -------------------------------------------------------------------
+  // Part 4 work cell: does MV pay for itself once transactions stay open?
+  // A client-side spin after every accepted op stands in for application
+  // work; the longer a transaction runs, the more of its reads meet a
+  // peer's newer write, which SV answers with an abort and MV with an
+  // older version. Same engine configuration as the sweep above (k=3,
+  // per-op admission, all hardware threads up to 4). SV and MV run in
+  // adjacent pairs, order flipped per pair, and MV/SV is the median of
+  // the per-pair ratios (MeasureAbOverhead), so drift and interference
+  // bursts hit both arms alike.
+  // -------------------------------------------------------------------
+  {
+    constexpr int kWorkPairs = 7;
+    constexpr double kWorkArmSecs = 0.5;
+    const Workload w = MakeWorkload(mv_threads_hi, kHighContentionItems,
+                                    kOpsPerTxn, kReadFraction, 42);
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = 32;
+    eo.starvation_fix = true;
+    eo.compact_every = 256;
+    TablePrinter work_table({"work us", "SV good Mops", "MV good Mops",
+                             "MV/SV", "SV abort", "MV abort",
+                             "MV read rej"});
+    std::string cells;
+    for (const uint64_t work_us : {uint64_t{0}, uint64_t{50}}) {
+      std::vector<double> sv_ab, mv_ab;
+      uint64_t mv_read_rejects = 0;
+      auto arm = [&](bool mv, std::vector<double>& aborts) {
+        eo.multiversion = mv;
+        EngineStats st;
+        const LoopResult r = RunEngine(eo, w, mv_threads_hi, kWorkArmSecs,
+                                       &st, work_us * 1000);
+        aborts.push_back(r.abort_rate());
+        if (mv) mv_read_rejects += st.read_rejects;
+        return GoodputMops(r, kOpsPerTxn);
+      };
+      const AbOverhead ab =
+          MeasureAbOverhead(kWorkPairs, [&] { return arm(false, sv_ab); },
+                            [&] { return arm(true, mv_ab); });
+      const double ratio = 1.0 - ab.overhead_pct / 100.0;
+      const double sva = Median(sv_ab), mva = Median(mv_ab);
+      work_table.AddRow({std::to_string(work_us), Fmt(ab.med_a, 4),
+                         Fmt(ab.med_b, 4), Fmt(ratio), Fmt(sva, 3),
+                         Fmt(mva, 3), std::to_string(mv_read_rejects)});
+      if (!cells.empty()) cells += ", ";
+      cells += "{\"work_us\": " + JsonNum(static_cast<double>(work_us)) +
+               ", \"sv_goodput_mops\": " + JsonNum(ab.med_a) +
+               ", \"mv_goodput_mops\": " + JsonNum(ab.med_b) +
+               ", \"mv_over_sv_goodput\": " + JsonNum(ratio) +
+               ", \"sv_abort_rate\": " + JsonNum(sva) +
+               ", \"mv_abort_rate\": " + JsonNum(mva) +
+               ", \"mv_read_rejects\": " +
+               JsonNum(static_cast<double>(mv_read_rejects)) + "}";
+    }
+    std::printf("per-op work (items=%u, k=3, batch=1, %zu threads):\n%s\n",
+                kHighContentionItems, mv_threads_hi,
+                work_table.ToString().c_str());
+    UpsertBenchRecord(
+        out_path, "mt_engine_mv_work_items64",
+        {{"hardware_threads", JsonNum(hw)},
+         {"threads", JsonNum(static_cast<double>(mv_threads_hi))},
+         {"items", JsonNum(kHighContentionItems)},
+         {"k", JsonNum(3)},
+         {"batch", JsonNum(1)},
+         {"num_shards", JsonNum(32)},
+         {"ops_per_txn", JsonNum(kOpsPerTxn)},
+         {"read_fraction", JsonNum(kReadFraction)},
+         {"compact_every", JsonNum(256)},
+         {"ab_pairs", JsonNum(kWorkPairs)},
+         {"ab_arm_seconds", JsonNum(kWorkArmSecs)},
+         {"cells", "[" + cells + "]"}});
+  }
 
   // -------------------------------------------------------------------
   // Part 5: adaptive admission across a contention phase change. One

@@ -99,6 +99,9 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
     : options_(options),
       num_shards_(options.num_shards < 1 ? 1 : options.num_shards),
       t0_(options.k) {
+  // Multiversion chain state lives behind ItemState::mv; nothing of it
+  // may creep back into the item state every single-version item pays for.
+  static_assert(sizeof(ItemState) <= 80);
   assert(options_.k >= 1);
   options_.num_shards = num_shards_;
   active_k_.store(static_cast<uint32_t>(options_.k),
@@ -357,18 +360,7 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   return refuse(cause, j.txn);
 }
 
-void ShardedMtkEngine::EnsureChainLocked(ItemState& item) {
-  if (item.mv_init) return;
-  item.mv_init = true;
-  // The default-constructed mv_newest IS the virtual-T0 base version
-  // (writer kVirtualTxn, all stamps 0): T0's vector orders before any
-  // transaction, so a read walk that exhausts every real version always
-  // has a version to take.
-  item.mv_newest = MvVersion{};
-}
-
-void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item) {
-  if (!item.mv_init) return;
+void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, MvChain& chain) {
   // Dead (txn, incarnation) pairs are permanent - RestartTxn bumps the
   // incarnation in the store that clears the aborted bit - so unlinking on
   // a lock-free liveness read needs only shard(item)'s mutex, exactly like
@@ -383,41 +375,35 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item) {
                     v.readers.end());
   };
   uint64_t gone = 0;
-  for (size_t v = item.mv_older.size(); v-- > 0;) {
-    if (dead(item.mv_older[v].writer)) {
-      item.mv_older.erase(item.mv_older.begin() + static_cast<long>(v));
+  for (size_t v = chain.older.size(); v-- > 0;) {
+    if (dead(chain.older[v].writer)) {
+      chain.older.erase(chain.older.begin() + static_cast<long>(v));
       ++gone;
     }
   }
-  if (dead(item.mv_newest.writer)) {
+  if (dead(chain.newest.writer)) {
     ++gone;
-    if (!item.mv_older.empty()) {
-      item.mv_newest = std::move(item.mv_older.back());
-      item.mv_older.pop_back();
-      item.mv_newest.end_stamp = 0;  // Newest again.
+    if (!chain.older.empty()) {
+      chain.newest = std::move(chain.older.back());
+      chain.older.pop_back();
+      chain.newest.end_stamp = 0;  // Newest again.
     } else {
-      item.mv_newest = MvVersion{};  // Back to the T0 base.
+      chain.newest = MvVersion{};  // Back to the T0 base.
     }
   }
-  for (MvVersion& v : item.mv_older) scrub_readers(v);
-  scrub_readers(item.mv_newest);
+  for (MvVersion& v : chain.older) scrub_readers(v);
+  scrub_readers(chain.newest);
   if (num_shards_ <= 64) {
     // Rebuild the shard-coverage mask from the survivors - the only place
     // stale (dead-accessor) bits are ever shed. Incremental ORs at read
     // and install time keep it a superset between unlinks.
     uint64_t cover = 0;
-    auto add = [&](const Access& a) {
+    chain.ForEachAccess([&](const Access& a) {
       if (a.txn != kVirtualTxn) {
         cover |= uint64_t{1} << (a.txn % num_shards_);
       }
-    };
-    for (const MvVersion& v : item.mv_older) {
-      add(v.writer);
-      for (const Access& r : v.readers) add(r);
-    }
-    add(item.mv_newest.writer);
-    for (const Access& r : item.mv_newest.readers) add(r);
-    item.mv_cover = cover;
+    });
+    chain.cover = cover;
   }
   if (gone != 0) {
     shx.stats.versions_gc += gone;
@@ -426,22 +412,25 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item) {
   }
 }
 
-void ShardedMtkEngine::MvPruneLocked(Shard& shx, ItemState& item,
-                                     uint64_t watermark, bool force) {
-  if (!item.mv_init || item.mv_older.empty() || watermark == 0) return;
+void ShardedMtkEngine::MvPruneLocked(Shard& shx, MvChain& chain,
+                                     uint64_t watermark, size_t keep,
+                                     bool force) {
+  // A chain no longer than `keep` has nothing below its floor: the floor
+  // spans every committed version, and a live writer's version below it
+  // ends after that writer's begin stamp, so never below the watermark.
   // Hysteresis gate (incremental GC only; sweeps pass force): in steady
-  // state a chain hovers at the keep-tail length, where the scan below
-  // can never cut (the tail floor spans the whole chain) - yet
-  // commit-side GC calls this for every written item of every commit,
-  // and the committed_writer probes are the dominant cost. Skip until
-  // the chain outgrows the tail by a slack margin; a real cut then
-  // brings it back near the floor, so the scan runs once per
-  // kPruneSlack installs instead of once per commit. Between CompactAll
-  // sweeps memory stays bounded at keep_tail + kPruneSlack versions per
-  // chain.
+  // state a chain hovers at the keep-tail length, yet commit-side GC
+  // calls this for every written item of every commit, and the
+  // committed_writer probes are the dominant cost. Skip until the chain
+  // outgrows the tail by a slack margin; a real cut then brings it back
+  // near the floor, so the scan runs once per kPruneSlack installs
+  // instead of once per commit. Between CompactAll sweeps memory stays
+  // bounded at keep + kPruneSlack versions per chain.
   constexpr size_t kPruneSlack = 8;
-  const size_t tail_floor = std::max<uint32_t>(1, options_.mv_gc_keep_tail);
-  if (!force && item.mv_older.size() < tail_floor + kPruneSlack) return;
+  if (watermark == 0 ||
+      chain.older.size() < (force ? keep : keep + kPruneSlack)) {
+    return;
+  }
   // Committed is as permanent as aborted (a committed id never restarts),
   // so the scan is safe on lock-free liveness words under shard(item).
   auto committed_writer = [&](const Access& a) {
@@ -449,22 +438,22 @@ void ShardedMtkEngine::MvPruneLocked(Shard& shx, ItemState& item,
     const uint64_t w = LoadLife(*PeekState(a.txn));
     return LifeIncarnation(w) == a.incarnation && LifeCommitted(w);
   };
-  // Newest committed version, over the combined chain (mv_older then
-  // mv_newest). Everything strictly older is a candidate; the newest
+  // Newest committed version, over the combined chain (older then
+  // newest). Everything strictly older is a candidate; the newest
   // committed version itself must survive - it is what future readers
   // fall back to.
-  size_t newest_committed;  // Index into mv_older, or size() = mv_newest.
-  if (committed_writer(item.mv_newest.writer)) {
-    newest_committed = item.mv_older.size();
+  size_t newest_committed;  // Index into older, or size() = newest.
+  if (committed_writer(chain.newest.writer)) {
+    newest_committed = chain.older.size();
   } else {
-    size_t found = item.mv_older.size() + 1;
-    for (size_t v = item.mv_older.size(); v-- > 0;) {
-      if (committed_writer(item.mv_older[v].writer)) {
+    size_t found = chain.older.size() + 1;
+    for (size_t v = chain.older.size(); v-- > 0;) {
+      if (committed_writer(chain.older[v].writer)) {
         found = v;
         break;
       }
     }
-    if (found > item.mv_older.size()) return;  // No committed version yet.
+    if (found > chain.older.size()) return;  // No committed version yet.
     newest_committed = found;
   }
   // Truncate the longest oldest-prefix below the newest committed version
@@ -482,35 +471,50 @@ void ShardedMtkEngine::MvPruneLocked(Shard& shx, ItemState& item,
   // that would have taken a truncated version falls back to a surviving
   // newer one or (degenerately) rejects; neither can violate the order
   // already encoded.
-  // The keep-tail floor: the index of the mv_gc_keep_tail-th newest
-  // committed version (T0 bases count - they are the ideal fallback).
-  // Everything at or above it survives so post-GC readers keep an older
-  // writer to fall back to when the newest one is un-orderable.
+  // The keep-tail floor: the index of the keep-th newest committed version
+  // (T0 bases count - they are the ideal fallback). Everything at or above
+  // it survives so post-GC readers keep an older writer to fall back to
+  // when the newest one is un-orderable.
   size_t floor_idx = newest_committed;
-  const uint32_t tail = std::max<uint32_t>(1, options_.mv_gc_keep_tail);
-  for (size_t kept = 1, v = newest_committed; kept < tail && v-- > 0;) {
-    if (committed_writer(item.mv_older[v].writer)) {
+  for (size_t kept = 1, v = newest_committed; kept < keep && v-- > 0;) {
+    if (committed_writer(chain.older[v].writer)) {
       floor_idx = v;
       ++kept;
     }
   }
   size_t cut = 0;
-  while (cut < floor_idx &&
-         item.mv_older[cut].end_stamp < watermark &&
-         item.mv_older[cut].read_stamp < watermark) {
+  while (cut < floor_idx && chain.older[cut].end_stamp < watermark &&
+         chain.older[cut].read_stamp < watermark) {
     ++cut;
   }
   if (cut == 0) return;
   uint64_t gone = 0;
   for (size_t v = 0; v < cut; ++v) {
-    if (item.mv_older[v].writer.txn != kVirtualTxn) ++gone;
+    if (chain.older[v].writer.txn != kVirtualTxn) ++gone;
   }
-  item.mv_older.erase(item.mv_older.begin(),
-                      item.mv_older.begin() + static_cast<long>(cut));
+  chain.older.erase(chain.older.begin(),
+                    chain.older.begin() + static_cast<long>(cut));
   if (gone != 0) {
     shx.stats.versions_gc += gone;
     live_versions_.fetch_add(-static_cast<int64_t>(gone),
                              std::memory_order_relaxed);
+  }
+}
+
+void ShardedMtkEngine::MvSweepLocked(uint64_t watermark, size_t keep) {
+  mv_watermark_.store(watermark, std::memory_order_release);
+  // Every shard lock is held, so the epoch read here covers every death
+  // the sweep's unlinks will observe.
+  const uint64_t dead_epoch = mv_dead_epoch_.load(std::memory_order_acquire);
+  for (Shard& sh : shards_) {
+    for (ItemState& item : sh.items) {
+      if (!item.mv) continue;
+      if (item.mv->unlink_epoch != dead_epoch) {
+        MvUnlinkDeadLocked(sh, *item.mv);
+        item.mv->unlink_epoch = dead_epoch;
+      }
+      MvPruneLocked(sh, *item.mv, watermark, keep, /*force=*/true);
+    }
   }
 }
 
@@ -545,14 +549,15 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
   const bool hot = item.access_count >= options_.hot_item_threshold;
   ++item.access_count;
 
-  // Combined chain view, oldest first: mv_older[0..n_old) then mv_newest.
-  // Every entry is live - MvUnlinkDeadLocked ran under this lock and the
-  // batch lockset covers every chain writer's and reader's shard, freezing
-  // their liveness words and vectors for the whole decision.
-  const size_t n_old = item.mv_older.size();
+  // Combined chain view, oldest first: older[0..n_old) then newest. Every
+  // entry is live - MvUnlinkDeadLocked ran under this lock and the batch
+  // lockset covers every chain writer's and reader's shard, freezing their
+  // liveness words and vectors for the whole decision.
+  MvChain& chain = *item.mv;
+  const size_t n_old = chain.older.size();
   const size_t chain_len = n_old + 1;
   auto version_at = [&](size_t idx) -> MvVersion& {
-    return idx < n_old ? item.mv_older[idx] : item.mv_newest;
+    return idx < n_old ? chain.older[idx] : chain.newest;
   };
 
   // Cause recorded by the SetStates call that refused the dependency.
@@ -573,7 +578,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
       if (SetStates(shx, sw, si, ver.writer.txn, i, hot, &cause)) {
         ver.readers.push_back({i, inc_i});
         if (num_shards_ <= 64) {
-          item.mv_cover |= uint64_t{1} << (i % num_shards_);
+          chain.cover |= uint64_t{1} << (i % num_shards_);
         }
         ver.read_stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
         if (live_seen > 1) ++st.old_version_reads;
@@ -719,33 +724,27 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
   // itself lives in the vectors.
   const uint64_t stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
   if (chosen == chain_len - 1) {
-    item.mv_older.push_back(std::move(item.mv_newest));
-    item.mv_older.back().end_stamp = stamp;
-    item.mv_newest = MvVersion{};
-    item.mv_newest.writer = {i, inc_i};
-    item.mv_newest.begin_stamp = stamp;
+    chain.older.push_back(std::move(chain.newest));
+    chain.older.back().end_stamp = stamp;
+    chain.newest = MvVersion{};
+    chain.newest.writer = {i, inc_i};
+    chain.newest.begin_stamp = stamp;
   } else {
     MvVersion nv;
     nv.writer = {i, inc_i};
     nv.begin_stamp = stamp;
     nv.end_stamp = stamp;  // Born superseded: a newer version exists.
-    item.mv_older.insert(item.mv_older.begin() + static_cast<long>(chosen + 1),
-                         std::move(nv));
+    chain.older.insert(chain.older.begin() + static_cast<long>(chosen + 1),
+                       std::move(nv));
   }
   if (num_shards_ <= 64) {
-    item.mv_cover |= uint64_t{1} << (i % num_shards_);
+    chain.cover |= uint64_t{1} << (i % num_shards_);
   }
   ++st.versions_installed;
   live_versions_.fetch_add(1, std::memory_order_relaxed);
   // CommitTxn prunes the written chains (and the WAL logs the write set),
   // so multiversion mode always tracks writes.
   si.writes.push_back(op.item);
-  if (options_.install_crash != nullptr && options_.wal != nullptr &&
-      options_.install_crash->armed() &&
-      mv_installs_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-          options_.install_crash->at_install) {
-    options_.wal->CrashNow(options_.install_crash->point);
-  }
   return accept();
 }
 
@@ -1105,7 +1104,8 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         // the MV analogue of the single-version top-accessor coverage.
         // Unlinking dead chain state first (safe under shard(x) alone)
         // keeps the coverage set to the live population.
-        EnsureChainLocked(item);
+        if (!item.mv) item.mv = std::make_unique<MvChain>();
+        MvChain& chain = *item.mv;
         // The per-op dead-unlink walk only pays off when something died:
         // gate it on the engine-wide dead epoch. Equal epochs mean no
         // abort store since this chain's last scrub, so no entry can be
@@ -1115,31 +1115,25 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         // entry is unlinked at the next epoch change.)
         const uint64_t dead_epoch =
             mv_dead_epoch_.load(std::memory_order_acquire);
-        if (item.mv_unlink_epoch != dead_epoch) {
-          MvUnlinkDeadLocked(shx, item);
-          item.mv_unlink_epoch = dead_epoch;
+        if (chain.unlink_epoch != dead_epoch) {
+          MvUnlinkDeadLocked(shx, chain);
+          chain.unlink_epoch = dead_epoch;
         }
-        // The chain's live accessors: the mv_cover summary bits (a
-        // superset of the live population, so a stale bit at worst widens
-        // the lockset), or a walk of the chain beyond 64 shards.
+        // The chain's live accessors: the cover summary bits (a superset
+        // of the live population, so a stale bit at worst widens the
+        // lockset), or a walk of the chain beyond 64 shards.
         auto chain_shards = [&](ShardLockSet& need) {
           if (num_shards_ <= 64) {
-            for (uint64_t m = item.mv_cover; m != 0; m &= m - 1) {
+            for (uint64_t m = chain.cover; m != 0; m &= m - 1) {
               need.Add(static_cast<uint32_t>(std::countr_zero(m)));
             }
             return;
           }
-          auto add = [&](const Access& a) {
+          chain.ForEachAccess([&](const Access& a) {
             if (a.txn != kVirtualTxn) {
               need.Add(static_cast<uint32_t>(ShardIndex(a.txn)));
             }
-          };
-          for (const MvVersion& v : item.mv_older) {
-            add(v.writer);
-            for (const Access& r : v.readers) add(r);
-          }
-          add(item.mv_newest.writer);
-          for (const Access& r : item.mv_newest.readers) add(r);
+          });
         };
         if (!cover(shx, shi, chain_shards)) continue;
         count_admission(shx);
@@ -1353,10 +1347,10 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
     for (const ItemId x : writes) {
       Shard& shx = ShardForItem(x);
       LockShard(shx);
-      ItemState& item = ItemLocked(shx, x);
-      MvUnlinkDeadLocked(shx, item);
-      item.mv_unlink_epoch = dead_epoch;
-      MvPruneLocked(shx, item, wm);
+      MvChain& chain = *ItemLocked(shx, x).mv;  // Created by the write.
+      MvUnlinkDeadLocked(shx, chain);
+      chain.unlink_epoch = dead_epoch;
+      MvPruneLocked(shx, chain, wm, kMvKeepTail, /*force=*/false);
       shx.mu.unlock();
     }
   }
@@ -1373,7 +1367,7 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
       commits_since_compact_.fetch_add(1, std::memory_order_relaxed) + 1 >=
           options_.compact_every) {
     commits_since_compact_.store(0, std::memory_order_relaxed);
-    CompactAll();
+    Compact(/*periodic=*/true);
   }
 }
 
@@ -1430,25 +1424,25 @@ TimestampVector ShardedMtkEngine::TsSnapshot(TxnId txn) const {
   return const_cast<ShardedMtkEngine*>(this)->StateLocked(sh, txn).ts;
 }
 
-size_t ShardedMtkEngine::CompactAll() {
+size_t ShardedMtkEngine::CompactAll() { return Compact(/*periodic=*/false); }
+
+size_t ShardedMtkEngine::Compact(bool periodic) {
   MDTS_TRACE_SPAN("engine.compact");
   for (Shard& sh : shards_) LockShard(sh);
-  const size_t released = CompactAllLocked();
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    it->mu.unlock();
-  }
-  return released;
-}
-
-size_t ShardedMtkEngine::CompactAllLocked() {
-  const bool mv = options_.multiversion;
-  if (mv) {
+  if (options_.multiversion) {
     // 1-MV. Exact live watermark: with every shard lock held, no liveness
     // word or begin stamp can move, so the minimum begin stamp over live
     // (neither committed nor aborted) incarnations is stable. With no live
-    // transaction the watermark passes the whole clock, allowing every
-    // chain to shrink to its newest committed version.
+    // transaction the watermark passes the whole clock. The floor: an
+    // explicit sweep that finds every created transaction committed -
+    // nothing live, nothing aborted and waiting to restart with a seeded
+    // vector - keeps only each chain's newest committed version. Every
+    // other sweep keeps kMvKeepTail fallbacks; a periodic one runs inside
+    // CommitTxn, mid-traffic, and the transactions about to start need
+    // them too: a fresh reader's first read pins its vector, after which
+    // a second item's newest writer can be un-orderable before it.
     uint64_t wm = mv_stamp_.load(std::memory_order_relaxed) + 1;
+    bool all_committed = true;
     for (Shard& sh : shards_) {
       for (uint32_t slot = sh.base_slot.load(std::memory_order_relaxed);
            slot < sh.next_slot; ++slot) {
@@ -1459,23 +1453,14 @@ size_t ShardedMtkEngine::CompactAllLocked() {
         }
         const TxnState& s = c->states[slot & (kChunkSize - 1)];
         const uint64_t w = s.life;
-        if (!LifeAborted(w) && !LifeCommitted(w) && s.begin_stamp != 0 &&
-            s.begin_stamp < wm) {
+        if (LifeCommitted(w)) continue;
+        all_committed = false;
+        if (!LifeAborted(w) && s.begin_stamp != 0 && s.begin_stamp < wm) {
           wm = s.begin_stamp;
         }
       }
     }
-    mv_watermark_.store(wm, std::memory_order_release);
-    // Every shard lock is held, so the epoch read here covers every death
-    // the sweep's unlinks will observe.
-    const uint64_t dead_epoch = mv_dead_epoch_.load(std::memory_order_acquire);
-    for (Shard& sh : shards_) {
-      for (ItemState& item : sh.items) {
-        MvUnlinkDeadLocked(sh, item);
-        item.mv_unlink_epoch = dead_epoch;
-        MvPruneLocked(sh, item, wm, /*force=*/true);
-      }
-    }
+    MvSweepLocked(wm, all_committed && !periodic ? 1 : kMvKeepTail);
   } else {
     // 1. Truncate every item history to its live top (Section III-D-6a/b).
     for (Shard& sh : shards_) {
@@ -1512,14 +1497,7 @@ size_t ShardedMtkEngine::CompactAllLocked() {
     for (const ItemState& item : sh.items) {
       for (const Access& a : item.readers) note_ref(a);
       for (const Access& a : item.writers) note_ref(a);
-      if (mv && item.mv_init) {
-        for (const MvVersion& v : item.mv_older) {
-          note_ref(v.writer);
-          for (const Access& r : v.readers) note_ref(r);
-        }
-        note_ref(item.mv_newest.writer);
-        for (const Access& r : item.mv_newest.readers) note_ref(r);
-      }
+      if (item.mv) item.mv->ForEachAccess(note_ref);
     }
   }
 
@@ -1549,6 +1527,9 @@ size_t ShardedMtkEngine::CompactAllLocked() {
     }
   }
   ++shards_[0].stats.compactions;
+  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
+    it->mu.unlock();
+  }
   return total;
 }
 
@@ -1600,29 +1581,24 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
       for (const ItemId x : r.writes) {
         Shard& shx = ShardForItem(x);
         ItemState& it = ItemLocked(shx, x);
-        EnsureChainLocked(it);
+        if (!it.mv) it.mv = std::make_unique<MvChain>();
+        MvChain& chain = *it.mv;
         const uint64_t stamp =
             mv_stamp_.fetch_add(1, std::memory_order_relaxed);
-        it.mv_older.push_back(std::move(it.mv_newest));
-        it.mv_older.back().end_stamp = stamp;
-        it.mv_newest = MvVersion{};
-        it.mv_newest.writer = {r.txn, 0};
-        it.mv_newest.begin_stamp = stamp;
+        chain.older.push_back(std::move(chain.newest));
+        chain.older.back().end_stamp = stamp;
+        chain.newest = MvVersion{};
+        chain.newest.writer = {r.txn, 0};
+        chain.newest.begin_stamp = stamp;
         ++shx.stats.versions_installed;
         live_versions_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    // Every recovered transaction is committed and nothing is live yet:
-    // the watermark passes the whole clock and each chain prunes down to
-    // its newest committed version.
-    const uint64_t wm = mv_stamp_.load(std::memory_order_relaxed) + 1;
-    mv_watermark_.store(wm, std::memory_order_release);
-    for (Shard& sh : shards_) {
-      for (ItemState& it : sh.items) {
-        MvUnlinkDeadLocked(sh, it);
-        MvPruneLocked(sh, it, wm, /*force=*/true);
-      }
-    }
+    // Every recovered transaction is committed and nothing is live yet
+    // (the all-committed case of an explicit sweep): the watermark passes
+    // the whole clock and each chain prunes down to its newest committed
+    // version.
+    MvSweepLocked(mv_stamp_.load(std::memory_order_relaxed) + 1, 1);
   } else {
     // Reinstall the per-item committed top writers from the merged order;
     // reader state is not logged (reads leave nothing to rebuild), so the
@@ -1656,13 +1632,13 @@ bool ShardedMtkEngine::MvAuditChains() const {
   };
   for (Shard& sh : shards_) {
     for (const ItemState& item : sh.items) {
-      if (!item.mv_init || !ok) continue;
+      if (!item.mv || !ok) continue;
+      const MvChain& chain = *item.mv;
       const TxnState* prev = nullptr;
-      const size_t chain_len = item.mv_older.size() + 1;
+      const size_t chain_len = chain.older.size() + 1;
       for (size_t v = 0; v < chain_len && ok; ++v) {
-        const MvVersion& ver = v < item.mv_older.size()
-                                   ? item.mv_older[v]
-                                   : item.mv_newest;
+        const MvVersion& ver =
+            v < chain.older.size() ? chain.older[v] : chain.newest;
         // End stamps: 0 exactly on the newest version.
         if ((ver.end_stamp == 0) != (v == chain_len - 1)) ok = false;
         if (!live(ver.writer)) continue;  // Unlinked at the next touch.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -18,9 +19,8 @@
 
 namespace mdts {
 
-class ParallelWal;         // src/wal/wal.h
-struct WalRecovery;        // src/wal/wal.h
-struct MvInstallCrashPlan;  // src/fault/fault.h
+class ParallelWal;   // src/wal/wal.h
+struct WalRecovery;  // src/wal/wal.h
 
 /// Configuration of the sharded concurrent MT(k) engine. The protocol
 /// options mirror MtkOptions (minus the recognizer-only and hot-item
@@ -60,8 +60,7 @@ struct EngineOptions {
 
   /// Multiversion MT(k) (Section III-D-6d, the src/mvcc MvMtkScheduler
   /// design run concurrently): every item keeps a chain of versions sorted
-  /// by the writers' vector order - the newest version inline in the item
-  /// state, older ones behind it - each carrying begin/end/read stamps from
+  /// by the writers' vector order, each carrying begin/end/read stamps from
   /// an engine-wide stamp clock. A read walks the chain newest to oldest
   /// and takes the first version whose writer can be ordered before it
   /// (reads essentially never abort - the multiversion payoff); a write
@@ -69,35 +68,28 @@ struct EngineOptions {
   /// version-order and reader-before-later-writer MVSG edges through the
   /// vectors, or rejects with kVersionConflict. All chain state is mutated
   /// under the same sorted shard locksets and batched admission as the
-  /// single-version mode; version storage is reclaimed by the live
-  /// watermark (see CompactAll). thomas_write_rule, relaxed_read_path, and
-  /// disable_old_read_path are single-version knobs and are ignored.
+  /// single-version mode, and lives outside the item state, allocated on
+  /// an item's first multiversion access.
+  ///
+  /// Version storage is reclaimed by the live watermark (see CompactAll),
+  /// with a floor the engine picks itself. An explicit CompactAll() that
+  /// finds every created transaction committed keeps only each chain's
+  /// newest committed version: nothing live or aborted-awaiting-restart
+  /// can need an older one. Every other prune - commit-side, periodic
+  /// (compact_every), or with anything uncommitted - keeps the
+  /// ShardedMtkEngine::kMvKeepTail (16) newest committed versions,
+  /// because a reader whose vector is already pinned - by its earlier
+  /// operations or by a starvation-fix restart seed - can be un-orderable
+  /// after the newest writer and must fall back to an older one; a
+  /// periodic sweep runs mid-traffic, so the readers about to start count.
+  /// thomas_write_rule, relaxed_read_path, and disable_old_read_path are
+  /// single-version knobs and are ignored.
   bool multiversion = false;
-
-  /// Multiversion only: engine-side crash injection (src/fault). The
-  /// at_install-th version install crashes the attached WAL via
-  /// ParallelWal::CrashNow, tearing the process image in the window
-  /// between a version install and its commit append. Null disables; must
-  /// outlive the engine. No effect without a wal.
-  const MvInstallCrashPlan* install_crash = nullptr;
 
   /// If > 0, CompactAll() runs after every this many commits engine-wide,
   /// so memory stays bounded by live transactions instead of total history.
   /// The sweep is stop-the-world and O(items); size the period accordingly.
   uint64_t compact_every = 0;
-
-  /// Multiversion only: how many of the newest committed versions each
-  /// chain keeps through GC (minimum 1, the default - maximal reclaim).
-  /// The read walk's never-abort property leans on older versions as
-  /// fallbacks: a reader whose vector elements were pinned by its earlier
-  /// operations can be un-orderable after the newest surviving writer,
-  /// and with the chain pruned to a single version it then rejects -
-  /// deterministically so when a retry replays the same program. A deeper
-  /// tail preserves older (smaller-element) writers to fall back to; at
-  /// 64 items / k = 3 / 30% reads, read rejects fall from ~2.8 per commit
-  /// at 1 to zero at 16 (bench/mt_throughput part 4 runs with 16). Memory
-  /// stays bounded at keep_tail versions per chain either way.
-  uint32_t mv_gc_keep_tail = 1;
 
   /// Optimistic cross-shard lock acquisitions retried this many times
   /// before falling back to locking every shard.
@@ -344,8 +336,11 @@ class ShardedMtkEngine {
 
   /// Stop-the-world storage reclamation: takes every shard lock, compacts
   /// the item histories, and releases the chunk storage of committed
-  /// transactions no longer referenced by any item. Returns the number of
-  /// transaction states released.
+  /// transactions no longer referenced by any item. In multiversion mode
+  /// it also sets the GC watermark and prunes every chain (the floor is
+  /// described at EngineOptions::multiversion): on an engine with nothing
+  /// uncommitted, each chain shrinks to its newest committed version.
+  /// Returns the number of transaction states released.
   size_t CompactAll();
 
   /// Multiversion audit (test support): takes every shard lock and checks
@@ -374,6 +369,9 @@ class ShardedMtkEngine {
   /// Directory entries per shard: caps a shard's transaction slots at
   /// kDirSize * kChunkSize (Process throws beyond it).
   static constexpr uint32_t kDirSize = 1u << 16;
+  /// Committed versions a multiversion chain keeps through any prune but
+  /// an explicit all-committed sweep (see EngineOptions::multiversion).
+  static constexpr size_t kMvKeepTail = 16;
 
  private:
   /// Liveness word, packed so peers can test liveness without the owning
@@ -430,18 +428,15 @@ class ShardedMtkEngine {
     std::vector<Access> readers;
   };
 
-  struct ItemState {
-    Access top_reader;  // Inline mirrors of the stack tops (see
-    Access top_writer;  // MtkScheduler::ItemState).
-    std::vector<Access> readers;
-    std::vector<Access> writers;
-    uint64_t access_count = 0;  // For hot-item detection (III-D-5).
-    /// Multiversion chain: the newest version inline (hot in the common
-    /// newest-read / newest-install case), older versions behind it in
-    /// mv_older, oldest first. mv_init latches the lazy T0 base creation.
-    bool mv_init = false;
-    MvVersion mv_newest;
-    std::vector<MvVersion> mv_older;
+  /// A multiversion item's chain: the newest version inline (hot in the
+  /// common newest-read / newest-install case), older versions behind it
+  /// in `older`, oldest first. A fresh chain's `newest` is the virtual-T0
+  /// base version (writer kVirtualTxn, all stamps 0): T0's vector orders
+  /// before any transaction, so a read walk that exhausts every real
+  /// version always has a version to take.
+  struct MvChain {
+    MvVersion newest;
+    std::vector<MvVersion> older;
     /// Shard-coverage summary of the chain (num_shards <= 64 only): bit
     /// (txn % num_shards) is set for every writer and reader linked into
     /// the chain. A superset of the live population - dead accessors'
@@ -449,11 +444,32 @@ class ShardedMtkEngine {
     /// is sound for batch lockset coverage: a stale bit can only widen
     /// the lockset, never hide a live accessor's shard. Turns the per-op
     /// coverage check from a full chain walk into one mask test.
-    uint64_t mv_cover = 0;
+    uint64_t cover = 0;
     /// mv_dead_epoch_ value at the chain's last dead-unlink; while no
     /// incarnation has died engine-wide since, the chain can hold no
     /// dead entry and the per-op unlink walk is skipped.
-    uint64_t mv_unlink_epoch = 0;
+    uint64_t unlink_epoch = 0;
+
+    /// Calls f on every writer and reader linked into the chain.
+    template <typename F>
+    void ForEachAccess(F&& f) const {
+      for (const MvVersion& v : older) {
+        f(v.writer);
+        for (const Access& r : v.readers) f(r);
+      }
+      f(newest.writer);
+      for (const Access& r : newest.readers) f(r);
+    }
+  };
+
+  struct ItemState {
+    Access top_reader;  // Inline mirrors of the stack tops (see
+    Access top_writer;  // MtkScheduler::ItemState).
+    std::vector<Access> readers;
+    std::vector<Access> writers;
+    uint64_t access_count = 0;  // For hot-item detection (III-D-5).
+    /// Multiversion mode only; null until the item's first access there.
+    std::unique_ptr<MvChain> mv;
   };
 
   /// Most recent rejection decided on a shard, recorded under its mutex at
@@ -558,23 +574,25 @@ class ShardedMtkEngine {
   OpDecision DecideMvLocked(const Op& op, Shard& shx, ItemState& item,
                             TxnState& si, AbortReason* why);
 
-  /// Lazily creates the chain's virtual-T0 base version.
-  static void EnsureChainLocked(ItemState& item);
-
   /// Unlinks versions whose writer is dead and reader entries that are
   /// dead (permanent states, so safe under shard(item) alone); counts the
   /// unlinked non-T0 versions as versions_gc. Requires shard(item).mu.
-  void MvUnlinkDeadLocked(Shard& shx, ItemState& item);
+  void MvUnlinkDeadLocked(Shard& shx, MvChain& chain);
 
-  /// Watermark truncation: after unlinking dead state, drops the
-  /// oldest-prefix of versions strictly older than the newest committed
-  /// version whose end and read stamps are both below `watermark` (no live
-  /// or future transaction can see them). Requires shard(item).mu.
-  /// `force` (sweeps: CompactAll, RecoverFrom) bypasses the hysteresis
-  /// gate that the per-commit incremental path uses to skip chains still
-  /// within keep_tail + slack of their floor.
-  void MvPruneLocked(Shard& shx, ItemState& item, uint64_t watermark,
-                     bool force = false);
+  /// Watermark truncation: drops the oldest-prefix of versions below the
+  /// `keep` newest committed ones whose end and read stamps are both below
+  /// `watermark` (no live or future transaction can see them). Requires
+  /// shard(item).mu. `force` (sweeps) bypasses the hysteresis gate that
+  /// the per-commit incremental path uses to skip chains still within
+  /// keep + slack of their floor.
+  void MvPruneLocked(Shard& shx, MvChain& chain, uint64_t watermark,
+                     size_t keep, bool force);
+
+  /// Publishes `watermark`, unlinks dead state from every chain something
+  /// died in since its last scrub, and prunes every chain against the
+  /// watermark, keeping `keep` committed versions each. Every shard mutex
+  /// is held.
+  void MvSweepLocked(uint64_t watermark, size_t keep);
 
   /// Records one attributed phase slice: microseconds into the
   /// "engine.phase.<name>_us" histogram (exemplar-tagged with the
@@ -604,7 +622,9 @@ class ShardedMtkEngine {
   /// stats, trace instant) when try_lock fails first.
   void LockShard(Shard& sh);
 
-  size_t CompactAllLocked();
+  /// CompactAll's body; `periodic` marks the compact_every sweep
+  /// CommitTxn triggers (see EngineOptions::multiversion for the floor).
+  size_t Compact(bool periodic);
 
   EngineOptions options_;
   size_t num_shards_;
@@ -652,13 +672,11 @@ class ShardedMtkEngine {
   /// Versions currently linked (excluding T0 bases); the bounded-memory
   /// acceptance gauge.
   std::atomic<int64_t> live_versions_{0};
-  /// Install counter driving EngineOptions::install_crash.
-  std::atomic<uint64_t> mv_installs_{0};
   /// Bumped (release) right after any store that sets an incarnation's
-  /// aborted bit. Items compare their mv_unlink_epoch against it to skip
+  /// aborted bit. Chains compare their unlink_epoch against it to skip
   /// the per-op dead-unlink walk when nothing can have died. Starts at 1
-  /// so a fresh item (epoch 0) always takes its first unlink, which also
-  /// seeds mv_cover.
+  /// so a fresh chain (epoch 0) always takes its first unlink, which also
+  /// seeds its cover mask.
   std::atomic<uint64_t> mv_dead_epoch_{1};
 
   /// Starvation gauge ("engine.max_consecutive_aborts"); null without a

@@ -73,21 +73,6 @@ struct WalCrashPlan {
   }
 };
 
-/// Engine-side crash schedule for multiversion runs: the `at_install`-th
-/// version install (1-based, engine-wide) crashes the engine's attached WAL
-/// at `point` via ParallelWal::CrashNow, so the process image tears in the
-/// window between a version install and the commit append that would have
-/// made it durable - recovery must rebuild only logged (committed) chains
-/// and drop every version the crash stranded in flight.
-struct MvInstallCrashPlan {
-  WalCrashPoint point = WalCrashPoint::kBeforeFsync;
-  uint64_t at_install = 0;
-
-  bool armed() const {
-    return point != WalCrashPoint::kNone && at_install > 0;
-  }
-};
-
 /// Seeded message-fate oracle. Owns its own Rng so that enabling fault
 /// injection cannot perturb the simulation's workload / think-time
 /// randomness, and a plan with all rates zero consumes no randomness at

@@ -246,11 +246,11 @@ class ParallelWal {
   /// Crashes the WAL NOW, from outside the append path: every further
   /// AppendCommit refuses and Close() truncates each stream to its crash
   /// image. Used by callers whose crash trigger is not an append - the
-  /// engine's MvInstallCrashPlan fires this between a version install and
-  /// the commit append that would have logged it. The point picks the
-  /// image: kBeforeFsync loses every unsynced byte, kMidRecord leaves a
-  /// torn partial-frame tail on one stream, kBetweenStreams completes one
-  /// stream's group fsync while the peers lose theirs. Idempotent and
+  /// multiversion crash sweep fires this right after a version install,
+  /// before the commit append that would have logged it. The point picks
+  /// the image: kBeforeFsync loses every unsynced byte, kMidRecord leaves
+  /// a torn partial-frame tail on one stream, kBetweenStreams completes
+  /// one stream's group fsync while the peers lose theirs. Idempotent and
   /// thread-safe; a no-op for kNone or an already crashed/unusable WAL.
   void CrashNow(WalCrashPoint point);
 

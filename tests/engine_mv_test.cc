@@ -354,40 +354,142 @@ TEST(EngineMvGcTest, WatermarkReclaimsSupersededVersions) {
   engine.CommitTxn(51);
 }
 
+// Aborts `a` through a scripted write conflict on the spare items y and z
+// and leaves it aborted, awaiting RestartTxn. `a` and `r` both read y's
+// version by `wy` (so both order after wy), `a` reads z and `r` then
+// writes z (so a < r). a's write of y now has no slot: after wy's version
+// it would precede its reader r, before it it would precede wy. The
+// starvation fix seeds a's first element just past r's.
+void AbortWithSeed(ShardedMtkEngine& engine, TxnId a, TxnId wy, TxnId r,
+                   ItemId y, ItemId z) {
+  ASSERT_EQ(engine.Process({wy, OpType::kWrite, y}), OpDecision::kAccept);
+  engine.CommitTxn(wy);
+  ASSERT_EQ(engine.Process({a, OpType::kRead, y}), OpDecision::kAccept);
+  ASSERT_EQ(engine.Process({a, OpType::kRead, z}), OpDecision::kAccept);
+  ASSERT_EQ(engine.Process({r, OpType::kRead, y}), OpDecision::kAccept);
+  ASSERT_EQ(engine.Process({r, OpType::kWrite, z}), OpDecision::kAccept);
+  engine.CommitTxn(r);
+  AbortReason why = AbortReason::kNone;
+  ASSERT_EQ(engine.Process({a, OpType::kWrite, y}, &why),
+            OpDecision::kReject);
+  ASSERT_EQ(why, AbortReason::kVersionConflict);
+  ASSERT_TRUE(engine.IsAborted(a));
+}
+
 TEST(EngineMvGcTest, KeepTailPreservesReadFallbackVersions) {
-  // mv_gc_keep_tail keeps the N newest committed versions through the
-  // sweep: future readers whose vectors get pinned by earlier operations
-  // need an older (smaller-element) writer to fall back to, which the
-  // default maximal reclaim (tail 1) can strip. The tail is a per-chain
-  // memory bound, not a watermark override - superseded versions below
-  // the tail still go.
+  // An explicit sweep's floor follows the transaction population: with a
+  // live or aborted transaction each chain keeps the kMvKeepTail newest
+  // committed versions as read fallbacks; with every created transaction
+  // committed it shrinks to the newest one. Superseded versions below the
+  // floor still go either way.
   EngineOptions eo;
   eo.k = 3;
   eo.num_shards = 2;
   eo.multiversion = true;
   eo.starvation_fix = true;
-  eo.mv_gc_keep_tail = 4;
   ShardedMtkEngine engine(eo);
+  const uint64_t tail = ShardedMtkEngine::kMvKeepTail;
 
-  for (TxnId t = 1; t <= 50; ++t) {
-    ASSERT_EQ(engine.Process({t, OpType::kWrite, 0}), OpDecision::kAccept);
-    engine.CommitTxn(t);
-  }
+  TxnId t = 1;
+  auto write_generations = [&](int n) {
+    for (int g = 0; g < n; ++g, ++t) {
+      ASSERT_EQ(engine.Process({t, OpType::kWrite, 0}), OpDecision::kAccept);
+      engine.CommitTxn(t);
+    }
+  };
+
+  // Live: a reader that began after every install pins nothing on item 0,
+  // yet the sweep keeps the tail.
+  write_generations(50);
+  const TxnId live = t++;
+  ASSERT_EQ(engine.Process({live, OpType::kRead, 1}), OpDecision::kAccept);
   engine.CompactAll();
   EngineStats st = engine.stats();
-  EXPECT_EQ(st.live_versions, 4u)
-      << "sweep must keep exactly mv_gc_keep_tail committed versions";
+  EXPECT_EQ(st.live_versions, tail)
+      << "a sweep with a live transaction must keep the tail";
   EXPECT_EQ(st.versions_gc, st.versions_installed - st.live_versions);
   EXPECT_TRUE(engine.MvAuditChains());
 
-  // The surviving tail is the NEWEST four: a fresh reader takes the
-  // newest version (no old-version fallback needed here), and a second
-  // sweep with nothing new reclaims nothing further.
-  ASSERT_EQ(engine.Process({51, OpType::kRead, 0}), OpDecision::kAccept);
-  engine.CommitTxn(51);
+  // Nothing uncommitted: the next sweep shrinks the chain to one version.
+  engine.CommitTxn(live);
   engine.CompactAll();
   st = engine.stats();
-  EXPECT_EQ(st.live_versions, 4u);
+  EXPECT_EQ(st.live_versions, 1u)
+      << "an all-committed sweep must keep only the newest version";
+  EXPECT_TRUE(engine.MvAuditChains());
+
+  // Aborted and awaiting restart: the tail is kept again (items 2 and 3
+  // carry the conflict's own version, one of the 1 + tail survivors).
+  const TxnId a = t++, wy = t++, r = t++;
+  AbortWithSeed(engine, a, wy, r, 2, 3);
+  write_generations(40);
+  engine.CompactAll();
+  st = engine.stats();
+  EXPECT_EQ(st.live_versions, tail + 2)
+      << "a sweep with an aborted transaction must keep the tail";
+  EXPECT_TRUE(engine.MvAuditChains());
+}
+
+TEST(EngineMvGcTest, SeededRestartReadsAfterSweep) {
+  // A starvation-fix restart keeps the vector its rejection seeded, so it
+  // is not free to order before every writer. Here the seed lands past
+  // r's elements but below every later writer of item 0; a sweep that cut
+  // item 0's chain to its newest version would leave the restarted read
+  // nothing to order after.
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = 1;
+  eo.multiversion = true;
+  eo.starvation_fix = true;
+  ShardedMtkEngine engine(eo);
+
+  const TxnId a = 1, wy = 2, r = 3;
+  AbortWithSeed(engine, a, wy, r, /*y=*/1, /*z=*/2);
+  for (TxnId w = 4; w < 10; ++w) {
+    ASSERT_EQ(engine.Process({w, OpType::kWrite, 0}), OpDecision::kAccept);
+    engine.CommitTxn(w);
+  }
+  EXPECT_EQ(Compare(engine.TsSnapshot(a), engine.TsSnapshot(9)).order,
+            VectorOrder::kLess)
+      << "the seed must already order the restart before the newest writer";
+  engine.CompactAll();
+  engine.RestartTxn(a);
+  AbortReason why = AbortReason::kNone;
+  EXPECT_EQ(engine.Process({a, OpType::kRead, 0}, &why), OpDecision::kAccept)
+      << AbortReasonName(why);
+  EXPECT_EQ(engine.stats().read_rejects, 0u);
+  engine.CommitTxn(a);
+  EXPECT_TRUE(engine.MvAuditChains());
+}
+
+TEST(EngineMvGcTest, PeriodicSweepKeepsFallbacksForFreshReaders) {
+  // The compact_every sweep runs mid-traffic, so it keeps the tail even
+  // when it finds everything committed: the next transaction's first read
+  // pins its vector (here just past item 1's writer), and its read of item
+  // 0 must then fall back below item 0's newest writer.
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = 1;
+  eo.multiversion = true;
+  eo.starvation_fix = true;
+  eo.compact_every = 7;  // Fires at the seventh commit below.
+  ShardedMtkEngine engine(eo);
+
+  for (TxnId w = 1; w <= 6; ++w) {
+    ASSERT_EQ(engine.Process({w, OpType::kWrite, 0}), OpDecision::kAccept);
+    engine.CommitTxn(w);
+  }
+  ASSERT_EQ(engine.Process({7, OpType::kWrite, 1}), OpDecision::kAccept);
+  engine.CommitTxn(7);
+  EXPECT_EQ(engine.stats().compactions, 1u);
+  EXPECT_EQ(engine.stats().live_versions, 7u);
+
+  AbortReason why = AbortReason::kNone;
+  ASSERT_EQ(engine.Process({8, OpType::kRead, 1}), OpDecision::kAccept);
+  EXPECT_EQ(engine.Process({8, OpType::kRead, 0}, &why), OpDecision::kAccept)
+      << AbortReasonName(why);
+  EXPECT_EQ(engine.stats().old_version_reads, 1u);
+  engine.CommitTxn(8);
   EXPECT_TRUE(engine.MvAuditChains());
 }
 

@@ -750,8 +750,9 @@ TEST(WalCrashSweepTest, MultiThreadedCrashPoints) {
 // The multiversion half of the sweep: 24 seeds against an engine with
 // version chains and the WAL attached (the engine appends inside CommitTxn,
 // before the commit point). Three seed classes crash inside AppendCommit at
-// the usual WalCrashPoints; the fourth arms MvInstallCrashPlan so the crash
-// fires from the engine's version-install hook mid-ProcessBatch - commits
+// the usual WalCrashPoints; in the fourth the driver calls CrashNow right
+// after its install_at-th accepted write (each one a version install), in
+// the window between a version install and its commit append - commits
 // acknowledged before the install survive, everything after is refused.
 // After recovery a fresh multiversion engine is rebuilt with RecoverFrom
 // and its chains are audited: every recovered transaction is committed with
@@ -764,7 +765,8 @@ TEST(WalCrashSweepTest, MultiversionCrashPoints) {
     std::mt19937_64 rng(0x3F00 + seed);
 
     WalCrashPlan plan;
-    MvInstallCrashPlan iplan;
+    WalCrashPoint install_point = WalCrashPoint::kNone;
+    uint64_t install_at = 0;  // 0 = no driver-side crash.
     const uint64_t mode = seed % 4;
     if (mode != 3) {
       plan.point = mode == 0   ? WalCrashPoint::kBeforeFsync
@@ -773,9 +775,9 @@ TEST(WalCrashSweepTest, MultiversionCrashPoints) {
       plan.at_append = 1 + rng() % 25;
       plan.torn_bytes = 1 + rng() % 40;
     } else {
-      iplan.point = seed % 8 == 3 ? WalCrashPoint::kBeforeFsync
-                                  : WalCrashPoint::kMidRecord;
-      iplan.at_install = 5 + rng() % 40;
+      install_point = seed % 8 == 3 ? WalCrashPoint::kBeforeFsync
+                                    : WalCrashPoint::kMidRecord;
+      install_at = 5 + rng() % 40;
     }
     WalOptions wo;
     wo.dir = dir;
@@ -794,7 +796,6 @@ TEST(WalCrashSweepTest, MultiversionCrashPoints) {
     eo.multiversion = true;
     eo.compact_every = seed % 2 == 0 ? 16 : 0;
     eo.wal = &wal;
-    eo.install_crash = iplan.armed() ? &iplan : nullptr;
     ShardedMtkEngine engine(eo);
 
     // Attached-path driver: the engine logs on CommitTxn, so the oracle is
@@ -803,6 +804,7 @@ TEST(WalCrashSweepTest, MultiversionCrashPoints) {
     // injected crash (a real process would be gone).
     std::map<TxnId, std::vector<ItemId>> committed;
     std::map<TxnId, TimestampVector> vectors;
+    uint64_t installs = 0;
     TxnId next = 1;
     while (committed.size() < 60 && !wal.crashed()) {
       const TxnId txn = next++;
@@ -817,7 +819,10 @@ TEST(WalCrashSweepTest, MultiversionCrashPoints) {
           op.type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
           op.item = static_cast<ItemId>(rng() % 32);
           ok = engine.Process(op) != OpDecision::kReject;
-          if (ok && op.type == OpType::kWrite) writes.push_back(op.item);
+          if (ok && op.type == OpType::kWrite) {
+            writes.push_back(op.item);
+            if (++installs == install_at) wal.CrashNow(install_point);
+          }
         }
         if (!ok) {
           engine.RestartTxn(txn);
@@ -833,7 +838,7 @@ TEST(WalCrashSweepTest, MultiversionCrashPoints) {
       }
     }
     wal.Close();
-    EXPECT_EQ(wal.crashed(), plan.armed() || iplan.armed());
+    EXPECT_EQ(wal.crashed(), plan.armed() || install_at != 0);
 
     WalRecovery rec = ParallelWal::Recover(dir);
     ASSERT_TRUE(rec.ok) << rec.error;
@@ -852,7 +857,6 @@ TEST(WalCrashSweepTest, MultiversionCrashPoints) {
     // Rebuild with version chains and audit them.
     EngineOptions ro = eo;
     ro.wal = nullptr;
-    ro.install_crash = nullptr;
     ShardedMtkEngine recovered(ro);
     ASSERT_EQ(recovered.RecoverFrom(rec), rec.records.size());
     std::set<ItemId> recovered_items;
