@@ -292,6 +292,17 @@ Decided<Ref> Decide(OpType type, const Ref& jr, const Ref& jw, const Ref& i,
   return {OpDecision::kReject, &j};  // Line 14.
 }
 
+/// Section III-D-4 starvation seeding, the one copy behind MtkScheduler,
+/// VectorTable (and through it the MV scheduler) and the engine: flushes
+/// out TS(i) and seeds TS(i,1) := TS(j,1) + 1 - or 1 when the blocker's
+/// first element is undefined - so the restarted incarnation is ordered
+/// after the transaction that caused the abort.
+inline void SeedAfter(TimestampVector& ts, const TimestampVector& blocker) {
+  const TsElement seed = blocker.IsDefined(0) ? blocker.Get(0) + 1 : 1;
+  ts.Reset();
+  ts.Set(0, seed);
+}
+
 }  // namespace mdts
 
 #endif  // MDTS_CORE_ENCODING_H_

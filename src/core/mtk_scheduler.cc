@@ -108,17 +108,6 @@ bool MtkScheduler::SetStates(TxnState& sj, TxnState& si, TxnId j, TxnId i,
   return true;
 }
 
-void MtkScheduler::ApplyStarvationSeed(TxnState& aborted,
-                                       const TxnState& blocker) {
-  // Section III-D-4: flush out TS(i) and seed TS(i,1) := TS(j,1) + 1 so the
-  // restarted incarnation is ordered after the blocking transaction.
-  TimestampVector& ti = aborted.ts;
-  const TimestampVector& tj = blocker.ts;
-  assert(tj.IsDefined(0));
-  ti.Reset();
-  ti.Set(0, tj.Get(0) + 1);
-}
-
 OpDecision MtkScheduler::Process(const Op& op) {
   ++ops_processed_;
   current_op_ = op;
@@ -181,7 +170,7 @@ OpDecision MtkScheduler::Process(const Op& op) {
       // set_failure_ carries the cause recorded by the SetStates call that
       // refused the dependency (kLexOrder or kEncodingExhausted).
       state.aborted = true;
-      if (options_.starvation_fix) ApplyStarvationSeed(state, *d.j->state);
+      if (options_.starvation_fix) SeedAfter(state.ts, d.j->state->ts);
       return refuse(set_failure_, d.j->txn);
   }
   return d.decision;
@@ -213,7 +202,7 @@ void MtkScheduler::RestartTxn(TxnId txn) {
   if (!options_.starvation_fix) {
     s.ts.Reset();  // Fresh, fully undefined vector.
   }
-  // With the fix the seeded vector from ApplyStarvationSeed is kept.
+  // With the fix the seeded vector from SeedAfter is kept.
 }
 
 bool MtkScheduler::IsAborted(TxnId txn) const {

@@ -255,8 +255,6 @@ class MtkScheduler {
 
   void RecordEncoding(TxnId from, TxnId to);
 
-  void ApplyStarvationSeed(TxnState& aborted, const TxnState& blocker);
-
   VectorCompareResult CompareStates(const TxnState& a, const TxnState& b);
 
   MtkOptions options_;

@@ -36,14 +36,6 @@ bool VectorTable::Set(uint32_t j, uint32_t i, StripedCounters& counters,
 
 void VectorTable::Reset(uint32_t id) { Mutable(id).Reset(); }
 
-void VectorTable::SeedAfter(uint32_t id, uint32_t blocker) {
-  const TimestampVector& b = Mutable(blocker);
-  const TsElement seed = b.IsDefined(0) ? b.Get(0) + 1 : 1;
-  TimestampVector& v = Mutable(id);
-  v.Reset();
-  v.Set(0, seed);
-}
-
 size_t VectorTable::ReleaseBelow(uint32_t min_live_id) {
   size_t released = 0;
   while (base_ < min_live_id && !vectors_.empty()) {

@@ -46,10 +46,11 @@ class VectorTable {
   /// Resets an entity's vector to fully undefined (abort support).
   void Reset(uint32_t id);
 
-  /// Section III-D-4 starvation seeding: flushes the entity's vector and
-  /// sets its first element just past the blocker's, so the restarted
-  /// incarnation is ordered after the transaction that caused the abort.
-  void SeedAfter(uint32_t id, uint32_t blocker);
+  /// Section III-D-4 starvation seeding of the entity's vector past the
+  /// blocker's (core/encoding.h SeedAfter).
+  void SeedAfter(uint32_t id, uint32_t blocker) {
+    mdts::SeedAfter(Mutable(id), Mutable(blocker));
+  }
 
   /// Compaction (Section III-D-6a/b storage reclamation, applied to the
   /// vectors themselves): drops every vector with 0 < id < min_live_id.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <mutex>
 #include <queue>
 #include <set>
 
@@ -180,12 +181,6 @@ class DmtSim {
                                             : &GlobalMetrics();
     h_response_ = registry_->GetHistogram("dmt.response_time_us");
     h_backoff_ = registry_->GetHistogram("dmt.restart_backoff_us");
-    c_committed_ = registry_->GetCounter("dmt.committed");
-    for (size_t r = 1; r < kNumAbortReasons; ++r) {
-      c_aborts_[r] = registry_->GetCounter(
-          std::string("dmt.aborts.") +
-          AbortReasonName(static_cast<AbortReason>(r)));
-    }
     g_consec_aborts_ = registry_->GetGauge("dmt.max_consecutive_aborts");
     tracing_ = options_.spans != nullptr || options_.paths != nullptr;
     trace_mask_ = options_.trace_sample_shift >= 32
@@ -196,10 +191,7 @@ class DmtSim {
         const char* seg = DistSegmentName(static_cast<DistSegment>(s));
         h_path_[s] = registry_->GetHistogram(std::string("dmt.path.") + seg +
                                              "_us");
-        c_cpath_[s] = registry_->GetCounter(
-            std::string("dmt.critical_path.") + seg + "_us");
       }
-      c_cpath_total_ = registry_->GetCounter("dmt.critical_path.total_us");
     }
   }
 
@@ -275,7 +267,9 @@ class DmtSim {
   bool AbandonContext(uint64_t ctx_id, AbortReason reason);
   void HandleAbort(TxnId txn, AbortReason reason);
   void MaybeCompactVectors();
-  void PublishMetrics();
+  /// The run's registry collector: result_'s counters under their "dmt.*"
+  /// names. Requires result_mu_.
+  void AppendMetricsLocked(MetricsSnapshot& out) const;
 
   // --- Distributed tracer (active iff options_.spans or options_.paths;
   // every hook is gated on tracing_, draws no randomness and pushes no
@@ -299,6 +293,11 @@ class DmtSim {
   double timeout_ = 0.0;
   double lease_ = 0.0;
   DmtResult result_;
+  /// Guards result_ against the registry collector, which a snapshot on
+  /// another thread (a live exporter) may run mid-simulation: held while
+  /// an event is handled, except a sampler tick, which runs the collector
+  /// itself.
+  mutable std::mutex result_mu_;
   double now_ = 0.0;
   uint64_t seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> queue_;
@@ -321,16 +320,14 @@ class DmtSim {
   TxnId next_to_start_ = 1;
   double total_response_ = 0.0;
 
-  // Registry (never null: DmtOptions::metrics or GlobalMetrics()). The
-  // headline instruments record live per event - commits, per-reason
-  // aborts, the consecutive-abort gauge, and the two histograms - so an
-  // attached sampler sees windowed rates; the remaining counters are
-  // published once by PublishMetrics() at the end of Run().
+  // Registry (never null: DmtOptions::metrics or GlobalMetrics()). Run()
+  // registers a collector over the in-progress result_ - every counter is
+  // live, so an attached sampler sees windowed rates - and removes it at
+  // the end, which folds the final values into the registry. The
+  // consecutive-abort gauge and the histograms record per event.
   MetricsRegistry* registry_ = nullptr;
   Histogram* h_response_ = nullptr;
   Histogram* h_backoff_ = nullptr;
-  Counter* c_committed_ = nullptr;
-  Counter* c_aborts_[kNumAbortReasons] = {};
   Gauge* g_consec_aborts_ = nullptr;
 
   // Distributed tracer state (see the helper block above).
@@ -339,8 +336,6 @@ class DmtSim {
   uint64_t next_span_id_ = 0;
   std::vector<TxnTrace> traces_;
   Histogram* h_path_[kNumDistSegments] = {};
-  Counter* c_cpath_[kNumDistSegments] = {};
-  Counter* c_cpath_total_ = nullptr;
 };
 
 void DmtSim::Push(double time, Event::Kind kind, TxnId txn, uint64_t ctx,
@@ -489,11 +484,9 @@ void DmtSim::ExtractPath(TxnId txn, bool committed) {
     const uint64_t us = tr.seg_us[s];
     result_.path_seg_us[s] += us;
     total += us;
-    c_cpath_[s]->Add(us);
     if (us > 0) h_path_[s]->RecordWithExemplar(us, txn);
   }
   result_.path_total_us += total;
-  c_cpath_total_->Add(total);
   ++result_.paths_extracted;
   MDTS_TRACE_AT_ARG("dmt.path", 'i', 2, VectorSite(txn), SimUs(), "txn", txn);
   if (options_.paths != nullptr) {
@@ -841,37 +834,42 @@ bool DmtSim::AbandonContext(uint64_t ctx_id, AbortReason reason) {
   return true;
 }
 
-void DmtSim::PublishMetrics() {
-  // One Add per counter at the end of the run: the registry deltas exactly
-  // equal this run's DmtResult fields (the reconciliation test's invariant),
-  // and the global registry keeps accumulating across runs.
-  auto add = [&](const char* name, uint64_t v) {
-    registry_->GetCounter(name)->Add(v);
+void DmtSim::AppendMetricsLocked(MetricsSnapshot& out) const {
+  auto counter = [&out](std::string name, uint64_t v) {
+    out.counters.emplace_back(std::move(name), v);
   };
-  // "dmt.committed" and "dmt.aborts.<reason>" are NOT published here: they
-  // record live (per commit / per abort), which keeps the end-of-run
-  // registry deltas identical while letting a sampler derive rates.
-  add("dmt.gave_up", result_.gave_up);
-  add("dmt.messages_sent", result_.messages_sent);
-  add("dmt.messages_dropped", result_.messages_dropped);
-  add("dmt.messages_duplicated", result_.messages_duplicated);
-  add("dmt.lock_waits", result_.lock_waits);
-  add("dmt.lock_retries", result_.lock_retries);
-  add("dmt.timeout_give_ups", result_.timeout_give_ups);
-  add("dmt.lease_reclaims", result_.lease_reclaims);
-  add("dmt.down_site_aborts", result_.down_site_aborts);
-  add("dmt.ops_scheduled", result_.ops_scheduled);
-  add("dmt.vectors_released", result_.vectors_released);
+  counter("dmt.committed", result_.committed);
+  for (size_t r = 1; r < kNumAbortReasons; ++r) {
+    const AbortReason reason = static_cast<AbortReason>(r);
+    counter(std::string("dmt.aborts.") + AbortReasonName(reason),
+            result_.abort_reasons[reason]);
+  }
+  counter("dmt.gave_up", result_.gave_up);
+  counter("dmt.messages_sent", result_.messages_sent);
+  counter("dmt.messages_dropped", result_.messages_dropped);
+  counter("dmt.messages_duplicated", result_.messages_duplicated);
+  counter("dmt.lock_waits", result_.lock_waits);
+  counter("dmt.lock_retries", result_.lock_retries);
+  counter("dmt.timeout_give_ups", result_.timeout_give_ups);
+  counter("dmt.lease_reclaims", result_.lease_reclaims);
+  counter("dmt.down_site_aborts", result_.down_site_aborts);
+  counter("dmt.ops_scheduled", result_.ops_scheduled);
+  counter("dmt.vectors_released", result_.vectors_released);
   // Tracer counters only exist when tracing is attached, so an untraced
-  // run's registry is untouched. "dmt.path.*_us" histograms and the
-  // "dmt.critical_path.*" counters record live at path extraction.
+  // run's registry is untouched.
   if (tracing_) {
-    add("dmt.spans_opened", result_.spans_opened);
-    add("dmt.spans_closed", result_.spans_closed);
-    add("dmt.spans_aborted", result_.spans_aborted);
-    add("dmt.hops_recorded", result_.hops_recorded);
-    add("dmt.dup_hops_ignored", result_.dup_hops_ignored);
-    add("dmt.paths_extracted", result_.paths_extracted);
+    counter("dmt.spans_opened", result_.spans_opened);
+    counter("dmt.spans_closed", result_.spans_closed);
+    counter("dmt.spans_aborted", result_.spans_aborted);
+    counter("dmt.hops_recorded", result_.hops_recorded);
+    counter("dmt.dup_hops_ignored", result_.dup_hops_ignored);
+    counter("dmt.paths_extracted", result_.paths_extracted);
+    for (size_t seg = 0; seg < kNumDistSegments; ++seg) {
+      counter(std::string("dmt.critical_path.") +
+                  DistSegmentName(static_cast<DistSegment>(seg)) + "_us",
+              result_.path_seg_us[seg]);
+    }
+    counter("dmt.critical_path.total_us", result_.path_total_us);
   }
 }
 
@@ -930,18 +928,14 @@ void DmtSim::HandleAbort(TxnId txn, AbortReason reason) {
   if (tracing_) CloseSeg(txn, /*aborted=*/true);
   ++result_.aborts;
   result_.abort_reasons.Add(reason);
-  c_aborts_[static_cast<size_t>(reason)]->Add(1);
   MDTS_TRACE_AT_ARG(AbortReasonName(reason), 'i', 2, VectorSite(txn),
                     SimUs(), "txn", txn);
   if (options_.flight != nullptr) {
     // DMT aborts (timeouts, lease reclaims, down sites) have no single
     // blocking transaction; the vector still tells the auditor how far the
     // incarnation's ordering had progressed.
-    const uint32_t site = VectorSite(txn);
-    options_.flight->RecordAbort(site, txn, reason, /*blocker=*/0,
-                                 /*op=*/nullptr,
-                                 site < 32 ? (1u << site) : 0, &Ts(txn),
-                                 SimUs());
+    options_.flight->RecordAbort(VectorSite(txn), txn, reason, /*blocker=*/0,
+                                 /*op=*/nullptr, &Ts(txn), SimUs());
   }
   ++rt.attempts;
   ++rt.consecutive_aborts;
@@ -1013,10 +1007,25 @@ DmtResult DmtSim::Run() {
     }
   }
 
+  registry_->AddCollector(this, [this](MetricsSnapshot& out) {
+    std::lock_guard<std::mutex> g(result_mu_);
+    AppendMetricsLocked(out);
+  });
   while (!queue_.empty()) {
     const Event ev = queue_.top();
     queue_.pop();
     now_ = ev.time;
+    if (ev.kind == Event::Kind::kSample) {
+      // Deterministic windowed telemetry: ticks ride the simulated
+      // clock, so equal seeds produce equal series and watchdog alerts.
+      // Not under result_mu_: the tick's snapshot runs the collector.
+      options_.sampler->TickOnce(now_);
+      if (result_.committed + result_.gave_up < options_.num_txns) {
+        Push(now_ + options_.sample_interval, Event::Kind::kSample, 0, 0, 0);
+      }
+      continue;
+    }
+    std::lock_guard<std::mutex> g(result_mu_);
     switch (ev.kind) {
       case Event::Kind::kCounterSync: {
         // Synchronize reachable sites' counters to the global extremes,
@@ -1029,16 +1038,8 @@ DmtResult DmtSim::Run() {
         }
         break;
       }
-      case Event::Kind::kSample: {
-        // Deterministic windowed telemetry: ticks ride the simulated
-        // clock, so equal seeds produce equal series and watchdog alerts.
-        options_.sampler->TickOnce(now_);
-        if (result_.committed + result_.gave_up < options_.num_txns) {
-          Push(now_ + options_.sample_interval, Event::Kind::kSample, 0, 0,
-               0);
-        }
-        break;
-      }
+      case Event::Kind::kSample:
+        break;  // Handled above.
       case Event::Kind::kSiteCrash:
         OnSiteCrash(static_cast<uint32_t>(ev.gen));
         break;
@@ -1076,7 +1077,6 @@ DmtResult DmtSim::Run() {
         }
         if (rt.next_op >= rt.program.size()) {
           ++result_.committed;
-          c_committed_->Add(1);
           rt.done = true;
           rt.committed = true;
           rt.committed_incarnation = rt.incarnation;
@@ -1088,9 +1088,8 @@ DmtResult DmtSim::Run() {
           MDTS_TRACE_AT_ARG("dmt.commit", 'i', 2, VectorSite(ev.txn),
                             SimUs(), "txn", ev.txn);
           if (options_.flight != nullptr) {
-            const uint32_t site = VectorSite(ev.txn);
-            options_.flight->RecordCommit(site, ev.txn, Ts(ev.txn),
-                                          site < 32 ? (1u << site) : 0, {},
+            options_.flight->RecordCommit(VectorSite(ev.txn), ev.txn,
+                                          Ts(ev.txn), {},
                                           /*phase_us=*/nullptr, SimUs());
           }
           if (tracing_) {
@@ -1164,10 +1163,10 @@ DmtResult DmtSim::Run() {
     result_.p99_response_time = Percentile(response_times_, 99);
   }
   result_.final_live_vectors = table_.live_vectors();
-  PublishMetrics();
+  registry_->RemoveCollector(this);
   if (options_.sampler != nullptr && options_.sample_interval > 0) {
-    // Close the series: the final window also captures the end-of-run
-    // counter publication above.
+    // Close the series: the final window also captures the counters the
+    // collector's removal folded into the registry.
     options_.sampler->TickOnce(now_ + options_.sample_interval);
   }
   return result_;

@@ -87,12 +87,12 @@ struct DmtOptions {
   /// Registry the run publishes its "dmt.*" counters and latency histograms
   /// into. Null means the process-wide GlobalMetrics() - DMT metrics are
   /// always on; pass a private registry to isolate a run (as the
-  /// reconciliation tests do). The headline series - "dmt.committed",
-  /// "dmt.aborts.<reason>", the gauge "dmt.max_consecutive_aborts", and the
-  /// response-time / restart-backoff histograms - record live, per event
-  /// (so an attached Sampler sees windowed rates); the remaining counters
-  /// are added once at the end of the run. Either way the registry deltas
-  /// over a run exactly equal the DmtResult fields.
+  /// reconciliation tests do). The run registers a collector over its
+  /// in-progress DmtResult, so every "dmt.*" counter is live (an attached
+  /// Sampler sees windowed rates), and removes it at the end, folding the
+  /// final values into the registry: the registry deltas over a run exactly
+  /// equal the DmtResult fields. The gauge "dmt.max_consecutive_aborts" and
+  /// the response-time / restart-backoff histograms record per event.
   MetricsRegistry* metrics = nullptr;
 
   /// Sampler ticked on SIMULATED time every `sample_interval` time units

@@ -98,6 +98,8 @@ struct ShardLockSet {
 ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
     : options_(options),
       num_shards_(options.num_shards < 1 ? 1 : options.num_shards),
+      track_writes_(options.wal != nullptr || options.flight != nullptr ||
+                    options.multiversion),
       t0_(options.k) {
   // Multiversion chain state lives behind ItemState::mv; nothing of it
   // may creep back into the item state every single-version item pays for.
@@ -262,29 +264,10 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
 OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
                                           ItemState& item, TxnState& si,
                                           const LiveRef& jr,
-                                          const LiveRef& jw,
+                                          const LiveRef& jw, bool hot,
                                           AbortReason* why) {
-  EngineStats& st = shx.stats;
   const TxnId i = op.txn;
-
-  auto refuse = [&](AbortReason reason, TxnId blocker = kVirtualTxn) {
-    ++st.rejected;
-    st.reject_reasons.Add(reason);
-    NoteRejectLocked(shx, reason, op, blocker);
-    if (why != nullptr) *why = reason;
-    return OpDecision::kReject;
-  };
-  const uint64_t wi = si.life;  // Owner shard held: no concurrent writer.
-  if (LifeAborted(wi) || LifeCommitted(wi)) {
-    return refuse(AbortReason::kStaleTxn);
-  }
-  const uint32_t inc_i = LifeIncarnation(wi);
-
-  // Section III-D-5 hot-item detection, counted exactly as MtkScheduler
-  // does: decided non-stale operations bump the per-item access count, and
-  // the operation that crosses the threshold is itself encoded plainly.
-  const bool hot = item.access_count >= options_.hot_item_threshold;
-  ++item.access_count;
+  const uint32_t inc_i = LifeIncarnation(si.life);
 
   // Cause recorded by the SetStates call that refused the dependency.
   AbortReason cause = AbortReason::kNone;
@@ -311,20 +294,7 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
     void PushWriter() {
       item.writers.push_back(me);
       item.top_writer = me;
-      // Writes are tracked for the WAL's commit record (CommitTxn swaps
-      // the list out; RestartTxn and the batch throttle clear it). With
-      // only a flight recorder attached the fixed-size fw fields suffice -
-      // the commit record wants the first kMaxWrites items, the count, and
-      // the shard mask, and the array costs no allocation.
-      if (e->options_.wal != nullptr) {
-        si.writes.push_back(op.item);
-      } else if (e->options_.flight != nullptr) {
-        if (si.fw_total < FlightRecorder::kMaxWrites) {
-          si.fw[si.fw_total] = op.item;
-        }
-        ++si.fw_total;
-        si.fw_mask |= ShardBit(shx.index);
-      }
+      if (e->track_writes_) AddWrite(si, op.item);
     }
   };
   Policy policy{this, shx, item, si, op, {i, inc_i}, hot, &cause,
@@ -333,31 +303,18 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   const auto d = Decide(op.type, jr, jw, LiveRef{i, inc_i, &si}, policy);
   switch (d.decision) {
     case OpDecision::kAccept:
-      ++st.accepted;
+      ++shx.stats.accepted;
       return OpDecision::kAccept;
     case OpDecision::kIgnore:
-      ++st.ignored_writes;
+      ++shx.stats.ignored_writes;
       return OpDecision::kIgnore;
     case OpDecision::kReject:
       break;
   }
   const LiveRef& j = *d.j;
-  StoreLife(si, wi | 1);
-  if (options_.flight != nullptr) {
-    // Captured before the starvation-fix reset flushes TS(i).
-    options_.flight->RecordAbort(
-        i, i, cause, j.txn, &op,
-        ShardBit(shx.index) | ShardBit(ShardIndex(i)), &si.ts,
-        FlightRecorder::CoarseNowUs());
-  }
-  if (options_.starvation_fix) {
-    // Section III-D-4: flush TS(i), seed past the blocker.
-    const TimestampVector& tb = j.state->ts;
-    assert(tb.IsDefined(0));
-    si.ts.Reset();
-    si.ts.Set(0, tb.Get(0) + 1);
-  }
-  return refuse(cause, j.txn);
+  AbortLocked(shx, op, cause, j.txn, si, why);
+  if (options_.starvation_fix) SeedAfter(si.ts, j.state->ts);
+  return OpDecision::kReject;
 }
 
 void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, MvChain& chain) {
@@ -519,41 +476,25 @@ void ShardedMtkEngine::MvSweepLocked(uint64_t watermark, size_t keep) {
 }
 
 OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
-                                            ItemState& item, TxnState& si,
-                                            AbortReason* why) {
+                                            MvChain& chain, TxnState& si,
+                                            bool hot, AbortReason* why) {
   EngineStats& st = shx.stats;
   const TxnId i = op.txn;
-
-  auto refuse = [&](AbortReason reason, TxnId blocker = kVirtualTxn) {
-    ++st.rejected;
-    st.reject_reasons.Add(reason);
-    NoteRejectLocked(shx, reason, op, blocker);
-    if (why != nullptr) *why = reason;
-    return OpDecision::kReject;
-  };
   auto accept = [&]() {
     ++st.accepted;
     return OpDecision::kAccept;
   };
 
-  const uint64_t wi = si.life;  // Owner shard held: no concurrent writer.
-  if (LifeAborted(wi) || LifeCommitted(wi)) {
-    return refuse(AbortReason::kStaleTxn);
-  }
-  const uint32_t inc_i = LifeIncarnation(wi);
+  const uint32_t inc_i = LifeIncarnation(si.life);
   if (si.begin_stamp == 0) {
     // First decided operation of the incarnation: pin the GC horizon.
     si.begin_stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  const bool hot = item.access_count >= options_.hot_item_threshold;
-  ++item.access_count;
-
   // Combined chain view, oldest first: older[0..n_old) then newest. Every
   // entry is live - MvUnlinkDeadLocked ran under this lock and the batch
   // lockset covers every chain writer's and reader's shard, freezing their
   // liveness words and vectors for the whole decision.
-  MvChain& chain = *item.mv;
   const size_t n_old = chain.older.size();
   const size_t chain_len = n_old + 1;
   auto version_at = [&](size_t idx) -> MvVersion& {
@@ -587,18 +528,10 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     }
     // Only reachable in degenerate vector states (every writer including
     // T0 refused the encoding). No starvation seeding, matching the
-    // scheduler: the blocker set is the whole chain, not one transaction.
+    // scheduler, and blocker T0: the blocker set is the whole chain, not
+    // one transaction.
     ++st.read_rejects;
-    StoreLife(si, wi | 1);
-    mv_dead_epoch_.fetch_add(1, std::memory_order_release);
-    if (options_.flight != nullptr) {
-      // Blocker 0: the whole chain refused, no single fixing transaction.
-      options_.flight->RecordAbort(
-          i, i, cause, kVirtualTxn, &op,
-          ShardBit(shx.index) | ShardBit(ShardIndex(i)), &si.ts,
-          FlightRecorder::CoarseNowUs());
-    }
-    return refuse(cause);
+    return AbortLocked(shx, op, cause, kVirtualTxn, si, why);
   }
 
   // Write: two-phase placement. Phase 1 (no encoding) finds the NEWEST
@@ -607,7 +540,9 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
   // writer(j+1), (c) no live reader of any version up to j already ordered
   // after T_i (a reader of an older version precedes the writer of every
   // newer version - the MVSG rule).
-  Access blocker{};  // kVirtualTxn: SeedAfter's default blocker.
+  // kVirtualTxn when no one accessor fixed the infeasibility (the seed
+  // then lands just past T0).
+  Access blocker{};
   size_t chosen = chain_len;  // Sentinel: no slot found yet.
   {
     bool blocked_by_reader = false;
@@ -658,36 +593,12 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     }
   }
 
-  auto reject_write = [&]() {
-    StoreLife(si, wi | 1);
-    mv_dead_epoch_.fetch_add(1, std::memory_order_release);
-    if (options_.flight != nullptr) {
-      // Captured before SeedAfter flushes TS(i). blocker.txn can be
-      // kVirtualTxn when no one accessor fixed the infeasibility.
-      options_.flight->RecordAbort(
-          i, i, AbortReason::kVersionConflict, blocker.txn, &op,
-          ShardBit(shx.index) | ShardBit(ShardIndex(i)), &si.ts,
-          FlightRecorder::CoarseNowUs());
-    }
-    if (options_.starvation_fix) {
-      // VectorTable::SeedAfter semantics: flush TS(i), seed just past the
-      // blocker's first element (1 when the blocker has none).
-      const TimestampVector& tb = PeekState(blocker.txn)->ts;
-      si.ts.Reset();
-      si.ts.Set(0, tb.IsDefined(0) ? tb.Get(0) + 1 : 1);
-    }
-    return refuse(AbortReason::kVersionConflict, blocker.txn);
-  };
-  if (chosen == chain_len) {
-    return reject_write();
-  }
-
   // Phase 2: encode the chosen placement. Each Set was pre-checked as
   // not-determined-opposite, but an earlier encode can incidentally fix a
   // later pair the wrong way; bail out safely (encodings only ever add
   // constraints) in that rare case.
-  bool ok = true;
-  {
+  bool ok = chosen != chain_len;
+  if (ok) {
     const Access pred = version_at(chosen).writer;
     if (pred.txn != i &&
         !SetStates(shx, *PeekState(pred.txn), si, pred.txn, i, hot,
@@ -716,7 +627,9 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     }
   }
   if (!ok) {
-    return reject_write();
+    AbortLocked(shx, op, AbortReason::kVersionConflict, blocker.txn, si, why);
+    if (options_.starvation_fix) SeedAfter(si.ts, PeekState(blocker.txn)->ts);
+    return OpDecision::kReject;
   }
 
   // Install after chain index `chosen`. The stamp orders the install on
@@ -742,9 +655,9 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
   }
   ++st.versions_installed;
   live_versions_.fetch_add(1, std::memory_order_relaxed);
-  // CommitTxn prunes the written chains (and the WAL logs the write set),
-  // so multiversion mode always tracks writes.
-  si.writes.push_back(op.item);
+  // CommitTxn prunes the written chains, so multiversion mode always
+  // tracks writes (track_writes_).
+  AddWrite(si, op.item);
   return accept();
 }
 
@@ -780,15 +693,37 @@ void ShardedMtkEngine::SetActiveK(size_t k) {
   active_k_.store(static_cast<uint32_t>(k), std::memory_order_relaxed);
 }
 
-void ShardedMtkEngine::NoteRejectLocked(Shard& shx, AbortReason reason,
-                                        const Op& op, TxnId blocker,
-                                        uint64_t fallback_round) {
+OpDecision ShardedMtkEngine::RejectLocked(Shard& shx, const Op& op,
+                                          AbortReason reason, TxnId blocker,
+                                          const TxnState* si,
+                                          AbortReason* why,
+                                          uint64_t fallback_round) {
+  ++shx.stats.rejected;
+  shx.stats.reject_reasons.Add(reason);
   RejectRecord& r = shx.last_reject;
   r.seq = reject_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   r.reason = reason;
   r.op = op;
   r.blocker = blocker;
   r.fallback_round = fallback_round;
+  if (why != nullptr) *why = reason;
+  if (options_.flight != nullptr) {
+    options_.flight->RecordAbort(op.txn, op.txn, reason, blocker, &op,
+                                 si != nullptr ? &si->ts : nullptr,
+                                 FlightRecorder::CoarseNowUs());
+  }
+  return OpDecision::kReject;
+}
+
+OpDecision ShardedMtkEngine::AbortLocked(Shard& shx, const Op& op,
+                                         AbortReason reason, TxnId blocker,
+                                         TxnState& si, AbortReason* why,
+                                         uint64_t fallback_round) {
+  StoreLife(si, si.life | 1);
+  if (options_.multiversion) {
+    mv_dead_epoch_.fetch_add(1, std::memory_order_release);
+  }
+  return RejectLocked(shx, op, reason, blocker, &si, why, fallback_round);
 }
 
 std::string ShardedMtkEngine::ExplainLastReject() const {
@@ -863,15 +798,15 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
   // restarts and rejoins, and no transaction ever reaches CommitTxn - the
   // benched batch>=8 collapse at 64 items). Commit-free multi-op batches
   // are that livelock's engine-wide signature, so after
-  // batch_fallback_rounds of them admission is serialized: one transaction
+  // kBatchFallbackRounds of them admission is serialized: one transaction
   // is elected champion and every other batched operation is throttled
   // until the champion commits.
   TxnId champion = kVirtualTxn;
-  if (n >= 2 && options_.batch_fallback_rounds > 0) {
+  if (n >= 2) {
     uint64_t cur = fallback_champion_.load(std::memory_order_acquire);
     if (cur == 0 &&
         batches_since_commit_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-            options_.batch_fallback_rounds) {
+            kBatchFallbackRounds) {
       TxnId cand = kVirtualTxn;
       for (const Op& op : ops) {
         if (op.txn != kVirtualTxn) {
@@ -901,7 +836,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         champion_missing_.store(0, std::memory_order_relaxed);
       } else if (champion_missing_.fetch_add(1, std::memory_order_relaxed) +
                      1 >=
-                 options_.batch_fallback_rounds) {
+                 kBatchFallbackRounds) {
         // The champion stopped submitting batches (its issuer gave up or
         // commits through another path): depose it so peers can progress.
         fallback_champion_.compare_exchange_strong(
@@ -1021,16 +956,6 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       next.overflow |= need.overflow;
       return false;
     };
-    // Single- vs cross-shard is read off the lockset held at decision
-    // time, extensions included.
-    auto count_admission = [&](Shard& shx) {
-      if (all || want.count > 1) {
-        ++shx.stats.cross_shard_ops;
-      } else {
-        ++shx.stats.single_shard_ops;
-      }
-    };
-
     for (size_t q = 0; q < n; ++q) {
       if (decided[q] != 0) continue;
       const Op& op = ops[q];
@@ -1039,138 +964,117 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       if (op.txn == kVirtualTxn) {
         // T0 is virtual; it issues no operations. Not an admission
         // decision, so the single/cross-shard counters stay untouched.
-        ++shx.stats.rejected;
-        shx.stats.reject_reasons.Add(AbortReason::kInvalidOp);
-        NoteRejectLocked(shx, AbortReason::kInvalidOp, op, kVirtualTxn);
-        if (why != nullptr) *why = AbortReason::kInvalidOp;
-        decisions[q] = OpDecision::kReject;
+        decisions[q] = RejectLocked(shx, op, AbortReason::kInvalidOp,
+                                    kVirtualTxn, nullptr, why);
         decided[q] = 1;
         --undecided;
         continue;
       }
       Shard& shi = ShardForTxn(op.txn);
       TxnState& si = StateLocked(shi, op.txn);
-      if (champion != kVirtualTxn && op.txn != champion) {
-        // Serialized-admission fallback: throttle every non-champion
-        // operation. Decided in round one - shi and shx are always in the
-        // round-one lockset - and counted as a normal admission decision
-        // so the accepted + ignored + rejected == single + cross invariant
-        // holds. The vector reset (and no starvation seeding) keeps the
-        // throttled transaction from rejoining as a super-competitor that
-        // could outrank the champion.
-        count_admission(shx);
-        const uint64_t wi = si.life;
-        AbortReason reason = AbortReason::kBatchThrottled;
-        if (LifeAborted(wi) || LifeCommitted(wi)) {
-          reason = AbortReason::kStaleTxn;
-        } else {
-          if (options_.flight != nullptr) {
-            // Captured before the throttle reset flushes TS(i); the
-            // champion is the blocker the throttled peer waits out.
-            options_.flight->RecordAbort(
-                op.txn, op.txn, reason, champion, &op,
-                ShardBit(ShardIndex(op.item)) |
-                    ShardBit(ShardIndex(op.txn)),
-                &si.ts, FlightRecorder::CoarseNowUs());
-          }
-          si.ts.Reset();
-          si.writes.clear();
-          si.fw_total = 0;
-          si.fw_mask = 0;
-          StoreLife(si, wi | 1);
-          if (options_.multiversion) {
-            mv_dead_epoch_.fetch_add(1, std::memory_order_release);
-          }
-        }
-        ++shx.stats.rejected;
-        shx.stats.reject_reasons.Add(reason);
-        NoteRejectLocked(
-            shx, reason, op,
-            reason == AbortReason::kBatchThrottled ? champion : kVirtualTxn,
-            reason == AbortReason::kBatchThrottled
-                ? batch_fallbacks_.load(std::memory_order_relaxed)
-                : 0);
-        if (why != nullptr) *why = reason;
-        decisions[q] = OpDecision::kReject;
-        decided[q] = 1;
-        --undecided;
-        continue;
-      }
-      ItemState& item = ItemLocked(shx, op.item);
-      if (options_.multiversion) {
-        // Multiversion decisions touch every live chain writer's and
-        // reader's vector (reads order against writers; writes also
-        // against readers), so the lockset must cover all their shards -
-        // the MV analogue of the single-version top-accessor coverage.
-        // Unlinking dead chain state first (safe under shard(x) alone)
-        // keeps the coverage set to the live population.
-        if (!item.mv) item.mv = std::make_unique<MvChain>();
-        MvChain& chain = *item.mv;
-        // The per-op dead-unlink walk only pays off when something died:
-        // gate it on the engine-wide dead epoch. Equal epochs mean no
-        // abort store since this chain's last scrub, so no entry can be
-        // dead. (A death racing this very decision was always possible -
-        // liveness reads are lock-free - and stays benign: the encodings
-        // against a just-dead transaction merely add constraints, and the
-        // entry is unlinked at the next epoch change.)
-        const uint64_t dead_epoch =
-            mv_dead_epoch_.load(std::memory_order_acquire);
-        if (chain.unlink_epoch != dead_epoch) {
-          MvUnlinkDeadLocked(shx, chain);
-          chain.unlink_epoch = dead_epoch;
-        }
-        // The chain's live accessors: the cover summary bits (a superset
-        // of the live population, so a stale bit at worst widens the
-        // lockset), or a walk of the chain beyond 64 shards.
-        auto chain_shards = [&](ShardLockSet& need) {
-          if (num_shards_ <= 64) {
-            for (uint64_t m = chain.cover; m != 0; m &= m - 1) {
-              need.Add(static_cast<uint32_t>(std::countr_zero(m)));
-            }
-            return;
-          }
-          chain.ForEachAccess([&](const Access& a) {
-            if (a.txn != kVirtualTxn) {
-              need.Add(static_cast<uint32_t>(ShardIndex(a.txn)));
-            }
-          });
-        };
-        if (!cover(shx, shi, chain_shards)) continue;
-        count_admission(shx);
-        OpDecision d;
-        if (phase_sampled && op.type == OpType::kRead) {
-          const uint64_t t0 = NowNs();
-          d = DecideMvLocked(op, shx, item, si, why);
-          mv_read_ns += NowNs() - t0;
-        } else {
-          d = DecideMvLocked(op, shx, item, si, why);
-        }
-        decisions[q] = d;
-        if (d == OpDecision::kAccept) ++accepted;
-        decided[q] = 1;
-        --undecided;
-        continue;
-      }
-      // Resolve the tops under shard(x); liveness reads are lock-free, so
-      // this works even when the accessors' shards are not (yet) held.
+      // Serialized-admission fallback: every non-champion operation is
+      // throttled. Decided in round one - shi and shx are always in the
+      // round-one lockset - and counted as a normal admission decision so
+      // the accepted + ignored + rejected == single + cross invariant holds.
+      const bool throttled = champion != kVirtualTxn && op.txn != champion;
+      ItemState* item = nullptr;
+      MvChain* chain = nullptr;
       LiveRef jr;
       LiveRef jw;
-      auto top_shards = [&](ShardLockSet& need) {
-        jr = TopLiveOf(item.top_reader, item.readers);
-        jw = TopLiveOf(item.top_writer, item.writers);
-        if (jr.txn != kVirtualTxn) {
-          need.Add(static_cast<uint32_t>(ShardIndex(jr.txn)));
+      if (!throttled) {
+        item = &ItemLocked(shx, op.item);
+        if (options_.multiversion) {
+          if (!item->mv) item->mv = std::make_unique<MvChain>();
+          chain = item->mv.get();
+          // The per-op dead-unlink walk only pays off when something died:
+          // gate it on the engine-wide dead epoch. Equal epochs mean no
+          // abort store since this chain's last scrub, so no entry can be
+          // dead. (A death racing this very decision was always possible -
+          // liveness reads are lock-free - and stays benign: the encodings
+          // against a just-dead transaction merely add constraints, and the
+          // entry is unlinked at the next epoch change.) Unlinking first
+          // (safe under shard(x) alone) keeps the coverage set to the live
+          // population.
+          const uint64_t dead_epoch =
+              mv_dead_epoch_.load(std::memory_order_acquire);
+          if (chain->unlink_epoch != dead_epoch) {
+            MvUnlinkDeadLocked(shx, *chain);
+            chain->unlink_epoch = dead_epoch;
+          }
+          // Reads order against every live chain writer, writes also
+          // against its readers, so the lockset must cover all their
+          // shards: the cover summary bits (a superset of the live
+          // population, so a stale bit at worst widens the lockset), or a
+          // walk of the chain beyond 64 shards.
+          auto chain_shards = [&](ShardLockSet& need) {
+            if (num_shards_ <= 64) {
+              for (uint64_t m = chain->cover; m != 0; m &= m - 1) {
+                need.Add(static_cast<uint32_t>(std::countr_zero(m)));
+              }
+              return;
+            }
+            chain->ForEachAccess([&](const Access& a) {
+              if (a.txn != kVirtualTxn) {
+                need.Add(static_cast<uint32_t>(ShardIndex(a.txn)));
+              }
+            });
+          };
+          if (!cover(shx, shi, chain_shards)) continue;
+        } else {
+          // Resolve the tops under shard(x); liveness reads are lock-free,
+          // so this works even when the accessors' shards are not (yet)
+          // held.
+          auto top_shards = [&](ShardLockSet& need) {
+            jr = TopLiveOf(item->top_reader, item->readers);
+            jw = TopLiveOf(item->top_writer, item->writers);
+            if (jr.txn != kVirtualTxn) {
+              need.Add(static_cast<uint32_t>(ShardIndex(jr.txn)));
+            }
+            if (jw.txn != kVirtualTxn) {
+              need.Add(static_cast<uint32_t>(ShardIndex(jw.txn)));
+            }
+          };
+          if (!cover(shx, shi, top_shards)) continue;
         }
-        if (jw.txn != kVirtualTxn) {
-          need.Add(static_cast<uint32_t>(ShardIndex(jw.txn)));
+      }
+      // Everything the decision touches - item stacks or chain, the
+      // vectors, shard(x)'s counters - is under a held mutex, and so is
+      // the liveness of every accessor it reads: clearing it needs their
+      // (held) shards. Single- vs cross-shard is read off the lockset held
+      // at decision time, extensions included.
+      if (all || want.count > 1) {
+        ++shx.stats.cross_shard_ops;
+      } else {
+        ++shx.stats.single_shard_ops;
+      }
+      OpDecision d;
+      if (LifeAborted(si.life) || LifeCommitted(si.life)) {
+        d = RejectLocked(shx, op, AbortReason::kStaleTxn, kVirtualTxn, &si,
+                         why);
+      } else if (throttled) {
+        // The champion is the blocker the throttled peer waits out. The
+        // vector reset (and no starvation seeding) keeps it from rejoining
+        // as a super-competitor that could outrank the champion.
+        d = AbortLocked(shx, op, AbortReason::kBatchThrottled, champion, si,
+                        why, batch_fallbacks_.load(std::memory_order_relaxed));
+        si.ts.Reset();
+      } else {
+        // Section III-D-5 hot-item detection, counted exactly as
+        // MtkScheduler does: decided non-stale operations bump the per-item
+        // access count, and the operation that crosses the threshold is
+        // itself encoded plainly.
+        const bool hot = item->access_count >= options_.hot_item_threshold;
+        ++item->access_count;
+        if (chain == nullptr) {
+          d = DecideLocked(op, shx, *item, si, jr, jw, hot, why);
+        } else if (phase_sampled && op.type == OpType::kRead) {
+          const uint64_t t0 = NowNs();
+          d = DecideMvLocked(op, shx, *chain, si, hot, why);
+          mv_read_ns += NowNs() - t0;
+        } else {
+          d = DecideMvLocked(op, shx, *chain, si, hot, why);
         }
-      };
-      if (!cover(shx, shi, top_shards)) continue;
-      // Everything DecideLocked touches - item stacks, the three vectors,
-      // shard(x)'s counters - is under a held mutex. Liveness of jr/jw is
-      // frozen too: clearing it needs their (held) shards.
-      count_admission(shx);
-      const OpDecision d = DecideLocked(op, shx, item, si, jr, jw, why);
+      }
       decisions[q] = d;
       if (d == OpDecision::kAccept) ++accepted;
       decided[q] = 1;
@@ -1242,7 +1146,6 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
   uint64_t wal_append_ns = 0;
   uint64_t fsync_ns = 0;
   uint64_t ack_ns = 0;
-  TimestampVector fvec(options_.k);  // Flight record's committed vector.
   std::vector<ItemId> writes;
   if (options_.wal != nullptr) {
     // Snapshot the vector and write set under the lock, then log OUTSIDE
@@ -1275,7 +1178,6 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
         options_.wal->AppendCommit(txn, ts, writes);
       }
     }
-    if (flight != nullptr) fvec = std::move(ts);
   }
   {
     const uint64_t t0 = sampled ? NowNs() : 0;
@@ -1285,17 +1187,14 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
     assert(!LifeAborted(w));
     StoreLife(s, w | 2);
     ++sh.stats.commits;
-    // Without a WAL the write set is still needed by multiversion mode
-    // (commit-side chain pruning below); grab it here in that case. The
-    // flight record reads it in place instead - see below.
-    if (options_.multiversion && writes.empty()) writes.swap(s.writes);
+    // The WAL section above already moved the write set out; otherwise it
+    // is moved out here, for the flight record and multiversion pruning.
+    if (options_.wal == nullptr) writes.swap(s.writes);
     if (sampled) ack_ns = NowNs() - t0;
     if (flight != nullptr) {
-      // Recorded under the commit-point lock, straight from the live
-      // state: on the WAL-less path the vector is read in place and the
-      // write set comes from the fixed-size fw fields DecideLocked
-      // maintained (no copy, no swap-and-free, no mask loop per commit -
-      // a record is ~30 ns end to end and any of those would double it).
+      // Recorded under the commit-point lock, reading the vector in place:
+      // the caller owns the transaction, so nothing has changed it since
+      // the WAL section's copy.
       uint32_t phase_us[kNumTxnPhases] = {};
       if (sampled) {
         phase_us[static_cast<size_t>(TxnPhase::kWalAppend)] =
@@ -1305,23 +1204,9 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
         phase_us[static_cast<size_t>(TxnPhase::kAck)] =
             static_cast<uint32_t>(ack_ns / 1000);
       }
-      if (options_.wal == nullptr && !options_.multiversion) {
-        const uint32_t kept =
-            std::min<uint32_t>(s.fw_total, FlightRecorder::kMaxWrites);
-        flight->RecordCommit(txn, txn, s.ts,
-                             s.fw_mask | ShardBit(sh.index),
-                             std::span<const ItemId>(s.fw, kept), s.fw_total,
-                             sampled ? phase_us : nullptr,
-                             FlightRecorder::CoarseNowUs());
-      } else {
-        // WAL / multiversion commits already own the full write list
-        // (swapped out of `s` by the sections above).
-        uint32_t mask = ShardBit(sh.index);
-        for (const ItemId x : writes) mask |= ShardBit(ShardIndex(x));
-        flight->RecordCommit(txn, txn, options_.wal != nullptr ? fvec : s.ts,
-                             mask, writes, sampled ? phase_us : nullptr,
-                             FlightRecorder::CoarseNowUs());
-      }
+      flight->RecordCommit(txn, txn, s.ts, writes,
+                           sampled ? phase_us : nullptr,
+                           FlightRecorder::CoarseNowUs());
     }
   }
   if (sampled) {
@@ -1392,9 +1277,7 @@ void ShardedMtkEngine::RestartTxn(TxnId txn) {
     s.ts.Reset();  // Fresh, fully undefined vector.
   }
   // With the fix the seeded vector from the rejection is kept.
-  s.writes.clear();   // The dead incarnation's writes are never logged.
-  s.fw_total = 0;     // ...and neither is its flight-tracked set.
-  s.fw_mask = 0;
+  s.writes.clear();   // The dead incarnation's writes are never committed.
   s.begin_stamp = 0;  // The new incarnation re-pins its GC horizon.
 }
 

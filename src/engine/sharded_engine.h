@@ -122,13 +122,17 @@ struct EngineOptions {
   ParallelWal* wal = nullptr;
 
   /// Flight recorder receiving a record per commit (with the committed
-  /// vector and write set) and per reject (with the classified reason and
-  /// the blocking transaction), captured at the decision/commit points
-  /// while the covering shard locks are still held - so a dump is a
-  /// consistent tail of engine history. Ring selection is txn %
-  /// FlightRecorder::rings(). Null disables (the default); must outlive
-  /// the engine. bench/mt_throughput part 3 measures the attached-vs-null
-  /// delta as flight_obs_overhead_pct (acceptance bar: < 3%).
+  /// vector and write set) and per reject of every reason - stale and
+  /// invalid operations included, so its abort_reasons() always equals
+  /// stats().reject_reasons - with the classified reason, the refused
+  /// operation, the blocking transaction and the vector before any
+  /// starvation seed or throttle reset. Records are captured at the
+  /// decision/commit points while the covering shard locks are still held,
+  /// so a dump is a consistent tail of engine history. Ring selection is
+  /// txn % FlightRecorder::rings(). Null disables (the default); must
+  /// outlive the engine. bench/mt_throughput part 3 measures the
+  /// attached-vs-null delta as flight_obs_overhead_pct (acceptance bar:
+  /// < 3%).
   FlightRecorder* flight = nullptr;
 
   /// Phase attribution sampling: 1 in 2^phase_sample_shift batches (and,
@@ -140,19 +144,6 @@ struct EngineOptions {
   /// bar. Only meaningful with `metrics` attached - the histograms live
   /// in the registry.
   uint32_t phase_sample_shift = 6;
-
-  /// Batched-admission livelock guardrail: after this many consecutive
-  /// ProcessBatch calls (batch size >= 2, engine-wide) without a single
-  /// intervening CommitTxn - the signature of the benched batch>=8
-  /// collapse at 64 items, where every round aborts every peer and no
-  /// transaction ever finishes - the engine falls back to serialized
-  /// admission: one live transaction is elected champion and every other
-  /// batched operation is throttled (rejected with kBatchThrottled, no
-  /// starvation seeding) until the champion commits, which guarantees
-  /// forward progress. Counted in EngineStats::batch_fallbacks (published
-  /// as "engine.batch_fallbacks"). 0 disables the guardrail.
-  /// Process (a batch of one) is never throttled.
-  size_t batch_fallback_rounds = 64;
 };
 
 /// Work counters, aggregated over shards by ShardedMtkEngine::stats().
@@ -186,7 +177,7 @@ struct EngineStats {
   /// Dependencies encoded through the Section III-D-5 right-end layout.
   uint64_t hot_encodings = 0;
   /// ProcessBatch rounds decided under the livelock-guardrail fallback
-  /// (see EngineOptions::batch_fallback_rounds).
+  /// (see ShardedMtkEngine::kBatchFallbackRounds).
   uint64_t batch_fallbacks = 0;
   /// Multiversion mode: versions installed (writes accepted into chains,
   /// including RecoverFrom rebuilds) and versions unlinked by garbage
@@ -372,6 +363,18 @@ class ShardedMtkEngine {
   /// Committed versions a multiversion chain keeps through any prune but
   /// an explicit all-committed sweep (see EngineOptions::multiversion).
   static constexpr size_t kMvKeepTail = 16;
+  /// Batched-admission livelock guardrail: after this many consecutive
+  /// ProcessBatch calls (batch size >= 2, engine-wide) without a single
+  /// intervening CommitTxn - the signature of the benched batch>=8
+  /// collapse at 64 items, where every round aborts every peer and no
+  /// transaction ever finishes - the engine falls back to serialized
+  /// admission: one live transaction is elected champion and every other
+  /// batched operation is throttled (rejected with kBatchThrottled, no
+  /// starvation seeding) until the champion commits, which guarantees
+  /// forward progress. Counted in EngineStats::batch_fallbacks (published
+  /// as "engine.batch_fallbacks"). Process (a batch of one) is never
+  /// throttled.
+  static constexpr size_t kBatchFallbackRounds = 64;
 
  private:
   /// Liveness word, packed so peers can test liveness without the owning
@@ -382,18 +385,11 @@ class ShardedMtkEngine {
   struct TxnState {
     TimestampVector ts;
     uint64_t life = 0;  // Accessed via std::atomic_ref.
-    /// Accepted writes of the current incarnation, maintained when a WAL is
-    /// attached (CommitTxn logs them; RestartTxn clears them) and always in
-    /// multiversion mode (CommitTxn prunes the written chains).
+    /// Accepted writes of the current incarnation, maintained whenever a
+    /// consumer is attached (see track_writes_): CommitTxn moves the list
+    /// out for the WAL record, the flight commit record and multiversion
+    /// chain pruning; RestartTxn clears it.
     std::vector<ItemId> writes;
-    /// Flight-only write tracking (no WAL, no multiversion - those modes
-    /// keep the full `writes` list above): the first kMaxWrites written
-    /// items, the lifetime count, and the touched-shard mask. Fixed-size
-    /// on purpose: it is everything the commit record needs, with no
-    /// per-transaction heap allocation on the hot path.
-    ItemId fw[FlightRecorder::kMaxWrites] = {};
-    uint32_t fw_total = 0;
-    uint32_t fw_mask = 0;
     /// Multiversion mode: stamp-clock value at the incarnation's first
     /// decided operation; 0 = not yet assigned. The minimum over live
     /// incarnations is the GC watermark.
@@ -529,8 +525,8 @@ class ShardedMtkEngine {
   }
 
   /// Shard index of `x` without the runtime division when the shard count
-  /// is a power of two (every bench/test configuration). The flight-record
-  /// paths run this per abort record; an idiv there is measurable.
+  /// is a power of two (every bench/test configuration). The lockset
+  /// resolution runs this per top accessor; an idiv there is measurable.
   size_t ShardIndex(uint64_t x) const {
     return shard_idx_mask_ != 0 ? (x & shard_idx_mask_) : (x % num_shards_);
   }
@@ -559,11 +555,13 @@ class ShardedMtkEngine {
   bool SetStates(Shard& shx, TxnState& sj, TxnState& si, TxnId j, TxnId i,
                  bool hot_item, AbortReason* why);
 
-  /// The decision body; every referenced shard's mutex is held. On kReject,
-  /// `*why` (when non-null) receives the classified cause.
+  /// The decision body for a live (neither aborted nor committed)
+  /// transaction; every referenced shard's mutex is held. `hot` is the
+  /// Section III-D-5 hot-item verdict ProcessBatch took for this op. On
+  /// kReject, `*why` (when non-null) receives the classified cause.
   OpDecision DecideLocked(const Op& op, Shard& shx, ItemState& item,
                           TxnState& si, const LiveRef& jr, const LiveRef& jw,
-                          AbortReason* why);
+                          bool hot, AbortReason* why);
 
   /// Multiversion decision body (the MvMtkScheduler read walk and two-phase
   /// write placement run under shard locking): every shard referenced by
@@ -571,8 +569,8 @@ class ShardedMtkEngine {
   /// shard(txn). Installs/reads versions, encodes the MVSG edges through
   /// SetStates, and classifies rejects (kVersionConflict for infeasible
   /// write placements).
-  OpDecision DecideMvLocked(const Op& op, Shard& shx, ItemState& item,
-                            TxnState& si, AbortReason* why);
+  OpDecision DecideMvLocked(const Op& op, Shard& shx, MvChain& chain,
+                            TxnState& si, bool hot, AbortReason* why);
 
   /// Unlinks versions whose writer is dead and reader entries that are
   /// dead (permanent states, so safe under shard(item) alone); counts the
@@ -607,16 +605,31 @@ class ShardedMtkEngine {
            (seq.fetch_add(1, std::memory_order_relaxed) & phase_mask_) == 0;
   }
 
-  /// Shard-coverage bit for the flight record's shard_mask (shards >= 32
-  /// are not representable and fold to no bit).
-  static uint32_t ShardBit(size_t shard) {
-    return shard < 32 ? (1u << shard) : 0;
+  /// Appends to s.writes. The list is sized once, on the incarnation's
+  /// first write, so a typical write set costs one allocation (CommitTxn
+  /// moves the list out, so every committing writer starts empty).
+  static void AddWrite(TxnState& s, ItemId x) {
+    if (s.writes.empty()) s.writes.reserve(8);
+    s.writes.push_back(x);
   }
 
-  /// Overwrites shx.last_reject with a fresh-ticketed record; requires
-  /// shx.mu (every reject path already holds the item shard's mutex).
-  void NoteRejectLocked(Shard& shx, AbortReason reason, const Op& op,
-                        TxnId blocker, uint64_t fallback_round = 0);
+  /// Every step of a reject, in one place: counts it (rejected and
+  /// reject_reasons on shx), overwrites shx.last_reject with a
+  /// fresh-ticketed record for ExplainLastReject, writes `*why` (when
+  /// non-null) and writes the flight abort record carrying `si`'s vector
+  /// (null for T0's invalid op). Requires shx.mu and, for a non-null `si`,
+  /// its owner shard's. A site that then seeds or resets TS(i) does so
+  /// after this call, so the record shows the vector that was refused.
+  OpDecision RejectLocked(Shard& shx, const Op& op, AbortReason reason,
+                          TxnId blocker, const TxnState* si, AbortReason* why,
+                          uint64_t fallback_round = 0);
+
+  /// A reject that ends the incarnation: sets its aborted bit (and, in
+  /// multiversion mode only, bumps mv_dead_epoch_ so chains scrub the new
+  /// death), then RejectLocked.
+  OpDecision AbortLocked(Shard& shx, const Op& op, AbortReason reason,
+                         TxnId blocker, TxnState& si, AbortReason* why,
+                         uint64_t fallback_round = 0);
 
   /// Acquires sh.mu, counting the acquisition as contended (per-shard
   /// stats, trace instant) when try_lock fails first.
@@ -628,6 +641,10 @@ class ShardedMtkEngine {
 
   EngineOptions options_;
   size_t num_shards_;
+  /// Whether TxnState::writes is maintained: a WAL, a flight recorder or
+  /// multiversion mode consumes the write set at commit. Fixed at
+  /// construction.
+  bool track_writes_;
   /// num_shards_ - 1 when num_shards_ is a power of two, else 0 (sentinel:
   /// fall back to the division). See ShardIndex().
   uint64_t shard_idx_mask_ = 0;
@@ -637,7 +654,7 @@ class ShardedMtkEngine {
   /// an occasional early or late CompactAll is harmless.
   std::atomic<uint64_t> commits_since_compact_{0};
 
-  // Livelock guardrail (see EngineOptions::batch_fallback_rounds). All
+  // Livelock guardrail (see kBatchFallbackRounds). All
   // relaxed: the guardrail is a heuristic trigger, not a correctness gate -
   // the throttle decisions themselves happen under the shard locks.
   /// Multi-op ProcessBatch calls since the last CommitTxn.

@@ -57,7 +57,6 @@ std::string FlightRecord::ToJson() const {
       out += ", \"op_item\": " + std::to_string(op.item);
     }
   }
-  out += ", \"shard_mask\": " + std::to_string(shard_mask);
   out += ", \"writes_total\": " + std::to_string(writes_total);
   out += ", \"writes\": [";
   for (size_t q = 0; q < writes.size(); ++q) {
@@ -109,9 +108,7 @@ FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
 
 void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
                             AbortReason reason, TxnId blocker, const Op* op,
-                            bool sampled, uint32_t shard_mask,
-                            uint32_t writes_total,
-                            std::span<const ItemId> writes,
+                            bool sampled, std::span<const ItemId> writes,
                             const uint32_t* phase_us,
                             const TimestampVector* vec, uint64_t time_us) {
   const size_t k = vec != nullptr ? vec->size() : 0;
@@ -132,8 +129,7 @@ void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
                  (static_cast<uint64_t>(nw) << 56));
     p.Put(3, static_cast<uint64_t>(blocker) |
                  (static_cast<uint64_t>(op != nullptr ? op->item : 0) << 32));
-    p.Put(4, static_cast<uint64_t>(shard_mask) |
-                 (static_cast<uint64_t>(writes_total) << 32));
+    p.Put(4, writes.size());
     // Dead words are not stored: Drain() decodes phase words only when the
     // sampled flag is set, write words only up to nw, and vector words only
     // up to k_rec, so whatever a slot's previous occupant left there is
@@ -165,34 +161,21 @@ void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
 
 void FlightRecorder::RecordCommit(size_t ring, TxnId txn,
                                   const TimestampVector& vec,
-                                  uint32_t shard_mask,
                                   std::span<const ItemId> writes,
-                                  const uint32_t* phase_us, uint64_t time_us) {
-  RecordCommit(ring, txn, vec, shard_mask, writes,
-               static_cast<uint32_t>(writes.size()), phase_us, time_us);
-}
-
-void FlightRecorder::RecordCommit(size_t ring, TxnId txn,
-                                  const TimestampVector& vec,
-                                  uint32_t shard_mask,
-                                  std::span<const ItemId> writes,
-                                  uint32_t writes_total,
                                   const uint32_t* phase_us, uint64_t time_us) {
   commits_.fetch_add(1, std::memory_order_relaxed);
   Record(ring, txn, /*commit=*/true, AbortReason::kNone, 0, nullptr,
-         phase_us != nullptr, shard_mask, writes_total, writes, phase_us,
-         &vec, time_us);
+         phase_us != nullptr, writes, phase_us, &vec, time_us);
 }
 
 void FlightRecorder::RecordAbort(size_t ring, TxnId txn, AbortReason reason,
                                  TxnId blocker, const Op* op,
-                                 uint32_t shard_mask,
                                  const TimestampVector* vec,
                                  uint64_t time_us) {
   aborts_by_reason_[static_cast<size_t>(reason)].fetch_add(
       1, std::memory_order_relaxed);
-  Record(ring, txn, /*commit=*/false, reason, blocker, op, false, shard_mask,
-         0, {}, nullptr, vec, time_us);
+  Record(ring, txn, /*commit=*/false, reason, blocker, op, false, {}, nullptr,
+         vec, time_us);
 }
 
 void FlightRecorder::RecordControl(const char* action, uint32_t batch_size,
@@ -245,8 +228,7 @@ std::vector<FlightRecord> FlightRecorder::Drain() const {
         rec.op.type = (flags & 8) != 0 ? OpType::kWrite : OpType::kRead;
         rec.op.item = static_cast<ItemId>(words[3] >> 32);
       }
-      rec.shard_mask = static_cast<uint32_t>(words[4] & 0xFFFFFFFFu);
-      rec.writes_total = static_cast<uint32_t>(words[4] >> 32);
+      rec.writes_total = static_cast<uint32_t>(words[4]);
       if (rec.phases_sampled) {
         // Unsampled records skip the phase stores (see Record), so the
         // words may hold a previous occupant's slices - leave the zeros.

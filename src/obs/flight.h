@@ -58,7 +58,6 @@ struct FlightRecord {
   TxnId blocker = 0;  ///< Transaction that fixed the conflicting order, or 0.
   bool has_op = false;
   Op op;  ///< The rejected operation (aborts with has_op).
-  uint32_t shard_mask = 0;    ///< Shards touched (bit s = shard s, s < 32).
   uint32_t writes_total = 0;  ///< Full write-set size (>= writes.size()).
   uint32_t phase_us[kNumTxnPhases] = {};
   std::vector<ItemId> writes;  ///< First kMaxWrites written items.
@@ -131,24 +130,18 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Records a commit. `phase_us` (kNumTxnPhases entries) may be null for
-  /// unsampled commits; `time_us` is the caller's record-point clock.
+  /// Records a commit with its write set (the first kMaxWrites items are
+  /// kept, writes_total the full count). `phase_us` (kNumTxnPhases
+  /// entries) may be null for unsampled commits; `time_us` is the caller's
+  /// record-point clock.
   void RecordCommit(size_t ring, TxnId txn, const TimestampVector& vec,
-                    uint32_t shard_mask, std::span<const ItemId> writes,
-                    const uint32_t* phase_us, uint64_t time_us);
-
-  /// As above, with an explicit full write-set size - for callers that
-  /// track only the first kMaxWrites items (the engine's allocation-free
-  /// commit path) but still know the true count.
-  void RecordCommit(size_t ring, TxnId txn, const TimestampVector& vec,
-                    uint32_t shard_mask, std::span<const ItemId> writes,
-                    uint32_t writes_total, const uint32_t* phase_us,
+                    std::span<const ItemId> writes, const uint32_t* phase_us,
                     uint64_t time_us);
 
   /// Records an abort/reject. `op` and `vec` may be null when unknown.
   void RecordAbort(size_t ring, TxnId txn, AbortReason reason, TxnId blocker,
-                   const Op* op, uint32_t shard_mask,
-                   const TimestampVector* vec, uint64_t time_us);
+                   const Op* op, const TimestampVector* vec,
+                   uint64_t time_us);
 
   /// Records a control-plane decision (admission-controller actuation).
   /// `action` must be a static string (AdmissionActionName); the control
@@ -197,7 +190,7 @@ class FlightRecorder {
   // Payload word layout (see Record()):
   //   w0 seq, w1 time_us,
   //   w2 txn | flags<<32 | reason<<40 | k_rec<<48 | nwrites_rec<<56,
-  //   w3 blocker | op_item<<32, w4 shard_mask | writes_total<<32,
+  //   w3 blocker | op_item<<32, w4 writes_total,
   //   then phases (two uint32 per word), writes (two per word), vector
   //   elements (bitcast int64). Flags: 1 commit, 2 has_op, 4 sampled,
   //   8 op-is-write.
@@ -212,8 +205,8 @@ class FlightRecorder {
   using ControlRing = SeqlockRing<4>;
 
   void Record(size_t ring, TxnId txn, bool commit, AbortReason reason,
-              TxnId blocker, const Op* op, bool sampled, uint32_t shard_mask,
-              uint32_t writes_total, std::span<const ItemId> writes,
+              TxnId blocker, const Op* op, bool sampled,
+              std::span<const ItemId> writes,
               const uint32_t* phase_us, const TimestampVector* vec,
               uint64_t time_us);
 

@@ -83,7 +83,6 @@ TEST(ExplainLastRejectTest, BatchThrottledNamesChampionAndFallbackRound) {
   eo.k = 3;
   eo.num_shards = 4;
   eo.starvation_fix = true;
-  eo.batch_fallback_rounds = 8;
   ShardedMtkEngine engine(eo);
 
   constexpr size_t kWidth = 32;

@@ -302,7 +302,6 @@ TEST(EngineBatchConcurrencyTest, LivelockGuardrailRestoresForwardProgress) {
   eo.k = 3;
   eo.num_shards = 4;
   eo.starvation_fix = true;
-  eo.batch_fallback_rounds = 8;  // Short streak so the test stays fast.
   eo.metrics = &reg;
   ShardedMtkEngine engine(eo);
 

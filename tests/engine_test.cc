@@ -12,6 +12,7 @@
 #include "core/mtk_scheduler.h"
 #include "core/types.h"
 #include "obs/abort_reason.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 
 namespace mdts {
@@ -747,67 +748,94 @@ TEST(ShardedEngineTest, VirtualTransactionIsProtectedAndImmutable) {
   EXPECT_TRUE(engine.TsSnapshot(kVirtualTxn) == t0);
 }
 
-// Batch-path rejects must land in EngineStats.reject_reasons and in the
-// registry's collected counters: per-reason equality, total() == rejected, and
-// the engine.batches / engine.batch_ops counters matching the stats struct.
+// Batch-path rejects must land in EngineStats.reject_reasons, in the
+// registry's collected counters and in the flight recorder: per-reason
+// equality, total() == rejected, the engine.batches / engine.batch_ops
+// counters matching the stats struct, and one flight record per commit and
+// per reject of any reason. Single-version and multiversion mode alike.
 TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
-  MetricsRegistry reg;
-  EngineOptions eo;
-  eo.k = 2;  // Small vectors: plenty of lex-order / exhausted rejects.
-  eo.num_shards = 4;
-  eo.metrics = &reg;
-  ShardedMtkEngine engine(eo);
+  for (const bool multiversion : {false, true}) {
+    SCOPED_TRACE(multiversion ? "multiversion" : "single-version");
+    MetricsRegistry reg;
+    FlightRecorderOptions fo;
+    fo.rings = 1;
+    fo.capacity = 16384;  // More than the run records: nothing overwritten.
+    fo.k = 2;
+    FlightRecorder flight(fo);
+    EngineOptions eo;
+    eo.k = 2;  // Small vectors: plenty of lex-order / exhausted rejects.
+    eo.num_shards = 4;
+    eo.multiversion = multiversion;
+    eo.metrics = &reg;
+    eo.flight = &flight;
+    ShardedMtkEngine engine(eo);
 
-  std::mt19937_64 rng(20260805);
-  constexpr ItemId kItems = 4;
-  constexpr size_t kRounds = 400;
-  constexpr size_t kBatch = 16;
-  std::vector<TxnId> live;
-  TxnId next_txn = 1;
-  for (size_t n = 0; n < 12; ++n) live.push_back(next_txn++);
+    std::mt19937_64 rng(20260805);
+    constexpr ItemId kItems = 4;
+    constexpr size_t kRounds = 400;
+    constexpr size_t kBatch = 16;
+    std::vector<TxnId> live;
+    TxnId next_txn = 1;
+    for (size_t n = 0; n < 12; ++n) live.push_back(next_txn++);
 
-  std::vector<Op> batch(kBatch);
-  std::vector<OpDecision> dec(kBatch);
-  for (size_t round = 0; round < kRounds; ++round) {
-    for (Op& op : batch) {
-      // Mix in T0 submissions (kInvalidOp) and operations of transactions
-      // aborted earlier in the run or earlier in this very batch
-      // (kStaleTxn) alongside ordinary conflicting traffic.
-      op.txn = rng() % 32 == 0 ? kVirtualTxn : live[rng() % live.size()];
-      op.type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
-      op.item = static_cast<ItemId>(rng() % kItems);
-    }
-    engine.ProcessBatch(std::span<const Op>(batch.data(), kBatch), dec.data());
-    for (TxnId& slot : live) {
-      if (engine.IsAborted(slot)) {
-        if (rng() % 2 == 0) engine.RestartTxn(slot);
-      } else if (rng() % 8 == 0) {
-        engine.CommitTxn(slot);
-        slot = next_txn++;
+    std::vector<Op> batch(kBatch);
+    std::vector<OpDecision> dec(kBatch);
+    uint64_t commits = 0;
+    for (size_t round = 0; round < kRounds; ++round) {
+      for (Op& op : batch) {
+        // Mix in T0 submissions (kInvalidOp) and operations of transactions
+        // aborted earlier in the run or earlier in this very batch
+        // (kStaleTxn) alongside ordinary conflicting traffic.
+        op.txn = rng() % 32 == 0 ? kVirtualTxn : live[rng() % live.size()];
+        op.type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
+        op.item = static_cast<ItemId>(rng() % kItems);
+      }
+      engine.ProcessBatch(std::span<const Op>(batch.data(), kBatch),
+                          dec.data());
+      for (TxnId& slot : live) {
+        if (engine.IsAborted(slot)) {
+          if (rng() % 2 == 0) engine.RestartTxn(slot);
+        } else if (rng() % 8 == 0) {
+          engine.CommitTxn(slot);
+          ++commits;
+          slot = next_txn++;
+        }
       }
     }
-  }
 
-  const EngineStats st = engine.stats();
-  EXPECT_GT(st.rejected, 0u);
-  EXPECT_EQ(st.reject_reasons.total(), st.rejected);
-  EXPECT_GT(st.reject_reasons[AbortReason::kLexOrder], 0u);
-  EXPECT_GT(st.reject_reasons[AbortReason::kStaleTxn], 0u);
-  EXPECT_GT(st.reject_reasons[AbortReason::kInvalidOp], 0u);
-  EXPECT_EQ(st.batches, kRounds);
-  EXPECT_EQ(st.batch_ops, kRounds * kBatch);
+    const EngineStats st = engine.stats();
+    EXPECT_GT(st.rejected, 0u);
+    EXPECT_EQ(st.reject_reasons.total(), st.rejected);
+    EXPECT_GT(st.reject_reasons[multiversion ? AbortReason::kVersionConflict
+                                             : AbortReason::kLexOrder],
+              0u);
+    EXPECT_GT(st.reject_reasons[AbortReason::kStaleTxn], 0u);
+    EXPECT_GT(st.reject_reasons[AbortReason::kInvalidOp], 0u);
+    EXPECT_EQ(st.batches, kRounds);
+    EXPECT_EQ(st.batch_ops, kRounds * kBatch);
 
-  const auto snap = reg.Snapshot();
-  EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
-  EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
-  EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
-  EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
-  for (size_t r = 1; r < kNumAbortReasons; ++r) {
-    const AbortReason reason = static_cast<AbortReason>(r);
-    EXPECT_EQ(snap.CounterValue(std::string("engine.rejected.") +
-                                AbortReasonName(reason)),
-              st.reject_reasons[reason])
-        << AbortReasonName(reason);
+    const auto snap = reg.Snapshot();
+    EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
+    EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
+    EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
+    EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
+    for (size_t r = 1; r < kNumAbortReasons; ++r) {
+      const AbortReason reason = static_cast<AbortReason>(r);
+      EXPECT_EQ(snap.CounterValue(std::string("engine.rejected.") +
+                                  AbortReasonName(reason)),
+                st.reject_reasons[reason])
+          << AbortReasonName(reason);
+    }
+
+    // Every reject reaches the flight recorder - stale and invalid
+    // operations included - and every record survived the oversized ring.
+    const AbortReasonCounts fr = flight.abort_reasons();
+    for (size_t r = 0; r < kNumAbortReasons; ++r) {
+      EXPECT_EQ(fr.counts[r], st.reject_reasons.counts[r])
+          << AbortReasonName(static_cast<AbortReason>(r));
+    }
+    EXPECT_EQ(st.commits, commits);
+    EXPECT_EQ(flight.Drain().size(), commits + st.rejected);
   }
 }
 

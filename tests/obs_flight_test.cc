@@ -7,7 +7,8 @@
 //     concurrent writers + drain never yield a torn slot, and partially
 //     rewritten slots decode only the new record's words;
 //   - engine integration: commit/reject records reconcile exactly with
-//     EngineStats, commit records carry the committed vector and write set,
+//     EngineStats, commit records carry the committed vector and write set
+//     (the same write set whether a WAL or multiversion mode is attached),
 //     and phase_sample_shift = 0 deterministically populates every
 //     "engine.phase.*_us" histogram (multiversion + WAL run, so the
 //     mv_read / wal_append / fsync phases exist too);
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <fstream>
 #include <atomic>
 #include <random>
@@ -80,8 +82,8 @@ TEST(FlightRecorderTest, CommitRoundTripAllFields) {
   uint32_t phase_us[kNumTxnPhases] = {};
   phase_us[static_cast<size_t>(TxnPhase::kLock)] = 3;
   phase_us[static_cast<size_t>(TxnPhase::kAck)] = 9;
-  flight.RecordCommit(/*ring=*/1, /*txn=*/7, vec, /*shard_mask=*/0b10,
-                      writes, phase_us, /*time_us=*/1234);
+  flight.RecordCommit(/*ring=*/1, /*txn=*/7, vec, writes, phase_us,
+                      /*time_us=*/1234);
 
   const std::vector<FlightRecord> records = flight.Drain();
   ASSERT_EQ(records.size(), 1u);
@@ -91,7 +93,6 @@ TEST(FlightRecorderTest, CommitRoundTripAllFields) {
   EXPECT_TRUE(r.phases_sampled);
   EXPECT_EQ(r.ring, 1u);
   EXPECT_EQ(r.time_us, 1234u);
-  EXPECT_EQ(r.shard_mask, 0b10u);
   EXPECT_EQ(r.writes_total, 2u);
   ASSERT_EQ(r.writes.size(), 2u);
   EXPECT_EQ(r.writes[0], 11u);
@@ -116,10 +117,10 @@ TEST(FlightRecorderTest, AbortRoundTripReasonBlockerOp) {
   vec.Set(0, 3);
   const Op op{9, OpType::kWrite, 77};
   flight.RecordAbort(/*ring=*/0, /*txn=*/9, AbortReason::kVersionConflict,
-                     /*blocker=*/4, &op, /*shard_mask=*/1, &vec,
+                     /*blocker=*/4, &op, &vec,
                      /*time_us=*/55);
   // A reject with no vector snapshot (DMT aborts mid-flight) is legal too.
-  flight.RecordAbort(0, 10, AbortReason::kLexOrder, 0, nullptr, 0, nullptr,
+  flight.RecordAbort(0, 10, AbortReason::kLexOrder, 0, nullptr, nullptr,
                      56);
 
   const std::vector<FlightRecord> records = flight.Drain();
@@ -158,7 +159,7 @@ TEST(FlightRecorderTest, RingOverwritesOldestKeepsNewest) {
   TimestampVector vec(1);
   for (TxnId t = 1; t <= 10; ++t) {
     vec.Set(0, static_cast<TsElement>(t));
-    flight.RecordCommit(0, t, vec, 0, {}, nullptr, t);
+    flight.RecordCommit(0, t, vec, {}, nullptr, t);
   }
   const std::vector<FlightRecord> records = flight.Drain();
   ASSERT_EQ(records.size(), 4u);
@@ -188,7 +189,7 @@ TEST(FlightRecorderTest, WriteSetTruncationKeepsTotal) {
   TimestampVector vec(1);
   vec.Set(0, 1);
   const std::vector<ItemId> writes = {1, 2, 3, 4, 5, 6};
-  flight.RecordCommit(0, 1, vec, 0, writes, nullptr, 1);
+  flight.RecordCommit(0, 1, vec, writes, nullptr, 1);
   const std::vector<FlightRecord> records = flight.Drain();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].writes.size(), FlightRecorder::kMaxWrites);
@@ -205,8 +206,8 @@ TEST(FlightRecorderTest, JsonAndDumpShape) {
   TimestampVector vec(2);
   vec.Set(0, 9);  // Slot 1 undefined: rendered "*".
   const ItemId writes[] = {5};
-  flight.RecordCommit(0, 3, vec, 1, writes, nullptr, 100);
-  flight.RecordAbort(0, 4, AbortReason::kStaleTxn, 0, nullptr, 0, &vec, 101);
+  flight.RecordCommit(0, 3, vec, writes, nullptr, 100);
+  flight.RecordAbort(0, 4, AbortReason::kStaleTxn, 0, nullptr, &vec, 101);
 
   const std::string json = flight.ToJson();
   EXPECT_NE(json.find("\"meta\": {\"rings\": 1, \"capacity\": 4, \"k\": 2}"),
@@ -319,11 +320,11 @@ TEST(SeqlockRingTest, PartialWritesRoundTrip) {
   uint32_t phases[kNumTxnPhases];
   for (size_t p = 0; p < kNumTxnPhases; ++p) phases[p] = 7 + p;
   const std::vector<ItemId> writes = {1, 2, 3, 4};
-  flight.RecordCommit(0, 1, big, 0, writes, phases, 1);
+  flight.RecordCommit(0, 1, big, writes, phases, 1);
   TimestampVector small(1);
   small.Set(0, 5);
-  flight.RecordCommit(0, 2, small, 0, {}, nullptr, 2);
-  flight.RecordCommit(0, 3, small, 0, {}, nullptr, 3);  // Reuses txn 1's slot.
+  flight.RecordCommit(0, 2, small, {}, nullptr, 2);
+  flight.RecordCommit(0, 3, small, {}, nullptr, 3);  // Reuses txn 1's slot.
   const std::vector<FlightRecord> records = flight.Drain();
   ASSERT_EQ(records.size(), 2u);
   const FlightRecord& r = records[1];
@@ -360,7 +361,7 @@ TEST(FlightRecorderTest, DrainWhileRecordingSeesOnlyWholeRecords) {
           vec.Set(m, static_cast<TsElement>(txn * 10 + m));
         }
         const ItemId w[2] = {txn, txn + 1};
-        flight.RecordCommit(t, txn, vec, 1u << t, w, nullptr, txn);
+        flight.RecordCommit(t, txn, vec, w, nullptr, txn);
       }
       recorded.fetch_add(n - 1);
     });
@@ -500,6 +501,84 @@ TEST(EngineFlightTest, CommitRecordsCarryVectorWritesAndSampledPhases) {
   EXPECT_EQ(commit_records, out.commits);
 }
 
+TEST(EngineFlightTest, CommitWriteSetIsTheSameWhateverElseConsumesIt) {
+  // One serial history replayed with the flight recorder alone, beside a
+  // WAL, and in multiversion mode: the engine keeps one write list for all
+  // three consumers, so every commit record must carry the same writes.
+  // T1 writes more items than a record keeps; T3 writes one item twice.
+  const std::vector<std::vector<Op>> history = {
+      {{1, OpType::kWrite, 0},
+       {1, OpType::kWrite, 1},
+       {1, OpType::kWrite, 2},
+       {1, OpType::kWrite, 3},
+       {1, OpType::kWrite, 4},
+       {1, OpType::kWrite, 5}},
+      {{2, OpType::kRead, 0}, {2, OpType::kWrite, 10}},
+      {{3, OpType::kWrite, 1}, {3, OpType::kRead, 2}, {3, OpType::kWrite, 1}},
+      {{4, OpType::kRead, 10}},
+      {{5, OpType::kWrite, 11},
+       {5, OpType::kWrite, 12},
+       {5, OpType::kWrite, 3},
+       {5, OpType::kWrite, 13},
+       {5, OpType::kWrite, 14}},
+  };
+  enum class Mode { kFlightOnly, kWithWal, kMultiversion };
+  std::vector<std::vector<FlightRecord>> runs;
+  for (const Mode mode :
+       {Mode::kFlightOnly, Mode::kWithWal, Mode::kMultiversion}) {
+    FlightRecorderOptions fo;
+    fo.rings = 2;
+    fo.capacity = 64;
+    fo.k = 3;
+    FlightRecorder flight(fo);
+    std::unique_ptr<ParallelWal> wal;
+    if (mode == Mode::kWithWal) {
+      WalOptions wo;
+      wo.dir = FreshDir("writeset");
+      wo.num_streams = 1;
+      wo.k = 3;
+      wo.sync_policy = WalSyncPolicy::kNone;
+      wal = std::make_unique<ParallelWal>(wo);
+      ASSERT_TRUE(wal->ok());
+    }
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = 2;
+    eo.flight = &flight;
+    eo.wal = wal.get();
+    eo.multiversion = mode == Mode::kMultiversion;
+    ShardedMtkEngine engine(eo);
+    for (const std::vector<Op>& txn : history) {
+      for (const Op& op : txn) {
+        ASSERT_EQ(engine.Process(op), OpDecision::kAccept) << OpName(op);
+      }
+      engine.CommitTxn(txn.front().txn);
+    }
+    EXPECT_EQ(flight.aborts(), 0u);
+    runs.push_back(flight.Drain());
+  }
+
+  ASSERT_EQ(runs[0].size(), history.size());
+  const FlightRecord& t1 = runs[0][0];
+  EXPECT_EQ(t1.txn, 1u);
+  EXPECT_EQ(t1.writes_total, 6u);
+  EXPECT_EQ(t1.writes, (std::vector<ItemId>{0, 1, 2, 3}));
+  EXPECT_EQ(runs[0][2].writes, (std::vector<ItemId>{1, 1}));
+  EXPECT_EQ(runs[0][3].writes_total, 0u);  // Read-only T4.
+  for (size_t run = 1; run < runs.size(); ++run) {
+    ASSERT_EQ(runs[run].size(), runs[0].size()) << "run " << run;
+    for (size_t q = 0; q < runs[0].size(); ++q) {
+      const FlightRecord& a = runs[0][q];
+      const FlightRecord& b = runs[run][q];
+      EXPECT_TRUE(a.commit && b.commit);
+      EXPECT_EQ(b.txn, a.txn) << "run " << run;
+      EXPECT_EQ(b.writes, a.writes) << "run " << run << ", T" << a.txn;
+      EXPECT_EQ(b.writes_total, a.writes_total)
+          << "run " << run << ", T" << a.txn;
+    }
+  }
+}
+
 TEST(EngineFlightTest, ShiftZeroPopulatesAllSevenPhaseHistograms) {
   // Multiversion + WAL: the only configuration where all seven lifecycle
   // phases exist (mv_read needs version-chain reads, wal_append/fsync need
@@ -546,7 +625,7 @@ TEST(WatchdogFlightTest, AlertAutoDumpsTheRecorder) {
   FlightRecorder flight(fo);
   TimestampVector vec(1);
   vec.Set(0, 1);
-  flight.RecordCommit(0, 1, vec, 0, {}, nullptr, 10);
+  flight.RecordCommit(0, 1, vec, {}, nullptr, 10);
 
   MetricsRegistry reg;
   Gauge* source = reg.GetGauge("engine.max_consecutive_aborts");
@@ -604,7 +683,7 @@ TEST(WalCrashFlightTest, OnCrashAutoDumpsTheRecorder) {
   vec.Set(0, 1);
   const std::vector<ItemId> writes = {3};
   ASSERT_TRUE(wal.AppendCommit(1, vec, writes));
-  flight.RecordCommit(0, 1, vec, 0, writes, nullptr, 1);
+  flight.RecordCommit(0, 1, vec, writes, nullptr, 1);
   EXPECT_EQ(dumps, 0u);
   vec.Set(0, 2);
   wal.AppendCommit(2, vec, writes);  // The armed append: crash fires.
@@ -665,7 +744,7 @@ TEST(HttpFlightTest, PhasesAndFlightEndpointsServeJson) {
   TimestampVector vec(2);
   vec.Set(0, 4);
   const ItemId writes[] = {9};
-  flight.RecordCommit(0, 3, vec, 1, writes, nullptr, 42);
+  flight.RecordCommit(0, 3, vec, writes, nullptr, 42);
 
   HttpExporterOptions ho;
   ho.registry = &reg;

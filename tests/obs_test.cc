@@ -530,6 +530,38 @@ TEST(ReconciliationTest, DmtAbortsMatchReasonsAndRegistry) {
   EXPECT_EQ(snap.CounterValue("dmt.lease_reclaims"), r.lease_reclaims);
 }
 
+TEST(ReconciliationTest, DmtCountersScrapedMidRunOnlyGrow) {
+  // A scraper thread snapshots the registry while the simulation runs, as
+  // a live exporter does: the run's collector reads its in-progress result
+  // under the run's lock, and its removal folds the final values in, so
+  // every scrape is a prefix of the final count.
+  MetricsRegistry reg;
+  DmtOptions options;
+  options.k = 2;
+  options.num_sites = 4;
+  options.num_txns = 400;
+  options.concurrency = 8;
+  options.seed = 5;
+  options.workload.num_items = 12;
+  options.fault.drop_rate = 0.1;
+  options.metrics = &reg;
+  std::atomic<bool> done{false};
+  std::vector<uint64_t> seen;
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      seen.push_back(reg.Snapshot().CounterValue("dmt.committed"));
+    }
+  });
+  const DmtResult r = RunDmtSimulation(options);
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_EQ(reg.Snapshot().CounterValue("dmt.committed"), r.committed);
+  for (size_t q = 1; q < seen.size(); ++q) {
+    ASSERT_LE(seen[q - 1], seen[q]) << "scrape " << q;
+  }
+  if (!seen.empty()) EXPECT_LE(seen.back(), r.committed);
+}
+
 // ===========================================================================
 // Tracer: disabled-by-default, ring wrap, Chrome trace JSON schema.
 // ===========================================================================
