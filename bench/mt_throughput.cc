@@ -367,7 +367,7 @@ LoopResult AdaptivePhaseLoop(ShardedMtkEngine& engine, const Workload& w,
     }
     size_t live = max_batch;
     if (ctl != nullptr) {
-      const uint32_t b = ctl->batch_size(0);
+      const uint32_t b = ctl->batch_size();
       live = b < 1 ? 1 : (b > max_batch ? max_batch : b);
     }
     // Park-and-resolve: slots beyond the current advisory width leave the
@@ -1277,7 +1277,7 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
       "---\n");
   constexpr double kPhaseSecs = 1.0;
   constexpr double kTickSecs = 0.02;  // 50 controller windows per second.
-  constexpr size_t kAdaptiveMaxBatch = 32;
+  constexpr size_t kAdaptiveMaxBatch = AdmissionController::kMaxBatch;
   const Workload w_ad_low =
       MakeWorkload(1, kLowContentionItems, kOpsPerTxn, kReadFraction, 42);
   const Workload w_ad_high =
@@ -1312,7 +1312,6 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
       AdmissionControlOptions ao;
       ao.registry = &areg;
       ao.engine = &engine;
-      ao.max_batch = kAdaptiveMaxBatch;
       ao.min_k = 3;
       // Calibrate the abort-rate bands to this engine's closed-loop driver:
       // restart-and-replay keeps the healthy low-contention op reject rate
@@ -1380,7 +1379,7 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   std::vector<AdaptiveArm> reps_ad, reps_b32, reps_b1;
   for (int rep = 0; rep < kAdReps; ++rep) {
     reps_ad.push_back(run_adaptive_arm(true, 0));
-    reps_b32.push_back(run_adaptive_arm(false, 32));
+    reps_b32.push_back(run_adaptive_arm(false, kAdaptiveMaxBatch));
     reps_b1.push_back(run_adaptive_arm(false, 1));
   }
   const AdaptiveArm& arm_adapt = reps_ad[0];  // Controller narrative.

@@ -158,12 +158,4 @@ std::string MtkPlus::DumpTables(TxnId max_txn) {
   return table.ToString();
 }
 
-bool IsToKPlusShared(const Log& log, size_t k) {
-  MtkPlus composite(k);
-  for (const Op& op : log.ops()) {
-    if (composite.Process(op) == OpDecision::kReject) return false;
-  }
-  return true;
-}
-
 }  // namespace mdts

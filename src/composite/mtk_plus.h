@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/encoding.h"
-#include "core/log.h"
 #include "core/mtk_scheduler.h"
 #include "core/timestamp_vector.h"
 
@@ -113,10 +112,6 @@ class MtkPlus {
   std::vector<bool> stopped_;       // Per subprotocol, 0-based.
   std::vector<StripedCounters> counters_;  // Per subprotocol LASTCOL.
 };
-
-/// TO(k+) membership decided by the shared-prefix implementation (the
-/// subprotocols run without lines 9-10).
-bool IsToKPlusShared(const Log& log, size_t k);
 
 }  // namespace mdts
 

@@ -1,5 +1,6 @@
 #include "control/admission.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
@@ -65,17 +66,8 @@ std::string AdmissionDecision::ToString() const {
 
 AdmissionController::AdmissionController(
     const AdmissionControlOptions& options)
-    : options_(options),
-      num_groups_(options.num_groups < 1 ? 1 : options.num_groups),
-      k_(1) {
+    : options_(options), k_(1) {
   assert(options_.registry != nullptr);
-  options_.num_groups = num_groups_;
-  if (options_.min_batch < 1) options_.min_batch = 1;
-  if (options_.max_batch < options_.min_batch) {
-    options_.max_batch = options_.min_batch;
-  }
-  if (options_.shrink_factor < 2) options_.shrink_factor = 2;
-  if (options_.grow_step < 1) options_.grow_step = 1;
   if (options_.min_k < 1) options_.min_k = 1;
 
   // k bounds: the engine's physical vector size caps widening; without an
@@ -96,31 +88,26 @@ AdmissionController::AdmissionController(
   if (start_k > physical_k_) start_k = physical_k_;
   k_.store(start_k, std::memory_order_relaxed);
 
-  const uint32_t start_batch =
-      options_.initial_batch != 0
-          ? (options_.initial_batch < options_.min_batch
-                 ? options_.min_batch
-                 : (options_.initial_batch > options_.max_batch
-                        ? options_.max_batch
-                        : options_.initial_batch))
-          : options_.max_batch;
-  batch_ = std::make_unique<std::atomic<uint32_t>[]>(num_groups_);
-  for (size_t g = 0; g < num_groups_; ++g) {
-    batch_[g].store(start_batch, std::memory_order_relaxed);
-  }
-
   MetricsRegistry* reg = options_.registry;
   g_batch_ = reg->GetGauge("engine.adaptive.batch_size");
   g_k_ = reg->GetGauge("engine.adaptive.k");
-  m_grows_ = reg->GetCounter("engine.adaptive.grows");
-  m_shrinks_ = reg->GetCounter("engine.adaptive.shrinks");
-  m_k_switches_ = reg->GetCounter("engine.adaptive.k_switches");
-  g_batch_->Set(start_batch);
+  g_batch_->Set(kMaxBatch);
   g_k_->Set(start_k);
 
   // Baseline the sensors at attach time so the first window only covers
   // activity after construction.
   last_ = ReadSensors();
+
+  // Atomics only: TickOnce snapshots the registry while holding mu_.
+  reg->AddCollector(this, [this](MetricsSnapshot& out) {
+    out.counters.emplace_back("engine.adaptive.grows", grows());
+    out.counters.emplace_back("engine.adaptive.shrinks", shrinks());
+    out.counters.emplace_back("engine.adaptive.k_switches", k_switches());
+  });
+}
+
+AdmissionController::~AdmissionController() {
+  options_.registry->RemoveCollector(this);
 }
 
 AdmissionController::Sensors AdmissionController::ReadSensors() const {
@@ -149,9 +136,7 @@ void AdmissionController::ActuateLocked(uint64_t seq, double now,
                                         double abort_rate, double vector_frac,
                                         uint64_t commits, uint64_t rejects,
                                         uint64_t fallbacks) {
-  for (size_t g = 0; g < num_groups_; ++g) {
-    batch_[g].store(new_batch, std::memory_order_relaxed);
-  }
+  batch_.store(new_batch, std::memory_order_relaxed);
   k_.store(new_k, std::memory_order_relaxed);
   if (options_.engine != nullptr &&
       (action == AdmissionAction::kWidenK ||
@@ -163,17 +148,14 @@ void AdmissionController::ActuateLocked(uint64_t seq, double now,
   switch (action) {
     case AdmissionAction::kGrow:
       grows_.fetch_add(1, std::memory_order_relaxed);
-      m_grows_->Add(1);
       break;
     case AdmissionAction::kShrink:
     case AdmissionAction::kEmergencyShrink:
       shrinks_.fetch_add(1, std::memory_order_relaxed);
-      m_shrinks_->Add(1);
       break;
     case AdmissionAction::kWidenK:
     case AdmissionAction::kNarrowK:
       k_switches_.fetch_add(1, std::memory_order_relaxed);
-      m_k_switches_->Add(1);
       break;
   }
 
@@ -188,7 +170,7 @@ void AdmissionController::ActuateLocked(uint64_t seq, double now,
   d.window_commits = commits;
   d.window_rejects = rejects;
   d.window_fallbacks = fallbacks;
-  if (trace_.size() >= options_.trace_capacity) {
+  if (trace_.size() >= kTraceCapacity) {
     trace_.erase(trace_.begin());
   }
   trace_.push_back(d);
@@ -218,7 +200,7 @@ void AdmissionController::TickOnce(uint64_t seq, double now) {
   if (cooldown_ > 0) --cooldown_;
 
   const uint64_t ops = commits + rejects;
-  if (ops < options_.min_window_ops) return;  // No signal this window.
+  if (ops < kMinWindowOps) return;  // No signal this window.
 
   const double abort_rate =
       static_cast<double>(rejects) / static_cast<double>(ops);
@@ -230,10 +212,10 @@ void AdmissionController::TickOnce(uint64_t seq, double now) {
       static_cast<double>(contention) / static_cast<double>(ops);
   const bool pressured = abort_rate >= options_.abort_rate_shrink ||
                          fallbacks > 0 ||
-                         contention_per_op > options_.contention_per_op_shrink;
+                         contention_per_op > kContentionPerOpShrink;
   const bool quiet = !pressured && abort_rate <= options_.abort_rate_quiet;
 
-  const uint32_t batch = batch_[0].load(std::memory_order_relaxed);
+  const uint32_t batch = batch_.load(std::memory_order_relaxed);
   const uint32_t k = k_.load(std::memory_order_relaxed);
 
   // Batch actuator: multiplicative shrink on pressure (outside the
@@ -241,19 +223,17 @@ void AdmissionController::TickOnce(uint64_t seq, double now) {
   // resets the quiet streak - hysteresis against dithering at the cliff.
   if (pressured) {
     quiet_streak_ = 0;
-    if (cooldown_ == 0 && batch > options_.min_batch) {
-      uint32_t nb = batch / options_.shrink_factor;
-      if (nb < options_.min_batch) nb = options_.min_batch;
-      cooldown_ = options_.cooldown_windows;
+    if (cooldown_ == 0 && batch > kMinBatch) {
+      const uint32_t nb = std::max(batch / kShrinkFactor, kMinBatch);
+      cooldown_ = kCooldownWindows;
       ActuateLocked(seq, now, AdmissionAction::kShrink, nb, k, abort_rate,
                     vector_frac, commits, rejects, fallbacks);
     }
   } else if (quiet) {
     ++quiet_streak_;
-    if (quiet_streak_ >= options_.quiet_windows_to_grow && cooldown_ == 0 &&
-        batch < options_.max_batch) {
-      uint32_t nb = batch + options_.grow_step;
-      if (nb > options_.max_batch) nb = options_.max_batch;
+    if (quiet_streak_ >= kQuietWindowsToGrow && cooldown_ == 0 &&
+        batch < kMaxBatch) {
+      const uint32_t nb = std::min(batch + kGrowStep, kMaxBatch);
       quiet_streak_ = 0;
       ActuateLocked(seq, now, AdmissionAction::kGrow, nb, k, abort_rate,
                     vector_frac, commits, rejects, fallbacks);
@@ -267,12 +247,11 @@ void AdmissionController::TickOnce(uint64_t seq, double now) {
   // back once the load has been quiet long enough that the dimensions
   // stopped paying. Both re-read the batch gauge - a shrink above may
   // have changed it within this same tick.
-  const uint32_t cur_batch = batch_[0].load(std::memory_order_relaxed);
-  if (pressured && vector_frac >= options_.widen_reject_frac &&
-      rejects > 0) {
+  const uint32_t cur_batch = batch_.load(std::memory_order_relaxed);
+  if (pressured && vector_frac >= kWidenRejectFrac && rejects > 0) {
     narrow_streak_ = 0;
     ++widen_streak_;
-    if (widen_streak_ >= options_.widen_dwell && k < physical_k_) {
+    if (widen_streak_ >= kWidenDwell && k < physical_k_) {
       widen_streak_ = 0;
       ActuateLocked(seq, now, AdmissionAction::kWidenK, cur_batch, k + 1,
                     abort_rate, vector_frac, commits, rejects, fallbacks);
@@ -280,7 +259,7 @@ void AdmissionController::TickOnce(uint64_t seq, double now) {
   } else if (quiet) {
     widen_streak_ = 0;
     ++narrow_streak_;
-    if (narrow_streak_ >= options_.narrow_dwell && k > options_.min_k) {
+    if (narrow_streak_ >= kNarrowDwell && k > options_.min_k) {
       narrow_streak_ = 0;
       ActuateLocked(seq, now, AdmissionAction::kNarrowK, cur_batch, k - 1,
                     abort_rate, vector_frac, commits, rejects, fallbacks);
@@ -293,13 +272,12 @@ void AdmissionController::TickOnce(uint64_t seq, double now) {
 
 void AdmissionController::EmergencyShrink(uint64_t seq, double now) {
   std::lock_guard<std::mutex> g(mu_);
-  const uint32_t batch = batch_[0].load(std::memory_order_relaxed);
-  cooldown_ = options_.cooldown_windows;
+  const uint32_t batch = batch_.load(std::memory_order_relaxed);
+  cooldown_ = kCooldownWindows;
   quiet_streak_ = 0;
-  if (batch <= options_.min_batch) return;
-  ActuateLocked(seq, now, AdmissionAction::kEmergencyShrink,
-                options_.min_batch, k_.load(std::memory_order_relaxed),
-                0.0, 0.0, 0, 0, 0);
+  if (batch <= kMinBatch) return;
+  ActuateLocked(seq, now, AdmissionAction::kEmergencyShrink, kMinBatch,
+                k_.load(std::memory_order_relaxed), 0.0, 0.0, 0, 0, 0);
 }
 
 std::vector<AdmissionDecision> AdmissionController::decisions() const {

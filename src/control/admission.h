@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -18,7 +17,7 @@ namespace mdts {
 enum class AdmissionAction : uint8_t {
   kGrow,             ///< Additive batch-size increase.
   kShrink,           ///< Multiplicative batch-size decrease.
-  kEmergencyShrink,  ///< Watchdog-alert path: straight to min_batch.
+  kEmergencyShrink,  ///< Watchdog-alert path: straight to kMinBatch.
   kWidenK,           ///< active_k + 1 (MT(k+) widening).
   kNarrowK,          ///< active_k - 1.
 };
@@ -68,65 +67,27 @@ struct AdmissionControlOptions {
   /// Flight recorder receiving one control event per actuation. Optional.
   FlightRecorder* flight = nullptr;
 
-  /// Independent batch-size slots ("shard groups" - a bench driver maps
-  /// its thread groups onto them). Every decision currently actuates all
-  /// groups uniformly; the per-group storage is the read-side contract:
-  /// batch_size(g) is one relaxed atomic load, safe on the admission hot
-  /// path. Clamped to >= 1.
-  size_t num_groups = 1;
-
-  /// Batch-size actuator range and AIMD steps.
-  uint32_t min_batch = 1;
-  uint32_t max_batch = 32;
-  uint32_t grow_step = 4;       ///< Additive increase per grow.
-  uint32_t shrink_factor = 2;   ///< Divisor per shrink (>= 2).
-  uint32_t initial_batch = 0;   ///< 0 = start at max_batch (optimistic).
-
   /// Window classification. A window is PRESSURED when its abort rate is
   /// >= abort_rate_shrink, its engine.batch_fallbacks delta is nonzero, or
-  /// its lock-contention-per-op exceeds contention_per_op_shrink; QUIET
-  /// when the abort rate is <= abort_rate_quiet and none of those fire.
-  /// In between, streaks reset but nothing actuates (hysteresis band).
+  /// its lock-contention-per-op exceeds kContentionPerOpShrink; QUIET when
+  /// the abort rate is <= abort_rate_quiet and none of those fire. In
+  /// between, streaks reset but nothing actuates (hysteresis band).
   double abort_rate_shrink = 0.5;
   double abort_rate_quiet = 0.2;
-  double contention_per_op_shrink = 2.0;
 
-  /// Dwell / cool-down (in sampler windows): grow only after this many
-  /// consecutive quiet windows, and never within cooldown_windows of a
-  /// shrink - the cliff-oscillation guard: a shrink's effect needs at
-  /// least one full window to show in the sensors, so reacting faster
-  /// than the cool-down would re-decide on pre-shrink evidence.
-  uint64_t quiet_windows_to_grow = 2;
-  uint64_t cooldown_windows = 2;
-
-  /// k actuator (MT(k+) runtime width). Widen by one after widen_dwell
-  /// consecutive pressured windows whose rejects are dominated (>=
-  /// widen_reject_frac) by the vector-capacity classes; narrow by one
-  /// after narrow_dwell consecutive quiet windows. Bounds: [min_k,
-  /// engine's physical k] (max_k caps it further when nonzero).
-  double widen_reject_frac = 0.5;
-  uint64_t widen_dwell = 2;
-  uint64_t narrow_dwell = 8;
+  /// k actuator bounds: [min_k, engine's physical k] (max_k caps it
+  /// further when nonzero).
   uint32_t min_k = 1;
   uint32_t max_k = 0;  ///< 0 = the engine's physical k (or initial k).
-
-  /// Windows with fewer than this many decided operations carry no signal
-  /// (a batch boundary can land anywhere in them); they are skipped
-  /// without touching any streak.
-  uint64_t min_window_ops = 16;
-
-  /// Decisions retained for decisions()/TraceString(); the oldest are
-  /// dropped past this. Plenty for any test or bench run.
-  size_t trace_capacity = 4096;
 };
 
 /// Closed-loop admission controller: consumes the engine's registry
 /// counters window by window (drive it from Sampler::AddTickHook, after
 /// the watchdogs) and feeds two actuators back into admission - the
-/// advisory per-group batch size (AIMD with hysteresis and cool-down) and
-/// the engine's runtime MT(k+) width (SetActiveK). The starvation
-/// watchdog's alert path plugs into EmergencyShrink, replacing its
-/// alert-only behavior with an immediate collapse to min_batch.
+/// advisory batch size (AIMD with hysteresis and cool-down) and the
+/// engine's runtime MT(k+) width (SetActiveK). The starvation watchdog's
+/// alert path plugs into EmergencyShrink, replacing its alert-only
+/// behavior with an immediate collapse to kMinBatch.
 ///
 /// Thread safety: TickOnce / EmergencyShrink / decisions() serialize on
 /// one mutex; batch_size() and active_k() are lock-free reads, safe to
@@ -136,7 +97,43 @@ struct AdmissionControlOptions {
 /// state, never a clock.
 class AdmissionController {
  public:
+  /// Batch-size actuator range and AIMD steps. The controller starts at
+  /// kMaxBatch (optimistic).
+  static constexpr uint32_t kMinBatch = 1;
+  static constexpr uint32_t kMaxBatch = 32;
+  static constexpr uint32_t kGrowStep = 4;      ///< Additive increase.
+  static constexpr uint32_t kShrinkFactor = 2;  ///< Divisor per shrink.
+
+  /// Lock-contention-per-op above which a window counts as pressured.
+  static constexpr double kContentionPerOpShrink = 2.0;
+
+  /// Dwell / cool-down (in sampler windows): grow only after this many
+  /// consecutive quiet windows, and never within kCooldownWindows of a
+  /// shrink - the cliff-oscillation guard: a shrink's effect needs at
+  /// least one full window to show in the sensors, so reacting faster
+  /// than the cool-down would re-decide on pre-shrink evidence.
+  static constexpr uint64_t kQuietWindowsToGrow = 2;
+  static constexpr uint64_t kCooldownWindows = 2;
+
+  /// k actuator: widen by one after kWidenDwell consecutive pressured
+  /// windows whose rejects are dominated (>= kWidenRejectFrac) by the
+  /// vector-capacity classes; narrow by one after kNarrowDwell
+  /// consecutive quiet windows.
+  static constexpr double kWidenRejectFrac = 0.5;
+  static constexpr uint64_t kWidenDwell = 2;
+  static constexpr uint64_t kNarrowDwell = 8;
+
+  /// Windows with fewer than this many decided operations carry no signal
+  /// (a batch boundary can land anywhere in them); they are skipped
+  /// without touching any streak.
+  static constexpr uint64_t kMinWindowOps = 16;
+
+  /// Decisions retained for decisions()/TraceString(); the oldest are
+  /// dropped past this. Plenty for any test or bench run.
+  static constexpr size_t kTraceCapacity = 4096;
+
   explicit AdmissionController(const AdmissionControlOptions& options);
+  ~AdmissionController();
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -145,16 +142,14 @@ class AdmissionController {
   /// pass the Sampler tick's seq/now straight through) and actuates.
   void TickOnce(uint64_t seq, double now);
 
-  /// Watchdog-alert path: collapse every group to min_batch immediately
+  /// Watchdog-alert path: collapse the batch size to kMinBatch immediately
   /// and start a fresh cool-down. `seq`/`now` tag the decision (pass the
-  /// alert's last_seq/last_time). No-op when already at min_batch.
+  /// alert's last_seq/last_time). No-op when already at kMinBatch.
   void EmergencyShrink(uint64_t seq, double now);
 
-  /// Current advisory batch size for a group (groups beyond num_groups
-  /// fold onto group 0). Lock-free.
-  uint32_t batch_size(size_t group = 0) const {
-    return batch_[group < num_groups_ ? group : 0].load(
-        std::memory_order_relaxed);
+  /// Current advisory batch size. Lock-free.
+  uint32_t batch_size() const {
+    return batch_.load(std::memory_order_relaxed);
   }
 
   /// Current active protocol width the controller believes in. Lock-free.
@@ -188,7 +183,7 @@ class AdmissionController {
   };
   Sensors ReadSensors() const;
 
-  /// Applies `action`, records it (trace, registry, flight), and publishes
+  /// Applies `action`, records it (trace, counts, flight), and publishes
   /// the new batch/k gauges. mu_ held.
   void ActuateLocked(uint64_t seq, double now, AdmissionAction action,
                      uint32_t new_batch, uint32_t new_k, double abort_rate,
@@ -196,28 +191,25 @@ class AdmissionController {
                      uint64_t fallbacks);
 
   AdmissionControlOptions options_;
-  size_t num_groups_;
   uint32_t physical_k_;  ///< Upper bound for the k actuator.
 
-  // Published state ("engine.adaptive.*").
+  // Published levels ("engine.adaptive.batch_size" / ".k"); the action
+  // counts below reach the registry through its collector.
   Gauge* g_batch_ = nullptr;
   Gauge* g_k_ = nullptr;
-  Counter* m_grows_ = nullptr;
-  Counter* m_shrinks_ = nullptr;
-  Counter* m_k_switches_ = nullptr;
 
   mutable std::mutex mu_;
   // Last-seen cumulative sensor values (window deltas subtract these).
   Sensors last_;
-  // Streak state (see AdmissionControlOptions).
+  // Streak state (see the constants above).
   uint64_t quiet_streak_ = 0;
   uint64_t widen_streak_ = 0;
   uint64_t narrow_streak_ = 0;
   uint64_t cooldown_ = 0;
   std::vector<AdmissionDecision> trace_;
 
-  // Lock-free read side.
-  std::unique_ptr<std::atomic<uint32_t>[]> batch_;
+  // Lock-free read side; the registry collector reads only these.
+  std::atomic<uint32_t> batch_{kMaxBatch};
   std::atomic<uint32_t> k_;
   std::atomic<uint64_t> grows_{0};
   std::atomic<uint64_t> shrinks_{0};

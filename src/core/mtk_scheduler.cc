@@ -73,14 +73,7 @@ MtkScheduler::LiveRef MtkScheduler::TopLiveOf(Access& top,
 
 VectorCompareResult MtkScheduler::CompareStates(const TxnState& a,
                                                 const TxnState& b) {
-#ifdef MDTS_DEBUG_COMPARE
-  VectorCompareResult r = options_.naive_compare ? CompareNaive(a.ts, b.ts)
-                                                 : Compare(a.ts, b.ts);
-#else
-  VectorCompareResult r = options_.naive_compare
-                              ? CompareNaive(a.ts, b.ts)
-                              : internal::CompareFast(a.ts, b.ts);
-#endif
+  const VectorCompareResult r = Compare(a.ts, b.ts);
   stats_.element_comparisons += r.index + 1;
   return r;
 }

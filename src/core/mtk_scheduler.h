@@ -61,12 +61,6 @@ struct MtkOptions {
   /// transactions instead of total history. Leave 0 for recognizer-style
   /// use, where every transaction's final vector must stay inspectable.
   uint64_t compact_every = 0;
-
-  /// Debug flag: route every comparison through CompareNaive, the literal
-  /// Definition-6 reference, instead of the optimized mask-based
-  /// comparator. Used for differential testing and as the pre-optimization
-  /// baseline in bench/mt_throughput.
-  bool naive_compare = false;
 };
 
 /// One recorded dependency encoding: processing `op` (the `position`-th

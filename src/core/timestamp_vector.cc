@@ -131,18 +131,6 @@ VectorCompareResult CompareNaive(const TimestampVector& a,
   return {VectorOrder::kIdentical, k};
 }
 
-VectorCompareResult Compare(const TimestampVector& a,
-                            const TimestampVector& b) {
-  assert(a.size() == b.size());
-  const VectorCompareResult r = internal::CompareFast(a, b);
-#ifdef MDTS_DEBUG_COMPARE
-  const VectorCompareResult ref = CompareNaive(a, b);
-  assert(r.order == ref.order && r.index == ref.index &&
-         "optimized comparator diverged from Definition 6 reference");
-#endif
-  return r;
-}
-
 const char* VectorOrderName(VectorOrder order) {
   switch (order) {
     case VectorOrder::kLess:

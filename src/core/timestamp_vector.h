@@ -2,6 +2,7 @@
 #define MDTS_CORE_TIMESTAMP_VECTOR_H_
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -126,6 +127,12 @@ class TimestampVector {
   uint32_t mask_ = 0;  // Bit m set iff element m is defined (m < kMaskBits).
 };
 
+/// The reference comparator: the literal per-element transcription of
+/// Definition 6. Kept for differential testing against Compare() and as its
+/// fallback for k > 32.
+VectorCompareResult CompareNaive(const TimestampVector& a,
+                                 const TimestampVector& b);
+
 /// Definition-6 comparison of TS(i) = a against TS(j) = b. Scans left to
 /// right for the first position where the elements are not both defined and
 /// equal; the pair found there decides the order:
@@ -133,26 +140,13 @@ class TimestampVector {
 ///   both undefined     -> kEqual     exactly one undefined -> kUndetermined
 /// Vectors must have equal size.
 ///
-/// This is the optimized comparator: the common defined prefix is located
-/// with one mask AND plus a count-trailing-ones, the prefix values are
-/// scanned with a branch-light memcmp-style loop, and the decision at the
-/// break position is read off the two masks. Compile with
-/// -DMDTS_DEBUG_COMPARE to cross-check every call against CompareNaive.
-VectorCompareResult Compare(const TimestampVector& a, const TimestampVector& b);
-
-/// The reference comparator: the literal per-element transcription of
-/// Definition 6. Kept for differential testing (see the MDTS_DEBUG_COMPARE
-/// flag and MtkOptions::naive_compare) and as the fallback for k > 32.
-VectorCompareResult CompareNaive(const TimestampVector& a,
-                                 const TimestampVector& b);
-
-namespace internal {
-
-/// Body of the optimized comparator, defined inline so scheduler hot loops
-/// can absorb it. Use Compare(), which adds the MDTS_DEBUG_COMPARE
-/// cross-check, unless calling from a measured hot path.
-inline VectorCompareResult CompareFast(const TimestampVector& a,
-                                       const TimestampVector& b) {
+/// The common defined prefix is located with one mask AND plus a
+/// count-trailing-ones, the prefix values are scanned with a branch-light
+/// memcmp-style loop, and the decision at the break position is read off
+/// the two masks. Defined inline so scheduler hot loops can absorb it.
+inline VectorCompareResult Compare(const TimestampVector& a,
+                                   const TimestampVector& b) {
+  assert(a.size() == b.size());
   const size_t k = a.size();
   if (k > TimestampVector::kMaskBits) return CompareNaive(a, b);
   // p = first position where the elements are not both defined; everything
@@ -173,8 +167,6 @@ inline VectorCompareResult CompareFast(const TimestampVector& a,
   if (!da && !db) return {VectorOrder::kEqual, p};
   return {VectorOrder::kUndetermined, p};
 }
-
-}  // namespace internal
 
 /// Convenience: strict Definition-6 "less than".
 inline bool VectorLess(const TimestampVector& a, const TimestampVector& b) {

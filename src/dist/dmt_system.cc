@@ -27,6 +27,10 @@ namespace {
 // ascending order and no deadlock can occur.
 using ObjectId = uint64_t;
 
+// Re-sends of one lock request before the operation is abandoned and its
+// transaction aborts-and-retries.
+constexpr uint32_t kMaxLockRetries = 6;
+
 struct Event {
   double time = 0.0;
   uint64_t seq = 0;
@@ -149,34 +153,27 @@ class DmtSim {
         rng_(options.seed),
         injector_(options.fault, options.seed * 0x9E3779B97F4A7C15ULL + 0xC2),
         table_(options.k) {
-    // Effective fault-tolerance knobs. On a clean run both stay disabled,
-    // making the simulation bit-identical to the fault-free event loop.
-    timeout_ = options_.request_timeout;
-    if (timeout_ <= 0.0 && options_.fault.any_faults()) {
+    // Fault-tolerance knobs. On a clean run the timeout and the lease stay
+    // disabled and the restart backoff stays flat, making the simulation
+    // bit-identical to the fault-free event loop.
+    double restart_mult = 1.0;
+    if (options_.fault.any_faults()) {
       // Generous vs. one round trip plus jitter: spurious retries are only
       // wasted messages (requests are idempotent), but a tight timeout
       // thrashes under contention.
       timeout_ = 4.0 * (options_.message_latency + options_.fault.jitter) + 1.0;
-    }
-    lease_ = options_.lock_lease;
-    if (lease_ <= 0.0 && options_.fault.any_faults()) {
       // Long enough for a normal multi-lock acquisition; a holder that is
       // slower than this aborts-and-retries, which is safe (the decision
       // is validated against lock generations before it is made).
       lease_ = 12.0 * std::max(timeout_, 1.0);
+      // Backoff growth only pays off when outages make retries futile; on
+      // a clean run a flat jittered delay keeps throughput (and matches
+      // the closed-loop simulator's policy).
+      restart_mult = 2.0;
     }
     retry_backoff_ = BackoffPolicy{timeout_, 2.0, 4.0 * timeout_};
-    double restart_mult = options_.restart_backoff_multiplier;
-    if (restart_mult <= 0.0) {
-      // Auto: growth only pays off when outages make retries futile; on a
-      // clean run a flat jittered delay keeps throughput (and matches the
-      // closed-loop simulator's policy).
-      restart_mult = options_.fault.any_faults() ? 2.0 : 1.0;
-    }
-    restart_backoff_ = BackoffPolicy{
-        options_.restart_delay, restart_mult,
-        options_.restart_backoff_cap > 0.0 ? options_.restart_backoff_cap
-                                           : 8.0 * options_.restart_delay};
+    restart_backoff_ = BackoffPolicy{options_.restart_delay, restart_mult,
+                                     8.0 * options_.restart_delay};
     registry_ = options_.metrics != nullptr ? options_.metrics
                                             : &GlobalMetrics();
     h_response_ = registry_->GetHistogram("dmt.response_time_us");
@@ -752,7 +749,7 @@ void DmtSim::OnRequestTimeout(const Event& ev) {
   OpContext& ctx = contexts_[ev.ctx];
   if (!CtxActive(ev.ctx)) return;
   if (ev.gen != ctx.request_epoch) return;  // Granted or already re-sent.
-  if (ctx.retries >= options_.max_lock_retries) {
+  if (ctx.retries >= kMaxLockRetries) {
     ++result_.timeout_give_ups;
     AbandonContext(ev.ctx, AbortReason::kLockTimeout);
     return;

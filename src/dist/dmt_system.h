@@ -41,14 +41,10 @@ struct DmtOptions {
   double mean_think_time = 1.0;
 
   /// Base of the jittered, capped-exponential restart backoff (the mean
-  /// delay after a transaction's first abort).
+  /// delay after a transaction's first abort). The backoff is flat on a
+  /// clean run and doubles per abort when faults are injected, so retries
+  /// shed load during an outage; it is capped at 8 * restart_delay.
   double restart_delay = 4.0;
-
-  /// Growth factor / cap of the restart backoff. multiplier 0 = automatic:
-  /// flat (1.0) on a clean run, doubling (2.0) when faults are injected so
-  /// retries shed load during an outage. cap 0 = 8 * restart_delay.
-  double restart_backoff_multiplier = 0.0;
-  double restart_backoff_cap = 0.0;
 
   uint32_t num_txns = 60;
   uint32_t concurrency = 8;
@@ -62,24 +58,12 @@ struct DmtOptions {
 
   /// Injected faults (message loss/duplication/jitter, site crashes).
   /// Inactive by default; a clean run is bit-identical to the fault-free
-  /// simulator.
+  /// simulator. When any fault is injected, an unanswered lock request is
+  /// re-sent after a timeout derived from message_latency and jitter, a
+  /// bounded number of times before its transaction aborts-and-retries,
+  /// and every granted lock carries a lease derived from that timeout;
+  /// both are off on a clean run.
   FaultPlan fault;
-
-  /// Timeout before an unanswered lock request is re-sent (the interval
-  /// grows with a capped-exponential, equal-jitter backoff). 0 = automatic:
-  /// disabled on a clean run, derived from message_latency and jitter when
-  /// any fault is injected.
-  double request_timeout = 0.0;
-
-  /// Re-sends of one lock request before the operation is abandoned and
-  /// its transaction aborts-and-retries.
-  uint32_t max_lock_retries = 6;
-
-  /// Lease on every granted lock; expiry reclaims the lock from a crashed
-  /// or wedged holder and aborts that holder's transaction. 0 = automatic:
-  /// disabled on a clean run, derived from the request timeout when any
-  /// fault is injected (faulty runs need leases to guarantee progress).
-  double lock_lease = 0.0;
 
   WorkloadOptions workload;
   uint64_t seed = 1;
@@ -158,7 +142,7 @@ struct DmtResult {
   uint64_t messages_dropped = 0;     // Injector drops + deliveries to down sites.
   uint64_t messages_duplicated = 0;  // Extra copies delivered.
   uint64_t lock_retries = 0;         // Lock requests re-sent after a timeout.
-  uint64_t timeout_give_ups = 0;     // Ops abandoned after max_lock_retries.
+  uint64_t timeout_give_ups = 0;     // Ops abandoned after their last re-send.
   uint64_t lease_reclaims = 0;       // Locks reclaimed from expired leases.
   uint64_t down_site_aborts = 0;     // Aborts caused by a crashed/down site.
 

@@ -34,7 +34,7 @@ enum class AbortReason : uint8_t {
                        // requester is the victim.
   kValidationFailure,  // OCC backward validation: a concurrent committer
                        // wrote an item in the validator's read set.
-  kLockTimeout,        // DMT(k): a lock request exhausted max_lock_retries
+  kLockTimeout,        // DMT(k): a lock request exhausted its bounded
                        // re-sends without an answer.
   kLeaseExpired,       // DMT(k): a held lock's lease expired (crashed or
                        // wedged holder); mutual exclusion was lost.

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/mtk_scheduler.h"
-#include "engine/sharded_engine.h"
 #include "sched/scheduler.h"
 
 namespace mdts {
@@ -49,48 +48,6 @@ class MtkOnline : public Scheduler {
  private:
   MtkScheduler inner_;
   MtkOptions options_;
-};
-
-/// Engine-backed variant of MtkOnline: the same Scheduler surface, served by
-/// the thread-safe ShardedMtkEngine. With num_shards = 1 it accepts exactly
-/// the logs MtkOnline accepts; with more shards it is the concurrent engine
-/// driven single-threaded through the uniform interface.
-class MtkEngineOnline : public Scheduler {
- public:
-  explicit MtkEngineOnline(const EngineOptions& options) : inner_(options) {}
-
-  std::string name() const override {
-    std::string n = "MT(" + std::to_string(inner_.options().k) + ")x" +
-                    std::to_string(inner_.num_shards());
-    if (inner_.options().starvation_fix) n += "+fix";
-    if (inner_.options().thomas_write_rule) n += "+thomas";
-    return n;
-  }
-
-  SchedOutcome OnOperation(const Op& op) override {
-    AbortReason reason = AbortReason::kNone;
-    switch (inner_.Process(op, &reason)) {
-      case OpDecision::kAccept:
-        return SchedOutcome::kAccepted;
-      case OpDecision::kIgnore:
-        return SchedOutcome::kIgnored;
-      case OpDecision::kReject:
-        return RecordAbort(reason);
-    }
-    return RecordAbort(AbortReason::kInvalidOp);
-  }
-
-  SchedOutcome OnCommit(TxnId txn) override {
-    inner_.CommitTxn(txn);
-    return SchedOutcome::kAccepted;
-  }
-
-  void OnRestart(TxnId txn) override { inner_.RestartTxn(txn); }
-
-  ShardedMtkEngine& inner() { return inner_; }
-
- private:
-  ShardedMtkEngine inner_;
 };
 
 }  // namespace mdts

@@ -148,7 +148,7 @@ TEST(AdmissionControllerTest, ShrinkOnPressureGrowAfterQuietDwell) {
   ao.registry = &f.reg;
   ao.max_k = 3;  // No engine: k is tracked internally.
   AdmissionController ctl(ao);
-  ASSERT_EQ(ctl.batch_size(), 32u);  // Optimistic start at max_batch.
+  ASSERT_EQ(ctl.batch_size(), 32u);  // Optimistic start at kMaxBatch.
 
   uint64_t seq = 0;
   double now = 0.0;
@@ -202,11 +202,16 @@ TEST(AdmissionControllerTest, TinyWindowsCarryNoSignal) {
   ao.registry = &f.reg;
   ao.max_k = 3;
   AdmissionController ctl(ao);
-  // 15 ops < min_window_ops = 16: even at abort rate 1.0, no shrink.
+  // 15 ops < kMinWindowOps = 16: even at abort rate 1.0, no shrink.
   f.lex->Add(15);
   ctl.TickOnce(1, 0.1);
   EXPECT_EQ(ctl.batch_size(), 32u);
   EXPECT_EQ(ctl.shrinks(), 0u);
+  // 16 ops is a window: the same abort rate now shrinks.
+  f.lex->Add(16);
+  ctl.TickOnce(2, 0.2);
+  EXPECT_EQ(ctl.batch_size(), 16u);
+  EXPECT_EQ(ctl.shrinks(), 1u);
 }
 
 TEST(AdmissionControllerTest, WidensAndNarrowsKThroughEngine) {
@@ -228,7 +233,7 @@ TEST(AdmissionControllerTest, WidensAndNarrowsKThroughEngine) {
   double now = 0.0;
   auto tick = [&] { ctl.TickOnce(++seq, now += 0.1); };
 
-  // Vector-capacity-dominated pressure: widen by one per widen_dwell(=2)
+  // Vector-capacity-dominated pressure: widen by one per kWidenDwell(=2)
   // consecutive windows, through the engine, up to its physical k.
   for (int i = 0; i < 4; ++i) {
     f.commits->Add(10);
@@ -248,7 +253,7 @@ TEST(AdmissionControllerTest, WidensAndNarrowsKThroughEngine) {
   }
   EXPECT_EQ(ctl.active_k(), 5u);
 
-  // Sustained quiet: narrow back after narrow_dwell(=8), floored at
+  // Sustained quiet: narrow back after kNarrowDwell(=8), floored at
   // min_k.
   for (int i = 0; i < 30; ++i) {
     f.commits->Add(100);
@@ -289,12 +294,30 @@ TEST(AdmissionControllerTest, DeterministicTraceIsBitIdentical) {
     }
     // The flight recorder saw one control event per decision, in order.
     EXPECT_EQ(flight.ControlEvents().size(), ctl.decisions().size());
+    // Pinned to the schedule's known outcome, so a changed controller
+    // constant (step, factor, dwell, window floor) fails here.
+    EXPECT_EQ(ctl.decisions().size(), 10u);
+    EXPECT_EQ(ctl.grows(), 3u);
+    EXPECT_EQ(ctl.shrinks(), 7u);
+    EXPECT_EQ(ctl.k_switches(), 0u);
     return ctl.TraceString();
   };
   const std::string a = run();
   const std::string b = run();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+  const std::string head =
+      "seq=0 t=0 action=emergency_shrink batch=1 k=4 abort_rate=0 "
+      "vector_frac=0 commits=0 rejects=0 fallbacks=0\n"
+      "seq=22 t=1.1 action=grow batch=5 k=4 abort_rate=0.168142 "
+      "vector_frac=0.315789 commits=94 rejects=19 fallbacks=0\n"
+      "seq=23 t=1.15 action=shrink batch=2 k=4 abort_rate=0.654088 "
+      "vector_frac=0.730769 commits=55 rejects=104 fallbacks=0\n"
+      "seq=27 t=1.35 action=shrink batch=1 k=4 abort_rate=0.723005 "
+      "vector_frac=0.818182 commits=59 rejects=154 fallbacks=0\n"
+      "seq=127 t=6.35 action=grow batch=5 k=4 abort_rate=0.0892857 "
+      "vector_frac=0.2 commits=153 rejects=15 fallbacks=0\n";
+  EXPECT_EQ(a.substr(0, head.size()), head);
 }
 
 // ---------------------------------------------------------------------------

@@ -559,7 +559,9 @@ TEST(ReconciliationTest, DmtCountersScrapedMidRunOnlyGrow) {
   for (size_t q = 1; q < seen.size(); ++q) {
     ASSERT_LE(seen[q - 1], seen[q]) << "scrape " << q;
   }
-  if (!seen.empty()) EXPECT_LE(seen.back(), r.committed);
+  if (!seen.empty()) {
+    EXPECT_LE(seen.back(), r.committed);
+  }
 }
 
 // ===========================================================================
