@@ -41,8 +41,10 @@ int Run() {
   }
   std::printf("%s\n", items.ToString().c_str());
 
-  std::printf("Storage note (Section III-D-6): after compaction only each\n"
-              "item's most recent reader and writer entries remain.\n");
+  std::printf("Storage note (Section III-D-6): compaction drops each item's\n"
+              "dead entries and every entry below its newest committed one;\n"
+              "live uncommitted entries stay, since RT(x)/WT(x) falls back to\n"
+              "them if a newer accessor aborts.\n");
   s.CompactItemHistories();
   std::printf("Compaction ran; table unchanged:\n%s", s.DumpTable(4).c_str());
   return 0;

@@ -81,10 +81,6 @@ class MtkPlus {
           lastcol(k, kUndefinedElement) {}
   };
 
-  struct Access {
-    TxnId txn = kVirtualTxn;
-  };
-
   struct ItemState {
     std::vector<TxnId> readers;
     std::vector<TxnId> writers;

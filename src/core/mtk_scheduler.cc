@@ -26,7 +26,7 @@ MtkScheduler::MtkScheduler(const MtkOptions& options)
   // Line 2 of Algorithm 1: the virtual transaction T0, which conceptually
   // read and wrote every item first, starts with TS(0) = <0, *, ..., *> and
   // is permanently committed. Lines 3-4: RT(x) = WT(x) = 0 is realized by
-  // TopLive falling back to kVirtualTxn on empty stacks; counters_ starts
+  // AccessHistory::Top falling back to kVirtualTxn; counters_ starts
   // lcount/ucount at 0 / 1.
   t0_.ts = TimestampVector::Virtual(options_.k);
   t0_.committed = true;
@@ -44,31 +44,6 @@ MtkScheduler::TxnState& MtkScheduler::State(TxnId txn) {
 MtkScheduler::ItemState& MtkScheduler::Item(ItemId item) {
   if (items_.size() <= item) items_.resize(item + 1);
   return items_[item];
-}
-
-MtkScheduler::LiveRef MtkScheduler::TopLiveOf(Access& top,
-                                              std::vector<Access>& stack) {
-  // Fast path: the inline mirror of stack.back() is live; the stack's heap
-  // storage is never touched.
-  if (top.txn == kVirtualTxn) return {kVirtualTxn, &t0_};
-  {
-    TxnState& s = State(top.txn);
-    if (top.incarnation == s.incarnation && !s.aborted) return {top.txn, &s};
-  }
-  // Dead top: drop it and scan for the most recent live entry. Dead entries
-  // (stale incarnation or currently aborted) are popped for good.
-  stack.pop_back();
-  while (!stack.empty()) {
-    const Access& a = stack.back();
-    TxnState& s = State(a.txn);
-    if (a.incarnation == s.incarnation && !s.aborted) {
-      top = a;
-      return {a.txn, &s};
-    }
-    stack.pop_back();
-  }
-  top = Access{};
-  return {kVirtualTxn, &t0_};
 }
 
 VectorCompareResult MtkScheduler::CompareStates(const TxnState& a,
@@ -129,29 +104,23 @@ OpDecision MtkScheduler::Process(const Op& op) {
     Access me;
     bool hot;
     bool old_read_path, relaxed_read_path, thomas_write_rule;
-    VectorOrder Order(const LiveRef& a, const LiveRef& b) {
+    VectorOrder Order(const Ref& a, const Ref& b) {
       return s->CompareStates(*a.state, *b.state).order;
     }
-    bool Set(const LiveRef& j, const LiveRef& to) {
+    bool Set(const Ref& j, const Ref& to) {
       return s->SetStates(*j.state, *to.state, j.txn, to.txn, hot);
     }
-    void PushReader() {
-      item.readers.push_back(me);
-      item.top_reader = me;
-    }
-    void PushWriter() {
-      item.writers.push_back(me);
-      item.top_writer = me;
-    }
+    void PushReader() { item.readers.Push(me); }
+    void PushWriter() { item.writers.Push(me); }
   };
   Policy policy{this, item, {i, state.incarnation}, hot,
                 !options_.disable_old_read_path, options_.relaxed_read_path,
                 options_.thomas_write_rule};
   // All states are resolved to pointers once here; everything below works
   // on them.
-  const LiveRef jr = TopLiveOf(item.top_reader, item.readers);
-  const LiveRef jw = TopLiveOf(item.top_writer, item.writers);
-  const auto d = Decide(op.type, jr, jw, LiveRef{i, &state}, policy);
+  const Ref jr = item.readers.Top(Probe());
+  const Ref jw = item.writers.Top(Probe());
+  const auto d = Decide(op.type, jr, jw, Ref{i, &state}, policy);
   switch (d.decision) {
     case OpDecision::kAccept:
       ++stats_.accepted;
@@ -214,46 +183,33 @@ bool MtkScheduler::IsCommitted(TxnId txn) const {
 const TimestampVector& MtkScheduler::Ts(TxnId txn) { return State(txn).ts; }
 
 TxnId MtkScheduler::Rt(ItemId item) {
-  ItemState& s = Item(item);
-  return TopLiveOf(s.top_reader, s.readers).txn;
+  return Item(item).readers.Top(Probe()).txn;
 }
 
 TxnId MtkScheduler::Wt(ItemId item) {
-  ItemState& s = Item(item);
-  return TopLiveOf(s.top_writer, s.writers).txn;
+  return Item(item).writers.Top(Probe()).txn;
 }
 
 void MtkScheduler::CompactItemHistories() {
   for (ItemState& item : items_) {
-    const LiveRef r = TopLiveOf(item.top_reader, item.readers);
-    const LiveRef w = TopLiveOf(item.top_writer, item.writers);
-    item.readers.clear();
-    item.writers.clear();
-    if (r.txn != kVirtualTxn) {
-      item.readers.push_back({r.txn, r.state->incarnation});
-      item.top_reader = item.readers.back();
-    }
-    if (w.txn != kVirtualTxn) {
-      item.writers.push_back({w.txn, w.state->incarnation});
-      item.top_writer = item.writers.back();
-    }
+    item.readers.Compact(Probe());
+    item.writers.Compact(Probe());
   }
 }
 
 size_t MtkScheduler::CompactCommitted() {
   CompactItemHistories();
   // Everything below the smallest id still referenced by an item history
-  // (or still live at the front of the deque) is unreachable: TopLive can
-  // never surface it again, so neither Process nor Set will compare
-  // against its vector.
+  // (or still live at the front of the deque) is unreachable: no Top can
+  // surface it again, so neither Process nor Set will compare against its
+  // vector.
   TxnId min_referenced = static_cast<TxnId>(base_ + txns_.size());
+  auto note = [&](const Access& a) {
+    min_referenced = std::min(min_referenced, a.txn);
+  };
   for (const ItemState& item : items_) {
-    for (const Access& a : item.readers) {
-      min_referenced = std::min(min_referenced, a.txn);
-    }
-    for (const Access& a : item.writers) {
-      min_referenced = std::min(min_referenced, a.txn);
-    }
+    item.readers.ForEach(note);
+    item.writers.ForEach(note);
   }
   size_t released = 0;
   while (!txns_.empty() && base_ < min_referenced &&

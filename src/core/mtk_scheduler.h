@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/access_history.h"
 #include "core/encoding.h"
 #include "core/timestamp_vector.h"
 #include "core/types.h"
@@ -58,8 +59,9 @@ struct MtkOptions {
 
   /// If > 0, CompactCommitted() runs automatically after every this many
   /// commits, so a long-running scheduler's memory stays bounded by live
-  /// transactions instead of total history. Leave 0 for recognizer-style
-  /// use, where every transaction's final vector must stay inspectable.
+  /// transactions instead of total history. It changes no decision (see
+  /// AccessHistory::Compact). Leave 0 for recognizer-style use, where every
+  /// transaction's final vector must stay inspectable.
   uint64_t compact_every = 0;
 };
 
@@ -170,9 +172,11 @@ class MtkScheduler {
   const MtkOptions& options() const { return options_; }
   const MtkStats& stats() const { return stats_; }
 
-  /// Drops dead (aborted-incarnation) entries from the item history stacks
-  /// and keeps only each item's current most recent reader and writer:
-  /// the storage-reclamation idea of Section III-D-6a/b.
+  /// Storage reclamation of Section III-D-6a/b on every item's RT and WT
+  /// stacks: drops the dead entries and every entry below the newest
+  /// committed one (AccessHistory::Compact). Each stack keeps at most one
+  /// committed entry plus the live uncommitted ones, so no later decision
+  /// changes.
   void CompactItemHistories();
 
   /// Full storage reclamation: compacts the item histories, then releases
@@ -208,38 +212,27 @@ class MtkScheduler {
     explicit TxnState(size_t k) : ts(k) {}
   };
 
-  struct Access {
-    TxnId txn = kVirtualTxn;
-    uint32_t incarnation = 0;
-  };
-
   struct ItemState {
-    // Inline mirrors of readers.back() / writers.back() (kVirtualTxn when
-    // the stack is empty). RT(x)/WT(x) resolution reads these instead of
-    // chasing the stack vectors' heap storage; the stacks are only touched
-    // when an op is accepted (push) or the mirrored top turns out dead.
-    Access top_reader;
-    Access top_writer;
-    std::vector<Access> readers;  // Accepted reads, oldest first.
-    std::vector<Access> writers;  // Accepted writes, oldest first.
-    uint64_t access_count = 0;    // For hot-item detection (III-D-5).
+    AccessHistory readers;       // RT(x).
+    AccessHistory writers;       // WT(x).
+    uint64_t access_count = 0;  // For hot-item detection (III-D-5).
   };
 
-  /// A resolved accessor: its id plus a pointer to its state. Hot-path
-  /// helpers pass these around so each transaction's deque slot is located
-  /// once per operation (deque references are stable across growth).
-  struct LiveRef {
-    TxnId txn;
-    TxnState* state;
-  };
+  /// A resolved accessor: its id plus a pointer to its state, so each
+  /// transaction's deque slot is located once per operation (deque
+  /// references are stable across growth).
+  using Ref = LiveRef<TxnState>;
 
   TxnState& State(TxnId txn);
   ItemState& Item(ItemId item);
 
-  /// Top live (current-incarnation, non-aborted) entry of an access stack,
-  /// resolved; the virtual transaction if the stack drains empty. `top` is
-  /// the stack's inline mirror and is kept in sync as dead entries pop.
-  LiveRef TopLiveOf(Access& top, std::vector<Access>& stack);
+  /// The access-history probe: what State(txn) says about liveness.
+  auto Probe() {
+    return [this](TxnId txn) {
+      TxnState& s = State(txn);
+      return TxnLife<TxnState>{&s, s.incarnation, s.aborted, s.committed};
+    };
+  }
 
   /// Algorithm 1's Set(j, i): ensure TS(j) < TS(i), encoding a new
   /// dependency if the order is not determined yet. Returns false iff the
@@ -253,8 +246,8 @@ class MtkScheduler {
 
   MtkOptions options_;
   MtkStats stats_;
-  // The virtual T0 lives outside the compactable range: TopLive falls back
-  // to it forever, so it can never be released.
+  // The virtual T0 lives outside the compactable range: an empty access
+  // history resolves to it forever, so it can never be released.
   TxnState t0_;
   // Deque of states for ids [base_, base_ + size()): State() hands out
   // references that must survive later growth, and CompactCommitted pops

@@ -12,6 +12,7 @@
 #include "common/backoff.h"
 #include "common/bench_clock.h"
 #include "common/rng.h"
+#include "core/access_history.h"
 #include "core/types.h"
 #include "core/vector_table.h"
 #include "obs/trace.h"
@@ -110,7 +111,6 @@ struct TxnRuntime {
   bool done = false;
   bool started = false;
   bool committed = false;
-  uint32_t committed_incarnation = 0;
   double first_start = 0.0;
 };
 
@@ -136,14 +136,9 @@ struct ExecutedOp {
   uint32_t incarnation = 0;
 };
 
-struct Access {
-  TxnId txn = kVirtualTxn;
-  uint32_t incarnation = 0;
-};
-
 struct ItemState {
-  std::vector<Access> readers;
-  std::vector<Access> writers;
+  AccessHistory readers;  // RT(x).
+  AccessHistory writers;  // WT(x).
 };
 
 class DmtSim {
@@ -213,15 +208,13 @@ class DmtSim {
     return items_[x];
   }
 
-  bool IsLive(const Access& a) {
-    const TxnRuntime& rt = txns_[a.txn];
-    return a.txn == kVirtualTxn ||
-           (a.incarnation == rt.incarnation && !rt.aborted);
-  }
-
-  TxnId TopLive(std::vector<Access>* stack) {
-    while (!stack->empty() && !IsLive(stack->back())) stack->pop_back();
-    return stack->empty() ? kVirtualTxn : stack->back().txn;
+  /// The access-history probe: a transaction's runtime liveness.
+  auto Probe() const {
+    return [this](TxnId t) {
+      const TxnRuntime& rt = txns_[t];
+      return TxnLife<const TxnRuntime>{&rt, rt.incarnation, rt.aborted,
+                                        rt.committed};
+    };
   }
 
   /// A context that may still act: not abandoned, not finished, and its
@@ -526,15 +519,15 @@ bool DmtSim::Decide(OpContext* ctx, AbortReason* why) {
       return d->table_.Set(j, i, d->counters_[ctx.site], why);
     }
     void PushReader() {
-      item.readers.push_back({ctx.txn, d->txns_[ctx.txn].incarnation});
+      item.readers.Push({ctx.txn, d->txns_[ctx.txn].incarnation});
     }
     void PushWriter() {
-      item.writers.push_back({ctx.txn, d->txns_[ctx.txn].incarnation});
+      item.writers.Push({ctx.txn, d->txns_[ctx.txn].incarnation});
     }
   };
   Policy policy{this, item, *ctx, why};
-  const TxnId jr = TopLive(&item.readers);
-  const TxnId jw = TopLive(&item.writers);
+  const TxnId jr = item.readers.Top(Probe()).txn;
+  const TxnId jw = item.writers.Top(Probe()).txn;
   // On reject, *why keeps the cause of the Set(j, i) that refused.
   return mdts::Decide(ctx->op.type, jr, jw, i, policy).decision ==
          OpDecision::kAccept;
@@ -670,8 +663,8 @@ void DmtSim::OnGrantArrive(const Event& ev) {
     ctx.item_locked = true;
     ItemState& item = Item(ctx.op.item);
     std::set<TxnId> vec_txns;
-    const TxnId jr = TopLive(&item.readers);
-    const TxnId jw = TopLive(&item.writers);
+    const TxnId jr = item.readers.Top(Probe()).txn;
+    const TxnId jw = item.writers.Top(Probe()).txn;
     if (jr != kVirtualTxn) vec_txns.insert(jr);
     if (jw != kVirtualTxn) vec_txns.insert(jw);
     vec_txns.insert(ctx.txn);
@@ -875,24 +868,11 @@ void DmtSim::MaybeCompactVectors() {
   // sweep runs every 32 finishes to amortize the item-table scan.
   if (++finishes_since_compact_ < 32) return;
   finishes_since_compact_ = 0;
-  // An entry below a committed live entry can never become an item's top
-  // again (a committed incarnation stays live forever), so dropping that
-  // unreachable prefix changes no decision - it only unpins vectors.
-  auto truncate = [&](std::vector<Access>* stack) {
-    size_t keep = 0;
-    for (size_t n = stack->size(); n-- > 0;) {
-      const Access& a = (*stack)[n];
-      const TxnRuntime& rt = txns_[a.txn];
-      if (rt.committed && a.incarnation == rt.committed_incarnation) {
-        keep = n;
-        break;
-      }
-    }
-    if (keep > 0) stack->erase(stack->begin(), stack->begin() + keep);
-  };
+  // Dropping dead entries and those below the newest committed entry
+  // changes no decision (AccessHistory::Compact); it only unpins vectors.
   for (ItemState& item : items_) {
-    truncate(&item.readers);
-    truncate(&item.writers);
+    item.readers.Compact(Probe());
+    item.writers.Compact(Probe());
   }
   // Smallest id whose vector may still be consulted: any unfinished
   // transaction (its vector can still grow or reset) or any id an item
@@ -904,13 +884,10 @@ void DmtSim::MaybeCompactVectors() {
       break;
     }
   }
+  auto note = [&](const Access& a) { min_live = std::min(min_live, a.txn); };
   for (const ItemState& item : items_) {
-    for (const Access& a : item.readers) {
-      if (a.txn != kVirtualTxn) min_live = std::min(min_live, a.txn);
-    }
-    for (const Access& a : item.writers) {
-      if (a.txn != kVirtualTxn) min_live = std::min(min_live, a.txn);
-    }
+    item.readers.ForEach(note);
+    item.writers.ForEach(note);
   }
   result_.vectors_released += table_.ReleaseBelow(min_live);
 }
@@ -1076,7 +1053,6 @@ DmtResult DmtSim::Run() {
           ++result_.committed;
           rt.done = true;
           rt.committed = true;
-          rt.committed_incarnation = rt.incarnation;
           rt.consecutive_aborts = 0;
           const double response = now_ - rt.first_start;
           total_response_ += response;
@@ -1148,7 +1124,7 @@ DmtResult DmtSim::Run() {
 
   for (const ExecutedOp& e : executed_) {
     const TxnRuntime& rt = txns_[e.op.txn];
-    if (rt.committed && e.incarnation == rt.committed_incarnation) {
+    if (rt.committed && e.incarnation == rt.incarnation) {
       result_.committed_history.Append(e.op);
     }
   }

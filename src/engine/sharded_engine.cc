@@ -195,37 +195,6 @@ ShardedMtkEngine::ItemState& ShardedMtkEngine::ItemLocked(Shard& sh,
   return sh.items[local];
 }
 
-ShardedMtkEngine::LiveRef ShardedMtkEngine::TopLiveOf(
-    Access& top, std::vector<Access>& stack) const {
-  if (top.txn == kVirtualTxn) {
-    return {kVirtualTxn, 0, const_cast<TxnState*>(&t0_)};
-  }
-  {
-    TxnState* s = PeekState(top.txn);
-    const uint64_t w = LoadLife(*s);
-    if (LifeIncarnation(w) == top.incarnation && !LifeAborted(w)) {
-      return {top.txn, top.incarnation, s};
-    }
-  }
-  // Dead top: drop it and scan for the most recent live entry. Dead is
-  // permanent for a (txn, incarnation) pair - RestartTxn bumps the
-  // incarnation in the same store that clears the aborted bit - so popping
-  // on a lock-free liveness read is safe.
-  stack.pop_back();
-  while (!stack.empty()) {
-    const Access& a = stack.back();
-    TxnState* s = PeekState(a.txn);
-    const uint64_t w = LoadLife(*s);
-    if (LifeIncarnation(w) == a.incarnation && !LifeAborted(w)) {
-      top = a;
-      return {a.txn, a.incarnation, s};
-    }
-    stack.pop_back();
-  }
-  top = Access{};
-  return {kVirtualTxn, 0, const_cast<TxnState*>(&t0_)};
-}
-
 VectorCompareResult ShardedMtkEngine::CompareStates(Shard& shx,
                                                     const TxnState& a,
                                                     const TxnState& b) {
@@ -263,8 +232,8 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
 
 OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
                                           ItemState& item, TxnState& si,
-                                          const LiveRef& jr,
-                                          const LiveRef& jw, bool hot,
+                                          const Ref& jr, const Ref& jw,
+                                          bool hot,
                                           AbortReason* why) {
   const TxnId i = op.txn;
   const uint32_t inc_i = LifeIncarnation(si.life);
@@ -281,26 +250,22 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
     bool hot;
     AbortReason* cause;
     bool old_read_path, relaxed_read_path, thomas_write_rule;
-    VectorOrder Order(const LiveRef& a, const LiveRef& b) {
+    VectorOrder Order(const Ref& a, const Ref& b) {
       return e->CompareStates(shx, *a.state, *b.state).order;
     }
-    bool Set(const LiveRef& j, const LiveRef& i) {
+    bool Set(const Ref& j, const Ref& i) {
       return e->SetStates(shx, *j.state, *i.state, j.txn, i.txn, hot, cause);
     }
-    void PushReader() {
-      item.readers.push_back(me);
-      item.top_reader = me;
-    }
+    void PushReader() { item.readers.Push(me); }
     void PushWriter() {
-      item.writers.push_back(me);
-      item.top_writer = me;
+      item.writers.Push(me);
       if (e->track_writes_) AddWrite(si, op.item);
     }
   };
   Policy policy{this, shx, item, si, op, {i, inc_i}, hot, &cause,
                 !options_.disable_old_read_path, options_.relaxed_read_path,
                 options_.thomas_write_rule};
-  const auto d = Decide(op.type, jr, jw, LiveRef{i, inc_i, &si}, policy);
+  const auto d = Decide(op.type, jr, jw, Ref{i, &si}, policy);
   switch (d.decision) {
     case OpDecision::kAccept:
       ++shx.stats.accepted;
@@ -311,21 +276,18 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
     case OpDecision::kReject:
       break;
   }
-  const LiveRef& j = *d.j;
+  const Ref& j = *d.j;
   AbortLocked(shx, op, cause, j.txn, si, why);
   if (options_.starvation_fix) SeedAfter(si.ts, j.state->ts);
   return OpDecision::kReject;
 }
 
 void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, MvChain& chain) {
-  // Dead (txn, incarnation) pairs are permanent - RestartTxn bumps the
-  // incarnation in the store that clears the aborted bit - so unlinking on
-  // a lock-free liveness read needs only shard(item)'s mutex, exactly like
-  // the single-version stack pops in TopLiveOf.
-  auto dead = [&](const Access& a) {
-    if (a.txn == kVirtualTxn) return false;
-    const uint64_t w = LoadLife(*PeekState(a.txn));
-    return LifeIncarnation(w) != a.incarnation || LifeAborted(w);
+  // Dead (txn, incarnation) pairs are permanent (Access::Live), so
+  // unlinking on a lock-free liveness read needs only shard(item)'s mutex,
+  // exactly like the single-version AccessHistory pops.
+  auto dead = [probe = Probe()](const Access& a) {
+    return !a.Live(probe(a.txn));
   };
   auto scrub_readers = [&](MvVersion& v) {
     v.readers.erase(std::remove_if(v.readers.begin(), v.readers.end(), dead),
@@ -390,10 +352,8 @@ void ShardedMtkEngine::MvPruneLocked(Shard& shx, MvChain& chain,
   }
   // Committed is as permanent as aborted (a committed id never restarts),
   // so the scan is safe on lock-free liveness words under shard(item).
-  auto committed_writer = [&](const Access& a) {
-    if (a.txn == kVirtualTxn) return true;
-    const uint64_t w = LoadLife(*PeekState(a.txn));
-    return LifeIncarnation(w) == a.incarnation && LifeCommitted(w);
+  auto committed_writer = [probe = Probe()](const Access& a) {
+    return a.Committed(probe(a.txn));
   };
   // Newest committed version, over the combined chain (older then
   // newest). Everything strictly older is a candidate; the newest
@@ -979,8 +939,8 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       const bool throttled = champion != kVirtualTxn && op.txn != champion;
       ItemState* item = nullptr;
       MvChain* chain = nullptr;
-      LiveRef jr;
-      LiveRef jw;
+      Ref jr;
+      Ref jw;
       if (!throttled) {
         item = &ItemLocked(shx, op.item);
         if (options_.multiversion) {
@@ -1025,8 +985,8 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
           // so this works even when the accessors' shards are not (yet)
           // held.
           auto top_shards = [&](ShardLockSet& need) {
-            jr = TopLiveOf(item->top_reader, item->readers);
-            jw = TopLiveOf(item->top_writer, item->writers);
+            jr = item->readers.Top(Probe());
+            jw = item->writers.Top(Probe());
             if (jr.txn != kVirtualTxn) {
               need.Add(static_cast<uint32_t>(ShardIndex(jr.txn)));
             }
@@ -1345,21 +1305,11 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
     }
     MvSweepLocked(wm, all_committed && !periodic ? 1 : kMvKeepTail);
   } else {
-    // 1. Truncate every item history to its live top (Section III-D-6a/b).
+    // 1. Compact every item history (Section III-D-6a/b).
     for (Shard& sh : shards_) {
       for (ItemState& item : sh.items) {
-        const LiveRef r = TopLiveOf(item.top_reader, item.readers);
-        const LiveRef w = TopLiveOf(item.top_writer, item.writers);
-        item.readers.clear();
-        item.writers.clear();
-        if (r.txn != kVirtualTxn) {
-          item.readers.push_back({r.txn, r.incarnation});
-          item.top_reader = item.readers.back();
-        }
-        if (w.txn != kVirtualTxn) {
-          item.writers.push_back({w.txn, w.incarnation});
-          item.top_writer = item.writers.back();
-        }
+        item.readers.Compact(Probe());
+        item.writers.Compact(Probe());
       }
     }
   }
@@ -1378,8 +1328,8 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
   };
   for (Shard& sh : shards_) {
     for (const ItemState& item : sh.items) {
-      for (const Access& a : item.readers) note_ref(a);
-      for (const Access& a : item.writers) note_ref(a);
+      item.readers.ForEach(note_ref);
+      item.writers.ForEach(note_ref);
       if (item.mv) item.mv->ForEachAccess(note_ref);
     }
   }
@@ -1490,11 +1440,9 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
       const WalCommitRecord& r = recovery.records[idx];
       Shard& shx = ShardForItem(item);
       ItemState& it = ItemLocked(shx, item);
-      it.readers.clear();
-      it.top_reader = Access{};
-      it.writers.clear();
-      it.writers.push_back({r.txn, 0});
-      it.top_writer = it.writers.back();
+      it.readers.Clear();
+      it.writers.Clear();
+      it.writers.Push({r.txn, 0});
     }
   }
   for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
@@ -1508,10 +1456,8 @@ bool ShardedMtkEngine::MvAuditChains() const {
   auto* self = const_cast<ShardedMtkEngine*>(this);
   for (Shard& sh : shards_) self->LockShard(sh);
   bool ok = true;
-  auto live = [&](const Access& a) {
-    if (a.txn == kVirtualTxn) return true;
-    const uint64_t w = LoadLife(*PeekState(a.txn));
-    return LifeIncarnation(w) == a.incarnation && !LifeAborted(w);
+  auto live = [probe = Probe()](const Access& a) {
+    return a.Live(probe(a.txn));
   };
   for (Shard& sh : shards_) {
     for (const ItemState& item : sh.items) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/access_history.h"
 #include "core/mtk_scheduler.h"
 #include "core/timestamp_vector.h"
 #include "core/types.h"
@@ -88,7 +89,8 @@ struct EngineOptions {
 
   /// If > 0, CompactAll() runs after every this many commits engine-wide,
   /// so memory stays bounded by live transactions instead of total history.
-  /// The sweep is stop-the-world and O(items); size the period accordingly.
+  /// It changes no decision (see AccessHistory::Compact). The sweep is
+  /// stop-the-world and O(items); size the period accordingly.
   uint64_t compact_every = 0;
 
   /// Optimistic cross-shard lock acquisitions retried this many times
@@ -326,8 +328,10 @@ class ShardedMtkEngine {
   TimestampVector TsSnapshot(TxnId txn) const;
 
   /// Stop-the-world storage reclamation: takes every shard lock, compacts
-  /// the item histories, and releases the chunk storage of committed
-  /// transactions no longer referenced by any item. In multiversion mode
+  /// every item's RT/WT history (AccessHistory::Compact: dead entries and
+  /// those below the newest committed entry go, so no decision changes),
+  /// and releases the chunk storage of committed transactions no longer
+  /// referenced by any item. In multiversion mode
   /// it also sets the GC watermark and prunes every chain (the floor is
   /// described at EngineOptions::multiversion): on an engine with nothing
   /// uncommitted, each chain shrinks to its newest committed version.
@@ -401,14 +405,6 @@ class ShardedMtkEngine {
     std::vector<TxnState> states;  // Exactly kChunkSize; never resized.
   };
 
-  struct Access {
-    TxnId txn = kVirtualTxn;
-    uint32_t incarnation = 0;
-    friend bool operator==(const Access& a, const Access& b) {
-      return a.txn == b.txn && a.incarnation == b.incarnation;
-    }
-  };
-
   /// One entry of a multiversion item's chain (the src/mvcc MvVersion
   /// design under shard locking). Stamps come from the engine-wide
   /// mv_stamp_ clock: begin_stamp when the version was installed,
@@ -459,10 +455,8 @@ class ShardedMtkEngine {
   };
 
   struct ItemState {
-    Access top_reader;  // Inline mirrors of the stack tops (see
-    Access top_writer;  // MtkScheduler::ItemState).
-    std::vector<Access> readers;
-    std::vector<Access> writers;
+    AccessHistory readers;       // RT(x).
+    AccessHistory writers;       // WT(x).
     uint64_t access_count = 0;  // For hot-item detection (III-D-5).
     /// Multiversion mode only; null until the item's first access there.
     std::unique_ptr<MvChain> mv;
@@ -499,12 +493,7 @@ class ShardedMtkEngine {
     Shard() : dir(kDirSize) {}
   };
 
-  struct LiveRef {
-    TxnId txn = kVirtualTxn;
-    uint32_t incarnation = 0;
-    TxnState* state = nullptr;
-  };
-
+  using Ref = LiveRef<TxnState>;
 
   static uint64_t LoadLife(const TxnState& s) {
     return std::atomic_ref<uint64_t>(const_cast<TxnState&>(s).life)
@@ -540,10 +529,17 @@ class ShardedMtkEngine {
 
   ItemState& ItemLocked(Shard& sh, ItemId item);
 
-  /// Top live entry of an access stack with its state resolved; pops dead
-  /// entries. Requires the item's shard mutex (stack mutation); liveness is
-  /// read through the lock-free words.
-  LiveRef TopLiveOf(Access& top, std::vector<Access>& stack) const;
+  /// The access-history probe: liveness decoded from the lock-free life
+  /// word, so a history can resolve or compact under shard(item)'s mutex
+  /// alone (the stacks' mutation is what that mutex guards).
+  auto Probe() const {
+    return [this](TxnId txn) {
+      TxnState* s = PeekState(txn);
+      const uint64_t w = LoadLife(*s);
+      return TxnLife<TxnState>{s, LifeIncarnation(w), LifeAborted(w),
+                               LifeCommitted(w)};
+    };
+  }
 
   VectorCompareResult CompareStates(Shard& shx, const TxnState& a,
                                     const TxnState& b);
@@ -560,7 +556,7 @@ class ShardedMtkEngine {
   /// Section III-D-5 hot-item verdict ProcessBatch took for this op. On
   /// kReject, `*why` (when non-null) receives the classified cause.
   OpDecision DecideLocked(const Op& op, Shard& shx, ItemState& item,
-                          TxnState& si, const LiveRef& jr, const LiveRef& jw,
+                          TxnState& si, const Ref& jr, const Ref& jw,
                           bool hot, AbortReason* why);
 
   /// Multiversion decision body (the MvMtkScheduler read walk and two-phase

@@ -26,16 +26,6 @@ MvMtkScheduler::ItemState& MvMtkScheduler::Item(ItemId item) {
   return state;
 }
 
-bool MvMtkScheduler::IsLiveTxn(TxnId txn, uint32_t incarnation) {
-  const TxnState& s = State(txn);
-  return txn == kVirtualTxn ||
-         (s.incarnation == incarnation && !s.aborted);
-}
-
-bool MvMtkScheduler::IsLiveVersion(const Version& v) {
-  return IsLiveTxn(v.writer, v.incarnation);
-}
-
 OpDecision MvMtkScheduler::Process(const Op& op) {
   const TxnId i = op.txn;
   ++ops_processed_;
@@ -61,13 +51,13 @@ OpDecision MvMtkScheduler::Process(const Op& op) {
     size_t live_seen = 0;
     for (size_t v = item.versions.size(); v-- > 0;) {
       Version& version = item.versions[v];
-      if (!IsLiveVersion(version)) continue;
+      if (!Live(version)) continue;
       ++live_seen;
       if (version.writer == i) {
         return OpDecision::kAccept;  // Reads its own pending write.
       }
       if (vectors_.Set(version.writer, i)) {
-        version.readers.push_back(Reader{i, state.incarnation});
+        version.readers.push_back(Access{i, state.incarnation});
         if (live_seen > 1) ++stats_.old_version_reads;
         return OpDecision::kAccept;
       }
@@ -100,7 +90,7 @@ OpDecision MvMtkScheduler::Process(const Op& op) {
   //     the writer of every newer version).
   std::vector<size_t> live;  // Indices of live versions, oldest first.
   for (size_t v = 0; v < item.versions.size(); ++v) {
-    if (IsLiveVersion(item.versions[v])) live.push_back(v);
+    if (Live(item.versions[v])) live.push_back(v);
   }
 
   auto determined = [&](TxnId a, TxnId b) {
@@ -114,8 +104,8 @@ OpDecision MvMtkScheduler::Process(const Op& op) {
     bool blocked_by_reader = false;
     std::vector<bool> reader_block(live.size(), false);
     for (size_t lj = 0; lj < live.size(); ++lj) {
-      for (const Reader& r : item.versions[live[lj]].readers) {
-        if (r.txn == i || !IsLiveTxn(r.txn, r.incarnation)) continue;
+      for (const Access& r : item.versions[live[lj]].readers) {
+        if (r.txn == i || !Live(r)) continue;
         if (determined(i, r.txn) == VectorOrder::kLess) {
           blocked_by_reader = true;
           blocker = r.txn;
@@ -162,8 +152,8 @@ OpDecision MvMtkScheduler::Process(const Op& op) {
       }
     }
     for (size_t lj = 0; lj <= chosen; ++lj) {
-      for (const Reader& r : item.versions[live[lj]].readers) {
-        if (r.txn == i || !IsLiveTxn(r.txn, r.incarnation)) continue;
+      for (const Access& r : item.versions[live[lj]].readers) {
+        if (r.txn == i || !Live(r)) continue;
         if (!vectors_.Set(r.txn, i)) {
           blocker = r.txn;
           return false;
@@ -221,7 +211,7 @@ bool MvMtkScheduler::IsCommitted(TxnId txn) const {
 size_t MvMtkScheduler::VersionCount(ItemId item) {
   size_t live = 0;
   for (const Version& v : Item(item).versions) {
-    if (IsLiveVersion(v)) ++live;
+    if (Live(v)) ++live;
   }
   return live;
 }
@@ -233,12 +223,10 @@ void MvMtkScheduler::PruneVersions() {
     // Drop dead versions and dead readers.
     std::vector<Version> kept;
     for (Version& v : item.versions) {
-      if (!IsLiveVersion(v)) continue;
+      if (!Live(v)) continue;
       v.readers.erase(
           std::remove_if(v.readers.begin(), v.readers.end(),
-                         [&](const Reader& r) {
-                           return !IsLiveTxn(r.txn, r.incarnation);
-                         }),
+                         [&](const Access& r) { return !Live(r); }),
           v.readers.end());
       kept.push_back(std::move(v));
     }
@@ -283,14 +271,14 @@ bool MvMtkScheduler::AuditMvsgAcyclic() {
   for (ItemId x = 0; x < items_.size(); ++x) {
     std::vector<const Version*> chain;
     for (const Version& v : items_[x].versions) {
-      if (IsLiveVersion(v) && committed(v.writer)) chain.push_back(&v);
+      if (Live(v) && committed(v.writer)) chain.push_back(&v);
     }
     for (size_t a = 0; a < chain.size(); ++a) {
       for (size_t b = a + 1; b < chain.size(); ++b) {
         add_edge(chain[a]->writer, chain[b]->writer);
       }
-      for (const Reader& r : chain[a]->readers) {
-        if (!IsLiveTxn(r.txn, r.incarnation) || !committed(r.txn)) continue;
+      for (const Access& r : chain[a]->readers) {
+        if (!Live(r) || !committed(r.txn)) continue;
         add_edge(chain[a]->writer, r.txn);
         for (size_t b = a + 1; b < chain.size(); ++b) {
           add_edge(r.txn, chain[b]->writer);
@@ -328,12 +316,12 @@ bool MvMtkScheduler::AuditMvsgAcyclic() {
 std::string MvMtkScheduler::DumpVersions(ItemId item) {
   std::string out = ItemName(item) + ":";
   for (const Version& v : Item(item).versions) {
-    if (!IsLiveVersion(v)) continue;
+    if (!Live(v)) continue;
     out += " [T" + std::to_string(v.writer) + " " +
            std::string(vectors_.Ts(v.writer).ToString()) + " readers:";
     bool first = true;
-    for (const Reader& r : v.readers) {
-      if (!IsLiveTxn(r.txn, r.incarnation)) continue;
+    for (const Access& r : v.readers) {
+      if (!Live(r)) continue;
       out += (first ? " " : ",") + std::string("T") + std::to_string(r.txn);
       first = false;
     }

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/access_history.h"
 #include "core/mtk_scheduler.h"
 #include "core/types.h"
 #include "core/vector_table.h"
@@ -126,15 +127,10 @@ class MvMtkScheduler {
     bool committed = false;
   };
 
-  struct Reader {
-    TxnId txn = 0;
-    uint32_t incarnation = 0;
-  };
-
   struct Version {
     TxnId writer = kVirtualTxn;
     uint32_t incarnation = 0;
-    std::vector<Reader> readers;
+    std::vector<Access> readers;
   };
 
   struct ItemState {
@@ -145,8 +141,14 @@ class MvMtkScheduler {
 
   TxnState& State(TxnId txn);
   ItemState& Item(ItemId item);
-  bool IsLiveTxn(TxnId txn, uint32_t incarnation);
-  bool IsLiveVersion(const Version& v);
+  /// The access liveness rule (Access::Live) on this scheduler's states;
+  /// a version is live iff its install is.
+  bool Live(const Access& a) {
+    const TxnState& s = State(a.txn);
+    return a.Live(
+        TxnLife<const TxnState>{&s, s.incarnation, s.aborted, s.committed});
+  }
+  bool Live(const Version& v) { return Live(Access{v.writer, v.incarnation}); }
 
   MvMtkOptions options_;
   MvMtkStats stats_;

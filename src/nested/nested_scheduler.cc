@@ -59,16 +59,6 @@ Status NestedMtScheduler::RegisterTxn(TxnId txn,
   return Status::Ok();
 }
 
-bool NestedMtScheduler::IsLiveAccess(const Access& access) {
-  const TxnState& s = txns_[access.txn];
-  return access.incarnation == s.incarnation && !s.aborted;
-}
-
-TxnId NestedMtScheduler::TopLive(std::vector<Access>* stack) {
-  while (!stack->empty() && !IsLiveAccess(stack->back())) stack->pop_back();
-  return stack->empty() ? kVirtualTxn : stack->back().txn;
-}
-
 uint32_t NestedMtScheduler::EntityAt(TxnId txn, size_t level) {
   if (level == 0) return txn;
   return State(txn).ancestors[level - 1];
@@ -119,12 +109,12 @@ OpDecision NestedMtScheduler::Process(const Op& op) {
     bool thomas_write_rule = false;
     VectorOrder Order(TxnId a, TxnId b) { return s->HierCompare(a, b).order; }
     bool Set(TxnId j, TxnId to) { return s->HierSet(j, to); }
-    void PushReader() { item.readers.push_back(me); }
-    void PushWriter() { item.writers.push_back(me); }
+    void PushReader() { item.readers.Push(me); }
+    void PushWriter() { item.writers.Push(me); }
   };
   Policy policy{this, item, {i, state.incarnation}};
-  const TxnId jr = TopLive(&item.readers);
-  const TxnId jw = TopLive(&item.writers);
+  const TxnId jr = item.readers.Top(Probe()).txn;
+  const TxnId jw = item.writers.Top(Probe()).txn;
   const OpDecision d = Decide(op.type, jr, jw, i, policy).decision;
   if (d == OpDecision::kReject) state.aborted = true;
   return d;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/access_history.h"
 #include "core/mtk_scheduler.h"
 #include "core/types.h"
 #include "core/vector_table.h"
@@ -73,20 +74,21 @@ class NestedMtScheduler {
     uint32_t incarnation = 0;
   };
 
-  struct Access {
-    TxnId txn = kVirtualTxn;
-    uint32_t incarnation = 0;
-  };
-
   struct ItemState {
-    std::vector<Access> readers;
-    std::vector<Access> writers;
+    AccessHistory readers;  // RT(x).
+    AccessHistory writers;  // WT(x).
   };
 
   TxnState& State(TxnId txn);
   ItemState& Item(ItemId item);
-  bool IsLiveAccess(const Access& access);
-  TxnId TopLive(std::vector<Access>* stack);
+
+  /// The access-history probe. Transactions never commit here.
+  auto Probe() const {
+    return [this](TxnId txn) {
+      const TxnState& s = txns_[txn];
+      return TxnLife<const TxnState>{&s, s.incarnation, s.aborted, false};
+    };
+  }
 
   /// Entity id of the transaction at a level (the txn itself at level 0).
   uint32_t EntityAt(TxnId txn, size_t level);

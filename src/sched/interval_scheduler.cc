@@ -39,16 +39,6 @@ IntervalScheduler::ItemState& IntervalScheduler::Item(ItemId item) {
   return items_[item];
 }
 
-bool IntervalScheduler::IsLiveAccess(const Access& access) {
-  const TxnState& s = txns_[access.txn];
-  return access.incarnation == s.incarnation && !s.aborted;
-}
-
-TxnId IntervalScheduler::TopLive(std::vector<Access>* stack) {
-  while (!stack->empty() && !IsLiveAccess(stack->back())) stack->pop_back();
-  return stack->empty() ? kVirtualTxn : stack->back().txn;
-}
-
 bool IntervalScheduler::Precedes(TxnId a, TxnId b) {
   return State(a).hi <= State(b).lo;
 }
@@ -92,8 +82,8 @@ SchedOutcome IntervalScheduler::OnOperation(const Op& op) {
   if (state.aborted) return RecordAbort(AbortReason::kStaleTxn);
 
   ItemState& item = Item(op.item);
-  const TxnId jr = TopLive(&item.readers);
-  const TxnId jw = TopLive(&item.writers);
+  const TxnId jr = item.readers.Top(Probe()).txn;
+  const TxnId jw = item.writers.Top(Probe()).txn;
   const TxnId j = Precedes(jr, jw) ? jw : jr;
 
   auto abort = [&]() {
@@ -105,7 +95,7 @@ SchedOutcome IntervalScheduler::OnOperation(const Op& op) {
 
   if (op.type == OpType::kRead) {
     if (SetBefore(j, i)) {
-      item.readers.push_back({i, state.incarnation});
+      item.readers.Push({i, state.incarnation});
       return SchedOutcome::kAccepted;
     }
     if (j == jr && Precedes(jw, i)) {
@@ -114,7 +104,7 @@ SchedOutcome IntervalScheduler::OnOperation(const Op& op) {
     return abort();
   }
   if (SetBefore(j, i)) {
-    item.writers.push_back({i, state.incarnation});
+    item.writers.Push({i, state.incarnation});
     return SchedOutcome::kAccepted;
   }
   return abort();

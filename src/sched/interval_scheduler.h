@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "core/access_history.h"
 #include "sched/scheduler.h"
 
 namespace mdts {
@@ -62,20 +63,22 @@ class IntervalScheduler : public Scheduler {
     uint32_t incarnation = 0;
   };
 
-  struct Access {
-    TxnId txn = kVirtualTxn;
-    uint32_t incarnation = 0;
-  };
-
   struct ItemState {
-    std::vector<Access> readers;
-    std::vector<Access> writers;
+    AccessHistory readers;  // RT(x).
+    AccessHistory writers;  // WT(x).
   };
 
   TxnState& State(TxnId txn);
   ItemState& Item(ItemId item);
-  bool IsLiveAccess(const Access& access);
-  TxnId TopLive(std::vector<Access>* stack);
+
+  /// The access-history probe. Commits are not tracked: an access stays
+  /// live until its incarnation aborts.
+  auto Probe() const {
+    return [this](TxnId txn) {
+      const TxnState& s = txns_[txn];
+      return TxnLife<const TxnState>{&s, s.incarnation, s.aborted, false};
+    };
+  }
 
   /// True iff T_a's interval lies entirely before T_b's.
   bool Precedes(TxnId a, TxnId b);

@@ -214,6 +214,27 @@ TEST(AdmissionControllerTest, TinyWindowsCarryNoSignal) {
   EXPECT_EQ(ctl.shrinks(), 1u);
 }
 
+TEST(AdmissionControllerTest, ContentionAboveTwoPerOpShrinks) {
+  SyntheticFeed f;
+  AdmissionControlOptions ao;
+  ao.registry = &f.reg;
+  ao.max_k = 3;
+  AdmissionController ctl(ao);
+  // No rejects, kMinWindowOps ops, exactly kContentionPerOpShrink = 2.0
+  // contended acquisitions per op: not pressured, no shrink.
+  f.commits->Add(AdmissionController::kMinWindowOps);
+  f.contention->Add(2 * AdmissionController::kMinWindowOps);
+  ctl.TickOnce(1, 0.1);
+  EXPECT_EQ(ctl.batch_size(), 32u);
+  EXPECT_EQ(ctl.shrinks(), 0u);
+  // One contended acquisition more: just above 2.0 per op, shrink.
+  f.commits->Add(AdmissionController::kMinWindowOps);
+  f.contention->Add(2 * AdmissionController::kMinWindowOps + 1);
+  ctl.TickOnce(2, 0.2);
+  EXPECT_EQ(ctl.batch_size(), 16u);
+  EXPECT_EQ(ctl.shrinks(), 1u);
+}
+
 TEST(AdmissionControllerTest, WidensAndNarrowsKThroughEngine) {
   SyntheticFeed f;
   EngineOptions eo;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/mtk_scheduler.h"
 #include "core/types.h"
 #include "obs/abort_reason.h"
@@ -162,6 +163,149 @@ TEST(EngineEquivalenceTest, SingleShardMatchesSchedulerWithCompaction) {
   }
   EXPECT_GT(engine.stats().txns_released, 0u);
   EXPECT_GT(engine.stats().compactions, 0u);
+}
+
+// The nine-op reproducer of
+// MtkSchedulerTest.CompactionKeepsLiveAccessorsBelowTheTop on the engine:
+// compaction must keep T1 below RT(x)'s top T2, so once T2
+// aborts W4[x] orders T1 -> T4 and R1[y] (after W4[y]) rejects.
+TEST(EngineCompactionTest, CompactionKeepsLiveAccessorsBelowTheTop) {
+  constexpr ItemId x = 0, y = 1, z = 2, w = 3;
+  auto read = [](TxnId t, ItemId i) { return Op{t, OpType::kRead, i}; };
+  auto write = [](TxnId t, ItemId i) { return Op{t, OpType::kWrite, i}; };
+  for (const size_t k : {2, 3}) {
+    for (const bool compact : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   (compact ? " compacted" : " plain"));
+      EngineOptions eo;
+      eo.k = k;
+      eo.num_shards = 1;
+      ShardedMtkEngine engine(eo);
+      for (const Op& op :
+           {read(1, x), read(2, x), write(2, z), read(3, z), write(3, w)}) {
+        ASSERT_EQ(engine.Process(op), OpDecision::kAccept) << OpName(op);
+      }
+      if (compact) engine.CompactAll();
+      EXPECT_EQ(engine.Process(read(2, w)), OpDecision::kReject);
+      EXPECT_EQ(engine.Process(write(4, x)), OpDecision::kAccept);
+      EXPECT_EQ(engine.Process(write(4, y)), OpDecision::kAccept);
+      EXPECT_EQ(engine.Process(read(1, y)), OpDecision::kReject);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Compaction transparency: two instances receive the same closed loop of
+// operations; `plain` never compacts and `compacted` compacts after every
+// step. They must make identical decisions and assign identical vectors,
+// on every cell of the option grid.
+// ---------------------------------------------------------------------------
+
+struct TwinConfig {
+  size_t k;
+  bool starvation_fix;
+  bool disable_old_read_path;
+  bool thomas_write_rule;
+  bool optimized_encoding;
+};
+
+std::vector<TwinConfig> TwinGrid() {
+  std::vector<TwinConfig> grid;
+  for (size_t k = 1; k <= 3; ++k) {
+    for (int bits = 0; bits < 16; ++bits) {
+      grid.push_back({k, (bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0,
+                      (bits & 8) != 0});
+    }
+  }
+  return grid;
+}
+
+std::string TwinName(const TwinConfig& c) {
+  return "k=" + std::to_string(c.k) +
+         " fix=" + std::to_string(c.starvation_fix) +
+         " no_old_read=" + std::to_string(c.disable_old_read_path) +
+         " thomas=" + std::to_string(c.thomas_write_rule) +
+         " optimized=" + std::to_string(c.optimized_encoding);
+}
+
+// `ts(sys, txn)` returns a transaction's current vector; `compact(sys)`
+// runs the instance's full compaction.
+template <typename Sys, typename Ts, typename Compact>
+void RunCompactionTwins(Sys& plain, Sys& compacted, Ts ts, Compact compact,
+                        uint64_t seed) {
+  Rng rng(seed);
+  constexpr int64_t kItems = 8;
+  constexpr size_t kInFlight = 6;
+  constexpr size_t kSteps = 1500;
+  std::vector<TxnId> live;
+  TxnId next_txn = 1;
+  for (size_t n = 0; n < kInFlight; ++n) live.push_back(next_txn++);
+  for (size_t step = 0; step < kSteps; ++step) {
+    TxnId& slot = live[rng.Uniform(0, kInFlight - 1)];
+    const TxnId i = slot;
+    ASSERT_EQ(plain.IsAborted(i), compacted.IsAborted(i)) << "step " << step;
+    if (plain.IsAborted(i)) {
+      plain.RestartTxn(i);
+      compacted.RestartTxn(i);
+    } else if (rng.Chance(1.0 / 6)) {
+      plain.CommitTxn(i);
+      compacted.CommitTxn(i);
+      slot = next_txn++;
+    } else {
+      const Op op{i, rng.Chance(0.6) ? OpType::kRead : OpType::kWrite,
+                  static_cast<ItemId>(rng.Uniform(0, kItems - 1))};
+      ASSERT_EQ(plain.Process(op), compacted.Process(op))
+          << "step " << step << " " << OpName(op);
+      ASSERT_TRUE(ts(plain, i) == ts(compacted, i))
+          << "step " << step << " " << OpName(op) << ": "
+          << ts(plain, i).ToString() << " vs " << ts(compacted, i).ToString();
+    }
+    compact(compacted);
+  }
+  for (TxnId t : live) {
+    EXPECT_TRUE(ts(plain, t) == ts(compacted, t)) << "txn " << t;
+  }
+}
+
+TEST(CompactionTwinTest, SchedulerCompactCommittedChangesNoDecision) {
+  uint64_t seed = 20261017;
+  for (const TwinConfig& c : TwinGrid()) {
+    SCOPED_TRACE(TwinName(c));
+    MtkOptions mo;
+    mo.k = c.k;
+    mo.starvation_fix = c.starvation_fix;
+    mo.disable_old_read_path = c.disable_old_read_path;
+    mo.thomas_write_rule = c.thomas_write_rule;
+    mo.optimized_encoding = c.optimized_encoding;
+    MtkScheduler plain(mo);
+    MtkScheduler compacted(mo);
+    RunCompactionTwins(
+        plain, compacted,
+        [](MtkScheduler& s, TxnId t) { return s.Ts(t); },
+        [](MtkScheduler& s) { s.CompactCommitted(); }, seed++);
+  }
+}
+
+TEST(CompactionTwinTest, EngineCompactAllChangesNoDecision) {
+  for (const size_t shards : {1, 4}) {
+    uint64_t seed = 20261017;
+    for (const TwinConfig& c : TwinGrid()) {
+      SCOPED_TRACE(TwinName(c) + " shards=" + std::to_string(shards));
+      EngineOptions eo;
+      eo.k = c.k;
+      eo.num_shards = shards;
+      eo.starvation_fix = c.starvation_fix;
+      eo.disable_old_read_path = c.disable_old_read_path;
+      eo.thomas_write_rule = c.thomas_write_rule;
+      eo.optimized_encoding = c.optimized_encoding;
+      ShardedMtkEngine plain(eo);
+      ShardedMtkEngine compacted(eo);
+      RunCompactionTwins(
+          plain, compacted,
+          [](ShardedMtkEngine& e, TxnId t) { return e.TsSnapshot(t); },
+          [](ShardedMtkEngine& e) { e.CompactAll(); }, seed++);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -450,6 +450,32 @@ TEST(MtkSchedulerTest, AutomaticCompactionBoundsLiveStates) {
   EXPECT_LT(s.live_txn_states(), 200u);
 }
 
+// Compaction must keep live accessors below an item's top. T1 and T2 both
+// read x, so T2 is RT(x) and T1 sits below it. T2 then aborts. RT(x) must
+// fall back to T1, so W4[x] orders T1 -> T4 and R1[y] (after W4[y]) must
+// reject. Cutting x's readers down to T2 would lose T1: R1[y] would be
+// accepted, and committing T1, T3 and T4 would commit the non-DSR cycle
+// T1 -> T4 -> T1.
+TEST(MtkSchedulerTest, CompactionKeepsLiveAccessorsBelowTheTop) {
+  for (const size_t k : {2, 3}) {
+    for (const bool compact : {false, true}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   (compact ? " compacted" : " plain"));
+      MtkOptions options;
+      options.k = k;
+      MtkScheduler s(options);
+      ExpectAllAccepted(
+          RunOps(&s, *Log::Parse("R1[x] R2[x] W2[z] R3[z] W3[w]")));
+      if (compact) s.CompactCommitted();
+      // TS(2) < TS(3) is fixed through z: T2's read of T3's write rejects.
+      EXPECT_EQ(RunOps(&s, *Log::Parse("R2[w]"))[0], OpDecision::kReject);
+      EXPECT_EQ(s.Rt(0), 1u);
+      ExpectAllAccepted(RunOps(&s, *Log::Parse("W4[x] W4[y]")));
+      EXPECT_EQ(RunOps(&s, *Log::Parse("R1[y]"))[0], OpDecision::kReject);
+    }
+  }
+}
+
 TEST(MtkSchedulerTest, StatsCountDecisions) {
   MtkOptions options;
   options.k = 2;
