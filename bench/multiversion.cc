@@ -84,9 +84,10 @@ int Run() {
               "reclaimed,\n per the paper's storage-reclamation note "
               "III-D-6b).\n\n",
               before, after);
+  const bool serializable = s.inner().AuditMvsgAcyclic();
   std::printf("audit: committed multiversion history one-copy serializable: "
               "%s\n",
-              s.inner().AuditMvsgAcyclic() ? "yes" : "NO (bug!)");
+              serializable ? "yes" : "NO (bug!)");
 
   std::printf("\nExpected shape: reads never abort (read rejects = 0);\n"
               "with the seeding fix, multiversion MT(3) aborts far less\n"
@@ -94,7 +95,7 @@ int Run() {
               "read fraction; without the fix, floating readers starve\n"
               "writers - the dynamic-timestamp analogue of MVTO's\n"
               "write-rejection weakness.\n");
-  return 0;
+  return serializable ? 0 : 1;
 }
 
 }  // namespace

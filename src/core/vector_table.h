@@ -39,7 +39,9 @@ class VectorTable {
   /// rewrite the immutable TS(0) - with the cause in `why` when non-null.
   /// Last-column values come from the table's own counters, or from
   /// `counters` (DMT(k)'s per-site stripes) in the second form.
-  bool Set(uint32_t j, uint32_t i) { return Set(j, i, counters_); }
+  bool Set(uint32_t j, uint32_t i, AbortReason* why = nullptr) {
+    return Set(j, i, counters_, why);
+  }
   bool Set(uint32_t j, uint32_t i, StripedCounters& counters,
            AbortReason* why = nullptr);
 

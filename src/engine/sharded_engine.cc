@@ -282,36 +282,11 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   return OpDecision::kReject;
 }
 
-void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, MvChain& chain) {
-  // Dead (txn, incarnation) pairs are permanent (Access::Live), so
-  // unlinking on a lock-free liveness read needs only shard(item)'s mutex,
-  // exactly like the single-version AccessHistory pops.
-  auto dead = [probe = Probe()](const Access& a) {
-    return !a.Live(probe(a.txn));
-  };
-  auto scrub_readers = [&](MvVersion& v) {
-    v.readers.erase(std::remove_if(v.readers.begin(), v.readers.end(), dead),
-                    v.readers.end());
-  };
-  uint64_t gone = 0;
-  for (size_t v = chain.older.size(); v-- > 0;) {
-    if (dead(chain.older[v].writer)) {
-      chain.older.erase(chain.older.begin() + static_cast<long>(v));
-      ++gone;
-    }
-  }
-  if (dead(chain.newest.writer)) {
-    ++gone;
-    if (!chain.older.empty()) {
-      chain.newest = std::move(chain.older.back());
-      chain.older.pop_back();
-      chain.newest.end_stamp = 0;  // Newest again.
-    } else {
-      chain.newest = MvVersion{};  // Back to the T0 base.
-    }
-  }
-  for (MvVersion& v : chain.older) scrub_readers(v);
-  scrub_readers(chain.newest);
+void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, MvItem& chain,
+                                          uint64_t dead_epoch) {
+  if (chain.unlink_epoch == dead_epoch) return;
+  chain.unlink_epoch = dead_epoch;
+  const size_t gone = chain.UnlinkDead(Probe());
   if (num_shards_ <= 64) {
     // Rebuild the shard-coverage mask from the survivors - the only place
     // stale (dead-accessor) bits are ever shed. Incremental ORs at read
@@ -325,13 +300,29 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, MvChain& chain) {
     chain.cover = cover;
   }
   if (gone != 0) {
+    chain.newest.end_stamp = 0;  // A promoted version is newest again.
     shx.stats.versions_gc += gone;
     live_versions_.fetch_add(-static_cast<int64_t>(gone),
                              std::memory_order_relaxed);
   }
 }
 
-void ShardedMtkEngine::MvPruneLocked(Shard& shx, MvChain& chain,
+void ShardedMtkEngine::MvInstalledLocked(Shard& shx, MvItem& chain,
+                                         MvVersion& v) {
+  // The stamp orders the install on the engine-wide clock for GC
+  // visibility; the serialization order itself lives in the vectors. A
+  // version linked below the newest is born superseded.
+  const uint64_t stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
+  v.begin_stamp = stamp;
+  (&v == &chain.newest ? chain.older.back() : v).end_stamp = stamp;
+  if (num_shards_ <= 64) {
+    chain.cover |= uint64_t{1} << (v.writer.txn % num_shards_);
+  }
+  ++shx.stats.versions_installed;
+  live_versions_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void ShardedMtkEngine::MvPruneLocked(Shard& shx, MvItem& chain,
                                      uint64_t watermark, size_t keep,
                                      bool force) {
   // A chain no longer than `keep` has nothing below its floor: the floor
@@ -426,199 +417,65 @@ void ShardedMtkEngine::MvSweepLocked(uint64_t watermark, size_t keep) {
   for (Shard& sh : shards_) {
     for (ItemState& item : sh.items) {
       if (!item.mv) continue;
-      if (item.mv->unlink_epoch != dead_epoch) {
-        MvUnlinkDeadLocked(sh, *item.mv);
-        item.mv->unlink_epoch = dead_epoch;
-      }
+      MvUnlinkDeadLocked(sh, *item.mv, dead_epoch);
       MvPruneLocked(sh, *item.mv, watermark, keep, /*force=*/true);
     }
   }
 }
 
 OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
-                                            MvChain& chain, TxnState& si,
+                                            MvItem& chain, TxnState& si,
                                             bool hot, AbortReason* why) {
-  EngineStats& st = shx.stats;
   const TxnId i = op.txn;
-  auto accept = [&]() {
-    ++st.accepted;
-    return OpDecision::kAccept;
-  };
-
-  const uint32_t inc_i = LifeIncarnation(si.life);
   if (si.begin_stamp == 0) {
     // First decided operation of the incarnation: pin the GC horizon.
     si.begin_stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  // Combined chain view, oldest first: older[0..n_old) then newest. Every
-  // entry is live - MvUnlinkDeadLocked ran under this lock and the batch
-  // lockset covers every chain writer's and reader's shard, freezing their
-  // liveness words and vectors for the whole decision.
-  const size_t n_old = chain.older.size();
-  const size_t chain_len = n_old + 1;
-  auto version_at = [&](size_t idx) -> MvVersion& {
-    return idx < n_old ? chain.older[idx] : chain.newest;
+  // Every chain entry is live - MvUnlinkDeadLocked ran under this lock -
+  // and the batch lockset covers every chain writer's and reader's shard,
+  // freezing their liveness words and vectors for the whole decision.
+  struct Policy {
+    ShardedMtkEngine* e;
+    Shard& shx;
+    TxnState& si;
+    TxnId i;
+    bool hot;
+    TxnState& S(TxnId t) { return t == i ? si : *e->PeekState(t); }
+    VectorOrder Order(TxnId a, TxnId b) {
+      return e->CompareStates(shx, S(a), S(b)).order;
+    }
+    bool Set(TxnId j, TxnId to, AbortReason* cause) {
+      return e->SetStates(shx, S(j), S(to), j, to, hot, cause);
+    }
   };
-
-  // Cause recorded by the SetStates call that refused the dependency.
-  AbortReason cause = AbortReason::kEncodingExhausted;
-
-  if (op.type == OpType::kRead) {
-    // MvMtkScheduler's read walk, newest -> oldest: take the first version
-    // whose writer can be ordered before T_i. The T0 base is orderable
-    // before anything, so reads practically never abort.
-    size_t live_seen = 0;
-    for (size_t v = chain_len; v-- > 0;) {
-      MvVersion& ver = version_at(v);
-      ++live_seen;
-      if (ver.writer.txn == i) {
-        return accept();  // Reads its own pending write.
-      }
-      TxnState& sw = *PeekState(ver.writer.txn);
-      if (SetStates(shx, sw, si, ver.writer.txn, i, hot, &cause)) {
-        ver.readers.push_back({i, inc_i});
-        if (num_shards_ <= 64) {
-          chain.cover |= uint64_t{1} << (i % num_shards_);
-        }
-        ver.read_stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
-        if (live_seen > 1) ++st.old_version_reads;
-        return accept();
-      }
+  Policy policy{this, shx, si, i, hot};
+  const Access me{i, LifeIncarnation(si.life)};
+  const bool read = op.type == OpType::kRead;
+  const MvOutcome out = read ? chain.Read(me, policy) : chain.Write(me, policy);
+  if (out.decision == OpDecision::kReject) {
+    if (read) ++shx.stats.read_rejects;
+    AbortLocked(shx, op, out.cause, out.blocker, si, why);
+    // A read reject has no one blocker to seed past (matching the
+    // scheduler).
+    if (!read && options_.starvation_fix) {
+      SeedAfter(si.ts, PeekState(out.blocker)->ts);
     }
-    // Only reachable in degenerate vector states (every writer including
-    // T0 refused the encoding). No starvation seeding, matching the
-    // scheduler, and blocker T0: the blocker set is the whole chain, not
-    // one transaction.
-    ++st.read_rejects;
-    return AbortLocked(shx, op, cause, kVirtualTxn, si, why);
-  }
-
-  // Write: two-phase placement. Phase 1 (no encoding) finds the NEWEST
-  // feasible insertion slot - after chain index j requires (a) writer(j)
-  // not already ordered after T_i, (b) T_i not already ordered after
-  // writer(j+1), (c) no live reader of any version up to j already ordered
-  // after T_i (a reader of an older version precedes the writer of every
-  // newer version - the MVSG rule).
-  // kVirtualTxn when no one accessor fixed the infeasibility (the seed
-  // then lands just past T0).
-  Access blocker{};
-  size_t chosen = chain_len;  // Sentinel: no slot found yet.
-  {
-    bool blocked_by_reader = false;
-    bool reader_block_stack[32];
-    std::vector<uint8_t> reader_block_heap;
-    const bool inline_blocks = chain_len <= 32;
-    if (!inline_blocks) reader_block_heap.assign(chain_len, 0);
-    auto set_block = [&](size_t lj, bool b) {
-      if (inline_blocks) {
-        reader_block_stack[lj] = b;
-      } else {
-        reader_block_heap[lj] = b ? 1 : 0;
-      }
-    };
-    auto get_block = [&](size_t lj) {
-      return inline_blocks ? reader_block_stack[lj]
-                           : reader_block_heap[lj] != 0;
-    };
-    for (size_t lj = 0; lj < chain_len; ++lj) {
-      for (const Access& r : version_at(lj).readers) {
-        if (r.txn == i) continue;
-        TxnState& sr = *PeekState(r.txn);
-        if (CompareStates(shx, si, sr).order == VectorOrder::kLess) {
-          blocked_by_reader = true;
-          blocker = r;
-        }
-      }
-      set_block(lj, blocked_by_reader);
-    }
-    for (size_t lj = chain_len; lj-- > 0;) {
-      const Access w = version_at(lj).writer;
-      if (w.txn != i &&
-          CompareStates(shx, *PeekState(w.txn), si).order ==
-              VectorOrder::kGreater) {
-        continue;  // Writer already after T_i: slot too new.
-      }
-      if (lj + 1 < chain_len) {
-        const Access nx = version_at(lj + 1).writer;
-        if (CompareStates(shx, si, *PeekState(nx.txn)).order ==
-            VectorOrder::kGreater) {
-          continue;  // T_i already after the next writer: inconsistent.
-        }
-      }
-      if (get_block(lj)) continue;  // Readers up to here block; an older
-                                    // slot may still be free.
-      chosen = lj;
-      break;
-    }
-  }
-
-  // Phase 2: encode the chosen placement. Each Set was pre-checked as
-  // not-determined-opposite, but an earlier encode can incidentally fix a
-  // later pair the wrong way; bail out safely (encodings only ever add
-  // constraints) in that rare case.
-  bool ok = chosen != chain_len;
-  if (ok) {
-    const Access pred = version_at(chosen).writer;
-    if (pred.txn != i &&
-        !SetStates(shx, *PeekState(pred.txn), si, pred.txn, i, hot,
-                   &cause)) {
-      blocker = pred;
-      ok = false;
-    }
-    if (ok && chosen + 1 < chain_len) {
-      const Access nx = version_at(chosen + 1).writer;
-      if (!SetStates(shx, si, *PeekState(nx.txn), i, nx.txn, hot,
-                     &cause)) {
-        blocker = nx;
-        ok = false;
-      }
-    }
-    for (size_t lj = 0; ok && lj <= chosen; ++lj) {
-      for (const Access& r : version_at(lj).readers) {
-        if (r.txn == i) continue;
-        if (!SetStates(shx, *PeekState(r.txn), si, r.txn, i, hot,
-                       &cause)) {
-          blocker = r;
-          ok = false;
-          break;
-        }
-      }
-    }
-  }
-  if (!ok) {
-    AbortLocked(shx, op, AbortReason::kVersionConflict, blocker.txn, si, why);
-    if (options_.starvation_fix) SeedAfter(si.ts, PeekState(blocker.txn)->ts);
     return OpDecision::kReject;
   }
-
-  // Install after chain index `chosen`. The stamp orders the install on
-  // the engine-wide clock for GC visibility; the serialization order
-  // itself lives in the vectors.
-  const uint64_t stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
-  if (chosen == chain_len - 1) {
-    chain.older.push_back(std::move(chain.newest));
-    chain.older.back().end_stamp = stamp;
-    chain.newest = MvVersion{};
-    chain.newest.writer = {i, inc_i};
-    chain.newest.begin_stamp = stamp;
+  ++shx.stats.accepted;
+  if (out.version == nullptr) return OpDecision::kAccept;  // Own write.
+  if (read) {
+    out.version->read_stamp =
+        mv_stamp_.fetch_add(1, std::memory_order_relaxed);
+    if (num_shards_ <= 64) chain.cover |= uint64_t{1} << (i % num_shards_);
+    if (out.old_version) ++shx.stats.old_version_reads;
   } else {
-    MvVersion nv;
-    nv.writer = {i, inc_i};
-    nv.begin_stamp = stamp;
-    nv.end_stamp = stamp;  // Born superseded: a newer version exists.
-    chain.older.insert(chain.older.begin() + static_cast<long>(chosen + 1),
-                       std::move(nv));
+    MvInstalledLocked(shx, chain, *out.version);
+    // CommitTxn prunes the written chains, so multiversion mode always
+    // tracks writes (track_writes_).
+    AddWrite(si, op.item);
   }
-  if (num_shards_ <= 64) {
-    chain.cover |= uint64_t{1} << (i % num_shards_);
-  }
-  ++st.versions_installed;
-  live_versions_.fetch_add(1, std::memory_order_relaxed);
-  // CommitTxn prunes the written chains, so multiversion mode always
-  // tracks writes (track_writes_).
-  AddWrite(si, op.item);
-  return accept();
+  return OpDecision::kAccept;
 }
 
 void ShardedMtkEngine::RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag) {
@@ -938,13 +795,13 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       // the accepted + ignored + rejected == single + cross invariant holds.
       const bool throttled = champion != kVirtualTxn && op.txn != champion;
       ItemState* item = nullptr;
-      MvChain* chain = nullptr;
+      MvItem* chain = nullptr;
       Ref jr;
       Ref jw;
       if (!throttled) {
         item = &ItemLocked(shx, op.item);
         if (options_.multiversion) {
-          if (!item->mv) item->mv = std::make_unique<MvChain>();
+          if (!item->mv) item->mv = std::make_unique<MvItem>();
           chain = item->mv.get();
           // The per-op dead-unlink walk only pays off when something died:
           // gate it on the engine-wide dead epoch. Equal epochs mean no
@@ -955,12 +812,8 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
           // entry is unlinked at the next epoch change.) Unlinking first
           // (safe under shard(x) alone) keeps the coverage set to the live
           // population.
-          const uint64_t dead_epoch =
-              mv_dead_epoch_.load(std::memory_order_acquire);
-          if (chain->unlink_epoch != dead_epoch) {
-            MvUnlinkDeadLocked(shx, *chain);
-            chain->unlink_epoch = dead_epoch;
-          }
+          MvUnlinkDeadLocked(shx, *chain,
+                             mv_dead_epoch_.load(std::memory_order_acquire));
           // Reads order against every live chain writer, writes also
           // against its readers, so the lockset must cover all their
           // shards: the cover summary bits (a superset of the live
@@ -1192,9 +1045,8 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
     for (const ItemId x : writes) {
       Shard& shx = ShardForItem(x);
       LockShard(shx);
-      MvChain& chain = *ItemLocked(shx, x).mv;  // Created by the write.
-      MvUnlinkDeadLocked(shx, chain);
-      chain.unlink_epoch = dead_epoch;
+      MvItem& chain = *ItemLocked(shx, x).mv;  // Created by the write.
+      MvUnlinkDeadLocked(shx, chain, dead_epoch);
       MvPruneLocked(shx, chain, wm, kMvKeepTail, /*force=*/false);
       shx.mu.unlock();
     }
@@ -1414,17 +1266,10 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
       for (const ItemId x : r.writes) {
         Shard& shx = ShardForItem(x);
         ItemState& it = ItemLocked(shx, x);
-        if (!it.mv) it.mv = std::make_unique<MvChain>();
-        MvChain& chain = *it.mv;
-        const uint64_t stamp =
-            mv_stamp_.fetch_add(1, std::memory_order_relaxed);
-        chain.older.push_back(std::move(chain.newest));
-        chain.older.back().end_stamp = stamp;
-        chain.newest = MvVersion{};
-        chain.newest.writer = {r.txn, 0};
-        chain.newest.begin_stamp = stamp;
-        ++shx.stats.versions_installed;
-        live_versions_.fetch_add(1, std::memory_order_relaxed);
+        if (!it.mv) it.mv = std::make_unique<MvItem>();
+        MvItem& chain = *it.mv;
+        MvInstalledLocked(shx, chain,
+                          chain.InsertAfter(chain.size() - 1, {r.txn, 0}));
       }
     }
     // Every recovered transaction is committed and nothing is live yet
@@ -1462,12 +1307,11 @@ bool ShardedMtkEngine::MvAuditChains() const {
   for (Shard& sh : shards_) {
     for (const ItemState& item : sh.items) {
       if (!item.mv || !ok) continue;
-      const MvChain& chain = *item.mv;
+      const MvItem& chain = *item.mv;
       const TxnState* prev = nullptr;
-      const size_t chain_len = chain.older.size() + 1;
+      const size_t chain_len = chain.size();
       for (size_t v = 0; v < chain_len && ok; ++v) {
-        const MvVersion& ver =
-            v < chain.older.size() ? chain.older[v] : chain.newest;
+        const MvVersion& ver = chain.At(v);
         // End stamps: 0 exactly on the newest version.
         if ((ver.end_stamp == 0) != (v == chain_len - 1)) ok = false;
         if (!live(ver.writer)) continue;  // Unlinked at the next touch.

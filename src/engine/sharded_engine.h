@@ -14,6 +14,7 @@
 #include "core/mtk_scheduler.h"
 #include "core/timestamp_vector.h"
 #include "core/types.h"
+#include "core/version_chain.h"
 #include "obs/abort_reason.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -59,18 +60,17 @@ struct EngineOptions {
   /// many times (counted per item under its shard lock).
   size_t hot_item_threshold = 8;
 
-  /// Multiversion MT(k) (Section III-D-6d, the src/mvcc MvMtkScheduler
-  /// design run concurrently): every item keeps a chain of versions sorted
-  /// by the writers' vector order, each carrying begin/end/read stamps from
-  /// an engine-wide stamp clock. A read walks the chain newest to oldest
-  /// and takes the first version whose writer can be ordered before it
-  /// (reads essentially never abort - the multiversion payoff); a write
-  /// installs a new version at the newest feasible slot, encoding the
-  /// version-order and reader-before-later-writer MVSG edges through the
-  /// vectors, or rejects with kVersionConflict. All chain state is mutated
-  /// under the same sorted shard locksets and batched admission as the
-  /// single-version mode, and lives outside the item state, allocated on
-  /// an item's first multiversion access.
+  /// Multiversion MT(k) (Section III-D-6d): every item keeps an MvChain
+  /// (core/version_chain.h, the read walk and write placement
+  /// MvMtkScheduler runs too) of versions sorted by the writers' vector
+  /// order, each stamped with begin/end/read stamps from an engine-wide
+  /// stamp clock. Reads take the newest version they can be ordered after
+  /// (they essentially never abort - the multiversion payoff); a write
+  /// installs a new version at the newest feasible slot or rejects with
+  /// kVersionConflict. All chain state is mutated under the same sorted
+  /// shard locksets and batched admission as the single-version mode, and
+  /// lives outside the item state, allocated on an item's first
+  /// multiversion access.
   ///
   /// Version storage is reclaimed by the live watermark (see CompactAll),
   /// with a floor the engine picks itself. An explicit CompactAll() that
@@ -405,31 +405,10 @@ class ShardedMtkEngine {
     std::vector<TxnState> states;  // Exactly kChunkSize; never resized.
   };
 
-  /// One entry of a multiversion item's chain (the src/mvcc MvVersion
-  /// design under shard locking). Stamps come from the engine-wide
-  /// mv_stamp_ clock: begin_stamp when the version was installed,
-  /// end_stamp when a successor superseded it (0 while newest),
-  /// read_stamp at its latest read. A version whose end and read stamps
-  /// are both below the live watermark is invisible to every present and
-  /// future transaction and can be truncated (see MvPruneLocked).
-  struct MvVersion {
-    Access writer;  // kVirtualTxn = the initial (T0) base version.
-    uint64_t begin_stamp = 0;
-    uint64_t end_stamp = 0;
-    uint64_t read_stamp = 0;
-    std::vector<Access> readers;
-  };
-
-  /// A multiversion item's chain: the newest version inline (hot in the
-  /// common newest-read / newest-install case), older versions behind it
-  /// in `older`, oldest first. A fresh chain's `newest` is the virtual-T0
-  /// base version (writer kVirtualTxn, all stamps 0): T0's vector orders
-  /// before any transaction, so a read walk that exhausts every real
-  /// version always has a version to take.
-  struct MvChain {
-    MvVersion newest;
-    std::vector<MvVersion> older;
-    /// Shard-coverage summary of the chain (num_shards <= 64 only): bit
+  /// A multiversion item: its chain (core/version_chain.h) plus two
+  /// summaries of it the engine keeps for lockset coverage and unlinking.
+  struct MvItem : MvChain {
+    /// Shard-coverage summary (num_shards <= 64 only): bit
     /// (txn % num_shards) is set for every writer and reader linked into
     /// the chain. A superset of the live population - dead accessors'
     /// bits linger until MvUnlinkDeadLocked recomputes the mask - which
@@ -439,19 +418,8 @@ class ShardedMtkEngine {
     uint64_t cover = 0;
     /// mv_dead_epoch_ value at the chain's last dead-unlink; while no
     /// incarnation has died engine-wide since, the chain can hold no
-    /// dead entry and the per-op unlink walk is skipped.
+    /// dead entry and the unlink walk is skipped.
     uint64_t unlink_epoch = 0;
-
-    /// Calls f on every writer and reader linked into the chain.
-    template <typename F>
-    void ForEachAccess(F&& f) const {
-      for (const MvVersion& v : older) {
-        f(v.writer);
-        for (const Access& r : v.readers) f(r);
-      }
-      f(newest.writer);
-      for (const Access& r : newest.readers) f(r);
-    }
   };
 
   struct ItemState {
@@ -459,7 +427,7 @@ class ShardedMtkEngine {
     AccessHistory writers;       // WT(x).
     uint64_t access_count = 0;  // For hot-item detection (III-D-5).
     /// Multiversion mode only; null until the item's first access there.
-    std::unique_ptr<MvChain> mv;
+    std::unique_ptr<MvItem> mv;
   };
 
   /// Most recent rejection decided on a shard, recorded under its mutex at
@@ -559,19 +527,22 @@ class ShardedMtkEngine {
                           TxnState& si, const Ref& jr, const Ref& jw,
                           bool hot, AbortReason* why);
 
-  /// Multiversion decision body (the MvMtkScheduler read walk and two-phase
-  /// write placement run under shard locking): every shard referenced by
-  /// the chain's live writers and readers is held, plus shard(item) and
-  /// shard(txn). Installs/reads versions, encodes the MVSG edges through
-  /// SetStates, and classifies rejects (kVersionConflict for infeasible
-  /// write placements).
-  OpDecision DecideMvLocked(const Op& op, Shard& shx, MvChain& chain,
+  /// Multiversion decision body: runs the shared MvChain read walk or
+  /// write placement (core/version_chain.h) with SetStates as its Set, then
+  /// stamps and counts what it did. Every shard referenced by the chain's
+  /// writers and readers is held, plus shard(item) and shard(txn).
+  OpDecision DecideMvLocked(const Op& op, Shard& shx, MvItem& chain,
                             TxnState& si, bool hot, AbortReason* why);
 
-  /// Unlinks versions whose writer is dead and reader entries that are
-  /// dead (permanent states, so safe under shard(item) alone); counts the
-  /// unlinked non-T0 versions as versions_gc. Requires shard(item).mu.
-  void MvUnlinkDeadLocked(Shard& shx, MvChain& chain);
+  /// Stamps a version just linked into `chain` (begin stamp, the end stamp
+  /// of the version it superseded, coverage) and counts it.
+  void MvInstalledLocked(Shard& shx, MvItem& chain, MvVersion& v);
+
+  /// MvChain::UnlinkDead unless nothing died engine-wide since the chain's
+  /// last unlink (`dead_epoch`, read before the call), then the coverage
+  /// rebuild; counts the unlinked versions as versions_gc. Dead is
+  /// permanent, so shard(item).mu alone suffices.
+  void MvUnlinkDeadLocked(Shard& shx, MvItem& chain, uint64_t dead_epoch);
 
   /// Watermark truncation: drops the oldest-prefix of versions below the
   /// `keep` newest committed ones whose end and read stamps are both below
@@ -579,7 +550,7 @@ class ShardedMtkEngine {
   /// shard(item).mu. `force` (sweeps) bypasses the hysteresis gate that
   /// the per-commit incremental path uses to skip chains still within
   /// keep + slack of their floor.
-  void MvPruneLocked(Shard& shx, MvChain& chain, uint64_t watermark,
+  void MvPruneLocked(Shard& shx, MvItem& chain, uint64_t watermark,
                      size_t keep, bool force);
 
   /// Publishes `watermark`, unlinks dead state from every chain something

@@ -27,19 +27,13 @@ class MvOnline : public Scheduler {
   }
 
   SchedOutcome OnOperation(const Op& op) override {
-    if (op.txn == kVirtualTxn) return RecordAbort(AbortReason::kInvalidOp);
-    const bool was_dead =
-        inner_.IsAborted(op.txn) || inner_.IsCommitted(op.txn);
     switch (inner_.Process(op)) {
       case OpDecision::kAccept:
         return SchedOutcome::kAccepted;
       case OpDecision::kIgnore:
         return SchedOutcome::kIgnored;
       case OpDecision::kReject:
-        // Genuine MV rejections are order conflicts (a live reader or
-        // writer already ordered after T_i); dead transactions are stale.
-        return RecordAbort(was_dead ? AbortReason::kStaleTxn
-                                    : AbortReason::kLexOrder);
+        return RecordAbort(inner_.last_reject().reason);
     }
     return RecordAbort(AbortReason::kInvalidOp);
   }

@@ -9,6 +9,7 @@
 #include "core/mtk_scheduler.h"
 #include "core/types.h"
 #include "core/vector_table.h"
+#include "core/version_chain.h"
 
 namespace mdts {
 
@@ -41,21 +42,16 @@ struct MvMtkStats {
 /// mechanism using single-valued timestamps. The idea can be extended to
 /// timestamp vectors").
 ///
-/// Every write creates a new version of the item; versions of one item are
-/// kept sorted by the (total, per item) Definition-6 order of their
-/// writers' vectors. A read by T_i walks versions from newest to oldest
-/// and takes the first whose writer can be ordered before T_i (encoding
-/// the order if it was still undetermined): since the virtual T0's initial
-/// version is always orderable before any transaction, reads essentially
-/// never abort - the multiversion payoff - while the vector order keeps the
-/// choice as late as single-version MT(k) would.
-///
-/// A write by T_i inserts its version after the newest version whose
-/// writer precedes T_i. Every live reader of any version ordered before
-/// the insertion point must be ordered before T_i as well (the
-/// multiversion serialization-graph rule "a reader of an older version
-/// precedes the writer of any newer version"); if some reader is already
-/// ordered after T_i the write is rejected.
+/// Every write creates a new version of the item; each item is one
+/// MvChain (core/version_chain.h), which holds the read walk and the
+/// two-phase write placement this scheduler shares with the sharded
+/// engine's multiversion mode. A read takes the newest version whose writer
+/// can be ordered before T_i, so reads essentially never abort - the
+/// multiversion payoff - while the vector order keeps the choice as late as
+/// single-version MT(k) would. A write is placed after the newest version
+/// it can follow, or rejected when a reader of an older version is already
+/// ordered after T_i (a reader of an older version precedes the writer of
+/// any newer version).
 ///
 /// Soundness: every reads-from and version-order MVSG edge is encoded in
 /// the vector partial order at creation, so the MVSG is acyclic and the
@@ -127,28 +123,16 @@ class MvMtkScheduler {
     bool committed = false;
   };
 
-  struct Version {
-    TxnId writer = kVirtualTxn;
-    uint32_t incarnation = 0;
-    std::vector<Access> readers;
-  };
-
-  struct ItemState {
-    // Sorted by the writers' vector order, oldest first. Element 0 is the
-    // virtual transaction's initial version.
-    std::vector<Version> versions;
-  };
-
   TxnState& State(TxnId txn);
-  ItemState& Item(ItemId item);
-  /// The access liveness rule (Access::Live) on this scheduler's states;
-  /// a version is live iff its install is.
-  bool Live(const Access& a) {
-    const TxnState& s = State(a.txn);
-    return a.Live(
-        TxnLife<const TxnState>{&s, s.incarnation, s.aborted, s.committed});
+  MvChain& Item(ItemId item);
+  /// This scheduler's liveness probe (see TxnLife).
+  auto Probe() {
+    return [this](TxnId txn) {
+      const TxnState& s = State(txn);
+      return TxnLife<const TxnState>{&s, s.incarnation, s.aborted,
+                                     s.committed};
+    };
   }
-  bool Live(const Version& v) { return Live(Access{v.writer, v.incarnation}); }
 
   MvMtkOptions options_;
   MvMtkStats stats_;
@@ -156,7 +140,7 @@ class MvMtkScheduler {
   uint64_t ops_processed_ = 0;
   VectorTable vectors_;
   std::vector<TxnState> txns_;
-  std::vector<ItemState> items_;
+  std::vector<MvChain> items_;
 };
 
 }  // namespace mdts

@@ -102,6 +102,10 @@ void RunDifferential(const DifferentialRun& cfg) {
           << " txn T" << ops[b].txn << " item " << ops[b].item << " "
           << (ops[b].type == OpType::kRead ? "read" : "write")
           << " reason " << AbortReasonName(why[b]);
+      if (rd == OpDecision::kReject) {
+        ASSERT_EQ(why[b], ref.last_reject().reason)
+            << "reason divergence at round " << rounds << " op " << b;
+      }
     }
     // Terminal handling mirrors in both; vectors must match throughout.
     for (Slot& s : slots) {
@@ -270,6 +274,30 @@ TEST(EngineMvTest, WriteConflictClassifiedAsVersionConflict) {
   EXPECT_EQ(st.reject_reasons.counts[static_cast<size_t>(
                 AbortReason::kVersionConflict)],
             st.rejected);
+}
+
+TEST(EngineMvTest, ReadWalkFailureAfterSweepIsLexOrder) {
+  // W1[c] C1 R2[c] W2[d] C2, an all-committed sweep (d's chain keeps only
+  // T2's version), then W3[e] R3[d]: T3's first element comes from T0, so
+  // T2 is already ordered after T3 and the walk has no version left to
+  // take. The reject carries the refusing Set's cause, as MvMtkScheduler's
+  // does (MvSchedulerTest.ReadWalkFailureAfterPruneIsLexOrder).
+  constexpr ItemId kC = 0, kD = 1, kE = 2;
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = 1;
+  eo.multiversion = true;
+  ShardedMtkEngine engine(eo);
+  ASSERT_EQ(engine.Process({1, OpType::kWrite, kC}), OpDecision::kAccept);
+  engine.CommitTxn(1);
+  ASSERT_EQ(engine.Process({2, OpType::kRead, kC}), OpDecision::kAccept);
+  ASSERT_EQ(engine.Process({2, OpType::kWrite, kD}), OpDecision::kAccept);
+  engine.CommitTxn(2);
+  engine.CompactAll();
+  ASSERT_EQ(engine.Process({3, OpType::kWrite, kE}), OpDecision::kAccept);
+  AbortReason why = AbortReason::kNone;
+  EXPECT_EQ(engine.Process({3, OpType::kRead, kD}, &why), OpDecision::kReject);
+  EXPECT_EQ(why, AbortReason::kLexOrder) << AbortReasonName(why);
 }
 
 TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {

@@ -178,6 +178,28 @@ TEST(MvSchedulerTest, PruneKeepsVersionsWithLiveReaders) {
   EXPECT_EQ(s.VersionCount(0), 2u);
 }
 
+TEST(MvSchedulerTest, ReadWalkFailureAfterPruneIsLexOrder) {
+  // W1[c] C1 R2[c] W2[d] C2, a prune (d's chain keeps only T2's version),
+  // then W3[e] R3[d]: T3's first element comes from T0, so T2 is already
+  // ordered after T3 and the walk has no version left to take. The reject
+  // carries the refusing Set's cause, as the engine's does
+  // (EngineMvTest.ReadWalkFailureAfterSweepIsLexOrder).
+  constexpr ItemId kC = 0, kD = 1, kE = 2;
+  auto s = Make(3);
+  ASSERT_EQ(s.Process(Op{1, OpType::kWrite, kC}), OpDecision::kAccept);
+  s.CommitTxn(1);
+  ASSERT_EQ(s.Process(Op{2, OpType::kRead, kC}), OpDecision::kAccept);
+  ASSERT_EQ(s.Process(Op{2, OpType::kWrite, kD}), OpDecision::kAccept);
+  s.CommitTxn(2);
+  s.PruneVersions();
+  ASSERT_EQ(s.VersionCount(kD), 1u);
+  ASSERT_EQ(s.Process(Op{3, OpType::kWrite, kE}), OpDecision::kAccept);
+  EXPECT_EQ(s.Process(Op{3, OpType::kRead, kD}), OpDecision::kReject);
+  EXPECT_EQ(s.last_reject().reason, AbortReason::kLexOrder)
+      << AbortReasonName(s.last_reject().reason);
+  EXPECT_EQ(s.stats().read_rejects, 1u);
+}
+
 TEST(MvSchedulerTest, DumpVersionsListsChain) {
   auto s = Make();
   s.Process(Op{1, OpType::kWrite, 0});

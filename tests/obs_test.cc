@@ -13,6 +13,7 @@
 #include "dist/dmt_system.h"
 #include "engine/sharded_engine.h"
 #include "gtest/gtest.h"
+#include "mvcc/mv_online.h"
 #include "obs/abort_reason.h"
 #include "obs/trace.h"
 #include "sched/interval_scheduler.h"
@@ -368,12 +369,25 @@ TEST(ReconciliationTest, FiveProtocolsShareTheTaxonomy) {
             SchedOutcome::kAborted);
   EXPECT_EQ(mtk.last_abort_reason(), AbortReason::kLexOrder);
 
+  // W1[y] R2[y] R2[x] W1[x]: T2 read x's only version and is ordered after
+  // T1, so T1 has no slot to place a version in.
+  MvMtkOptions mvo;
+  mvo.k = 1;
+  MvOnline mv(mvo);
+  EXPECT_EQ(mv.OnOperation(Op{1, OpType::kWrite, 1}),
+            SchedOutcome::kAccepted);
+  EXPECT_EQ(mv.OnOperation(Op{2, OpType::kRead, 1}), SchedOutcome::kAccepted);
+  EXPECT_EQ(mv.OnOperation(Op{2, OpType::kRead, 0}), SchedOutcome::kAccepted);
+  EXPECT_EQ(mv.OnOperation(Op{1, OpType::kWrite, 0}), SchedOutcome::kAborted);
+  EXPECT_EQ(mv.last_abort_reason(), AbortReason::kVersionConflict);
+
   for (const Scheduler* s :
        {static_cast<const Scheduler*>(&to1),
         static_cast<const Scheduler*>(&tpl),
         static_cast<const Scheduler*>(&occ),
         static_cast<const Scheduler*>(&iv),
-        static_cast<const Scheduler*>(&mtk)}) {
+        static_cast<const Scheduler*>(&mtk),
+        static_cast<const Scheduler*>(&mv)}) {
     EXPECT_EQ(s->abort_reasons().total(), 1u) << s->name();
     EXPECT_EQ(s->abort_reasons().unclassified(), 0u) << s->name();
   }
