@@ -167,7 +167,8 @@ int Run(const char* out_path) {
   // Distributed tracing overhead, A/B. The gated configuration samples 1
   // in 64 transactions (trace_sample_shift = 6) - the flight-recorder
   // discipline: the always-on production setting must stay under the
-  // established < 3% bar. Full fidelity (shift 0, what fault_sweep and
+  // established < 3% bar, and a breach fails the run once the record is
+  // written. Full fidelity (shift 0, what fault_sweep and
   // the tests run: every transaction traced, exact per-txn
   // reconciliation) is measured the same way and recorded honestly - on
   // this time-compressed simulator an event costs ~100ns of wall clock,
@@ -193,6 +194,13 @@ int Run(const char* out_path) {
        {"traced_txns_per_sec", JsonNum(sampled.traced_tps)},
        {"trace_overhead_pct", JsonNum(sampled.overhead_pct)},
        {"full_fidelity_overhead_pct", JsonNum(full.overhead_pct)}});
+  if (sampled.overhead_pct >= 3.0) {
+    std::fflush(stdout);
+    std::fprintf(stderr,
+                 "GATE FAILED: trace_overhead_pct = %.2f%% (bar: < 3%%)\n",
+                 sampled.overhead_pct);
+    ++failures;
+  }
 
   return failures == 0 ? 0 : 1;
 }

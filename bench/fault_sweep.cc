@@ -17,7 +17,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +35,7 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "wal/wal.h"
+#include "workload/closed_loop.h"
 
 namespace mdts {
 namespace {
@@ -299,7 +299,8 @@ int Run(const char* trace_path, const char* metrics_path, int serve_port,
   // -------------------------------------------------------------------
   // WAL process-crash recovery audit: crash point x sync policy over the
   // sharded engine with a parallel WAL attached. Each cell arms one
-  // WalCrashPlan, drives a closed loop until the simulated crash fires,
+  // WalCrashPlan, drives the shared closed loop (3-op transactions over 64
+  // items) until the simulated crash fires or 400 transactions finish,
   // then recovers the log and rebuilds a fresh engine. The bar: recovery
   // never fails, every recovered record rebuilds as committed, torn tails
   // only appear for the mid-record crash, and under every-commit sync all
@@ -345,23 +346,13 @@ int Run(const char* trace_path, const char* metrics_path, int serve_port,
       eo.flight = flight.get();
       eo.wal = &wal;
       ShardedMtkEngine engine(eo);
-      std::mt19937_64 rng(31 + static_cast<uint64_t>(point));
-      for (TxnId txn = 1; txn <= 400 && !wal.crashed(); ++txn) {
-        bool ok = true;
-        for (size_t o = 0; o < 3 && ok; ++o) {
-          Op op;
-          op.txn = txn;
-          op.type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
-          op.item = static_cast<ItemId>(rng() % 64);
-          ok = engine.Process(op) != OpDecision::kReject;
-        }
-        if (!ok) {
-          engine.RestartTxn(txn);
-          --txn;
-          continue;
-        }
-        engine.CommitTxn(txn);
-      }
+      const Workload w =
+          MakeWorkload(1, 64, 3, 0.5, 31 + static_cast<uint64_t>(point));
+      // The budget never binds: the predicate ends every cell.
+      PerOpLoop(engine, w, 0, 1, /*seconds=*/60.0, /*work_ns=*/0,
+                [&](const LoopResult& r) {
+                  return r.txns() >= 400 || wal.crashed();
+                });
       const uint64_t appends = wal.stats().appends;
       wal.Close();
       const WalRecovery rec = ParallelWal::Recover(dir);

@@ -1,10 +1,13 @@
 // Closed-loop multithreaded MT(k) throughput benchmark (the perf experiment
 // behind the sharded engine): sweeps threads x contention x k over the
 // thread-safe ShardedMtkEngine, and measures the single-thread throughput
-// of the sharded engine with one shard against MtkScheduler. Every
-// worker retries its transaction until it commits (a closed loop), so abort
-// handling and restart costs are part of every number and the compaction
-// watermark can always advance.
+// of the sharded engine with one shard against MtkScheduler. Every loop is
+// the shared closed-loop client (workload/closed_loop.h): restart and
+// replay on reject, abandon after kMaxTries, so abort handling and restart
+// costs are part of every number and the compaction watermark can always
+// advance. The observability overhead gates (parts 3, 3b, 3f) fail the
+// run: after every record is written, the process exits 1 if any gate is
+// over its bar.
 //
 // Results go to stdout (tables) and are upserted into a JSON results file
 // (first positional arg, default BENCH_core.json) keyed by benchmark name.
@@ -23,8 +26,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,396 +44,10 @@
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "workload/closed_loop.h"
 
 namespace mdts {
 namespace {
-
-// ===========================================================================
-// Workload: transaction programs generated OUTSIDE the timed loops.
-// ===========================================================================
-
-struct StreamOp {
-  uint8_t is_read;
-  uint32_t item;
-};
-
-struct Workload {
-  uint32_t items = 0;
-  uint32_t ops_per_txn = 0;
-  // ops[t] holds thread t's transaction programs back to back; a worker
-  // replays program n at offset n * ops_per_txn (mod the stream) until the
-  // transaction commits.
-  std::vector<std::vector<StreamOp>> ops;
-};
-
-// xorshift64* - tiny, deterministic, allocation-free.
-inline uint64_t NextRand(uint64_t* s) {
-  uint64_t x = *s;
-  x ^= x >> 12;
-  x ^= x << 25;
-  x ^= x >> 27;
-  *s = x;
-  return x * 0x2545F4914F6CDD1DULL;
-}
-
-Workload MakeWorkload(size_t threads, uint32_t items, uint32_t ops_per_txn,
-                      double read_fraction, uint64_t seed) {
-  constexpr size_t kTxnsPerStream = 1 << 15;  // Replayed cyclically.
-  Workload w;
-  w.items = items;
-  w.ops_per_txn = ops_per_txn;
-  w.ops.resize(threads);
-  for (size_t t = 0; t < threads; ++t) {
-    uint64_t s = seed + 0x9E3779B97F4A7C15ULL * (t + 1);
-    w.ops[t].resize(kTxnsPerStream * ops_per_txn);
-    for (StreamOp& op : w.ops[t]) {
-      const uint64_t r = NextRand(&s);
-      op.item = static_cast<uint32_t>(r % items);
-      op.is_read = (r >> 32) % 100 < static_cast<uint64_t>(read_fraction * 100)
-                       ? 1
-                       : 0;
-    }
-  }
-  return w;
-}
-
-// ===========================================================================
-// Closed-loop drivers.
-// ===========================================================================
-
-struct LoopResult {
-  uint64_t committed = 0;
-  uint64_t aborts = 0;
-  uint64_t ops_accepted = 0;
-  double seconds = 0.0;
-  std::vector<uint64_t> latencies_ns;  // Sampled per committed txn.
-
-  double ops_per_sec() const {
-    return seconds > 0 ? static_cast<double>(ops_accepted) / seconds : 0;
-  }
-  double abort_rate() const {
-    const uint64_t attempts = committed + aborts;
-    return attempts ? static_cast<double>(aborts) / attempts : 0;
-  }
-};
-
-// Client-side work between operations: busy-waits `ns` nanoseconds.
-void SpinFor(uint64_t ns) {
-  if (ns == 0) return;
-  const Stopwatch spin;
-  while (spin.ElapsedNanos() < ns) {
-  }
-}
-
-// One worker's closed loop over any scheduler-shaped S (Process /
-// CommitTxn / RestartTxn). Transaction ids are 1 + t + n * stride so
-// multithreaded runs produce globally unique ids striped across engine
-// shards. Runs for `seconds` of wall time, checking the clock every few
-// transactions. `work_ns` > 0 spins that long after every accepted
-// operation: the application work that keeps a transaction open.
-template <typename S>
-LoopResult ClosedLoop(S& sched, const Workload& w, size_t t, size_t stride,
-                      double seconds, uint64_t work_ns = 0) {
-  LoopResult res;
-  const std::vector<StreamOp>& stream = w.ops[t];
-  const size_t txns_in_stream = stream.size() / w.ops_per_txn;
-  res.latencies_ns.reserve(1 << 16);
-  Stopwatch total;
-  Stopwatch txn_clock;
-  uint64_t n = 0;
-  for (;; ++n) {
-    if ((n & 63) == 0) {
-      res.seconds = total.ElapsedSeconds();
-      if (res.seconds >= seconds) break;
-    }
-    const TxnId txn = static_cast<TxnId>(1 + t + n * stride);
-    const StreamOp* prog = &stream[(n % txns_in_stream) * w.ops_per_txn];
-    const bool sample = (n & 7) == 0;
-    if (sample) txn_clock.Reset();
-    // Retry until commit, bounded at 128 tries: past the cap, abandon the
-    // transaction (leave the id aborted - an aborted id never pins the GC
-    // watermark) and move on; each failed attempt already counted as an
-    // abort. Single-version starvation-fix retries take a handful. A
-    // multiversion replay can be rejected deterministically when no
-    // surviving version orders before the restart's pinned vector; the
-    // engine's GC floor (see EngineOptions::multiversion) keeps the older
-    // versions that makes rare, not impossible.
-    for (uint64_t tries = 0;; ++tries) {
-      bool ok = true;
-      for (uint32_t o = 0; o < w.ops_per_txn && ok; ++o) {
-        Op op;
-        op.txn = txn;
-        op.type = prog[o].is_read ? OpType::kRead : OpType::kWrite;
-        op.item = prog[o].item;
-        ok = sched.Process(op) != OpDecision::kReject;
-        if (ok) {
-          ++res.ops_accepted;
-          SpinFor(work_ns);
-        }
-      }
-      if (ok) {
-        sched.CommitTxn(txn);
-        ++res.committed;
-        if (sample) res.latencies_ns.push_back(txn_clock.ElapsedNanos());
-        break;
-      }
-      ++res.aborts;
-      if (tries >= 128 || total.ElapsedSeconds() >= seconds) break;
-      sched.RestartTxn(txn);
-    }
-  }
-  res.seconds = total.ElapsedSeconds();
-  return res;
-}
-
-LoopResult MergeThreadResults(std::vector<LoopResult> parts) {
-  LoopResult out;
-  for (LoopResult& p : parts) {
-    out.committed += p.committed;
-    out.aborts += p.aborts;
-    out.ops_accepted += p.ops_accepted;
-    out.seconds = std::max(out.seconds, p.seconds);
-    out.latencies_ns.insert(out.latencies_ns.end(), p.latencies_ns.begin(),
-                            p.latencies_ns.end());
-  }
-  return out;
-}
-
-LoopResult RunEngine(const EngineOptions& eo, const Workload& w,
-                     size_t threads, double seconds,
-                     EngineStats* stats_out = nullptr, uint64_t work_ns = 0) {
-  ShardedMtkEngine engine(eo);
-  std::vector<LoopResult> parts(threads);
-  if (threads == 1) {
-    parts[0] = ClosedLoop(engine, w, 0, 1, seconds, work_ns);
-  } else {
-    std::vector<std::thread> pool;
-    for (size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        parts[t] = ClosedLoop(engine, w, t, threads, seconds, work_ns);
-      });
-    }
-    for (auto& th : pool) th.join();
-  }
-  if (stats_out != nullptr) *stats_out = engine.stats();
-  return MergeThreadResults(std::move(parts));
-}
-
-// One worker's BATCHED closed loop: it keeps `batch` transactions in flight
-// and submits one operation per live transaction per ProcessBatch call, the
-// admission shape the batched pipeline amortizes (one lockset acquisition
-// covers the whole round). A rejected slot restarts its transaction and
-// replays its program from the top; a slot that completes its program
-// commits and moves to the next transaction id. Ids follow the same
-// 1 + t + n * stride striping as ClosedLoop, with n drawn from a per-worker
-// counter shared by the slots.
-LoopResult BatchedClosedLoop(ShardedMtkEngine& engine, const Workload& w,
-                             size_t t, size_t stride, size_t batch,
-                             double seconds) {
-  LoopResult res;
-  const std::vector<StreamOp>& stream = w.ops[t];
-  const size_t txns_in_stream = stream.size() / w.ops_per_txn;
-  res.latencies_ns.reserve(1 << 16);
-  struct Slot {
-    TxnId txn = 0;
-    uint64_t n = 0;         // Program / id index.
-    uint32_t done = 0;      // Accepted operations so far.
-    uint32_t tries = 0;     // Rejections of this transaction so far.
-    uint64_t start_ns = 0;  // Nonzero iff this transaction is sampled.
-  };
-  Stopwatch total;
-  uint64_t next_n = 0;
-  std::vector<Slot> slots(batch);
-  for (Slot& s : slots) {
-    s.n = next_n++;
-    s.txn = static_cast<TxnId>(1 + t + s.n * stride);
-    if ((s.n & 7) == 0) s.start_ns = total.ElapsedNanos();
-  }
-  std::vector<Op> ops(batch);
-  std::vector<OpDecision> dec(batch);
-  for (uint64_t round = 0;; ++round) {
-    if ((round & 15) == 0) {
-      res.seconds = total.ElapsedSeconds();
-      if (res.seconds >= seconds) break;
-    }
-    for (size_t b = 0; b < batch; ++b) {
-      const Slot& s = slots[b];
-      const StreamOp& so =
-          stream[(s.n % txns_in_stream) * w.ops_per_txn + s.done];
-      ops[b].txn = s.txn;
-      ops[b].type = so.is_read ? OpType::kRead : OpType::kWrite;
-      ops[b].item = so.item;
-    }
-    engine.ProcessBatch(std::span<const Op>(ops.data(), batch), dec.data());
-    for (size_t b = 0; b < batch; ++b) {
-      Slot& s = slots[b];
-      if (dec[b] == OpDecision::kReject) {
-        ++res.aborts;
-        // Same bounded-retry rule as ClosedLoop: abandon a transaction
-        // rejected 128 times - leave the id aborted and give the slot a
-        // fresh transaction.
-        if (++s.tries >= 128) {
-          s.n = next_n++;
-          s.txn = static_cast<TxnId>(1 + t + s.n * stride);
-          s.tries = 0;
-          s.start_ns = (s.n & 7) == 0 ? total.ElapsedNanos() : 0;
-        } else {
-          engine.RestartTxn(s.txn);
-        }
-        s.done = 0;
-        continue;
-      }
-      ++res.ops_accepted;
-      if (++s.done < w.ops_per_txn) continue;
-      engine.CommitTxn(s.txn);
-      ++res.committed;
-      if (s.start_ns != 0) {
-        res.latencies_ns.push_back(total.ElapsedNanos() - s.start_ns);
-      }
-      s.n = next_n++;
-      s.txn = static_cast<TxnId>(1 + t + s.n * stride);
-      s.done = 0;
-      s.tries = 0;
-      s.start_ns = (s.n & 7) == 0 ? total.ElapsedNanos() : 0;
-    }
-  }
-  res.seconds = total.ElapsedSeconds();
-  return res;
-}
-
-LoopResult RunEngineBatched(const EngineOptions& eo, const Workload& w,
-                            size_t threads, size_t batch, double seconds,
-                            EngineStats* stats_out = nullptr) {
-  ShardedMtkEngine engine(eo);
-  std::vector<LoopResult> parts(threads);
-  if (threads == 1) {
-    parts[0] = BatchedClosedLoop(engine, w, 0, 1, batch, seconds);
-  } else {
-    std::vector<std::thread> pool;
-    for (size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        parts[t] = BatchedClosedLoop(engine, w, t, threads, batch, seconds);
-      });
-    }
-    for (auto& th : pool) th.join();
-  }
-  if (stats_out != nullptr) *stats_out = engine.stats();
-  return MergeThreadResults(std::move(parts));
-}
-
-// Part-5 driver: BatchedClosedLoop with a runtime-adjustable live batch.
-// The number of slots submitted per round is re-read from the admission
-// controller before every ProcessBatch, and a manually ticked Sampler
-// drives the controller on the caller's phase clock (`global`) so the
-// decision trace lines up with the phase boundaries the caller measures
-// on the same stopwatch. ctl == nullptr degrades to a plain static batch
-// of `max_batch` - the static arms reuse this loop so all three arms pay
-// identical driver costs. `next_n` persists across phases: the engine
-// survives the contention change, so transaction ids must keep advancing.
-// Slots in flight at a phase boundary are dropped; their live
-// transactions never commit, which is harmless to MT(k) ordering (peers
-// encode after a live top accessor normally) and only pins the compaction
-// watermark for the seconds the run lasts. Single-worker (t=0, stride 1):
-// the phase-change experiment isolates the controller's reaction, not
-// thread scaling.
-LoopResult AdaptivePhaseLoop(ShardedMtkEngine& engine, const Workload& w,
-                             size_t max_batch, double seconds,
-                             AdmissionController* ctl, Sampler* sampler,
-                             Stopwatch& global, double tick_sec,
-                             uint64_t* next_n) {
-  LoopResult res;
-  const std::vector<StreamOp>& stream = w.ops[0];
-  const size_t txns_in_stream = stream.size() / w.ops_per_txn;
-  struct Slot {
-    TxnId txn = 0;
-    uint64_t n = 0;
-    uint32_t done = 0;
-    uint32_t tries = 0;
-  };
-  Stopwatch phase;
-  std::vector<Slot> slots(max_batch);
-  for (Slot& s : slots) {
-    s.n = (*next_n)++;
-    s.txn = static_cast<TxnId>(1 + s.n);
-  }
-  std::vector<Op> ops(max_batch);
-  std::vector<OpDecision> dec(max_batch);
-  double next_tick = tick_sec;
-  for (uint64_t round = 0;; ++round) {
-    if ((round & 15) == 0) {
-      const double t = phase.ElapsedSeconds();
-      if (t >= seconds) break;
-      if (sampler != nullptr && t >= next_tick) {
-        sampler->TickOnce(global.ElapsedSeconds());
-        next_tick += tick_sec;
-      }
-    }
-    size_t live = max_batch;
-    if (ctl != nullptr) {
-      const uint32_t b = ctl->batch_size();
-      live = b < 1 ? 1 : (b > max_batch ? max_batch : b);
-    }
-    // Park-and-resolve: slots beyond the current advisory width leave the
-    // in-flight set by committing whatever program prefix was already
-    // accepted (legal - a commit covers exactly the accepted operations).
-    // Freezing them live instead would leave immortal top writers on the
-    // hot items: every later accessor of such an item deterministically
-    // rejects, which the controller would misread as permanent contention
-    // and never grow back. Only does work on the round after a shrink.
-    for (size_t b = live; b < slots.size(); ++b) {
-      Slot& s = slots[b];
-      if (s.done == 0) continue;
-      engine.CommitTxn(s.txn);
-      s.n = (*next_n)++;
-      s.txn = static_cast<TxnId>(1 + s.n);
-      s.done = 0;
-      s.tries = 0;
-    }
-    for (size_t b = 0; b < live; ++b) {
-      const Slot& s = slots[b];
-      const StreamOp& so =
-          stream[(s.n % txns_in_stream) * w.ops_per_txn + s.done];
-      ops[b].txn = s.txn;
-      ops[b].type = so.is_read ? OpType::kRead : OpType::kWrite;
-      ops[b].item = so.item;
-    }
-    engine.ProcessBatch(std::span<const Op>(ops.data(), live), dec.data());
-    for (size_t b = 0; b < live; ++b) {
-      Slot& s = slots[b];
-      if (dec[b] == OpDecision::kReject) {
-        ++res.aborts;
-        // Same bounded-retry rule as BatchedClosedLoop.
-        if (++s.tries >= 128) {
-          s.n = (*next_n)++;
-          s.txn = static_cast<TxnId>(1 + s.n);
-          s.tries = 0;
-        } else {
-          engine.RestartTxn(s.txn);
-        }
-        s.done = 0;
-        continue;
-      }
-      ++res.ops_accepted;
-      if (++s.done < w.ops_per_txn) continue;
-      engine.CommitTxn(s.txn);
-      ++res.committed;
-      s.n = (*next_n)++;
-      s.txn = static_cast<TxnId>(1 + s.n);
-      s.done = 0;
-      s.tries = 0;
-    }
-  }
-  res.seconds = phase.ElapsedSeconds();
-  // Resolve every in-flight transaction at the phase boundary, for the
-  // same reason as the park-and-resolve above: the next phase must not
-  // inherit immortal live top writers from this one. Boundary commits are
-  // not counted into res.committed - they are partial programs, not
-  // completed workload transactions.
-  for (const Slot& s : slots) {
-    if (s.done > 0) engine.CommitTxn(s.txn);
-  }
-  return res;
-}
 
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -499,6 +116,17 @@ AbOverhead MeasureAbOverhead(int pairs, A&& run_a, B&& run_b) {
   return r;
 }
 
+// An observability overhead gate: the arm pair that differs in one layer
+// (each arm returns Mops) and the bar the median per-pair overhead must
+// stay under.
+struct OverheadGate {
+  const char* record;  // BENCH record name.
+  const char* field;   // Its overhead field.
+  const char* title;
+  double bar_pct;
+  std::function<double()> baseline, instrumented;
+};
+
 // ===========================================================================
 // Experiments.
 // ===========================================================================
@@ -508,8 +136,7 @@ constexpr double kReadFraction = 0.6;
 constexpr uint32_t kLowContentionItems = 65536;
 constexpr uint32_t kHighContentionItems = 64;
 
-int Run(const char* out_path, int serve_port, uint64_t sample_ms,
-        size_t batch_override, bool enc_only) {
+int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("=== MT(k) closed-loop throughput (hardware threads: %u) ===\n\n",
               hw);
@@ -563,28 +190,21 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
         MakeWorkload(1, items, kOpsPerTxn, kReadFraction, 42);
     const double secs = 1.0;
     // Warmup + run, each system fresh.
-    LoopResult rs, re;
+    MtkOptions mo;
+    mo.k = 3;
+    mo.starvation_fix = true;
     {
-      MtkOptions mo;
-      mo.k = 3;
-      mo.starvation_fix = true;
-      MtkScheduler s(mo);
-      (void)ClosedLoop(s, w, 0, 1, 0.1);
+      MtkScheduler warm(mo);
+      (void)PerOpLoop(warm, w, 0, 1, 0.1);
     }
-    {
-      MtkOptions mo;
-      mo.k = 3;
-      mo.starvation_fix = true;
-      MtkScheduler s(mo);
-      rs = ClosedLoop(s, w, 0, 1, secs);
-    }
-    {
-      EngineOptions eo;
-      eo.k = 3;
-      eo.num_shards = 1;
-      eo.starvation_fix = true;
-      re = RunEngine(eo, w, 1, secs);
-    }
+    MtkScheduler sched(mo);
+    const LoopResult rs = PerOpLoop(sched, w, 0, 1, secs);
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = 1;
+    eo.starvation_fix = true;
+    ShardedMtkEngine engine(eo);
+    const LoopResult re = RunClosedLoop(engine, w, 1, secs);
     if (items == kLowContentionItems) {
       sched_low_mops = Mops(rs);
       engine_low_mops = Mops(re);
@@ -630,26 +250,16 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
         eo.compact_every = std::max<uint64_t>(1024, items / 2);
         const Workload w =
             MakeWorkload(threads, items, kOpsPerTxn, kReadFraction, 42);
-        (void)RunEngine(eo, w, threads, 0.08);  // Warmup (fresh engine).
-        ShardedMtkEngine engine(eo);
-        std::vector<LoopResult> parts(threads);
         {
-          std::vector<std::thread> pool;
-          for (size_t t = 0; t < threads; ++t) {
-            pool.emplace_back([&, t] {
-              parts[t] = ClosedLoop(engine, w, t, threads, 0.5);
-            });
-          }
-          for (auto& th : pool) th.join();
+          ShardedMtkEngine warm(eo);
+          (void)RunClosedLoop(warm, w, threads, 0.08);
         }
-        LoopResult r = MergeThreadResults(std::move(parts));
+        ShardedMtkEngine engine(eo);
+        LoopResult r = RunClosedLoop(engine, w, threads, 0.5);
         const EngineStats st = engine.stats();
+        const uint64_t decided = st.single_shard_ops + st.cross_shard_ops;
         const double cross_frac =
-            st.single_shard_ops + st.cross_shard_ops
-                ? static_cast<double>(st.cross_shard_ops) /
-                      static_cast<double>(st.single_shard_ops +
-                                          st.cross_shard_ops)
-                : 0;
+            decided ? static_cast<double>(st.cross_shard_ops) / decided : 0;
         const double p50 = LatencyUs(r, 50);
         const double p99 = LatencyUs(r, 99);
         table.AddRow({std::to_string(threads), Fmt(Mops(r)),
@@ -657,16 +267,11 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
                       Fmt(r.abort_rate(), 3), Fmt(p50, 1), Fmt(p99, 1),
                       Fmt(cross_frac, 2),
                       std::to_string(st.txns_released)});
-        if (!mops_list.empty()) {
-          mops_list += ", ";
-          abort_list += ", ";
-          p50_list += ", ";
-          p99_list += ", ";
-        }
-        mops_list += JsonNum(Mops(r));
-        abort_list += JsonNum(r.abort_rate());
-        p50_list += JsonNum(p50);
-        p99_list += JsonNum(p99);
+        const char* sep = mops_list.empty() ? "" : ", ";
+        mops_list += sep + JsonNum(Mops(r));
+        abort_list += sep + JsonNum(r.abort_rate());
+        p50_list += sep + JsonNum(p50);
+        p99_list += sep + JsonNum(p99);
         if (items == kLowContentionItems && k == 3) {
           if (threads == 1) mops_1t_low_k3 = Mops(r);
           if (threads == 4) mops_4t_low_k3 = Mops(r);
@@ -699,11 +304,7 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   // live transactions per worker, which under high contention raises the
   // conflict rate - a real tradeoff the table reports instead of hiding.
   // -------------------------------------------------------------------
-  const std::vector<size_t> batch_sizes =
-      batch_override > 0 ? std::vector<size_t>{batch_override}
-                         : std::vector<size_t>{1, 8, 32};
-  const std::vector<int> enc_axis =
-      enc_only ? std::vector<int>{1} : std::vector<int>{0, 1};
+  const std::vector<size_t> batch_sizes = {1, 8, 32};
   // Both arms run with a metrics registry attached (the deployed
   // configuration: the engine's counters are pulled at snapshot time, and
   // the sampled phase histograms are recorded per batch). Arms are
@@ -722,7 +323,7 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
     TablePrinter table({"encoding", "mode", "goodput Mops", "accepted Mops",
                         "abort rate", "hot encodings"});
     std::string record;
-    for (int enc : enc_axis) {
+    for (int enc : {0, 1}) {
       EngineOptions eo;
       eo.k = 3;
       eo.num_shards = 32;
@@ -741,15 +342,14 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
           live_sampler != nullptr ? &GlobalMetrics() : &scratch_reg;
       for (int rep = 0; rep < kBatchReps; ++rep) {
         for (size_t a = 0; a < n_arms; ++a) {
-          LoopResult r;
-          if (a == 0) {
-            if (rep == 0) (void)RunEngine(eo, w, 1, 0.08);  // Warmup.
-            r = RunEngine(eo, w, 1, kBatchSecs, &arm_stats[a]);
-          } else {
-            const size_t batch = batch_sizes[a - 1];
-            if (rep == 0) (void)RunEngineBatched(eo, w, 1, batch, 0.08);
-            r = RunEngineBatched(eo, w, 1, batch, kBatchSecs, &arm_stats[a]);
+          const size_t batch = a == 0 ? 0 : batch_sizes[a - 1];
+          if (rep == 0) {
+            ShardedMtkEngine warm(eo);
+            (void)RunClosedLoop(warm, w, 1, 0.08, batch);
           }
+          ShardedMtkEngine engine(eo);
+          const LoopResult r = RunClosedLoop(engine, w, 1, kBatchSecs, batch);
+          arm_stats[a] = engine.stats();
           gp[a].push_back(GoodputMops(r, kOpsPerTxn));
           ab[a].push_back(r.abort_rate());
           mp[a].push_back(Mops(r));
@@ -817,7 +417,7 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
          {"metrics_attached", "true"},
          {"cells", "[" + record + "]"}});
   }
-  if (!enc_only && batch_override == 0) {
+  {
     // The explicit III-D-5 on/off delta at the hot-item cell (items = 64,
     // per-op arm, settings identical to the recorded
     // mt_engine_scaling_items64_k3 baseline's threads=1 entry). Measured
@@ -863,17 +463,19 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   }
 
   // -------------------------------------------------------------------
-  // Part 3: observability overhead. Same engine cell as part 2 (k=3, low
-  // contention, 32 shards), tracing runtime-disabled; the only difference
-  // between the two arms is EngineOptions::metrics (nullptr = no registry
-  // collector and no phase histograms). Adjacent A/B pairs, order flipped per pair, median of per-pair
-  // deltas (see MeasureAbOverhead), so drift and interference bursts hit
-  // both arms alike.
+  // Parts 3, 3b, 3f: observability overhead gates on part 2's engine cell
+  // (k=3, low contention, 32 shards), tracing runtime-disabled. Each gate
+  // is an arm pair that differs in one layer: 3 attaches a metrics
+  // registry (collector + sampled phase histograms) to an engine without
+  // one; 3b adds a Sampler ticking every 100 ms and an idle HTTP exporter
+  // to that registry; 3f adds a FlightRecorder and 1-in-64 phase
+  // attribution to a registry-attached engine whose attribution is off
+  // (shift 63). Adjacent A/B pairs, order flipped per pair, median of
+  // per-pair deltas (see MeasureAbOverhead), so drift and interference
+  // bursts hit both arms alike. A gate over its bar fails the run once
+  // every record is written.
   // -------------------------------------------------------------------
   const size_t obs_threads = hw >= 4 ? 4 : 1;
-  std::printf("--- observability overhead: k=3, %u items, %zu threads ---\n",
-              kLowContentionItems, obs_threads);
-  MetricsRegistry registry;
   EngineOptions obs_eo;
   obs_eo.k = 3;
   obs_eo.num_shards = 32;
@@ -881,175 +483,95 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   obs_eo.compact_every = std::max<uint64_t>(1024, kLowContentionItems / 2);
   const Workload obs_w = MakeWorkload(obs_threads, kLowContentionItems,
                                       kOpsPerTxn, kReadFraction, 42);
-  (void)RunEngine(obs_eo, obs_w, obs_threads, 0.1);  // Warmup.
-  EngineStats obs_stats;
   constexpr int kObsPairs = 9;
   // Arm length: interference bursts on shared hosts run for a few hundred
   // ms, so 0.3 s arms land entirely inside or outside a burst (+-8% per
   // arm); 1 s arms integrate over it.
   constexpr double kObsArmSecs = 1.0;
-  const AbOverhead part3 = MeasureAbOverhead(
-      kObsPairs,
-      [&] {
-        obs_eo.metrics = nullptr;
-        return Mops(RunEngine(obs_eo, obs_w, obs_threads, kObsArmSecs));
-      },
-      [&] {
-        obs_eo.metrics = &registry;
-        return Mops(
-            RunEngine(obs_eo, obs_w, obs_threads, kObsArmSecs, &obs_stats));
-      });
-  obs_eo.metrics = nullptr;
-  const double med_base = part3.med_a;
-  const double med_attached = part3.med_b;
-  const double obs_overhead_pct = part3.overhead_pct;
-  std::printf(
-      "baseline (no registry): %.2f Mops; metrics attached: %.2f Mops; "
-      "overhead %.2f%% (tracing %s)\n",
-      med_base, med_attached, obs_overhead_pct,
-      MDTS_TRACE_COMPILED ? "compiled in, runtime-disabled"
-                          : "compiled out");
-  std::printf("abort reasons (last attached run): %s\n",
-              obs_stats.reject_reasons.ToJson().c_str());
-  std::printf("\nmetrics snapshot (attached arm, cumulative):\n%s\n",
-              registry.Snapshot().ToText().c_str());
-
-  UpsertBenchRecord(
-      out_path, "mt_throughput_obs_overhead",
-      {{"hardware_threads", JsonNum(hw)},
-       {"threads", JsonNum(static_cast<double>(obs_threads))},
-       {"ab_pairs", JsonNum(kObsPairs)},
-       {"ab_arm_seconds", JsonNum(kObsArmSecs)},
-       {"baseline_mops", JsonNum(med_base)},
-       {"metrics_attached_mops", JsonNum(med_attached)},
-       {"obs_overhead_pct", JsonNum(obs_overhead_pct)},
-       {"trace_compiled", MDTS_TRACE_COMPILED ? "true" : "false"},
-       {"abort_reasons", obs_stats.reject_reasons.ToJson()}});
-
-  // -------------------------------------------------------------------
-  // Part 3f: flight recorder + phase attribution overhead. Both arms run
-  // metrics-attached; the instrumented arm additionally records every
-  // commit/abort into a FlightRecorder and samples per-phase latencies at
-  // the default 1-in-64 rate, while the baseline arm sets
-  // phase_sample_shift = 63 (attribution effectively off) and no recorder.
-  // Adjacent A/B pairs, order flipped per pair, median of per-pair deltas
-  // (see MeasureAbOverhead). The acceptance bar is < 3%.
-  // -------------------------------------------------------------------
-  std::printf(
-      "\n--- flight recorder + phase attribution overhead ---\n");
-  FlightRecorderOptions fro;
-  fro.rings = 4;
-  fro.capacity = 256;
-  fro.k = 3;
-  uint64_t flight_commits = 0, flight_aborts = 0;
-  const AbOverhead part3f = MeasureAbOverhead(
-      kObsPairs,
-      [&] {
-        MetricsRegistry reg_a;
-        obs_eo.metrics = &reg_a;
-        obs_eo.flight = nullptr;
-        obs_eo.phase_sample_shift = 63;
-        return Mops(RunEngine(obs_eo, obs_w, obs_threads, kObsArmSecs));
-      },
-      [&] {
-        MetricsRegistry reg_b;
-        FlightRecorder flight(fro);
-        obs_eo.metrics = &reg_b;
-        obs_eo.flight = &flight;
-        obs_eo.phase_sample_shift = 6;
-        const double m =
-            Mops(RunEngine(obs_eo, obs_w, obs_threads, kObsArmSecs));
-        flight_commits = flight.commits();
-        flight_aborts = flight.aborts();
-        return m;
-      });
-  obs_eo.metrics = nullptr;
-  obs_eo.flight = nullptr;
-  obs_eo.phase_sample_shift = 6;
-  const double med_noflight = part3f.med_a;
-  const double med_flight = part3f.med_b;
-  const double flight_obs_overhead_pct = part3f.overhead_pct;
-  std::printf(
-      "metrics only: %.2f Mops; + flight recorder + 1-in-64 phase "
-      "attribution: %.2f Mops; overhead %.2f%% (bar: < 3%%)\n"
-      "last instrumented run captured %llu commits, %llu aborts\n",
-      med_noflight, med_flight, flight_obs_overhead_pct,
-      static_cast<unsigned long long>(flight_commits),
-      static_cast<unsigned long long>(flight_aborts));
-
-  UpsertBenchRecord(
-      out_path, "mt_throughput_flight_obs_overhead",
-      {{"hardware_threads", JsonNum(hw)},
-       {"threads", JsonNum(static_cast<double>(obs_threads))},
-       {"ab_pairs", JsonNum(kObsPairs)},
-       {"ab_arm_seconds", JsonNum(kObsArmSecs)},
-       {"flight_rings", JsonNum(static_cast<double>(fro.rings))},
-       {"flight_capacity", JsonNum(static_cast<double>(fro.capacity))},
-       {"phase_sample_shift", JsonNum(6)},
-       {"metrics_only_mops", JsonNum(med_noflight)},
-       {"flight_attached_mops", JsonNum(med_flight)},
-       {"flight_obs_overhead_pct", JsonNum(flight_obs_overhead_pct)}});
-
-  // -------------------------------------------------------------------
-  // Part 3b: live telemetry overhead. Both arms run the metrics-attached
-  // engine from part 3; the live arm additionally has a Sampler ticking
-  // every 100 ms and an HTTP exporter listening (idle - no scraper) on the
-  // same registry. Adjacent A/B pairs, order flipped per pair, median of
-  // per-pair deltas (see MeasureAbOverhead). The acceptance bar is < 2%.
-  // -------------------------------------------------------------------
-  std::printf(
-      "\n--- live telemetry overhead: sampler @100ms + idle exporter ---\n");
   constexpr uint64_t kLiveSampleMs = 100;
-  const AbOverhead part3b = MeasureAbOverhead(
-      kObsPairs,
-      [&] {
-        MetricsRegistry plain_reg;
-        obs_eo.metrics = &plain_reg;
-        return Mops(RunEngine(obs_eo, obs_w, obs_threads, kObsArmSecs));
-      },
-      [&] {
-        MetricsRegistry live_reg;
-        obs_eo.metrics = &live_reg;
-        SamplerOptions so;
-        so.registry = &live_reg;
-        so.interval_ms = kLiveSampleMs;
-        Sampler sampler(so);
-        StarvationWatchdogOptions wo;
-        wo.source_gauge = "engine.max_consecutive_aborts";
-        sampler.AddStarvationWatchdog(wo);
-        sampler.Start();
-        HttpExporterOptions ho;
-        ho.registry = &live_reg;
-        ho.sampler = &sampler;
-        ho.port = 0;  // Ephemeral; idle listener, worst case for the bench.
-        HttpExporter exporter(ho);
-        const bool serving = exporter.Start();
-        const double m =
-            Mops(RunEngine(obs_eo, obs_w, obs_threads, kObsArmSecs));
-        if (serving) exporter.Stop();
-        sampler.Stop();
-        return m;
-      });
-  obs_eo.metrics = nullptr;
-  const double med_plain = part3b.med_a;
-  const double med_live = part3b.med_b;
-  const double live_obs_overhead_pct = part3b.overhead_pct;
-  std::printf(
-      "metrics attached: %.2f Mops; + sampler@%llums + exporter: %.2f Mops; "
-      "overhead %.2f%% (bar: < 2%%)\n",
-      med_plain, static_cast<unsigned long long>(kLiveSampleMs), med_live,
-      live_obs_overhead_pct);
-
-  UpsertBenchRecord(
-      out_path, "mt_throughput_live_obs_overhead",
-      {{"hardware_threads", JsonNum(hw)},
-       {"threads", JsonNum(static_cast<double>(obs_threads))},
-       {"ab_pairs", JsonNum(kObsPairs)},
-       {"ab_arm_seconds", JsonNum(kObsArmSecs)},
-       {"sample_interval_ms", JsonNum(kLiveSampleMs)},
-       {"metrics_attached_mops", JsonNum(med_plain)},
-       {"live_telemetry_mops", JsonNum(med_live)},
-       {"live_obs_overhead_pct", JsonNum(live_obs_overhead_pct)}});
+  auto obs_arm = [&](const EngineOptions& eo) {
+    ShardedMtkEngine engine(eo);
+    return Mops(RunClosedLoop(engine, obs_w, obs_threads, kObsArmSecs));
+  };
+  auto registry_arm = [&](uint32_t phase_sample_shift,
+                          FlightRecorder* flight) {
+    MetricsRegistry reg;
+    EngineOptions eo = obs_eo;
+    eo.metrics = &reg;
+    eo.phase_sample_shift = phase_sample_shift;
+    eo.flight = flight;
+    return obs_arm(eo);
+  };
+  const std::vector<OverheadGate> gates = {
+      {"mt_throughput_obs_overhead", "obs_overhead_pct",
+       "metrics registry attached", 3.0, [&] { return obs_arm(obs_eo); },
+       [&] { return registry_arm(6, nullptr); }},
+      {"mt_throughput_live_obs_overhead", "live_obs_overhead_pct",
+       "sampler @100ms + idle exporter", 2.0,
+       [&] { return registry_arm(6, nullptr); },
+       [&] {
+         MetricsRegistry reg;
+         EngineOptions eo = obs_eo;
+         eo.metrics = &reg;
+         SamplerOptions so;
+         so.registry = &reg;
+         so.interval_ms = kLiveSampleMs;
+         Sampler sampler(so);
+         StarvationWatchdogOptions wo;
+         wo.source_gauge = "engine.max_consecutive_aborts";
+         sampler.AddStarvationWatchdog(wo);
+         sampler.Start();
+         HttpExporterOptions ho;
+         ho.registry = &reg;
+         ho.sampler = &sampler;
+         ho.port = 0;  // Ephemeral; idle listener, worst case for the bench.
+         HttpExporter exporter(ho);
+         const bool serving = exporter.Start();
+         const double m = obs_arm(eo);
+         if (serving) exporter.Stop();
+         sampler.Stop();
+         return m;
+       }},
+      {"mt_throughput_flight_obs_overhead", "flight_obs_overhead_pct",
+       "flight recorder + 1-in-64 phase attribution", 3.0,
+       [&] { return registry_arm(63, nullptr); },
+       [&] {
+         FlightRecorderOptions fro;
+         fro.rings = 4;
+         fro.capacity = 256;
+         fro.k = 3;
+         FlightRecorder flight(fro);
+         return registry_arm(6, &flight);
+       }},
+  };
+  {
+    ShardedMtkEngine warm(obs_eo);
+    (void)RunClosedLoop(warm, obs_w, obs_threads, 0.1);
+  }
+  std::vector<double> gate_pct;  // Per gate, in table order.
+  for (const OverheadGate& g : gates) {
+    const AbOverhead ab =
+        MeasureAbOverhead(kObsPairs, g.baseline, g.instrumented);
+    std::printf(
+        "--- overhead of %s: k=3, %u items, %zu threads ---\n"
+        "baseline %.2f Mops; instrumented %.2f Mops; overhead %.2f%% "
+        "(bar: < %.0f%%)%s\n\n",
+        g.title, kLowContentionItems, obs_threads, ab.med_a, ab.med_b,
+        ab.overhead_pct, g.bar_pct,
+        ab.overhead_pct < g.bar_pct ? "" : "  [ABOVE BAR]");
+    UpsertBenchRecord(
+        out_path, g.record,
+        {{"hardware_threads", JsonNum(hw)},
+         {"threads", JsonNum(static_cast<double>(obs_threads))},
+         {"ab_pairs", JsonNum(kObsPairs)},
+         {"ab_arm_seconds", JsonNum(kObsArmSecs)},
+         {"baseline_mops", JsonNum(ab.med_a)},
+         {"instrumented_mops", JsonNum(ab.med_b)},
+         {g.field, JsonNum(ab.overhead_pct)},
+         {"bar_pct", JsonNum(g.bar_pct)},
+         {"trace_compiled", MDTS_TRACE_COMPILED ? "true" : "false"}});
+    gate_pct.push_back(ab.overhead_pct);
+  }
 
   // -------------------------------------------------------------------
   // Part 4: multiversion vs single-version admission, threads x
@@ -1088,22 +610,16 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
           std::vector<double> sv_gp, mv_gp, sv_ab, mv_ab;
           EngineStats sv_st, mv_st;
           for (int rep = 0; rep < kMvReps; ++rep) {
-            eo.multiversion = false;
-            LoopResult rs =
-                batch == 1
-                    ? RunEngine(eo, w, threads, 0.3, &sv_st)
-                    : RunEngineBatched(eo, w, threads, batch, 0.3, &sv_st);
-            sv_gp.push_back(GoodputMops(rs, kOpsPerTxn));
-            sv_ab.push_back(rs.abort_rate());
-            eo.multiversion = true;
-            LoopResult rm =
-                batch == 1
-                    ? RunEngine(eo, w, threads, 0.3, &mv_st)
-                    : RunEngineBatched(eo, w, threads, batch, 0.3, &mv_st);
-            mv_gp.push_back(GoodputMops(rm, kOpsPerTxn));
-            mv_ab.push_back(rm.abort_rate());
+            for (const bool mv : {false, true}) {
+              eo.multiversion = mv;
+              ShardedMtkEngine engine(eo);
+              const LoopResult r = RunClosedLoop(engine, w, threads, 0.3,
+                                                 batch == 1 ? 0 : batch);
+              (mv ? mv_st : sv_st) = engine.stats();
+              (mv ? mv_gp : sv_gp).push_back(GoodputMops(r, kOpsPerTxn));
+              (mv ? mv_ab : sv_ab).push_back(r.abort_rate());
+            }
           }
-          eo.multiversion = false;
           const double svg = Median(sv_gp), mvg = Median(mv_gp);
           const double sva = Median(sv_ab), mva = Median(mv_ab);
           mv_table.AddRow(
@@ -1215,11 +731,11 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
       uint64_t mv_read_rejects = 0;
       auto arm = [&](bool mv, std::vector<double>& aborts) {
         eo.multiversion = mv;
-        EngineStats st;
-        const LoopResult r = RunEngine(eo, w, mv_threads_hi, kWorkArmSecs,
-                                       &st, work_us * 1000);
+        ShardedMtkEngine engine(eo);
+        const LoopResult r = RunClosedLoop(engine, w, mv_threads_hi,
+                                           kWorkArmSecs, 0, work_us * 1000);
         aborts.push_back(r.abort_rate());
-        if (mv) mv_read_rejects += st.read_rejects;
+        if (mv) mv_read_rejects += engine.stats().read_rejects;
         return GoodputMops(r, kOpsPerTxn);
       };
       const AbOverhead ab =
@@ -1332,24 +848,37 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
       sampler->AddTickHook(
           [c](uint64_t seq, double now) { c->TickOnce(seq, now); });
     }
-    const size_t width = adaptive ? kAdaptiveMaxBatch : static_batch;
+    // One worker (t=0, stride 1): the experiment isolates the
+    // controller's reaction, not thread scaling. The static arms run the
+    // same loop at a constant width, so all three pay identical loop
+    // costs. The sampler ticks on the phase clock, so the decision trace
+    // lines up with the phase boundaries measured on it.
+    const size_t max_width = adaptive ? kAdaptiveMaxBatch : static_batch;
+    auto width = [&]() -> size_t {
+      return ctl != nullptr ? ctl->batch_size() : static_batch;
+    };
     Stopwatch phase_clock;
-    uint64_t next_n = 0;
-    arm.low1 = AdaptivePhaseLoop(engine, w_ad_low, width, kPhaseSecs,
-                                 ctl.get(), sampler.get(), phase_clock,
-                                 kTickSecs, &next_n);
-    const double high_start = phase_clock.ElapsedSeconds();
-    arm.high = AdaptivePhaseLoop(engine, w_ad_high, width, kPhaseSecs,
-                                 ctl.get(), sampler.get(), phase_clock,
-                                 kTickSecs, &next_n);
-    const double low2_start = phase_clock.ElapsedSeconds();
-    if (ctl != nullptr) {
-      arm.batch_end_high = ctl->batch_size();
-      arm.k_end_high = ctl->active_k();
+    uint64_t next_n = 0;  // The engine survives the phase changes.
+    double phase_start[3] = {};
+    LoopResult* phase_result[3] = {&arm.low1, &arm.high, &arm.low2};
+    for (int p = 0; p < 3; ++p) {
+      phase_start[p] = phase_clock.ElapsedSeconds();
+      double next_tick = kTickSecs;
+      auto tick = [&](double phase_t) {
+        if (sampler == nullptr || phase_t < next_tick) return;
+        sampler->TickOnce(phase_clock.ElapsedSeconds());
+        next_tick += kTickSecs;
+      };
+      *phase_result[p] =
+          BatchedLoop(engine, p == 1 ? w_ad_high : w_ad_low, 0, 1, max_width,
+                      width, tick, next_n, kPhaseSecs);
+      if (p == 1 && ctl != nullptr) {
+        arm.batch_end_high = ctl->batch_size();
+        arm.k_end_high = ctl->active_k();
+      }
     }
-    arm.low2 = AdaptivePhaseLoop(engine, w_ad_low, width, kPhaseSecs,
-                                 ctl.get(), sampler.get(), phase_clock,
-                                 kTickSecs, &next_n);
+    const double high_start = phase_start[1];
+    const double low2_start = phase_start[2];
     if (ctl != nullptr) {
       arm.batch_end_low = ctl->batch_size();
       arm.k_end_low = ctl->active_k();
@@ -1501,21 +1030,18 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   std::vector<std::pair<std::string, std::string>> acceptance = {
       {"hardware_threads", JsonNum(hw)},
       {"scaling_4t_over_1t_low_contention_k3", JsonNum(scaling_4t)},
-      {"obs_overhead_pct", JsonNum(obs_overhead_pct)},
-      {"live_obs_overhead_pct", JsonNum(live_obs_overhead_pct)},
-      {"flight_obs_overhead_pct", JsonNum(flight_obs_overhead_pct)},
       {"note",
        JsonStr(hw >= 4 ? "thread counts within hardware parallelism"
                        : "hardware threads < 4: scaling ratio reflects "
-                         "timeslicing, not parallel speedup")}};
-  if (!enc_only && batch_override == 0) {
-    acceptance.push_back(
-        {"batch8_over_perop_goodput_low_contention",
-         JsonNum(perop_goodput_low_off > 0
-                     ? batch8_goodput_low_off / perop_goodput_low_off
-                     : 0)});
-    acceptance.push_back({"encoding_abort_delta_items64",
-                          JsonNum(perop_abort_hot_off - perop_abort_hot_on)});
+                         "timeslicing, not parallel speedup")},
+      {"batch8_over_perop_goodput_low_contention",
+       JsonNum(perop_goodput_low_off > 0
+                   ? batch8_goodput_low_off / perop_goodput_low_off
+                   : 0)},
+      {"encoding_abort_delta_items64",
+       JsonNum(perop_abort_hot_off - perop_abort_hot_on)}};
+  for (size_t i = 0; i < gates.size(); ++i) {
+    acceptance.emplace_back(gates[i].field, JsonNum(gate_pct[i]));
   }
   UpsertBenchRecord(out_path, "mt_throughput_acceptance", acceptance);
 
@@ -1537,7 +1063,16 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
                 static_cast<unsigned long long>(live_sampler->samples_taken()),
                 live_sampler->alerts().size());
   }
-  return 0;
+  std::fflush(stdout);  // Keep the verdicts after the tables when merged.
+  int status = 0;
+  for (size_t i = 0; i < gates.size(); ++i) {
+    if (gate_pct[i] < gates[i].bar_pct) continue;
+    std::fprintf(stderr,
+                 "GATE FAILED: %s = %.2f%% (bar: < %.0f%%) at %zu threads\n",
+                 gates[i].field, gate_pct[i], gates[i].bar_pct, obs_threads);
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace
@@ -1545,10 +1080,8 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
 
 int main(int argc, char** argv) {
   const char* out_path = "BENCH_core.json";
-  int serve_port = -1;        // < 0 means no exporter.
-  uint64_t sample_ms = 100;   // Live sampler interval when serving.
-  size_t batch_override = 0;  // 0 = sweep the default {1, 8, 32}.
-  bool enc_only = false;      // true = only the III-D-5-on arm.
+  int serve_port = -1;       // < 0 means no exporter.
+  uint64_t sample_ms = 100;  // Live sampler interval when serving.
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--serve") == 0) {
@@ -1558,26 +1091,14 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--sample-ms=", 12) == 0) {
       sample_ms = static_cast<uint64_t>(std::strtoull(arg + 12, nullptr, 10));
       if (sample_ms == 0) sample_ms = 100;
-    } else if (std::strncmp(arg, "--batch=", 8) == 0) {
-      // Focus the part-2b sweep on one batch size (skips the on/off delta
-      // record so a focus run never overwrites full-sweep numbers).
-      batch_override = static_cast<size_t>(std::strtoull(arg + 8, nullptr, 10));
-      if (batch_override == 0) {
-        std::fprintf(stderr, "--batch=N requires N >= 1\n");
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--optimized-encoding") == 0) {
-      // Run only the III-D-5-on arm of the part-2b sweep.
-      enc_only = true;
     } else if (arg[0] == '-') {
       std::fprintf(stderr,
-                   "usage: %s [out.json] [--serve[=PORT]] [--sample-ms=N] "
-                   "[--batch=N] [--optimized-encoding]\n",
+                   "usage: %s [out.json] [--serve[=PORT]] [--sample-ms=N]\n",
                    argv[0]);
       return 2;
     } else {
       out_path = arg;
     }
   }
-  return mdts::Run(out_path, serve_port, sample_ms, batch_override, enc_only);
+  return mdts::Run(out_path, serve_port, sample_ms);
 }

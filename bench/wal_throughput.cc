@@ -1,9 +1,9 @@
 // Durability overhead sweep for the Taurus-style parallel WAL: sync policy
 // x group-commit window x threads over the sharded MT(k) engine, against
 // the in-memory (wal = nullptr) baseline. Goodput is committed
-// transactions per second in a closed loop - every worker retries its
-// transaction until it commits, appends land before the commit is
-// acknowledged - so the numbers honestly include abort handling, restart
+// transactions per second in the shared closed loop (workload/closed_loop.h:
+// replay on reject, abandon after kMaxTries; appends land before the commit
+// is acknowledged), so the numbers honestly include abort handling, restart
 // costs and the fsync stalls of each policy. Commit-acknowledge latency
 // (p50/p99 of the CommitTxn call, which contains the append and any fsync
 // wait) is sampled per cell and recorded next to the goodput, making the
@@ -30,7 +30,6 @@
 #include <filesystem>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/bench_clock.h"
 #include "common/bench_json.h"
@@ -39,104 +38,32 @@
 #include "engine/sharded_engine.h"
 #include "obs/metrics.h"
 #include "wal/wal.h"
+#include "workload/closed_loop.h"
 
 namespace mdts {
 namespace {
 
-// xorshift64* - tiny, deterministic, allocation-free.
-inline uint64_t NextRand(uint64_t* s) {
-  uint64_t x = *s;
-  x ^= x >> 12;
-  x ^= x << 25;
-  x ^= x >> 27;
-  *s = x;
-  return x * 0x2545F4914F6CDD1DULL;
-}
-
 constexpr size_t kVectorK = 4;
 constexpr ItemId kItems = 256;
-constexpr size_t kOpsPerTxn = 4;
+constexpr uint32_t kOpsPerTxn = 4;
 
-struct RunResult {
-  uint64_t committed = 0;
-  uint64_t ops_accepted = 0;
-  double seconds = 0.0;
-  WalStats wal;
-  // Commit-acknowledge latency samples (ns): the CommitTxn call, which for
-  // a durable engine includes the WAL append and whatever fsync stall the
-  // sync policy imposes (every-commit pays one per commit, group commit
-  // waits for its window, none rides the page cache). Sampled every 4th
-  // commit per worker.
-  std::vector<uint64_t> ack_ns;
+// Half reads, uniform over kItems; worker t replays its own stream.
+Workload LoadWorkload(size_t threads) {
+  return MakeWorkload(threads, kItems, kOpsPerTxn, 0.5, 42);
+}
 
-  double goodput() const {
-    return seconds > 0 ? static_cast<double>(committed) / seconds : 0;
-  }
-  double AckPercentileUs(int pct) {
-    return ack_ns.empty()
-               ? 0.0
-               : static_cast<double>(Percentile(ack_ns, pct)) / 1000.0;
-  }
-};
+double Goodput(const LoopResult& r) {
+  return r.seconds > 0 ? static_cast<double>(r.committed) / r.seconds : 0;
+}
 
-// Closed loop: `threads` workers, each driving one transaction at a time to
-// commit (retrying on reject), stopping once the stopwatch passes `secs`.
-// `crash_after` > 0 kills the process outright once the WAL has that many
-// appends (the CI smoke's mid-write crash).
-RunResult RunLoad(ShardedMtkEngine& engine, ParallelWal* wal, double secs,
-                  size_t threads, uint64_t crash_after) {
-  std::vector<std::thread> pool;
-  std::vector<uint64_t> committed(threads, 0);
-  std::vector<uint64_t> accepted(threads, 0);
-  std::vector<std::vector<uint64_t>> ack_ns(threads);
-  Stopwatch clock;
-  for (size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      uint64_t rng = 0x9E3779B97F4A7C15ULL * (t + 1);
-      uint32_t n = 0;
-      while (clock.ElapsedSeconds() < secs) {
-        const TxnId txn = static_cast<TxnId>(1 + t + n * threads);
-        ++n;
-        for (;;) {
-          bool ok = true;
-          uint64_t acc = 0;
-          for (size_t o = 0; o < kOpsPerTxn && ok; ++o) {
-            const uint64_t r = NextRand(&rng);
-            Op op;
-            op.txn = txn;
-            op.type = r % 2 == 0 ? OpType::kRead : OpType::kWrite;
-            op.item = static_cast<ItemId>((r >> 8) % kItems);
-            ok = engine.Process(op) != OpDecision::kReject;
-            acc += ok;
-          }
-          if (ok) {
-            const bool sample = (committed[t] & 3) == 0;
-            const uint64_t t0 = sample ? clock.ElapsedNanos() : 0;
-            engine.CommitTxn(txn);
-            if (sample) ack_ns[t].push_back(clock.ElapsedNanos() - t0);
-            ++committed[t];
-            accepted[t] += acc;
-            break;
-          }
-          engine.RestartTxn(txn);
-        }
-        if (crash_after > 0 && wal != nullptr &&
-            wal->stats().appends >= crash_after) {
-          std::_Exit(3);  // Abrupt: buffered WAL tails are torn on purpose.
-        }
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  RunResult out;
-  out.seconds = clock.ElapsedSeconds();
-  for (size_t t = 0; t < threads; ++t) {
-    out.committed += committed[t];
-    out.ops_accepted += accepted[t];
-    out.ack_ns.insert(out.ack_ns.end(), ack_ns[t].begin(), ack_ns[t].end());
-  }
-  if (wal != nullptr) out.wal = wal->stats();
-  return out;
+// Commit-acknowledge latency: the CommitTxn call, which for a durable
+// engine includes the WAL append and whatever fsync stall the sync policy
+// imposes (every-commit pays one per commit, group commit waits for its
+// window, none rides the page cache).
+double AckUs(LoopResult& r, int pct) {
+  return r.ack_ns.empty()
+             ? 0.0
+             : static_cast<double>(Percentile(r.ack_ns, pct)) / 1000.0;
 }
 
 EngineOptions BaseEngineOptions() {
@@ -158,8 +85,9 @@ int failures = 0;
 
 // One durable run: fresh log dir, engine with the WAL attached, then a
 // recovery audit - every acknowledged append must come back.
-RunResult RunDurable(const std::string& dir, const PolicyConfig& cfg,
-                     double secs, size_t threads) {
+LoopResult RunDurable(const std::string& dir, const PolicyConfig& cfg,
+                      const Workload& w, double secs, size_t threads,
+                      WalStats* wal_stats) {
   std::filesystem::remove_all(dir);
   WalOptions wo;
   wo.dir = dir;
@@ -176,17 +104,18 @@ RunResult RunDurable(const std::string& dir, const PolicyConfig& cfg,
   EngineOptions eo = BaseEngineOptions();
   eo.wal = &wal;
   ShardedMtkEngine engine(eo);
-  RunResult r = RunLoad(engine, &wal, secs, threads, 0);
+  LoopResult r = RunClosedLoop(engine, w, threads, secs);
   wal.Close();  // Clean shutdown: flush + fsync every stream.
-  r.wal = wal.stats();
+  *wal_stats = wal.stats();
   const WalRecovery rec = ParallelWal::Recover(dir);
-  if (!rec.ok || rec.torn_streams != 0 || rec.records.size() != r.wal.appends) {
+  if (!rec.ok || rec.torn_streams != 0 ||
+      rec.records.size() != wal_stats->appends) {
     std::fprintf(stderr,
                  "FAIL: %s/%zu/%zut recovery mismatch: ok=%d torn=%zu "
                  "records=%zu appends=%llu\n",
                  cfg.name, cfg.window, threads, rec.ok ? 1 : 0,
                  rec.torn_streams, rec.records.size(),
-                 static_cast<unsigned long long>(r.wal.appends));
+                 static_cast<unsigned long long>(wal_stats->appends));
     ++failures;
   }
   std::filesystem::remove_all(dir);
@@ -196,7 +125,7 @@ RunResult RunDurable(const std::string& dir, const PolicyConfig& cfg,
 int RunSweep(const std::string& out_path, const std::string& base_dir,
              double secs) {
   const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("WAL durability sweep: %zu-op txns over %u items, k=%zu, "
+  std::printf("WAL durability sweep: %u-op txns over %u items, k=%zu, "
               "%.2fs per cell, %u hardware threads\n\n",
               kOpsPerTxn, kItems, kVectorK, secs, hw);
 
@@ -210,49 +139,47 @@ int RunSweep(const std::string& out_path, const std::string& base_dir,
                       "overhead %", "ack p50 us", "ack p99 us", "fsyncs",
                       "wal MB"});
   for (size_t threads : {1u, 2u, 4u}) {
-    EngineOptions eo = BaseEngineOptions();
-    ShardedMtkEngine baseline_engine(eo);
-    RunResult base = RunLoad(baseline_engine, nullptr, secs, threads, 0);
+    const Workload w = LoadWorkload(threads);
+    ShardedMtkEngine baseline_engine(BaseEngineOptions());
+    LoopResult base = RunClosedLoop(baseline_engine, w, threads, secs);
     table.AddRow({std::to_string(threads), "in-memory", "-",
-                  FormatDouble(base.goodput(), 0), "0.0",
-                  FormatDouble(base.AckPercentileUs(50), 1),
-                  FormatDouble(base.AckPercentileUs(99), 1), "-", "-"});
+                  FormatDouble(Goodput(base), 0), "0.0",
+                  FormatDouble(AckUs(base, 50), 1),
+                  FormatDouble(AckUs(base, 99), 1), "-", "-"});
     BenchFields fields = {
         {"hardware_threads", JsonNum(hw)},
         {"seconds_per_cell", JsonNum(secs)},
-        {"baseline_goodput_txn_s", JsonNum(base.goodput())},
-        {"baseline_ack_p50_us", JsonNum(base.AckPercentileUs(50))},
-        {"baseline_ack_p99_us", JsonNum(base.AckPercentileUs(99))}};
+        {"baseline_goodput_txn_s", JsonNum(Goodput(base))},
+        {"baseline_ack_p50_us", JsonNum(AckUs(base, 50))},
+        {"baseline_ack_p99_us", JsonNum(AckUs(base, 99))}};
     for (const PolicyConfig& cfg : policies) {
       const std::string dir = base_dir + "/wal_bench_t" +
                               std::to_string(threads) + "_" + cfg.name + "_w" +
                               std::to_string(cfg.window);
-      RunResult r = RunDurable(dir, cfg, secs, threads);
+      WalStats ws;
+      LoopResult r = RunDurable(dir, cfg, w, secs, threads, &ws);
       const double overhead =
-          base.goodput() > 0
-              ? (base.goodput() - r.goodput()) / base.goodput() * 100.0
+          Goodput(base) > 0
+              ? (Goodput(base) - Goodput(r)) / Goodput(base) * 100.0
               : 0.0;
       table.AddRow({std::to_string(threads), cfg.name,
                     cfg.policy == WalSyncPolicy::kGroupCommit
                         ? std::to_string(cfg.window)
                         : "-",
-                    FormatDouble(r.goodput(), 0), FormatDouble(overhead, 1),
-                    FormatDouble(r.AckPercentileUs(50), 1),
-                    FormatDouble(r.AckPercentileUs(99), 1),
-                    std::to_string(r.wal.fsyncs),
-                    FormatDouble(static_cast<double>(r.wal.bytes) / 1e6, 1)});
+                    FormatDouble(Goodput(r), 0), FormatDouble(overhead, 1),
+                    FormatDouble(AckUs(r, 50), 1),
+                    FormatDouble(AckUs(r, 99), 1), std::to_string(ws.fsyncs),
+                    FormatDouble(static_cast<double>(ws.bytes) / 1e6, 1)});
       const std::string key =
           std::string(cfg.name) +
           (cfg.policy == WalSyncPolicy::kGroupCommit
                ? "_w" + std::to_string(cfg.window)
                : "");
-      fields.emplace_back(key + "_goodput_txn_s", JsonNum(r.goodput()));
+      fields.emplace_back(key + "_goodput_txn_s", JsonNum(Goodput(r)));
       fields.emplace_back(key + "_overhead_pct", JsonNum(overhead));
-      fields.emplace_back(key + "_fsyncs", JsonNum(double(r.wal.fsyncs)));
-      fields.emplace_back(key + "_ack_p50_us",
-                          JsonNum(r.AckPercentileUs(50)));
-      fields.emplace_back(key + "_ack_p99_us",
-                          JsonNum(r.AckPercentileUs(99)));
+      fields.emplace_back(key + "_fsyncs", JsonNum(double(ws.fsyncs)));
+      fields.emplace_back(key + "_ack_p50_us", JsonNum(AckUs(r, 50)));
+      fields.emplace_back(key + "_ack_p99_us", JsonNum(AckUs(r, 99)));
     }
     UpsertBenchRecord(out_path, "wal_throughput_t" + std::to_string(threads),
                       fields);
@@ -278,7 +205,13 @@ int RunCrash(const std::string& dir, uint64_t crash_after) {
   EngineOptions eo = BaseEngineOptions();
   eo.wal = &wal;
   ShardedMtkEngine engine(eo);
-  RunLoad(engine, &wal, /*secs=*/60.0, /*threads=*/2, crash_after);
+  RunClosedLoop(engine, LoadWorkload(2), /*threads=*/2, /*seconds=*/60.0,
+                /*batch=*/0, /*work_ns=*/0, [&](const LoopResult&) {
+                  if (wal.stats().appends >= crash_after) {
+                    std::_Exit(3);  // Abrupt: buffered WAL tails are torn.
+                  }
+                  return false;
+                });
   std::fprintf(stderr, "crash-after=%llu never reached\n",
                static_cast<unsigned long long>(crash_after));
   return 2;

@@ -921,13 +921,13 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
     // Some ops were deferred: a try_lock met a peer's lock, a top died and
     // its successor's shard was missing, or the set was full. all == false
     // here: a full lock covers every top. Tops can keep shifting under
-    // contention, so after max_lock_retries unstable rounds take every
+    // contention, so after kMaxLockRetries unstable rounds take every
     // lock.
     assert(!all);
     for (size_t q = want.count; q-- > 0;) shards_[want.At(q)].mu.unlock();
     ++retries;
     want = next;
-    if (next.overflow || attempt >= options_.max_lock_retries) {
+    if (next.overflow || attempt >= kMaxLockRetries) {
       lock_all = true;
       ++fallbacks;
     }

@@ -93,10 +93,6 @@ struct EngineOptions {
   /// stop-the-world and O(items); size the period accordingly.
   uint64_t compact_every = 0;
 
-  /// Optimistic cross-shard lock acquisitions retried this many times
-  /// before falling back to locking every shard.
-  size_t max_lock_retries = 16;
-
   /// Registry the engine publishes its counters through ("engine.accepted",
   /// "engine.rejected.<reason>", "engine.lock_contention", ...). The engine
   /// registers a collector that sums the per-shard EngineStats when a
@@ -163,7 +159,7 @@ struct EngineStats {
   uint64_t cross_shard_ops = 0;
   /// Optimistic rounds that had to be retried (lockset changed underfoot).
   uint64_t lock_retries = 0;
-  /// Retries that exhausted max_lock_retries and locked every shard.
+  /// Retries that exhausted kMaxLockRetries and locked every shard.
   uint64_t full_lock_fallbacks = 0;
   /// Shard-mutex acquisitions that found the mutex already held (try_lock
   /// failed) and had to block.
@@ -222,7 +218,7 @@ struct EngineStats {
 /// the paper's Section V-B). Only when a try_lock meets a peer's lock, a
 /// top dies and its successor lives elsewhere, or the set would exceed 64
 /// shards is the op deferred: the engine releases, relocks the rebuilt
-/// lockset in sorted order and revalidates; after max_lock_retries such
+/// lockset in sorted order and revalidates; after kMaxLockRetries such
 /// rounds it falls back to locking all shards, which trivially validates.
 /// Transaction states live in chunk-granular arrays published through an
 /// atomic directory, so the lock-free liveness peeks never race with a
@@ -263,7 +259,7 @@ class ShardedMtkEngine {
   /// Operations the extension cannot cover - a try_lock failed, a top died
   /// and its successor's shard is missing, or the set is full - are
   /// retried on the next round under a lockset rebuilt around the tops just
-  /// observed, falling back to locking every shard after max_lock_retries
+  /// observed, falling back to locking every shard after kMaxLockRetries
   /// rounds.
   ///
   /// Within a round, operations are decided in array order; a deferred
@@ -367,6 +363,9 @@ class ShardedMtkEngine {
   /// Committed versions a multiversion chain keeps through any prune but
   /// an explicit all-committed sweep (see EngineOptions::multiversion).
   static constexpr size_t kMvKeepTail = 16;
+  /// Optimistic cross-shard lock rounds retried this many times before
+  /// falling back to locking every shard.
+  static constexpr size_t kMaxLockRetries = 16;
   /// Batched-admission livelock guardrail: after this many consecutive
   /// ProcessBatch calls (batch size >= 2, engine-wide) without a single
   /// intervening CommitTxn - the signature of the benched batch>=8

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <mutex>
 #include <random>
 #include <span>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "core/types.h"
 #include "engine/sharded_engine.h"
 #include "obs/metrics.h"
+#include "workload/closed_loop.h"
 
 namespace mdts {
 namespace {
@@ -353,6 +356,163 @@ TEST(EngineBatchConcurrencyTest, LivelockGuardrailRestoresForwardProgress) {
   EXPECT_EQ(snap.CounterValue("engine.batch_fallbacks"), st.batch_fallbacks);
   EXPECT_EQ(snap.CounterValue("engine.rejected.batch_throttled"),
             st.reject_reasons[AbortReason::kBatchThrottled]);
+}
+
+// The closed-loop client on the engine: k=3, starvation fix, one worker,
+// seed 42, stopped by the predicate at 20,000 transactions. The counts are
+// the ones the per-op and batched loops gave before they moved into
+// workload/closed_loop.h.
+struct DriverCounts {
+  size_t shards;
+  uint32_t items;
+  uint64_t committed, abandoned, aborts, ops_accepted;
+};
+
+EngineOptions DriverEngine(size_t shards) {
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = shards;
+  eo.starvation_fix = true;
+  return eo;
+}
+
+bool TwentyThousand(const LoopResult& r) { return r.txns() >= 20000; }
+
+TEST(ClosedLoopEngineTest, PerOpCountsOnOneAndThirtyTwoShards) {
+  for (const DriverCounts& e :
+       {DriverCounts{1, 64, 20000, 0, 12942, 148880},
+        DriverCounts{32, 64, 20000, 0, 12942, 148880},
+        DriverCounts{1, 65536, 20000, 0, 11214, 149209},
+        DriverCounts{32, 65536, 20000, 0, 11215, 149214}}) {
+    ShardedMtkEngine engine(DriverEngine(e.shards));
+    const Workload w = MakeWorkload(1, e.items, 6, 0.6, 42);
+    const LoopResult r = RunClosedLoop(engine, w, 1, 600.0, /*batch=*/0,
+                                       /*work_ns=*/0, TwentyThousand);
+    EXPECT_EQ(r.committed, e.committed) << e.shards << "/" << e.items;
+    EXPECT_EQ(r.abandoned, e.abandoned) << e.shards << "/" << e.items;
+    EXPECT_EQ(r.aborts, e.aborts) << e.shards << "/" << e.items;
+    EXPECT_EQ(r.ops_accepted, e.ops_accepted) << e.shards << "/" << e.items;
+    EXPECT_EQ(engine.stats().commits, r.committed);
+  }
+}
+
+TEST(ClosedLoopEngineTest, BatchedCountsAtWidthEight) {
+  for (const DriverCounts& e :
+       {DriverCounts{1, 64, 19993, 8, 31953, 213855},
+        DriverCounts{32, 64, 19995, 6, 31466, 211582},
+        DriverCounts{1, 65536, 20000, 0, 11218, 149238},
+        DriverCounts{32, 65536, 20000, 0, 11219, 149245}}) {
+    ShardedMtkEngine engine(DriverEngine(e.shards));
+    const Workload w = MakeWorkload(1, e.items, 6, 0.6, 42);
+    const LoopResult r = RunClosedLoop(engine, w, 1, 600.0, /*batch=*/8,
+                                       /*work_ns=*/0, TwentyThousand);
+    EXPECT_EQ(r.committed, e.committed) << e.shards << "/" << e.items;
+    EXPECT_EQ(r.abandoned, e.abandoned) << e.shards << "/" << e.items;
+    EXPECT_EQ(r.aborts, e.aborts) << e.shards << "/" << e.items;
+    EXPECT_EQ(r.ops_accepted, e.ops_accepted) << e.shards << "/" << e.items;
+  }
+}
+
+// Forwards to the engine and records, per worker thread, the distinct
+// transaction ids it issued, in issue order.
+struct IdRecorder {
+  ShardedMtkEngine& engine;
+  std::mutex mu;
+  std::map<std::thread::id, std::vector<TxnId>> issued;
+
+  OpDecision Process(const Op& op) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      std::vector<TxnId>& ids = issued[std::this_thread::get_id()];
+      if (ids.empty() || ids.back() != op.txn) ids.push_back(op.txn);
+    }
+    return engine.Process(op);
+  }
+  void CommitTxn(TxnId txn) { engine.CommitTxn(txn); }
+  void RestartTxn(TxnId txn) { engine.RestartTxn(txn); }
+};
+
+TEST(ClosedLoopEngineTest, FourWorkersStripeIdsAndCountEveryCommit) {
+  constexpr size_t kThreads = 4;
+  constexpr uint64_t kTxnsPerWorker = 1500;
+  ShardedMtkEngine engine(DriverEngine(32));
+  IdRecorder target{engine, {}, {}};
+  const Workload w = MakeWorkload(kThreads, 4096, 6, 0.6, 42);
+  const LoopResult r = RunClosedLoop(
+      target, w, kThreads, 600.0, /*batch=*/0, /*work_ns=*/0,
+      [](const LoopResult& res) { return res.txns() >= kTxnsPerWorker; });
+  EXPECT_EQ(r.txns(), kThreads * kTxnsPerWorker);
+  EXPECT_EQ(r.committed, engine.stats().commits);
+  ASSERT_EQ(target.issued.size(), kThreads);
+  std::vector<bool> worker_seen(kThreads, false);
+  for (const auto& [thread, ids] : target.issued) {
+    ASSERT_EQ(ids.size(), kTxnsPerWorker);
+    const size_t t = ids[0] - 1;
+    ASSERT_LT(t, kThreads);
+    EXPECT_FALSE(worker_seen[t]) << "two threads issued worker " << t;
+    worker_seen[t] = true;
+    for (size_t n = 0; n < ids.size(); ++n) {
+      ASSERT_EQ(ids[n], 1 + t + n * kThreads) << "worker " << t << " txn " << n;
+    }
+  }
+}
+
+// Forwards to the engine and records every CommitTxn with the number of
+// operations the transaction had accepted since its last (re)start.
+struct CommitRecorder {
+  ShardedMtkEngine& engine;
+  std::map<TxnId, uint32_t> accepted;
+  std::vector<std::pair<TxnId, uint32_t>> commits;
+
+  size_t ProcessBatch(std::span<const Op> ops, OpDecision* out) {
+    const size_t n = engine.ProcessBatch(ops, out);
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (out[i] != OpDecision::kReject) ++accepted[ops[i].txn];
+    }
+    return n;
+  }
+  void CommitTxn(TxnId txn) {
+    engine.CommitTxn(txn);
+    commits.emplace_back(txn, accepted[txn]);
+  }
+  void RestartTxn(TxnId txn) {
+    engine.RestartTxn(txn);
+    accepted[txn] = 0;
+  }
+};
+
+// Width 8 for three rounds, then 2: the six slots beyond the new width
+// commit their three-op prefixes and take fresh ids, none of which counts
+// as a committed program; at the stop the two live slots resolve the same
+// way. k=1 over 65,536 items keeps these eight transactions conflict-free.
+TEST(ClosedLoopEngineTest, ShrinkingWidthCommitsParkedPrefixes) {
+  EngineOptions eo = DriverEngine(1);
+  eo.k = 1;
+  ShardedMtkEngine engine(eo);
+  CommitRecorder target{engine, {}, {}};
+  const Workload w = MakeWorkload(1, 65536, 6, 0.6, 42);
+  int rounds = 0;
+  int clock_checks = 0;
+  uint64_t next_n = 0;
+  const LoopResult r = BatchedLoop(
+      target, w, 0, 1, /*max_batch=*/8,
+      [&]() -> size_t { return ++rounds <= 3 ? 8 : 2; },
+      [&](double) { ++clock_checks; }, next_n, 600.0,
+      [&](const LoopResult&) { return rounds >= 5; });
+  EXPECT_EQ(r.aborts, 0u);
+  EXPECT_EQ(r.committed, 0u);
+  EXPECT_EQ(r.ops_accepted, 8u * 3 + 2u * 2);
+  EXPECT_EQ(clock_checks, 1);  // Round 0 only: every 16 rounds.
+  EXPECT_EQ(next_n, 14u);      // Eight first ids, six fresh after parking.
+  const std::vector<std::pair<TxnId, uint32_t>> expected = {
+      {3, 3}, {4, 3}, {5, 3}, {6, 3}, {7, 3}, {8, 3},  // Parked in round 4.
+      {1, 5}, {2, 5}};                                 // Resolved at stop.
+  EXPECT_EQ(target.commits, expected);
+  for (TxnId txn = 1; txn <= 8; ++txn) EXPECT_TRUE(engine.IsCommitted(txn));
+  for (TxnId txn = 9; txn <= 14; ++txn) {
+    EXPECT_FALSE(engine.IsCommitted(txn)) << "fresh id " << txn;
+  }
+  EXPECT_EQ(engine.stats().commits, 8u);
 }
 
 }  // namespace

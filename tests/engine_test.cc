@@ -616,7 +616,6 @@ TEST(ShardedEngineTest, ManyShardsHotItemsKeepLocksetBounded) {
   eo.k = 3;
   eo.num_shards = 32;  // Far more shards than the lockset can hold.
   eo.starvation_fix = true;
-  eo.max_lock_retries = 4;  // Exercise the full-lock fallback too.
   ShardedMtkEngine engine(eo);
 
   std::vector<std::thread> threads;
@@ -674,7 +673,6 @@ TEST(ShardedEngineTest, ManyShardsHotItemsBatchedExtensionFallsBack) {
   eo.k = 3;
   eo.num_shards = 32;
   eo.starvation_fix = true;
-  eo.max_lock_retries = 4;
   ShardedMtkEngine engine(eo);
 
   std::vector<std::thread> threads;

@@ -1,9 +1,12 @@
 #include "workload/generator.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
+#include "core/mtk_scheduler.h"
 #include "gtest/gtest.h"
+#include "workload/closed_loop.h"
 #include "workload/enumerate.h"
 
 namespace mdts {
@@ -177,6 +180,70 @@ TEST(EnumerateTest, ThreeTxnUniverseSize) {
     return true;
   });
   EXPECT_EQ(count, 64u * 90u);
+}
+
+// FNV-1a over every (item, is_read) of every worker's stream.
+uint64_t StreamHash(const Workload& w) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const std::vector<StreamOp>& stream : w.ops) {
+    for (const StreamOp& op : stream) {
+      mix(op.item);
+      mix(op.is_read);
+    }
+  }
+  return h;
+}
+
+// The benches' recorded cells were measured on these exact programs.
+TEST(ClosedLoopTest, MakeWorkloadStreamsArePinned) {
+  const Workload one = MakeWorkload(1, 64, 6, 0.6, 42);
+  ASSERT_EQ(one.ops.size(), 1u);
+  EXPECT_EQ(one.ops[0].size(), (1u << 15) * 6u);
+  EXPECT_EQ(StreamHash(one), 0x6300e6ed86c65cbaULL);
+  EXPECT_EQ(StreamHash(MakeWorkload(4, 65536, 6, 0.6, 42)),
+            0x627d8b5f325fbee5ULL);
+  // Worker t's stream does not depend on how many workers there are.
+  const Workload three = MakeWorkload(3, 64, 6, 0.6, 42);
+  EXPECT_EQ(one.ops[0].size(), three.ops[0].size());
+  EXPECT_TRUE(std::equal(one.ops[0].begin(), one.ops[0].end(),
+                         three.ops[0].begin(),
+                         [](const StreamOp& a, const StreamOp& b) {
+                           return a.item == b.item && a.is_read == b.is_read;
+                         }));
+}
+
+// The per-op loop on MtkScheduler: k=3, starvation fix, one worker, seed
+// 42, stopped by the predicate at 20,000 transactions. The counts are the
+// ones the loop gave before it moved into this header.
+TEST(ClosedLoopTest, PerOpCountsOnTheScheduler) {
+  struct Expected {
+    uint32_t items;
+    uint64_t aborts, ops_accepted;
+  };
+  for (const Expected& e : {Expected{64, 12942, 148880},
+                            Expected{65536, 11214, 149209}}) {
+    MtkOptions mo;
+    mo.k = 3;
+    mo.starvation_fix = true;
+    MtkScheduler sched(mo);
+    const Workload w = MakeWorkload(1, e.items, 6, 0.6, 42);
+    const LoopResult r =
+        PerOpLoop(sched, w, 0, 1, /*seconds=*/600.0, /*work_ns=*/0,
+                  [](const LoopResult& res) { return res.txns() >= 20000; });
+    EXPECT_EQ(r.committed, 20000u) << e.items;
+    EXPECT_EQ(r.abandoned, 0u) << e.items;
+    EXPECT_EQ(r.aborts, e.aborts) << e.items;
+    EXPECT_EQ(r.ops_accepted, e.ops_accepted) << e.items;
+    EXPECT_EQ(r.latencies_ns.size(), 2500u) << "every 8th txn is sampled";
+    EXPECT_EQ(r.ack_ns.size(), 2500u);
+    EXPECT_TRUE(sched.IsCommitted(20000));
+  }
 }
 
 }  // namespace
