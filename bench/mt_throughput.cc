@@ -49,18 +49,13 @@
 namespace mdts {
 namespace {
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0.0 : v[v.size() / 2];
-}
-
 double Mops(const LoopResult& r) { return r.ops_per_sec() / 1e6; }
 
 // Goodput: operations of COMMITTED transactions per second (in millions).
 // Accepted-op throughput flatters high-abort configurations, because
 // operations of transactions that later abort still count; goodput only
-// credits work that survived, which is the number the batching and the
-// III-D-5 encoding sweeps compare.
+// credits work that survived, which is the number the batching sweep
+// compares.
 double GoodputMops(const LoopResult& r, uint32_t ops_per_txn) {
   return r.seconds > 0 ? static_cast<double>(r.committed) * ops_per_txn /
                              r.seconds / 1e6
@@ -76,44 +71,6 @@ std::string Fmt(double v, int prec = 2) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.*f", prec, v);
   return buf;
-}
-
-// A/B overhead measurement for the observability gates. Arms run in
-// adjacent pairs with the order flipped every other pair (machine-wide
-// drift taxes both arms alike instead of always the second), and the
-// reported overhead is the MEDIAN OF PER-PAIR DELTAS rather than a
-// comparison of per-arm medians: shared hosts show multi-hundred-ms
-// interference bursts that depress whichever arm they land on by 10%+,
-// and a burst corrupts one pair's delta (voted out by the median over
-// pairs) where it would shift a per-arm median. Calibrate with an A-vs-A
-// null: per-arm medians read up to +-7% on a busy box, the paired median
-// stays within the arm-length noise floor.
-struct AbOverhead {
-  std::vector<double> a_mops, b_mops;
-  double med_a = 0, med_b = 0, overhead_pct = 0;
-};
-
-template <typename A, typename B>
-AbOverhead MeasureAbOverhead(int pairs, A&& run_a, B&& run_b) {
-  AbOverhead r;
-  std::vector<double> deltas;
-  for (int p = 0; p < pairs; ++p) {
-    double a = 0, b = 0;
-    if (p % 2 == 0) {
-      a = run_a();
-      b = run_b();
-    } else {
-      b = run_b();
-      a = run_a();
-    }
-    r.a_mops.push_back(a);
-    r.b_mops.push_back(b);
-    if (a > 0) deltas.push_back((a - b) / a * 100.0);
-  }
-  r.med_a = Median(r.a_mops);
-  r.med_b = Median(r.b_mops);
-  r.overhead_pct = Median(deltas);
-  return r;
 }
 
 // An observability overhead gate: the arm pair that differs in one layer
@@ -294,116 +251,83 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
   scaling_4t = mops_1t_low_k3 > 0 ? mops_4t_low_k3 / mops_1t_low_k3 : 0;
 
   // -------------------------------------------------------------------
-  // Part 2b: batched admission x contention x III-D-5 encoding, single
-  // thread (the per-op arm then matches the threads=1 cells of part 2, so
-  // the encoding delta is comparable against the recorded baselines). The
-  // per-op arm drives Process in a plain closed loop; the batched arms
-  // keep `batch` transactions in flight and admit one operation per
-  // transaction per ProcessBatch call. Goodput (committed ops/s) is the
-  // comparison metric: batching also raises the number of concurrently
-  // live transactions per worker, which under high contention raises the
-  // conflict rate - a real tradeoff the table reports instead of hiding.
+  // Part 2b: batched admission x contention, single thread (the per-op
+  // arm then matches the threads=1 cells of part 2). The per-op arm
+  // drives Process in a plain closed loop; the batched arms keep `batch`
+  // transactions in flight and admit one operation per transaction per
+  // ProcessBatch call. Goodput (committed ops/s) is the comparison metric:
+  // batching also raises the number of concurrently live transactions per
+  // worker, which under high contention raises the conflict rate - a real
+  // tradeoff the table reports instead of hiding.
   // -------------------------------------------------------------------
   const std::vector<size_t> batch_sizes = {1, 8, 32};
-  // Both arms run with a metrics registry attached (the deployed
+  // Every arm runs with a metrics registry attached (the deployed
   // configuration: the engine's counters are pulled at snapshot time, and
   // the sampled phase histograms are recorded per batch). Arms are
   // interleaved and the medians compared, like part 3.
   constexpr int kBatchReps = 3;
   constexpr double kBatchSecs = 0.4;
-  double perop_goodput_low_off = 0, batch8_goodput_low_off = 0;
-  double perop_abort_hot_off = 0, perop_abort_hot_on = 0;
-  double perop_goodput_hot_off = 0, perop_goodput_hot_on = 0;
-  uint64_t hot_encodings_hot_on = 0;
+  double perop_goodput_low = 0, batch8_goodput_low = 0;
   for (uint32_t items : {kLowContentionItems, kHighContentionItems}) {
     std::printf(
         "--- batched admission: %u items, k=3, 1 thread, "
         "median of %d x %.1fs ---\n",
         items, kBatchReps, kBatchSecs);
-    TablePrinter table({"encoding", "mode", "goodput Mops", "accepted Mops",
-                        "abort rate", "hot encodings"});
-    std::string record;
-    for (int enc : {0, 1}) {
-      EngineOptions eo;
-      eo.k = 3;
-      eo.num_shards = 32;
-      eo.starvation_fix = true;
-      eo.optimized_encoding = enc != 0;
-      eo.compact_every = std::max<uint64_t>(1024, items / 2);
-      const Workload w = MakeWorkload(1, items, kOpsPerTxn, kReadFraction, 42);
-      const char* enc_name = enc != 0 ? "III-D-5 on" : "off";
+    TablePrinter table({"mode", "goodput Mops", "accepted Mops",
+                        "abort rate"});
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = 32;
+    eo.starvation_fix = true;
+    eo.compact_every = std::max<uint64_t>(1024, items / 2);
+    const Workload w = MakeWorkload(1, items, kOpsPerTxn, kReadFraction, 42);
 
-      // Arm 0 is the per-op closed loop; arm 1 + b is batch_sizes[b].
-      const size_t n_arms = 1 + batch_sizes.size();
-      std::vector<std::vector<double>> gp(n_arms), ab(n_arms), mp(n_arms);
-      std::vector<EngineStats> arm_stats(n_arms);
-      MetricsRegistry scratch_reg;
-      eo.metrics =
-          live_sampler != nullptr ? &GlobalMetrics() : &scratch_reg;
-      for (int rep = 0; rep < kBatchReps; ++rep) {
-        for (size_t a = 0; a < n_arms; ++a) {
-          const size_t batch = a == 0 ? 0 : batch_sizes[a - 1];
-          if (rep == 0) {
-            ShardedMtkEngine warm(eo);
-            (void)RunClosedLoop(warm, w, 1, 0.08, batch);
-          }
-          ShardedMtkEngine engine(eo);
-          const LoopResult r = RunClosedLoop(engine, w, 1, kBatchSecs, batch);
-          arm_stats[a] = engine.stats();
-          gp[a].push_back(GoodputMops(r, kOpsPerTxn));
-          ab[a].push_back(r.abort_rate());
-          mp[a].push_back(Mops(r));
-        }
-      }
-      eo.metrics = nullptr;
-
-      if (!record.empty()) record += ", ";
-      record += std::string("{\"encoding\": ") + (enc ? "true" : "false") +
-                ", \"perop_goodput_mops\": " + JsonNum(Median(gp[0])) +
-                ", \"perop_abort_rate\": " + JsonNum(Median(ab[0])) +
-                ", \"batch\": [";
-      std::string cells;
+    // Arm 0 is the per-op closed loop; arm 1 + b is batch_sizes[b].
+    const size_t n_arms = 1 + batch_sizes.size();
+    std::vector<std::vector<double>> gp(n_arms), ab(n_arms), mp(n_arms);
+    std::vector<EngineStats> arm_stats(n_arms);
+    MetricsRegistry scratch_reg;
+    eo.metrics = live_sampler != nullptr ? &GlobalMetrics() : &scratch_reg;
+    for (int rep = 0; rep < kBatchReps; ++rep) {
       for (size_t a = 0; a < n_arms; ++a) {
-        const double goodput = Median(gp[a]);
-        const double abort = Median(ab[a]);
-        const EngineStats& st = arm_stats[a];
-        const std::string mode =
-            a == 0 ? "per-op" : "batch=" + std::to_string(batch_sizes[a - 1]);
-        table.AddRow({enc_name, mode, Fmt(goodput), Fmt(Median(mp[a])),
-                      Fmt(abort, 3), std::to_string(st.hot_encodings)});
-        if (a > 0) {
-          const size_t batch = batch_sizes[a - 1];
-          const double avg_batch =
-              st.batches > 0 ? static_cast<double>(st.batch_ops) /
-                                   static_cast<double>(st.batches)
-                             : 0;
-          if (!cells.empty()) cells += ", ";
-          cells += "{\"batch\": " + JsonNum(static_cast<double>(batch)) +
-                   ", \"goodput_mops\": " + JsonNum(goodput) +
-                   ", \"abort_rate\": " + JsonNum(abort) +
-                   ", \"avg_batch_ops\": " + JsonNum(avg_batch) +
-                   ", \"hot_encodings\": " +
-                   JsonNum(static_cast<double>(st.hot_encodings)) + "}";
-          if (items == kLowContentionItems && enc == 0 && batch == 8) {
-            batch8_goodput_low_off = goodput;
-          }
+        const size_t batch = a == 0 ? 0 : batch_sizes[a - 1];
+        if (rep == 0) {
+          ShardedMtkEngine warm(eo);
+          (void)RunClosedLoop(warm, w, 1, 0.08, batch);
         }
-      }
-      record += cells + "]}";
-      if (items == kLowContentionItems && enc == 0) {
-        perop_goodput_low_off = Median(gp[0]);
-      }
-      if (items == kHighContentionItems) {
-        if (enc == 0) {
-          perop_abort_hot_off = Median(ab[0]);
-          perop_goodput_hot_off = Median(gp[0]);
-        } else {
-          perop_abort_hot_on = Median(ab[0]);
-          perop_goodput_hot_on = Median(gp[0]);
-          hot_encodings_hot_on = arm_stats[0].hot_encodings;
-        }
+        ShardedMtkEngine engine(eo);
+        const LoopResult r = RunClosedLoop(engine, w, 1, kBatchSecs, batch);
+        arm_stats[a] = engine.stats();
+        gp[a].push_back(GoodputMops(r, kOpsPerTxn));
+        ab[a].push_back(r.abort_rate());
+        mp[a].push_back(Mops(r));
       }
     }
+
+    std::string cells;
+    for (size_t a = 0; a < n_arms; ++a) {
+      const double goodput = Median(gp[a]);
+      const double abort = Median(ab[a]);
+      const std::string mode =
+          a == 0 ? "per-op" : "batch=" + std::to_string(batch_sizes[a - 1]);
+      table.AddRow({mode, Fmt(goodput), Fmt(Median(mp[a])), Fmt(abort, 3)});
+      if (a == 0) continue;
+      const size_t batch = batch_sizes[a - 1];
+      const EngineStats& st = arm_stats[a];
+      const double avg_batch =
+          st.batches > 0 ? static_cast<double>(st.batch_ops) /
+                               static_cast<double>(st.batches)
+                         : 0;
+      if (!cells.empty()) cells += ", ";
+      cells += "{\"batch\": " + JsonNum(static_cast<double>(batch)) +
+               ", \"goodput_mops\": " + JsonNum(goodput) +
+               ", \"abort_rate\": " + JsonNum(abort) +
+               ", \"avg_batch_ops\": " + JsonNum(avg_batch) + "}";
+      if (items == kLowContentionItems && batch == 8) {
+        batch8_goodput_low = goodput;
+      }
+    }
+    if (items == kLowContentionItems) perop_goodput_low = Median(gp[0]);
     std::printf("%s\n", table.ToString().c_str());
     UpsertBenchRecord(
         out_path, "mt_engine_batch_sweep_items" + std::to_string(items),
@@ -412,54 +336,11 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
          {"k", JsonNum(3)},
          {"threads", JsonNum(1)},
          {"ops_per_txn", JsonNum(kOpsPerTxn)},
-         {"hot_item_threshold", JsonNum(8)},
          {"ab_reps", JsonNum(kBatchReps)},
          {"metrics_attached", "true"},
-         {"cells", "[" + record + "]"}});
-  }
-  {
-    // The explicit III-D-5 on/off delta at the hot-item cell (items = 64,
-    // per-op arm, settings identical to the recorded
-    // mt_engine_scaling_items64_k3 baseline's threads=1 entry). Measured
-    // honestly: under uniform access every item crosses the hot threshold,
-    // so every dependency takes the right-end path - it avoids the Table II
-    // bystander total orders (the structural claim, reproduced exactly in
-    // bench/table2_optimized_encoding) but also assigns more elements per
-    // dependency, and on this closed loop the two effects offset to a
-    // slightly negative abort delta, matching that benchmark's log-level
-    // ablation. The hot_encodings count is the structural win: each one is
-    // a dependency that did NOT consume the leftmost free element.
-    const double abort_delta = perop_abort_hot_off - perop_abort_hot_on;
-    std::printf(
-        "III-D-5 delta (items=%u, per-op, 1 thread): abort rate %.3f -> "
-        "%.3f (delta %+.3f), goodput %.2f -> %.2f Mops, %llu hot encodings\n"
-        "  (uniform access makes every item hot; right-end placement avoids\n"
-        "   bystander total orders but assigns more elements per dependency\n"
-        "   - the effects offset, as in table2_optimized_encoding's "
-        "ablation)\n\n",
-        kHighContentionItems, perop_abort_hot_off, perop_abort_hot_on,
-        abort_delta, perop_goodput_hot_off, perop_goodput_hot_on,
-        static_cast<unsigned long long>(hot_encodings_hot_on));
-    UpsertBenchRecord(
-        out_path, "mt_engine_encoding_delta_items64",
-        {{"hardware_threads", JsonNum(hw)},
-         {"num_shards", JsonNum(32)},
-         {"k", JsonNum(3)},
-         {"threads", JsonNum(1)},
-         {"hot_item_threshold", JsonNum(8)},
-         {"abort_rate_enc_off", JsonNum(perop_abort_hot_off)},
-         {"abort_rate_enc_on", JsonNum(perop_abort_hot_on)},
-         {"abort_rate_delta", JsonNum(abort_delta)},
-         {"goodput_mops_enc_off", JsonNum(perop_goodput_hot_off)},
-         {"goodput_mops_enc_on", JsonNum(perop_goodput_hot_on)},
-         {"hot_encodings", JsonNum(static_cast<double>(hot_encodings_hot_on))},
-         {"note",
-          JsonStr("uniform access makes every item hot, so right-end "
-                  "placement avoids Table II bystander total orders but "
-                  "assigns more elements per dependency; the effects offset "
-                  "(slightly negative delta), matching the log-level "
-                  "ablation in table2_optimized_encoding. hot_encodings "
-                  "counts dependencies kept off the leftmost element.")}});
+         {"cells", "[{\"perop_goodput_mops\": " + JsonNum(Median(gp[0])) +
+                       ", \"perop_abort_rate\": " + JsonNum(Median(ab[0])) +
+                       ", \"batch\": [" + cells + "]}]"}});
   }
 
   // -------------------------------------------------------------------
@@ -471,9 +352,10 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
   // to that registry; 3f adds a FlightRecorder and 1-in-64 phase
   // attribution to a registry-attached engine whose attribution is off
   // (shift 63). Adjacent A/B pairs, order flipped per pair, median of
-  // per-pair deltas (see MeasureAbOverhead), so drift and interference
-  // bursts hit both arms alike. A gate over its bar fails the run once
-  // every record is written.
+  // per-pair deltas (MeasurePairs, common/bench_clock.h), so drift and
+  // interference bursts hit both arms alike. Each record also carries the
+  // quartiles of the per-pair deltas. A gate over its bar fails the run
+  // once every record is written.
   // -------------------------------------------------------------------
   const size_t obs_threads = hw >= 4 ? 4 : 1;
   EngineOptions obs_eo;
@@ -550,15 +432,14 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
   }
   std::vector<double> gate_pct;  // Per gate, in table order.
   for (const OverheadGate& g : gates) {
-    const AbOverhead ab =
-        MeasureAbOverhead(kObsPairs, g.baseline, g.instrumented);
+    const PairedAb ab = MeasurePairs(kObsPairs, g.baseline, g.instrumented);
     std::printf(
         "--- overhead of %s: k=3, %u items, %zu threads ---\n"
         "baseline %.2f Mops; instrumented %.2f Mops; overhead %.2f%% "
-        "(bar: < %.0f%%)%s\n\n",
+        "(pair quartiles %.2f%% .. %.2f%%; bar: < %.0f%%)%s\n\n",
         g.title, kLowContentionItems, obs_threads, ab.med_a, ab.med_b,
-        ab.overhead_pct, g.bar_pct,
-        ab.overhead_pct < g.bar_pct ? "" : "  [ABOVE BAR]");
+        ab.delta_pct, ab.delta_q1_pct, ab.delta_q3_pct, g.bar_pct,
+        ab.delta_pct < g.bar_pct ? "" : "  [ABOVE BAR]");
     UpsertBenchRecord(
         out_path, g.record,
         {{"hardware_threads", JsonNum(hw)},
@@ -567,10 +448,12 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
          {"ab_arm_seconds", JsonNum(kObsArmSecs)},
          {"baseline_mops", JsonNum(ab.med_a)},
          {"instrumented_mops", JsonNum(ab.med_b)},
-         {g.field, JsonNum(ab.overhead_pct)},
+         {g.field, JsonNum(ab.delta_pct)},
+         {"overhead_q1_pct", JsonNum(ab.delta_q1_pct)},
+         {"overhead_q3_pct", JsonNum(ab.delta_q3_pct)},
          {"bar_pct", JsonNum(g.bar_pct)},
          {"trace_compiled", MDTS_TRACE_COMPILED ? "true" : "false"}});
-    gate_pct.push_back(ab.overhead_pct);
+    gate_pct.push_back(ab.delta_pct);
   }
 
   // -------------------------------------------------------------------
@@ -709,7 +592,7 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
   // older version. Same engine configuration as the sweep above (k=3,
   // per-op admission, all hardware threads up to 4). SV and MV run in
   // adjacent pairs, order flipped per pair, and MV/SV is the median of
-  // the per-pair ratios (MeasureAbOverhead), so drift and interference
+  // the per-pair ratios (MeasurePairs), so drift and interference
   // bursts hit both arms alike.
   // -------------------------------------------------------------------
   {
@@ -738,10 +621,10 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
         if (mv) mv_read_rejects += engine.stats().read_rejects;
         return GoodputMops(r, kOpsPerTxn);
       };
-      const AbOverhead ab =
-          MeasureAbOverhead(kWorkPairs, [&] { return arm(false, sv_ab); },
-                            [&] { return arm(true, mv_ab); });
-      const double ratio = 1.0 - ab.overhead_pct / 100.0;
+      const PairedAb ab =
+          MeasurePairs(kWorkPairs, [&] { return arm(false, sv_ab); },
+                       [&] { return arm(true, mv_ab); });
+      const double ratio = 1.0 - ab.delta_pct / 100.0;
       const double sva = Median(sv_ab), mva = Median(mv_ab);
       work_table.AddRow({std::to_string(work_us), Fmt(ab.med_a, 4),
                          Fmt(ab.med_b, 4), Fmt(ratio), Fmt(sva, 3),
@@ -1035,11 +918,9 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
                        : "hardware threads < 4: scaling ratio reflects "
                          "timeslicing, not parallel speedup")},
       {"batch8_over_perop_goodput_low_contention",
-       JsonNum(perop_goodput_low_off > 0
-                   ? batch8_goodput_low_off / perop_goodput_low_off
-                   : 0)},
-      {"encoding_abort_delta_items64",
-       JsonNum(perop_abort_hot_off - perop_abort_hot_on)}};
+       JsonNum(perop_goodput_low > 0
+                   ? batch8_goodput_low / perop_goodput_low
+                   : 0)}};
   for (size_t i = 0; i < gates.size(); ++i) {
     acceptance.emplace_back(gates[i].field, JsonNum(gate_pct[i]));
   }

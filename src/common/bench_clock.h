@@ -53,6 +53,57 @@ T Percentile(std::vector<T>& samples, int pct) {
   return PercentileSorted(samples, pct);
 }
 
+/// The middle sample (the upper middle one for an even count); 0 when
+/// there is none.
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+/// A paired A/B measurement: each arm's median reading, and the per-pair
+/// deltas (a - b) / a in percent - their median, the headline, and their
+/// quartiles, the spread a reader judges the headline against.
+struct PairedAb {
+  double med_a = 0, med_b = 0;
+  double delta_pct = 0;
+  double delta_q1_pct = 0, delta_q3_pct = 0;
+};
+
+/// Runs `pairs` adjacent A/B pairs, each arm returning one reading, with
+/// the order flipped every other pair so machine-wide drift taxes both
+/// arms alike instead of always the second. The headline is the median of
+/// the per-pair deltas, not a comparison of per-arm medians: shared hosts
+/// show multi-hundred-ms interference bursts that depress whichever arm
+/// they land on by 10% or more, and a burst corrupts one pair's delta
+/// (voted out by the median over pairs) where it would shift a per-arm
+/// median.
+template <typename A, typename B>
+PairedAb MeasurePairs(int pairs, A&& run_a, B&& run_b) {
+  PairedAb r;
+  std::vector<double> as, bs, deltas;
+  for (int p = 0; p < pairs; ++p) {
+    double a = 0, b = 0;
+    if (p % 2 == 0) {
+      a = run_a();
+      b = run_b();
+    } else {
+      b = run_b();
+      a = run_a();
+    }
+    as.push_back(a);
+    bs.push_back(b);
+    if (a > 0) deltas.push_back((a - b) / a * 100.0);
+  }
+  r.med_a = Median(as);
+  r.med_b = Median(bs);
+  r.delta_pct = Median(deltas);
+  if (!deltas.empty()) {
+    r.delta_q1_pct = Percentile(deltas, 25);
+    r.delta_q3_pct = Percentile(deltas, 75);
+  }
+  return r;
+}
+
 }  // namespace mdts
 
 #endif  // MDTS_COMMON_BENCH_CLOCK_H_

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -140,9 +141,118 @@ class AccessHistory {
     top_ = stack_.empty() ? Access{} : stack_.back();
   }
 
+ protected:
+  /// The newest entry as of the last Top (T0's when none was live).
+  const Access& top_entry() const { return top_; }
+
  private:
   Access top_;                 // stack_.back(); kVirtualTxn when empty.
   std::vector<Access> stack_;  // Oldest first.
+};
+
+/// RT(x) plus the item's line-10 readers. Algorithm 1 line 10 accepts a
+/// read i older than RT(x)'s top without pushing it: TS(i) < TS(RT(x)) is
+/// already fixed, so every later writer ordered after the top is ordered
+/// after i too - until the top aborts. Then the next writer is ordered only
+/// after the surviving entries, possibly below i, and a non-DSR history can
+/// commit. So the old readers are kept here, and every writer of x must
+/// also order itself after each live one (Decide's OldReaders hook).
+///
+/// Each old reader also keeps a cover: an entry of RT(x) or WT(x) already
+/// ordered after it - RT(x)'s top when it read, replaced by a writer
+/// pushed after it once that top has died. Once the cover commits, the
+/// reader is redundant: the cover stays live, so every later writer is
+/// ordered after the cover or a newer top, hence after the reader. The
+/// list is allocated on the item's first old read; most items never have
+/// one.
+class ReadHistory : public AccessHistory {
+ public:
+  /// Line 10: records an old read of the item, below the top the last Top
+  /// resolved - unless that top has committed already.
+  template <typename Probe>
+  void PushOld(const Access& reader, Probe&& probe) {
+    const OldRead o{reader, top_entry()};
+    if (o.Redundant(probe)) return;
+    if (!old_) old_ = std::make_unique<std::vector<OldRead>>();
+    old_->push_back(o);
+  }
+
+  /// Calls f(LiveRef) on every live old reader, oldest first, dropping the
+  /// dead and redundant ones, until f returns false. Returns whether f
+  /// accepted them all; if it did and `writer` is a real transaction,
+  /// `writer` becomes the cover of each reader whose cover has died (pass
+  /// it only when it will be pushed).
+  template <typename Probe, typename F>
+  bool ForEachOld(Probe&& probe, F&& f, Access writer = {}) {
+    if (!old_) return true;
+    using State =
+        std::remove_pointer_t<decltype(probe(kVirtualTxn).state)>;
+    std::vector<OldRead>& v = *old_;
+    size_t keep = 0;
+    bool ok = true;
+    for (size_t n = 0; n < v.size(); ++n) {
+      const OldRead o = v[n];
+      if (ok) {
+        if (o.Redundant(probe)) continue;
+        const auto life = probe(o.reader.txn);
+        if (!o.reader.Live(life)) continue;
+        ok = f(LiveRef<State>{o.reader.txn, life.state});
+      }
+      v[keep++] = o;
+    }
+    v.resize(keep);
+    if (ok && writer.txn != kVirtualTxn) {
+      for (OldRead& o : v) {
+        if (o.cover.txn == kVirtualTxn || !o.cover.Live(probe(o.cover.txn))) {
+          o.cover = writer;
+        }
+      }
+    }
+    return ok;
+  }
+
+  /// Every stored entry, old readers and their covers included (the
+  /// minimum-referenced-id scans: each one may still be probed).
+  template <typename F>
+  void ForEach(F&& f) const {
+    AccessHistory::ForEach(f);
+    if (!old_) return;
+    for (const OldRead& o : *old_) {
+      f(o.reader);
+      if (o.cover.txn != kVirtualTxn) f(o.cover);
+    }
+  }
+
+  void Clear() {
+    AccessHistory::Clear();
+    old_.reset();
+  }
+
+  /// AccessHistory::Compact, then drops every dead old reader and every one
+  /// whose cover has committed.
+  template <typename Probe>
+  void Compact(Probe&& probe) {
+    AccessHistory::Compact(probe);
+    if (!old_) return;
+    std::erase_if(*old_, [&](const OldRead& o) {
+      return o.Redundant(probe) || !o.reader.Live(probe(o.reader.txn));
+    });
+    if (old_->empty()) old_.reset();
+  }
+
+ private:
+  struct OldRead {
+    Access reader;
+    Access cover;  // Ordered after the reader; T0 if none.
+
+    /// The cover has committed, so no later writer can be ordered below
+    /// the reader.
+    template <typename Probe>
+    bool Redundant(Probe&& probe) const {
+      return cover.txn != kVirtualTxn && cover.Committed(probe(cover.txn));
+    }
+  };
+  std::unique_ptr<std::vector<OldRead>> old_;
 };
 
 }  // namespace mdts

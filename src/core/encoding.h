@@ -123,13 +123,11 @@ inline uint32_t EncodeColumn(TsElement& a, TsElement& b,
 
 /// Result of one EncodeDependency call (the body of Algorithm 1's Set(j, i)
 /// after the vector comparison): whether TS(j) < TS(i) now holds, whether
-/// new elements were written to make it hold, whether the Section III-D-5
-/// right-end layout was used, how many elements were assigned, and - when
-/// ok is false - the classified cause of the refusal.
+/// new elements were written to make it hold, how many elements were
+/// assigned, and - when ok is false - the classified cause of the refusal.
 struct EncodeOutcome {
   bool ok = false;
   bool encoded = false;
-  bool hot_path = false;
   uint32_t elements_assigned = 0;
   AbortReason why = AbortReason::kNone;
 };
@@ -144,18 +142,19 @@ struct EncodeOutcome {
 /// lock-free from every shard, and mutating it would retroactively reorder
 /// every transaction already encoded against T0). Those branches are
 /// reachable when a live vector's prefix collides with T0's - through
-/// optimized encoding, or through the non-last-column TS(i, m) - 1 step
+/// the right-end layout, or through the non-last-column TS(i, m) - 1 step
 /// that can hand a live transaction a leading 0.
 ///
-/// Section III-D-5 (`optimized_encoding` && `hot_item`): a dependency born
-/// on a frequently accessed item is pushed toward the right end of the
-/// vectors - equal filler up to column k-2 with the 1 < 2 pair there, or
-/// TS(j)'s defined prefix copied into TS(i) with the pair just past it - so
-/// a hot item does not force a premature total order through column m.
+/// Section III-D-5 (`right_end`, which only MtkScheduler sets, for a
+/// dependency born on a hot item): the dependency is pushed toward the
+/// right end of the vectors - equal filler up to column k-2 with the 1 < 2
+/// pair there, or TS(j)'s defined prefix copied into TS(i) with the pair
+/// just past it - so a hot item does not force a premature total order
+/// through column m.
 inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
                                       size_t k, TimestampVector& tj,
                                       TimestampVector& ti, bool j_is_virtual,
-                                      bool hot_item, bool optimized_encoding,
+                                      bool right_end,
                                       StripedCounters& counters) {
   EncodeOutcome out;
   const size_t m = cr.index;
@@ -182,8 +181,7 @@ inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
   }
   out.ok = true;
   out.encoded = true;
-  const bool hot = optimized_encoding && hot_item;
-  if (hot && cr.order == VectorOrder::kEqual && m + 1 < k) {
+  if (right_end && cr.order == VectorOrder::kEqual && m + 1 < k) {
     // Section III-D-5: extend both prefixes with equal filler up to
     // column k-2 and place the 1 < 2 pair there.
     const size_t e = k - 2;
@@ -195,10 +193,9 @@ inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
     tj.Set(e, 1);
     ti.Set(e, 2);
     out.elements_assigned += 2;
-    out.hot_path = true;
     return out;
   }
-  if (hot && !j_is_virtual && tj.IsDefined(m)) {
+  if (right_end && !j_is_virtual && tj.IsDefined(m)) {
     // Section III-D-5, the worked variant: copy TS(j)'s defined prefix into
     // TS(i) and encode the dependency just past it (e.g. <1,3,*,*> vs
     // <*,*,*,*> becomes <1,3,1,*> vs <1,3,2,*>).
@@ -214,7 +211,6 @@ inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
           EncodeColumn(a, b, p + 1 == k ? &counters : nullptr);
       tj.Set(p, a);
       ti.Set(p, b);
-      out.hot_path = true;
       return out;
     }
   }
@@ -229,11 +225,22 @@ inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
 }
 
 /// What Decide reports: the decision, and j - the RT(x)/WT(x) entry that
-/// lines 5-6 picked, which is the blocker when the decision is kReject.
+/// lines 5-6 picked, or the old reader whose Set refused a write - which is
+/// the blocker when the decision is kReject.
 template <typename Ref>
 struct Decided {
   OpDecision decision;
-  const Ref* j;
+  Ref j;
+};
+
+/// Decide's variant flags for the one protocol the engine, DMT(k) and
+/// NestedMtScheduler run, as compile-time constants their policies
+/// inherit: lines 9-10 on, the plain line-9 test, no Thomas write rule
+/// (MtkOptions' defaults; only MtkScheduler sets them at run time).
+struct PlainVariant {
+  static constexpr bool old_read_path = true;
+  static constexpr bool relaxed_line9 = false;
+  static constexpr bool thomas_rule = false;
 };
 
 /// Algorithm 1 lines 5-14: the read/write decision around Set(j, i), the
@@ -245,14 +252,23 @@ struct Decided {
 ///   VectorOrder Order(const Ref& a, const Ref& b);  // Definition 6.
 ///   bool Set(const Ref& j, const Ref& i);           // Algorithm 1 Set.
 ///   void PushReader();                              // Line 7: RT(x) := i.
+///   void PushOldReader();                           // Line 10: keep i.
 ///   void PushWriter();                              // Line 12: WT(x) := i.
+///   auto OldReaders();  // A callable g: g(f) runs ReadHistory::ForEachOld
+///                       // with i as the writer; f(r) -> bool is Set(r, i).
 ///   bool old_read_path;      // Lines 9-10 enabled.
-///   bool relaxed_read_path;  // Line 9 encodes WT(x) -> i with Set.
-///   bool thomas_write_rule;  // Section III-D-6c.
+///   bool relaxed_line9;      // Line 9 encodes WT(x) -> i with Set.
+///   bool thomas_rule;        // Section III-D-6c.
 ///
 /// and keeps everything a decision leaves behind besides the RT/WT push:
 /// counts, the reject's cause (recorded by its Set), abort marking, and
 /// the starvation seed.
+///
+/// A write also runs Set(r, i) for every live line-10 reader r of x (see
+/// ReadHistory): line 10 leaves r below RT(x)'s top instead of pushing it,
+/// and once that top aborts nothing else would keep i above r. Without
+/// aborts each of these Sets finds TS(r) < TS(i) already fixed (r is below
+/// the top, the top below i), so the check only decides once a top died.
 template <typename Ref, typename Policy>
 Decided<Ref> Decide(OpType type, const Ref& jr, const Ref& jw, const Ref& i,
                     Policy& p) {
@@ -263,33 +279,41 @@ Decided<Ref> Decide(OpType type, const Ref& jr, const Ref& jw, const Ref& i,
   if (type == OpType::kRead) {
     if (p.Set(j, i)) {
       p.PushReader();  // Line 7.
-      return {OpDecision::kAccept, &j};
+      return {OpDecision::kAccept, j};
     }
     // Line 9: a read older than the most recent reader is still safe if it
     // follows the most recent writer. The relaxed variant (noted after
     // Theorem 3) encodes the WT dependency with Set instead of testing it.
     if (!j_is_writer && p.old_read_path) {
-      const bool write_ordered = p.relaxed_read_path
+      const bool write_ordered = p.relaxed_line9
                                      ? p.Set(jw, i)
                                      : p.Order(jw, i) == VectorOrder::kLess;
       if (write_ordered) {
-        return {OpDecision::kAccept, &j};  // Line 10; RT(x) is not updated.
+        p.PushOldReader();  // Line 10; RT(x) is not updated.
+        return {OpDecision::kAccept, j};
       }
     }
-    return {OpDecision::kReject, &j};  // Line 11.
+    return {OpDecision::kReject, j};  // Line 11.
   }
   if (p.Set(j, i)) {
+    Ref blocker = j;
+    const bool ordered = p.OldReaders()([&](const Ref& r) {
+      if (p.Set(r, i)) return true;
+      blocker = r;
+      return false;
+    });
+    if (!ordered) return {OpDecision::kReject, blocker};
     p.PushWriter();  // Line 12.
-    return {OpDecision::kAccept, &j};
+    return {OpDecision::kAccept, j};
   }
-  if (p.thomas_write_rule) {
+  if (p.thomas_rule) {
     // Section III-D-6c: TS(RT(x)) < TS(i) < TS(WT(x)) makes the write
     // obsolete; skip it instead of aborting T_i. Both comparisons run.
     const bool after_reads = p.Order(jr, i) == VectorOrder::kLess;
     const bool before_writer = p.Order(i, jw) == VectorOrder::kLess;
-    if (after_reads && before_writer) return {OpDecision::kIgnore, &j};
+    if (after_reads && before_writer) return {OpDecision::kIgnore, j};
   }
-  return {OpDecision::kReject, &j};  // Line 14.
+  return {OpDecision::kReject, j};  // Line 14.
 }
 
 /// Section III-D-4 starvation seeding, the one copy behind MtkScheduler,

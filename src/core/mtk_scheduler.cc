@@ -60,13 +60,12 @@ void MtkScheduler::RecordEncoding(TxnId from, TxnId to) {
 }
 
 bool MtkScheduler::SetStates(TxnState& sj, TxnState& si, TxnId j, TxnId i,
-                             bool hot_item) {
+                             bool right_end) {
   if (j == i) return true;  // Line 15.
   ++stats_.set_calls;
   const VectorCompareResult cr = CompareStates(sj, si);
   const EncodeOutcome out = EncodeDependency(
-      cr, options_.k, sj.ts, si.ts, j == kVirtualTxn, hot_item,
-      options_.optimized_encoding, counters_);
+      cr, options_.k, sj.ts, si.ts, j == kVirtualTxn, right_end, counters_);
   stats_.elements_assigned += out.elements_assigned;
   if (!out.ok) {
     set_failure_ = out.why;
@@ -95,25 +94,32 @@ OpDecision MtkScheduler::Process(const Op& op) {
     return refuse(AbortReason::kStaleTxn, kVirtualTxn);
   }
   ItemState& item = Item(op.item);
-  const bool hot = item.access_count >= options_.hot_item_threshold;
+  const bool right_end = options_.optimized_encoding &&
+                         item.access_count >= options_.hot_item_threshold;
   ++item.access_count;
 
   struct Policy {
     MtkScheduler* s;
     ItemState& item;
     Access me;
-    bool hot;
-    bool old_read_path, relaxed_read_path, thomas_write_rule;
+    bool right_end;
+    bool old_read_path, relaxed_line9, thomas_rule;
     VectorOrder Order(const Ref& a, const Ref& b) {
       return s->CompareStates(*a.state, *b.state).order;
     }
     bool Set(const Ref& j, const Ref& to) {
-      return s->SetStates(*j.state, *to.state, j.txn, to.txn, hot);
+      return s->SetStates(*j.state, *to.state, j.txn, to.txn, right_end);
     }
     void PushReader() { item.readers.Push(me); }
+    void PushOldReader() { item.readers.PushOld(me, s->Probe()); }
     void PushWriter() { item.writers.Push(me); }
+    auto OldReaders() {
+      return [this](auto&& f) {
+        return item.readers.ForEachOld(s->Probe(), f, me);
+      };
+    }
   };
-  Policy policy{this, item, {i, state.incarnation}, hot,
+  Policy policy{this, item, {i, state.incarnation}, right_end,
                 !options_.disable_old_read_path, options_.relaxed_read_path,
                 options_.thomas_write_rule};
   // All states are resolved to pointers once here; everything below works
@@ -132,8 +138,8 @@ OpDecision MtkScheduler::Process(const Op& op) {
       // set_failure_ carries the cause recorded by the SetStates call that
       // refused the dependency (kLexOrder or kEncodingExhausted).
       state.aborted = true;
-      if (options_.starvation_fix) SeedAfter(state.ts, d.j->state->ts);
-      return refuse(set_failure_, d.j->txn);
+      if (options_.starvation_fix) SeedAfter(state.ts, d.j.state->ts);
+      return refuse(set_failure_, d.j.txn);
   }
   return d.decision;
 }

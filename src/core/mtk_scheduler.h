@@ -213,8 +213,8 @@ class MtkScheduler {
   };
 
   struct ItemState {
-    AccessHistory readers;       // RT(x).
-    AccessHistory writers;       // WT(x).
+    ReadHistory readers;        // RT(x) and line 10's old readers.
+    AccessHistory writers;      // WT(x).
     uint64_t access_count = 0;  // For hot-item detection (III-D-5).
   };
 
@@ -237,8 +237,9 @@ class MtkScheduler {
   /// Algorithm 1's Set(j, i): ensure TS(j) < TS(i), encoding a new
   /// dependency if the order is not determined yet. Returns false iff the
   /// opposite order TS(j) > TS(i) already holds (or the vectors are
-  /// exhausted), in which case the operation must be rejected.
-  bool SetStates(TxnState& sj, TxnState& si, TxnId j, TxnId i, bool hot_item);
+  /// exhausted), in which case the operation must be rejected. `right_end`
+  /// selects the Section III-D-5 layout (optimized encoding, hot item).
+  bool SetStates(TxnState& sj, TxnState& si, TxnId j, TxnId i, bool right_end);
 
   void RecordEncoding(TxnId from, TxnId to);
 

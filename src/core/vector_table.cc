@@ -27,8 +27,7 @@ bool VectorTable::Set(uint32_t j, uint32_t i, StripedCounters& counters,
   if (j == i) return true;
   const EncodeOutcome out =
       EncodeDependency(CompareIds(j, i), k_, Mutable(j), Mutable(i), j == 0,
-                       /*hot_item=*/false, /*optimized_encoding=*/false,
-                       counters);
+                       /*right_end=*/false, counters);
   elements_assigned_ += out.elements_assigned;
   if (!out.ok && why != nullptr) *why = out.why;
   return out.ok;

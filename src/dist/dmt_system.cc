@@ -137,7 +137,7 @@ struct ExecutedOp {
 };
 
 struct ItemState {
-  AccessHistory readers;  // RT(x).
+  ReadHistory readers;    // RT(x) and line 10's old readers.
   AccessHistory writers;  // WT(x).
 };
 
@@ -503,14 +503,12 @@ void DmtSim::ExtractPath(TxnId txn, bool committed) {
 bool DmtSim::Decide(OpContext* ctx, AbortReason* why) {
   const TxnId i = ctx->txn;
   ItemState& item = Item(ctx->op.item);
-  struct Policy {
+  struct Policy : PlainVariant {
     DmtSim* d;
     ItemState& item;
     const OpContext& ctx;
     AbortReason* why;
-    bool old_read_path = true;
-    bool relaxed_read_path = false;
-    bool thomas_write_rule = false;
+    Access Me() const { return {ctx.txn, d->txns_[ctx.txn].incarnation}; }
     VectorOrder Order(TxnId a, TxnId b) {
       return Compare(d->Ts(a), d->Ts(b)).order;
     }
@@ -518,14 +516,17 @@ bool DmtSim::Decide(OpContext* ctx, AbortReason* why) {
     bool Set(TxnId j, TxnId i) {
       return d->table_.Set(j, i, d->counters_[ctx.site], why);
     }
-    void PushReader() {
-      item.readers.Push({ctx.txn, d->txns_[ctx.txn].incarnation});
-    }
-    void PushWriter() {
-      item.writers.Push({ctx.txn, d->txns_[ctx.txn].incarnation});
+    void PushReader() { item.readers.Push(Me()); }
+    void PushOldReader() { item.readers.PushOld(Me(), d->Probe()); }
+    void PushWriter() { item.writers.Push(Me()); }
+    auto OldReaders() {
+      return [this](auto&& f) {
+        return item.readers.ForEachOld(
+            d->Probe(), [&](const auto& r) { return f(r.txn); }, Me());
+      };
     }
   };
-  Policy policy{this, item, *ctx, why};
+  Policy policy{{}, this, item, *ctx, why};
   const TxnId jr = item.readers.Top(Probe()).txn;
   const TxnId jw = item.writers.Top(Probe()).txn;
   // On reject, *why keeps the cause of the Set(j, i) that refused.
@@ -668,6 +669,13 @@ void DmtSim::OnGrantArrive(const Event& ev) {
     if (jr != kVirtualTxn) vec_txns.insert(jr);
     if (jw != kVirtualTxn) vec_txns.insert(jw);
     vec_txns.insert(ctx.txn);
+    // A write is also ordered after every live line-10 reader of the item.
+    if (ctx.op.type == OpType::kWrite) {
+      item.readers.ForEachOld(Probe(), [&](const auto& r) {
+        vec_txns.insert(r.txn);
+        return true;
+      });
+    }
     for (TxnId t : vec_txns) ctx.lock_plan.push_back(VectorObject(t));
     std::sort(ctx.lock_plan.begin() + 1, ctx.lock_plan.end());
   }

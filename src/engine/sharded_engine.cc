@@ -40,7 +40,6 @@ void AppendEngineMetrics(const EngineStats& st, MetricsSnapshot& out) {
   counter("engine.compactions", st.compactions);
   counter("engine.batches", st.batches);
   counter("engine.batch_ops", st.batch_ops);
-  counter("engine.hot_encodings", st.hot_encodings);
   counter("engine.batch_fallbacks", st.batch_fallbacks);
   counter("engine.versions_installed", st.versions_installed);
   counter("engine.versions_gc", st.versions_gc);
@@ -204,8 +203,7 @@ VectorCompareResult ShardedMtkEngine::CompareStates(Shard& shx,
 }
 
 bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
-                                 TxnId j, TxnId i, bool hot_item,
-                                 AbortReason* why) {
+                                 TxnId j, TxnId i, AbortReason* why) {
   if (j == i) return true;  // Line 15.
   ++shx.stats.set_calls;
   const VectorCompareResult cr = CompareStates(shx, sj, si);
@@ -219,10 +217,8 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
   // store. See SetActiveK.
   const EncodeOutcome out = EncodeDependency(
       cr, active_k_.load(std::memory_order_relaxed), sj.ts, si.ts,
-      j == kVirtualTxn, hot_item, options_.optimized_encoding,
-      shx.counters);
+      j == kVirtualTxn, /*right_end=*/false, shx.counters);
   shx.stats.elements_assigned += out.elements_assigned;
-  if (out.hot_path) ++shx.stats.hot_encodings;
   if (!out.ok) {
     *why = out.why;
     return false;
@@ -233,38 +229,39 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
 OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
                                           ItemState& item, TxnState& si,
                                           const Ref& jr, const Ref& jw,
-                                          bool hot,
                                           AbortReason* why) {
   const TxnId i = op.txn;
   const uint32_t inc_i = LifeIncarnation(si.life);
 
   // Cause recorded by the SetStates call that refused the dependency.
   AbortReason cause = AbortReason::kNone;
-  struct Policy {
+  struct Policy : PlainVariant {
     ShardedMtkEngine* e;
     Shard& shx;
     ItemState& item;
     TxnState& si;
     const Op& op;
     Access me;
-    bool hot;
     AbortReason* cause;
-    bool old_read_path, relaxed_read_path, thomas_write_rule;
     VectorOrder Order(const Ref& a, const Ref& b) {
       return e->CompareStates(shx, *a.state, *b.state).order;
     }
     bool Set(const Ref& j, const Ref& i) {
-      return e->SetStates(shx, *j.state, *i.state, j.txn, i.txn, hot, cause);
+      return e->SetStates(shx, *j.state, *i.state, j.txn, i.txn, cause);
     }
     void PushReader() { item.readers.Push(me); }
+    void PushOldReader() { item.readers.PushOld(me, e->Probe()); }
     void PushWriter() {
       item.writers.Push(me);
       if (e->track_writes_) AddWrite(si, op.item);
     }
+    auto OldReaders() {
+      return [this](auto&& f) {
+        return item.readers.ForEachOld(e->Probe(), f, me);
+      };
+    }
   };
-  Policy policy{this, shx, item, si, op, {i, inc_i}, hot, &cause,
-                !options_.disable_old_read_path, options_.relaxed_read_path,
-                options_.thomas_write_rule};
+  Policy policy{{}, this, shx, item, si, op, {i, inc_i}, &cause};
   const auto d = Decide(op.type, jr, jw, Ref{i, &si}, policy);
   switch (d.decision) {
     case OpDecision::kAccept:
@@ -276,9 +273,8 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
     case OpDecision::kReject:
       break;
   }
-  const Ref& j = *d.j;
-  AbortLocked(shx, op, cause, j.txn, si, why);
-  if (options_.starvation_fix) SeedAfter(si.ts, j.state->ts);
+  AbortLocked(shx, op, cause, d.j.txn, si, why);
+  if (options_.starvation_fix) SeedAfter(si.ts, d.j.state->ts);
   return OpDecision::kReject;
 }
 
@@ -425,7 +421,7 @@ void ShardedMtkEngine::MvSweepLocked(uint64_t watermark, size_t keep) {
 
 OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
                                             MvItem& chain, TxnState& si,
-                                            bool hot, AbortReason* why) {
+                                            AbortReason* why) {
   const TxnId i = op.txn;
   if (si.begin_stamp == 0) {
     // First decided operation of the incarnation: pin the GC horizon.
@@ -439,16 +435,15 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     Shard& shx;
     TxnState& si;
     TxnId i;
-    bool hot;
     TxnState& S(TxnId t) { return t == i ? si : *e->PeekState(t); }
     VectorOrder Order(TxnId a, TxnId b) {
       return e->CompareStates(shx, S(a), S(b)).order;
     }
     bool Set(TxnId j, TxnId to, AbortReason* cause) {
-      return e->SetStates(shx, S(j), S(to), j, to, hot, cause);
+      return e->SetStates(shx, S(j), S(to), j, to, cause);
     }
   };
-  Policy policy{this, shx, si, i, hot};
+  Policy policy{this, shx, si, i};
   const Access me{i, LifeIncarnation(si.life)};
   const bool read = op.type == OpType::kRead;
   const MvOutcome out = read ? chain.Read(me, policy) : chain.Write(me, policy);
@@ -836,7 +831,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         } else {
           // Resolve the tops under shard(x); liveness reads are lock-free,
           // so this works even when the accessors' shards are not (yet)
-          // held.
+          // held. A write is also ordered after every live line-10 reader.
           auto top_shards = [&](ShardLockSet& need) {
             jr = item->readers.Top(Probe());
             jw = item->writers.Top(Probe());
@@ -845,6 +840,12 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
             }
             if (jw.txn != kVirtualTxn) {
               need.Add(static_cast<uint32_t>(ShardIndex(jw.txn)));
+            }
+            if (op.type == OpType::kWrite) {
+              item->readers.ForEachOld(Probe(), [&](const Ref& r) {
+                need.Add(static_cast<uint32_t>(ShardIndex(r.txn)));
+                return true;
+              });
             }
           };
           if (!cover(shx, shi, top_shards)) continue;
@@ -871,22 +872,14 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         d = AbortLocked(shx, op, AbortReason::kBatchThrottled, champion, si,
                         why, batch_fallbacks_.load(std::memory_order_relaxed));
         si.ts.Reset();
+      } else if (chain == nullptr) {
+        d = DecideLocked(op, shx, *item, si, jr, jw, why);
+      } else if (phase_sampled && op.type == OpType::kRead) {
+        const uint64_t t0 = NowNs();
+        d = DecideMvLocked(op, shx, *chain, si, why);
+        mv_read_ns += NowNs() - t0;
       } else {
-        // Section III-D-5 hot-item detection, counted exactly as
-        // MtkScheduler does: decided non-stale operations bump the per-item
-        // access count, and the operation that crosses the threshold is
-        // itself encoded plainly.
-        const bool hot = item->access_count >= options_.hot_item_threshold;
-        ++item->access_count;
-        if (chain == nullptr) {
-          d = DecideLocked(op, shx, *item, si, jr, jw, hot, why);
-        } else if (phase_sampled && op.type == OpType::kRead) {
-          const uint64_t t0 = NowNs();
-          d = DecideMvLocked(op, shx, *chain, si, hot, why);
-          mv_read_ns += NowNs() - t0;
-        } else {
-          d = DecideMvLocked(op, shx, *chain, si, hot, why);
-        }
+        d = DecideMvLocked(op, shx, *chain, si, why);
       }
       decisions[q] = d;
       if (d == OpDecision::kAccept) ++accepted;
@@ -1353,7 +1346,6 @@ EngineStats ShardedMtkEngine::stats() const {
     out.commits += s.commits;
     out.batches += s.batches;
     out.batch_ops += s.batch_ops;
-    out.hot_encodings += s.hot_encodings;
     out.versions_installed += s.versions_installed;
     out.versions_gc += s.versions_gc;
     out.old_version_reads += s.old_version_reads;

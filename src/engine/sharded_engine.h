@@ -24,10 +24,13 @@ namespace mdts {
 class ParallelWal;   // src/wal/wal.h
 struct WalRecovery;  // src/wal/wal.h
 
-/// Configuration of the sharded concurrent MT(k) engine. The protocol
-/// options mirror MtkOptions (minus the recognizer-only and hot-item
-/// variations): with num_shards = 1 the engine accepts exactly the logs
-/// MtkScheduler accepts, assigning the same vectors.
+/// Configuration of the sharded concurrent MT(k) engine. The engine runs
+/// one protocol: Algorithm 1 with lines 9-10 on, the plain (not relaxed)
+/// line-9 test, no Thomas write rule and the leftmost-free encoding - the
+/// same policy DMT(k) runs. The Section III-D variants live on MtkScheduler
+/// only (MtkOptions). With num_shards = 1 the engine accepts exactly the
+/// logs MtkScheduler accepts at the same k and starvation_fix, assigning
+/// the same vectors.
 struct EngineOptions {
   /// Timestamp vector size k >= 1.
   size_t k = 3;
@@ -38,27 +41,6 @@ struct EngineOptions {
 
   /// Section III-D-4 starvation fix (see MtkOptions::starvation_fix).
   bool starvation_fix = false;
-
-  /// Section III-D-6c Thomas write rule (see MtkOptions).
-  bool thomas_write_rule = false;
-
-  /// Relaxed read path (see MtkOptions::relaxed_read_path).
-  bool relaxed_read_path = false;
-
-  /// Cross out Algorithm 1 lines 9-10 (see MtkOptions).
-  bool disable_old_read_path = false;
-
-  /// Section III-D-5 hot-item right-end encoding (see
-  /// MtkOptions::optimized_encoding): dependencies born on frequently
-  /// accessed items are encoded near the right end of the vectors instead
-  /// of at the leftmost free element, so a hot item does not force a
-  /// premature total order. Same semantics as the scheduler's option (both
-  /// run the shared core/encoding.h helper).
-  bool optimized_encoding = false;
-
-  /// An item is "hot" for optimized encoding once it has been accessed this
-  /// many times (counted per item under its shard lock).
-  size_t hot_item_threshold = 8;
 
   /// Multiversion MT(k) (Section III-D-6d): every item keeps an MvChain
   /// (core/version_chain.h, the read walk and write placement
@@ -83,8 +65,6 @@ struct EngineOptions {
   /// operations or by a starvation-fix restart seed - can be un-orderable
   /// after the newest writer and must fall back to an older one; a
   /// periodic sweep runs mid-traffic, so the readers about to start count.
-  /// thomas_write_rule, relaxed_read_path, and disable_old_read_path are
-  /// single-version knobs and are ignored.
   bool multiversion = false;
 
   /// If > 0, CompactAll() runs after every this many commits engine-wide,
@@ -148,6 +128,8 @@ struct EngineOptions {
 struct EngineStats {
   uint64_t accepted = 0;
   uint64_t rejected = 0;
+  /// Writes Decide skipped as obsolete (kIgnore). The engine runs no Thomas
+  /// write rule, so this stays 0; it is kept for callers that count it.
   uint64_t ignored_writes = 0;
   uint64_t set_calls = 0;
   uint64_t elements_assigned = 0;
@@ -172,8 +154,6 @@ struct EngineStats {
   /// operations they carried; batch_ops / batches is the mean batch size.
   uint64_t batches = 0;
   uint64_t batch_ops = 0;
-  /// Dependencies encoded through the Section III-D-5 right-end layout.
-  uint64_t hot_encodings = 0;
   /// ProcessBatch rounds decided under the livelock-guardrail fallback
   /// (see ShardedMtkEngine::kBatchFallbackRounds).
   uint64_t batch_fallbacks = 0;
@@ -422,9 +402,8 @@ class ShardedMtkEngine {
   };
 
   struct ItemState {
-    AccessHistory readers;       // RT(x).
-    AccessHistory writers;       // WT(x).
-    uint64_t access_count = 0;  // For hot-item detection (III-D-5).
+    ReadHistory readers;    // RT(x) and line 10's old readers.
+    AccessHistory writers;  // WT(x).
     /// Multiversion mode only; null until the item's first access there.
     std::unique_ptr<MvItem> mv;
   };
@@ -516,22 +495,22 @@ class ShardedMtkEngine {
   /// assignments. On false, `why` receives the classified cause (kLexOrder
   /// or kEncodingExhausted).
   bool SetStates(Shard& shx, TxnState& sj, TxnState& si, TxnId j, TxnId i,
-                 bool hot_item, AbortReason* why);
+                 AbortReason* why);
 
   /// The decision body for a live (neither aborted nor committed)
-  /// transaction; every referenced shard's mutex is held. `hot` is the
-  /// Section III-D-5 hot-item verdict ProcessBatch took for this op. On
-  /// kReject, `*why` (when non-null) receives the classified cause.
+  /// transaction; every referenced shard's mutex is held (for a write, the
+  /// item's live old readers' too). On kReject, `*why` (when non-null)
+  /// receives the classified cause.
   OpDecision DecideLocked(const Op& op, Shard& shx, ItemState& item,
                           TxnState& si, const Ref& jr, const Ref& jw,
-                          bool hot, AbortReason* why);
+                          AbortReason* why);
 
   /// Multiversion decision body: runs the shared MvChain read walk or
   /// write placement (core/version_chain.h) with SetStates as its Set, then
   /// stamps and counts what it did. Every shard referenced by the chain's
   /// writers and readers is held, plus shard(item) and shard(txn).
   OpDecision DecideMvLocked(const Op& op, Shard& shx, MvItem& chain,
-                            TxnState& si, bool hot, AbortReason* why);
+                            TxnState& si, AbortReason* why);
 
   /// Stamps a version just linked into `chain` (begin stamp, the end stamp
   /// of the version it superseded, coverage) and counts it.

@@ -100,19 +100,23 @@ OpDecision NestedMtScheduler::Process(const Op& op) {
   // Algorithm 1 lines 5-14 with the hierarchical order: the line-9 old
   // read is safe if it is hierarchically ordered after the latest writer.
   ItemState& item = Item(op.item);
-  struct Policy {
+  struct Policy : PlainVariant {
     NestedMtScheduler* s;
     ItemState& item;
     Access me;
-    bool old_read_path = true;
-    bool relaxed_read_path = false;
-    bool thomas_write_rule = false;
     VectorOrder Order(TxnId a, TxnId b) { return s->HierCompare(a, b).order; }
     bool Set(TxnId j, TxnId to) { return s->HierSet(j, to); }
     void PushReader() { item.readers.Push(me); }
+    void PushOldReader() { item.readers.PushOld(me, s->Probe()); }
     void PushWriter() { item.writers.Push(me); }
+    auto OldReaders() {
+      return [this](auto&& f) {
+        return item.readers.ForEachOld(
+            s->Probe(), [&](const auto& r) { return f(r.txn); }, me);
+      };
+    }
   };
-  Policy policy{this, item, {i, state.incarnation}};
+  Policy policy{{}, this, item, {i, state.incarnation}};
   const TxnId jr = item.readers.Top(Probe()).txn;
   const TxnId jw = item.writers.Top(Probe()).txn;
   const OpDecision d = Decide(op.type, jr, jw, i, policy).decision;

@@ -75,7 +75,7 @@ class NestedMtScheduler {
   };
 
   struct ItemState {
-    AccessHistory readers;  // RT(x).
+    ReadHistory readers;    // RT(x) and line 10's old readers.
     AccessHistory writers;  // WT(x).
   };
 

@@ -62,6 +62,28 @@ TEST(DsrTest, CyclicLogIsNotDsr) {
   EXPECT_FALSE(IsDsr(L("R1[x] W2[x] W2[y] W1[y]")));
 }
 
+// IsDsr checks a sparser digraph than the full conflict graph; both must
+// agree on every log, cyclic or not.
+TEST(DsrTest, MatchesTheFullConflictGraph) {
+  size_t dsr = 0;
+  size_t non_dsr = 0;
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    WorkloadOptions w;
+    w.num_txns = 2 + static_cast<uint32_t>(seed % 6);
+    w.num_items = 1 + static_cast<uint32_t>(seed % 4);
+    w.min_ops = 1;
+    w.max_ops = 5;
+    w.distinct_items_per_txn = seed % 2 == 0;
+    w.seed = seed;
+    const Log log = GenerateLog(w);
+    const bool want = !DependencyGraph::FromLog(log).HasCycle();
+    ASSERT_EQ(IsDsr(log), want) << log.ToString();
+    ++(want ? dsr : non_dsr);
+  }
+  EXPECT_GT(dsr, 100u);
+  EXPECT_GT(non_dsr, 100u);
+}
+
 TEST(DsrTest, SerialOrderEmptyForNonDsr) {
   EXPECT_TRUE(DsrSerialOrder(L("R1[x] W2[x] W2[y] W1[y]")).empty());
 }

@@ -88,8 +88,6 @@ TEST(EngineBatchConcurrencyTest, MixedBatchPerOpAndCompactionTraffic) {
   eo.k = 7;
   eo.num_shards = 8;
   eo.starvation_fix = true;
-  eo.optimized_encoding = true;  // Exercise the hot-item paths under races.
-  eo.hot_item_threshold = 8;
   eo.metrics = &reg;
   ShardedMtkEngine engine(eo);
 
@@ -160,7 +158,6 @@ TEST(EngineBatchConcurrencyTest, MixedBatchPerOpAndCompactionTraffic) {
   EXPECT_EQ(st.reject_reasons.total(), st.rejected);
   EXPECT_GT(st.batches, 0u);
   EXPECT_GT(st.batch_ops, st.batches);  // Batch workers used width 8.
-  EXPECT_GT(st.hot_encodings, 0u);
   EXPECT_GT(st.compactions, 0u);
   // Every decided operation took exactly one covered lock round.
   EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
@@ -170,7 +167,6 @@ TEST(EngineBatchConcurrencyTest, MixedBatchPerOpAndCompactionTraffic) {
   EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
   EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
   EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
-  EXPECT_EQ(snap.CounterValue("engine.hot_encodings"), st.hot_encodings);
   EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
 }
 
@@ -361,7 +357,10 @@ TEST(EngineBatchConcurrencyTest, LivelockGuardrailRestoresForwardProgress) {
 // The closed-loop client on the engine: k=3, starvation fix, one worker,
 // seed 42, stopped by the predicate at 20,000 transactions. The counts are
 // the ones the per-op and batched loops gave before they moved into
-// workload/closed_loop.h.
+// workload/closed_loop.h, except the batched 64-item cells: a write there
+// is now also ordered after the line-10 readers of an aborted RT(x) top
+// (ReadHistory), which changes decisions once batched peers abort each
+// other.
 struct DriverCounts {
   size_t shards;
   uint32_t items;
@@ -398,8 +397,8 @@ TEST(ClosedLoopEngineTest, PerOpCountsOnOneAndThirtyTwoShards) {
 
 TEST(ClosedLoopEngineTest, BatchedCountsAtWidthEight) {
   for (const DriverCounts& e :
-       {DriverCounts{1, 64, 19993, 8, 31953, 213855},
-        DriverCounts{32, 64, 19995, 6, 31466, 211582},
+       {DriverCounts{1, 64, 19987, 13, 32623, 218057},
+        DriverCounts{32, 64, 19996, 5, 29723, 205589},
         DriverCounts{1, 65536, 20000, 0, 11218, 149238},
         DriverCounts{32, 65536, 20000, 0, 11219, 149245}}) {
     ShardedMtkEngine engine(DriverEngine(e.shards));

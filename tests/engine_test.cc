@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/log.h"
 #include "core/mtk_scheduler.h"
 #include "core/types.h"
 #include "obs/abort_reason.h"
@@ -23,33 +24,38 @@ namespace {
 // Single-shard equivalence: with num_shards = 1 the engine must accept
 // exactly the logs MtkScheduler accepts and assign the same vectors, since
 // its counter encoding value * N + shard degenerates to the scheduler's
-// plain counters at N = 1.
+// plain counters at N = 1. The engine's protocol options are k and the
+// starvation fix; every cell of that grid is covered.
 // ---------------------------------------------------------------------------
 
 struct EquivConfig {
   size_t k;
   bool starvation_fix;
-  bool thomas_write_rule;
-  bool relaxed_read_path;
-  bool disable_old_read_path;
 };
+
+std::vector<EquivConfig> EquivGrid() {
+  std::vector<EquivConfig> grid;
+  for (const size_t k : {1, 2, 3, 5}) {
+    for (const bool fix : {false, true}) grid.push_back({k, fix});
+  }
+  return grid;
+}
+
+std::string EquivName(const EquivConfig& cfg) {
+  return "k=" + std::to_string(cfg.k) +
+         " fix=" + std::to_string(cfg.starvation_fix);
+}
 
 void RunEquivalence(const EquivConfig& cfg, uint64_t seed) {
   MtkOptions mo;
   mo.k = cfg.k;
   mo.starvation_fix = cfg.starvation_fix;
-  mo.thomas_write_rule = cfg.thomas_write_rule;
-  mo.relaxed_read_path = cfg.relaxed_read_path;
-  mo.disable_old_read_path = cfg.disable_old_read_path;
   MtkScheduler sched(mo);
 
   EngineOptions eo;
   eo.k = cfg.k;
   eo.num_shards = 1;
   eo.starvation_fix = cfg.starvation_fix;
-  eo.thomas_write_rule = cfg.thomas_write_rule;
-  eo.relaxed_read_path = cfg.relaxed_read_path;
-  eo.disable_old_read_path = cfg.disable_old_read_path;
   ShardedMtkEngine engine(eo);
 
   std::mt19937_64 rng(seed);
@@ -103,20 +109,9 @@ void RunEquivalence(const EquivConfig& cfg, uint64_t seed) {
 }
 
 TEST(EngineEquivalenceTest, SingleShardMatchesSchedulerAcrossConfigs) {
-  const EquivConfig configs[] = {
-      {1, false, false, false, false}, {2, false, false, false, false},
-      {3, false, false, false, false}, {5, false, false, false, false},
-      {3, true, false, false, false},  {3, false, true, false, false},
-      {3, true, true, false, false},   {3, false, false, true, false},
-      {3, false, false, false, true},  {2, true, true, true, false},
-  };
   uint64_t seed = 20260805;
-  for (const EquivConfig& cfg : configs) {
-    SCOPED_TRACE("k=" + std::to_string(cfg.k) +
-                 " fix=" + std::to_string(cfg.starvation_fix) +
-                 " thomas=" + std::to_string(cfg.thomas_write_rule) +
-                 " relaxed=" + std::to_string(cfg.relaxed_read_path) +
-                 " no_old_read=" + std::to_string(cfg.disable_old_read_path));
+  for (const EquivConfig& cfg : EquivGrid()) {
+    SCOPED_TRACE(EquivName(cfg));
     RunEquivalence(cfg, seed++);
   }
 }
@@ -190,6 +185,34 @@ TEST(EngineCompactionTest, CompactionKeepsLiveAccessorsBelowTheTop) {
       EXPECT_EQ(engine.Process(write(4, x)), OpDecision::kAccept);
       EXPECT_EQ(engine.Process(write(4, y)), OpDecision::kAccept);
       EXPECT_EQ(engine.Process(read(1, y)), OpDecision::kReject);
+    }
+  }
+}
+
+// MtkSchedulerTest.WriteIsOrderedAfterOldReadersOfAnAbortedTop on the
+// engine: W25[x] must order itself after T16, the line-10 reader of x that
+// RT(x)'s aborted top T7 covered, and at k = 1 it cannot. With 4 shards the
+// write's lockset must also take T16's shard.
+TEST(ShardedEngineTest, WriteIsOrderedAfterOldReadersOfAnAbortedTop) {
+  const Log log = *Log::Parse(
+      "R19[x] R25[z] R16[w] R7[x] R16[x] R8[u] W7[u] W25[x] W25[y] R16[y]");
+  const OpDecision a = OpDecision::kAccept, r = OpDecision::kReject;
+  const OpDecision want[] = {a, a, a, a, a, a, r, r, r, a};
+  for (const size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EngineOptions eo;
+    eo.k = 1;
+    eo.num_shards = shards;
+    ShardedMtkEngine engine(eo);
+    for (size_t n = 0; n < log.size(); ++n) {
+      AbortReason why = AbortReason::kNone;
+      EXPECT_EQ(engine.Process(log.at(n), &why), want[n]) << OpName(log.at(n));
+      if (n == 7) {
+        EXPECT_EQ(why, AbortReason::kLexOrder);
+        EXPECT_NE(engine.ExplainLastReject().find("blocker T16"),
+                  std::string::npos)
+            << engine.ExplainLastReject();
+      }
     }
   }
 }
@@ -289,21 +312,21 @@ TEST(CompactionTwinTest, SchedulerCompactCommittedChangesNoDecision) {
 TEST(CompactionTwinTest, EngineCompactAllChangesNoDecision) {
   for (const size_t shards : {1, 4}) {
     uint64_t seed = 20261017;
-    for (const TwinConfig& c : TwinGrid()) {
-      SCOPED_TRACE(TwinName(c) + " shards=" + std::to_string(shards));
-      EngineOptions eo;
-      eo.k = c.k;
-      eo.num_shards = shards;
-      eo.starvation_fix = c.starvation_fix;
-      eo.disable_old_read_path = c.disable_old_read_path;
-      eo.thomas_write_rule = c.thomas_write_rule;
-      eo.optimized_encoding = c.optimized_encoding;
-      ShardedMtkEngine plain(eo);
-      ShardedMtkEngine compacted(eo);
-      RunCompactionTwins(
-          plain, compacted,
-          [](ShardedMtkEngine& e, TxnId t) { return e.TsSnapshot(t); },
-          [](ShardedMtkEngine& e) { e.CompactAll(); }, seed++);
+    for (size_t k = 1; k <= 3; ++k) {
+      for (const bool fix : {false, true}) {
+        SCOPED_TRACE(EquivName({k, fix}) +
+                     " shards=" + std::to_string(shards));
+        EngineOptions eo;
+        eo.k = k;
+        eo.num_shards = shards;
+        eo.starvation_fix = fix;
+        ShardedMtkEngine plain(eo);
+        ShardedMtkEngine compacted(eo);
+        RunCompactionTwins(
+            plain, compacted,
+            [](ShardedMtkEngine& e, TxnId t) { return e.TsSnapshot(t); },
+            [](ShardedMtkEngine& e) { e.CompactAll(); }, seed++);
+      }
     }
   }
 }
@@ -311,32 +334,20 @@ TEST(CompactionTwinTest, EngineCompactAllChangesNoDecision) {
 // ---------------------------------------------------------------------------
 // Batched admission: ProcessBatch with num_shards = 1 decides in array
 // order, so feeding the same stream to MtkScheduler one operation at a time
-// must produce elementwise-identical decisions and final vectors — with the
-// III-D-5 optimized encoding off and on (both sides run the shared
-// core/encoding.h helper, so the hot-item paths must also agree).
+// must produce elementwise-identical decisions and final vectors.
 // ---------------------------------------------------------------------------
 
-void RunBatchEquivalence(const EquivConfig& cfg, bool optimized_encoding,
-                         size_t batch_size, uint64_t seed) {
+void RunBatchEquivalence(const EquivConfig& cfg, size_t batch_size,
+                         uint64_t seed) {
   MtkOptions mo;
   mo.k = cfg.k;
   mo.starvation_fix = cfg.starvation_fix;
-  mo.thomas_write_rule = cfg.thomas_write_rule;
-  mo.relaxed_read_path = cfg.relaxed_read_path;
-  mo.disable_old_read_path = cfg.disable_old_read_path;
-  mo.optimized_encoding = optimized_encoding;
-  mo.hot_item_threshold = 6;
   MtkScheduler sched(mo);
 
   EngineOptions eo;
   eo.k = cfg.k;
   eo.num_shards = 1;
   eo.starvation_fix = cfg.starvation_fix;
-  eo.thomas_write_rule = cfg.thomas_write_rule;
-  eo.relaxed_read_path = cfg.relaxed_read_path;
-  eo.disable_old_read_path = cfg.disable_old_read_path;
-  eo.optimized_encoding = optimized_encoding;
-  eo.hot_item_threshold = 6;
   ShardedMtkEngine engine(eo);
 
   std::mt19937_64 rng(seed);
@@ -414,94 +425,23 @@ void RunBatchEquivalence(const EquivConfig& cfg, bool optimized_encoding,
   const EngineStats st = engine.stats();
   EXPECT_EQ(st.batches, kRounds);
   EXPECT_EQ(st.batch_ops, kRounds * batch_size);
-  if (optimized_encoding && cfg.k >= 2) {
-    // Hot encodings only exist on the engine side of this check; the
-    // vector equality above already proved the scheduler produced the
-    // same right-end placements. k = 1 leaves no room for a right-end
-    // placement, so the hot paths never fire there.
-    EXPECT_GT(st.hot_encodings, 0u);
-  } else if (!optimized_encoding) {
-    EXPECT_EQ(st.hot_encodings, 0u);
-  }
 }
 
 TEST(EngineBatchEquivalenceTest, BatchedSingleShardMatchesSchedulerAcrossSizes) {
   uint64_t seed = 30260805;
   for (size_t batch : {size_t{1}, size_t{2}, size_t{7}, size_t{16},
                        size_t{64}, size_t{160}}) {
-    for (bool optimized : {false, true}) {
-      SCOPED_TRACE("batch=" + std::to_string(batch) +
-                   " optimized=" + std::to_string(optimized));
-      RunBatchEquivalence({3, true, true, false, false}, optimized, batch,
-                          seed++);
-    }
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    RunBatchEquivalence({3, true}, batch, seed++);
   }
 }
 
 TEST(EngineBatchEquivalenceTest, BatchedEquivalenceAcrossConfigs) {
-  const EquivConfig configs[] = {
-      {1, false, false, false, false}, {2, false, false, false, false},
-      {3, false, false, false, false}, {5, true, false, false, false},
-      {3, false, false, true, false},  {3, false, false, false, true},
-  };
   uint64_t seed = 40260805;
-  for (const EquivConfig& cfg : configs) {
-    for (bool optimized : {false, true}) {
-      SCOPED_TRACE("k=" + std::to_string(cfg.k) +
-                   " fix=" + std::to_string(cfg.starvation_fix) +
-                   " relaxed=" + std::to_string(cfg.relaxed_read_path) +
-                   " no_old_read=" + std::to_string(cfg.disable_old_read_path) +
-                   " optimized=" + std::to_string(optimized));
-      RunBatchEquivalence(cfg, optimized, 8, seed++);
-    }
+  for (const EquivConfig& cfg : EquivGrid()) {
+    SCOPED_TRACE(EquivName(cfg));
+    RunBatchEquivalence(cfg, 8, seed++);
   }
-}
-
-// With the III-D-5 encoding on, right-end placements through hot items must
-// leave fewer totally-ordered pairs than the leftmost-free placement: two
-// transactions that only share a hot item can stay unordered. The sequential
-// single-shard engine shows the accept-count benefit directly.
-TEST(EngineBatchEquivalenceTest, OptimizedEncodingAcceptsMoreOnHotItems) {
-  auto run = [](bool optimized) {
-    EngineOptions eo;
-    eo.k = 3;
-    eo.num_shards = 1;
-    eo.starvation_fix = true;
-    eo.optimized_encoding = optimized;
-    eo.hot_item_threshold = 4;
-    ShardedMtkEngine engine(eo);
-    std::mt19937_64 rng(515151);
-    std::vector<TxnId> live;
-    TxnId next_txn = 1;
-    for (size_t n = 0; n < 24; ++n) live.push_back(next_txn++);
-    std::vector<Op> batch(16);
-    for (size_t round = 0; round < 400; ++round) {
-      for (Op& op : batch) {
-        op.txn = live[rng() % live.size()];
-        op.type = rng() % 8 < 5 ? OpType::kRead : OpType::kWrite;
-        op.item = static_cast<ItemId>(rng() % 4);  // All items run hot.
-      }
-      std::vector<OpDecision> dec(batch.size());
-      engine.ProcessBatch(std::span<const Op>(batch.data(), batch.size()),
-                          dec.data());
-      for (TxnId& slot : live) {
-        if (engine.IsAborted(slot)) {
-          engine.RestartTxn(slot);
-        } else if (rng() % 8 == 0) {
-          engine.CommitTxn(slot);
-          slot = next_txn++;
-        }
-      }
-    }
-    return engine.stats();
-  };
-  const EngineStats off = run(false);
-  const EngineStats on = run(true);
-  EXPECT_EQ(off.hot_encodings, 0u);
-  EXPECT_GT(on.hot_encodings, 0u);
-  EXPECT_GT(on.accepted, off.accepted)
-      << "optimized " << on.accepted << "/" << on.rejected << " vs plain "
-      << off.accepted << "/" << off.rejected;
 }
 
 // ---------------------------------------------------------------------------

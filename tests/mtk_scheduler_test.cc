@@ -476,6 +476,25 @@ TEST(MtkSchedulerTest, CompactionKeepsLiveAccessorsBelowTheTop) {
   }
 }
 
+// Line 10 accepts R16[x] below RT(x)'s top T7 without pushing it. T7 then
+// aborts (W7[u] is rejected), RT(x) falls back to T19, and Set(T19, T25)
+// alone would order W25[x] below T16, which read x first: W25[y] R16[y]
+// would close the cycle T16 -> T25 -> T16. The write must also order
+// itself after the old reader T16, and at k = 1 it cannot.
+TEST(MtkSchedulerTest, WriteIsOrderedAfterOldReadersOfAnAbortedTop) {
+  const Log log = *Log::Parse(
+      "R19[x] R25[z] R16[w] R7[x] R16[x] R8[u] W7[u] W25[x] W25[y] R16[y]");
+  MtkOptions options;
+  options.k = 1;
+  MtkScheduler s(options);
+  for (size_t n = 0; n < 8; ++n) s.Process(log.at(n));
+  EXPECT_EQ(s.last_reject().op.txn, 25u);
+  EXPECT_EQ(s.last_reject().reason, AbortReason::kLexOrder);
+  EXPECT_EQ(s.last_reject().blocker, 16u);
+  EXPECT_EQ(s.Process(log.at(8)), OpDecision::kReject);  // T25 is aborted.
+  EXPECT_EQ(s.Process(log.at(9)), OpDecision::kAccept);
+}
+
 TEST(MtkSchedulerTest, StatsCountDecisions) {
   MtkOptions options;
   options.k = 2;

@@ -86,13 +86,11 @@ struct DriveResult {
   bool wal_refused = false;  // An AppendCommit returned false (crash).
 };
 
-EngineOptions SweepEngineOptions(uint64_t seed) {
+EngineOptions SweepEngineOptions() {
   EngineOptions eo;
   eo.k = 4;
   eo.num_shards = 3;
   eo.starvation_fix = true;
-  eo.optimized_encoding = seed % 2 == 0;
-  eo.hot_item_threshold = 8;
   return eo;
 }
 
@@ -522,7 +520,7 @@ TEST(WalEngineTest, CleanShutdownRoundTripRebuildsCommittedState) {
   wo.group_commit_ops = 8;
   ParallelWal wal(wo);
   ASSERT_TRUE(wal.ok());
-  EngineOptions eo = SweepEngineOptions(1);
+  EngineOptions eo = SweepEngineOptions();
   ShardedMtkEngine engine(eo);
   const DriveResult dr =
       DriveSingle(engine, wal, /*seed=*/11, /*txns_to_commit=*/120,
@@ -654,7 +652,7 @@ TEST(WalCrashSweepTest, SingleThreadedCrashPoints) {
     ParallelWal wal(wo);
     ASSERT_TRUE(wal.ok());
 
-    EngineOptions eo = SweepEngineOptions(seed);
+    EngineOptions eo = SweepEngineOptions();
     ShardedMtkEngine engine(eo);
     const DriveResult dr = DriveSingle(engine, wal, 0x51D + seed,
                                        /*txns_to_commit=*/40, /*items=*/48,
@@ -731,7 +729,7 @@ TEST(WalCrashSweepTest, MultiThreadedCrashPoints) {
     ParallelWal wal(wo);
     ASSERT_TRUE(wal.ok());
 
-    EngineOptions eo = SweepEngineOptions(seed);
+    EngineOptions eo = SweepEngineOptions();
     ShardedMtkEngine engine(eo);
     const DriveResult dr =
         DriveThreads(engine, wal, 0xBEE + seed, /*threads=*/3,
@@ -792,7 +790,7 @@ TEST(WalCrashSweepTest, MultiversionCrashPoints) {
     ParallelWal wal(wo);
     ASSERT_TRUE(wal.ok());
 
-    EngineOptions eo = SweepEngineOptions(seed);
+    EngineOptions eo = SweepEngineOptions();
     eo.multiversion = true;
     eo.compact_every = seed % 2 == 0 ? 16 : 0;
     eo.wal = &wal;
