@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "classify/classes.h"
 #include "common/bench_clock.h"
@@ -147,36 +148,45 @@ int Run(const char* out_path) {
   // this time-compressed simulator an event costs ~100ns of wall clock,
   // so tracing every one of the ~100 spans a transaction produces is a
   // significant fraction of the run, not a rounding error.
-  // Paired A/B (MeasurePairs, common/bench_clock.h): arm a is untraced,
-  // arm b has the tracer attached.
-  std::printf("--- distributed tracing overhead (A/B, paired) ---\n");
-  constexpr int kPairs = 9;
-  auto measure = [](uint32_t sample_shift) {
-    return MeasurePairs(
-        kPairs, [] { return TxnsPerSec(false, 0); },
-        [sample_shift] { return TxnsPerSec(true, sample_shift); });
-  };
-  const PairedAb sampled = measure(6);
-  const PairedAb full = measure(0);
+  // Rotated rounds (MeasureRounds, common/bench_clock.h): every arm is
+  // measured against the untraced one. The null arm is untraced too, so
+  // its quartiles are the noise floor the gate reading sits in.
+  std::printf("--- distributed tracing overhead (rotated rounds) ---\n");
+  constexpr int kRounds = 9;
+  const std::vector<RoundsArm> arms =
+      MeasureRounds(kRounds, {-1, 0, 0, 0}, [](size_t arm) {
+        return arm == 1   ? TxnsPerSec(true, 6)
+               : arm == 2 ? TxnsPerSec(true, 0)
+                          : TxnsPerSec(false, 0);
+      });
+  const RoundsArm& untraced = arms[0];
+  const RoundsArm& sampled = arms[1];
+  const RoundsArm& full = arms[2];
+  const RoundsArm& null_arm = arms[3];
   std::printf(
-      "sampled 1/64: untraced %.0f txns/s, traced %.0f txns/s; overhead "
-      "%.2f%% (pair quartiles %.2f%% .. %.2f%%; bar: < 3%%)\nfull "
-      "fidelity: untraced %.0f txns/s, traced %.0f txns/s; overhead %.2f%% "
-      "(recorded, not gated)\n[%s] the sampled tracer stays off the "
-      "simulation's critical path\n\n",
-      sampled.med_a, sampled.med_b, sampled.delta_pct, sampled.delta_q1_pct,
-      sampled.delta_q3_pct, full.med_a, full.med_b, full.delta_pct,
-      sampled.delta_pct < 3.0 ? "ok" : "ABOVE BAR");
+      "untraced %.0f txns/s; sampled 1/64: traced %.0f txns/s, overhead "
+      "%.2f%% (round quartiles %.2f%% .. %.2f%%; bar: < 3%%)\nnull "
+      "(untraced vs untraced): %.2f%% (quartiles %.2f%% .. %.2f%%)\nfull "
+      "fidelity: traced %.0f txns/s, overhead %.2f%% (recorded, not "
+      "gated)\n[%s] the sampled tracer stays off the simulation's critical "
+      "path\n\n",
+      untraced.median, sampled.median, sampled.delta_pct,
+      sampled.delta_q1_pct, sampled.delta_q3_pct, null_arm.delta_pct,
+      null_arm.delta_q1_pct, null_arm.delta_q3_pct, full.median,
+      full.delta_pct, sampled.delta_pct < 3.0 ? "ok" : "ABOVE BAR");
   UpsertBenchRecord(
       out_path, "dmt_trace_overhead",
-      {{"pairs", JsonNum(kPairs)},
+      {{"rounds", JsonNum(kRounds)},
        {"arm_min_seconds", JsonNum(kArmSecs)},
        {"sample_shift", JsonNum(6)},
-       {"untraced_txns_per_sec", JsonNum(sampled.med_a)},
-       {"traced_txns_per_sec", JsonNum(sampled.med_b)},
+       {"untraced_txns_per_sec", JsonNum(untraced.median)},
+       {"traced_txns_per_sec", JsonNum(sampled.median)},
        {"trace_overhead_pct", JsonNum(sampled.delta_pct)},
        {"trace_overhead_q1_pct", JsonNum(sampled.delta_q1_pct)},
        {"trace_overhead_q3_pct", JsonNum(sampled.delta_q3_pct)},
+       {"null_overhead_pct", JsonNum(null_arm.delta_pct)},
+       {"null_q1_pct", JsonNum(null_arm.delta_q1_pct)},
+       {"null_q3_pct", JsonNum(null_arm.delta_q3_pct)},
        {"full_fidelity_overhead_pct", JsonNum(full.delta_pct)}});
   if (sampled.delta_pct >= 3.0) {
     std::fflush(stdout);

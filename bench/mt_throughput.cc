@@ -1,33 +1,41 @@
-// Closed-loop multithreaded MT(k) throughput benchmark (the perf experiment
-// behind the sharded engine): sweeps threads x contention x k over the
-// thread-safe ShardedMtkEngine, and measures the single-thread throughput
-// of the sharded engine with one shard against MtkScheduler. Every loop is
-// the shared closed-loop client (workload/closed_loop.h): restart and
-// replay on reject, abandon after kMaxTries, so abort handling and restart
-// costs are part of every number and the compaction watermark can always
-// advance. The observability overhead gates (parts 3, 3b, 3f) fail the
-// run: after every record is written, the process exits 1 if any gate is
-// over its bar.
+// Closed-loop multithreaded MT(k) throughput benchmark: the cost ladder
+// of the thread-safe ShardedMtkEngine, plus adaptive admission across a
+// contention phase change. Every loop is the shared closed-loop client
+// (workload/closed_loop.h): restart and replay on reject, abandon after
+// kMaxTries, so abort handling and restart costs are part of every number
+// and the compaction watermark can always advance.
+//
+// The ladder prices the stack one layer at a time. A rung is a name, a
+// parent, and the one layer it adds to its parent's configuration; every
+// engine rung runs the deployed configuration (perfbench's
+// DeployedEngineOptions). A cell (items x client threads) runs every rung
+// once per round, in an order rotated from round to round, and a rung's
+// price is the median over rounds of its per-round delta against its
+// parent (MeasureRounds, common/bench_clock.h). A null rung measures the
+// 32-shard engine a second time; its spread is the cell's noise floor.
+// The metrics, live and flight rungs are the observability overhead gates
+// in the all-hardware-threads, 65,536-item cell: after every record is
+// written, the process exits 1 if any of them is over its bar.
 //
 // Results go to stdout (tables) and are upserted into a JSON results file
-// (first positional arg, default BENCH_core.json) keyed by benchmark name.
-// Scaling numbers are only meaningful when the machine has at least as many
-// hardware threads as the sweep uses; the record carries the detected
-// count so readers can judge.
+// (first positional arg, default BENCH_core.json) keyed by benchmark name:
+// one mt_ladder_items<I>_t<T> record per cell. Scaling numbers are only
+// meaningful when the machine has at least as many hardware threads as the
+// cell uses; every record carries the detected count so readers can judge.
 //
 // Live telemetry: `--serve[=PORT]` (default port 9464, 0 = ephemeral)
 // starts a background Sampler over the process-wide registry plus an HTTP
 // exporter serving /metrics, /metrics.json, /series.json and /healthz
-// while the benchmark runs; the part-2 engines then publish into the
-// global registry so the series show real windowed rates. `--sample-ms=N`
+// while the benchmark runs; the rungs that attach a registry then attach
+// the global one, so the series show real windowed rates. `--sample-ms=N`
 // sets the sampling interval (default 100).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,17 +62,11 @@ double Mops(const LoopResult& r) { return r.ops_per_sec() / 1e6; }
 // Goodput: operations of COMMITTED transactions per second (in millions).
 // Accepted-op throughput flatters high-abort configurations, because
 // operations of transactions that later abort still count; goodput only
-// credits work that survived, which is the number the batching sweep
-// compares.
+// credits work that survived.
 double GoodputMops(const LoopResult& r, uint32_t ops_per_txn) {
   return r.seconds > 0 ? static_cast<double>(r.committed) * ops_per_txn /
                              r.seconds / 1e6
                        : 0;
-}
-
-double LatencyUs(LoopResult& r, int pct) {
-  if (r.latencies_ns.empty()) return 0;
-  return static_cast<double>(Percentile(r.latencies_ns, pct)) / 1000.0;
 }
 
 std::string Fmt(double v, int prec = 2) {
@@ -73,28 +75,241 @@ std::string Fmt(double v, int prec = 2) {
   return buf;
 }
 
-// An observability overhead gate: the arm pair that differs in one layer
-// (each arm returns Mops) and the bar the median per-pair overhead must
-// stay under.
-struct OverheadGate {
-  const char* record;  // BENCH record name.
-  const char* field;   // Its overhead field.
-  const char* title;
-  double bar_pct;
-  std::function<double()> baseline, instrumented;
-};
-
-// ===========================================================================
-// Experiments.
-// ===========================================================================
-
 constexpr uint32_t kOpsPerTxn = 6;
 constexpr double kReadFraction = 0.6;
 constexpr uint32_t kLowContentionItems = 65536;
 constexpr uint32_t kHighContentionItems = 64;
 
+// ===========================================================================
+// The cost ladder.
+// ===========================================================================
+
+constexpr size_t kLadderK = 3;
+constexpr int kLadderRounds = 9;
+// Arm length. In the gate cell, interference bursts on shared hosts run
+// for a few hundred ms, so 0.3 s arms land entirely inside or outside a
+// burst (+-8% per arm); 1 s arms integrate over it. The other cells price
+// the layers without a bar and use short arms.
+constexpr double kGateArmSecs = 1.0;
+constexpr double kCellArmSecs = 0.1;
+
+// What a rung runs: the layers stacked on the closed-loop client.
+struct Stack {
+  bool scheduler = false;  // MtkScheduler (1 client only), not the engine.
+  size_t shards = 1;
+  bool metrics = false;  // A registry, phase attribution off (shift 63).
+  bool live = false;     // Sampler @100 ms + idle HTTP exporter on it.
+  bool flight = false;   // FlightRecorder 4x256 + 1-in-64 attribution.
+  size_t batch = 0;      // Batched admission width; 0 = per op.
+  bool multiversion = false;
+  uint64_t work_ns = 0;  // Client spin after every accepted op.
+};
+
+// A rung: its parent and the one layer it adds to the parent's stack. A
+// gated rung names its overhead field and the bar its delta must stay
+// under in the gate cell.
+struct Rung {
+  const char* name;
+  const char* parent;  // nullptr: the root.
+  void (*layer)(Stack&);
+  const char* gate = nullptr;
+  double bar_pct = 0;
+};
+
+// The main chain is perfbench's `solo` stack; batching, MV and client
+// work branch off the 32-shard engine.
+const Rung kRungs[] = {
+    {"sched", nullptr, [](Stack& s) { s.scheduler = true; }},
+    {"shards1", "sched",
+     [](Stack& s) {
+       s.scheduler = false;
+       s.shards = 1;
+     }},
+    {"shards32", "shards1", [](Stack& s) { s.shards = 32; }},
+    {"metrics", "shards32", [](Stack& s) { s.metrics = true; },
+     "obs_overhead_pct", 3.0},
+    {"live", "metrics", [](Stack& s) { s.live = true; },
+     "live_obs_overhead_pct", 2.0},
+    {"flight", "live", [](Stack& s) { s.flight = true; },
+     "flight_obs_overhead_pct", 3.0},
+    {"batch8", "shards32", [](Stack& s) { s.batch = 8; }},
+    {"mv", "shards32", [](Stack& s) { s.multiversion = true; }},
+    {"work50", "shards32", [](Stack& s) { s.work_ns = 50'000; }},
+    {"mv_work50", "work50", [](Stack& s) { s.multiversion = true; }},
+    {"null", "shards32", [](Stack&) {}},
+};
+
+const Rung* ParentOf(const Rung& rung) {
+  for (const Rung& p : kRungs) {
+    if (rung.parent != nullptr && std::strcmp(p.name, rung.parent) == 0) {
+      return &p;
+    }
+  }
+  return nullptr;
+}
+
+Stack StackOf(const Rung& rung) {
+  const Rung* parent = ParentOf(rung);
+  Stack s = parent != nullptr ? StackOf(*parent) : Stack{};
+  rung.layer(s);
+  return s;
+}
+
+// One run of a stack on a fresh target: k=3 with the starvation fix, and
+// for the engine the deployed compaction period (the stop-the-world sweep
+// is O(items), so the period scales with the item count). `global`, when
+// serving, is the registry the metrics rungs publish into.
+LoopResult RunStack(const Stack& s, const Workload& w, size_t threads,
+                    double secs, MetricsRegistry* global) {
+  if (s.scheduler) {
+    MtkOptions mo;
+    mo.k = kLadderK;
+    mo.starvation_fix = true;
+    MtkScheduler sched(mo);
+    return RunClosedLoop(sched, w, 1, secs);
+  }
+  EngineOptions eo;
+  eo.k = kLadderK;
+  eo.num_shards = s.shards;
+  eo.starvation_fix = true;
+  eo.compact_every = std::max<uint64_t>(1024, w.items / 2);
+  eo.multiversion = s.multiversion;
+  MetricsRegistry reg;
+  if (s.metrics) {
+    eo.metrics = global != nullptr ? global : &reg;
+    eo.phase_sample_shift = s.flight ? 6 : 63;
+  }
+  std::optional<FlightRecorder> flight;
+  if (s.flight) {
+    eo.flight = &flight.emplace(FlightRecorderOptions{4, 256, kLadderK});
+  }
+  std::optional<Sampler> sampler;
+  std::optional<HttpExporter> exporter;
+  if (s.live) {
+    SamplerOptions so;
+    so.registry = eo.metrics;
+    so.interval_ms = 100;
+    StarvationWatchdogOptions wo;
+    wo.source_gauge = "engine.max_consecutive_aborts";
+    sampler.emplace(so).AddStarvationWatchdog(wo);
+    sampler->Start();
+    HttpExporterOptions ho;
+    ho.registry = eo.metrics;
+    ho.sampler = &*sampler;
+    ho.port = 0;  // Ephemeral; an idle listener, the worst case here.
+    exporter.emplace(ho).Start();
+  }
+  ShardedMtkEngine engine(eo);
+  return RunClosedLoop(engine, w, threads, secs, s.batch, s.work_ns);
+}
+
+struct GateReading {
+  const char* field;
+  double pct, bar_pct;
+  size_t threads;
+};
+
+// One ladder cell: every rung that applies at this thread count, priced
+// against its parent over kLadderRounds rotated rounds. Records the cell
+// and appends its gated rungs' readings to `gates` when `gated`.
+void RunCell(const char* out_path, unsigned hw, uint32_t items,
+             size_t threads, bool gated, MetricsRegistry* global,
+             std::vector<GateReading>& gates) {
+  const double secs = gated ? kGateArmSecs : kCellArmSecs;
+  std::vector<const Rung*> rungs;
+  for (const Rung& r : kRungs) {
+    if (threads == 1 || !StackOf(r).scheduler) rungs.push_back(&r);
+  }
+  const size_t n = rungs.size();
+  std::vector<int> parents(n, -1);  // -1: a root in this cell.
+  for (size_t i = 0; i < n; ++i) {
+    const auto it = std::find(rungs.begin(), rungs.end(), ParentOf(*rungs[i]));
+    if (it != rungs.end()) parents[i] = static_cast<int>(it - rungs.begin());
+  }
+  std::printf(
+      "--- ladder: %u items, %zu threads, k=%zu, %d rounds x %.1fs ---\n",
+      items, threads, kLadderK, kLadderRounds, secs);
+  std::fflush(stdout);
+  const Workload w =
+      MakeWorkload(threads, items, kOpsPerTxn, kReadFraction, 42);
+  std::vector<std::vector<double>> goodput(n), aborts(n), p50(n), p99(n);
+  const std::vector<RoundsArm> arms =
+      MeasureRounds(kLadderRounds, parents, [&](size_t i) {
+        LoopResult r = RunStack(StackOf(*rungs[i]), w, threads, secs, global);
+        goodput[i].push_back(GoodputMops(r, kOpsPerTxn));
+        aborts[i].push_back(r.abort_rate());
+        if (!r.latencies_ns.empty()) {  // The batched loop samples none.
+          p50[i].push_back(Percentile(r.latencies_ns, 50) / 1e3);
+          p99[i].push_back(PercentileSorted(r.latencies_ns, 99) / 1e3);
+        }
+        return Mops(r);
+      });
+
+  TablePrinter table({"rung", "parent", "Mops", "good Mops", "abort",
+                      "p50 us", "p99 us", "delta %", "quartiles %", "bar"});
+  auto num_or_null = [](const std::vector<double>& v) {
+    return v.empty() ? std::string("null") : JsonNum(Median(v));
+  };
+  std::string rows;
+  for (size_t i = 0; i < n; ++i) {
+    const Rung& rung = *rungs[i];
+    const RoundsArm& a = arms[i];
+    const bool gate = gated && rung.gate != nullptr;
+    const char* parent = parents[i] < 0 ? "-" : rung.parent;
+    std::string bar = "-";
+    if (gate) {
+      bar = "< " + Fmt(rung.bar_pct, 0) + "%" +
+            (a.delta_pct < rung.bar_pct ? "" : " ABOVE BAR");
+      gates.push_back({rung.gate, a.delta_pct, rung.bar_pct, threads});
+    }
+    table.AddRow({rung.name, parent, Fmt(a.median), Fmt(Median(goodput[i])),
+                  Fmt(Median(aborts[i]), 3),
+                  p50[i].empty() ? "-" : Fmt(Median(p50[i]), 1),
+                  p99[i].empty() ? "-" : Fmt(Median(p99[i]), 1),
+                  a.has_delta ? Fmt(a.delta_pct) : "-",
+                  a.has_delta ? Fmt(a.delta_q1_pct) + " .. " +
+                                    Fmt(a.delta_q3_pct)
+                              : "-",
+                  bar});
+    if (!rows.empty()) rows += ", ";
+    rows += "{\"rung\": " + JsonStr(rung.name) +
+            ", \"parent\": " + (parents[i] < 0 ? "null" : JsonStr(parent)) +
+            ", \"mops\": " + JsonNum(a.median) +
+            ", \"goodput_mops\": " + JsonNum(Median(goodput[i])) +
+            ", \"abort_rate\": " + JsonNum(Median(aborts[i])) +
+            ", \"p50_us\": " + num_or_null(p50[i]) +
+            ", \"p99_us\": " + num_or_null(p99[i]);
+    if (a.has_delta) {
+      rows += ", \"delta_pct\": " + JsonNum(a.delta_pct) +
+              ", \"delta_q1_pct\": " + JsonNum(a.delta_q1_pct) +
+              ", \"delta_q3_pct\": " + JsonNum(a.delta_q3_pct);
+    }
+    if (gate) {
+      rows += ", \"gate\": " + JsonStr(rung.gate) +
+              ", \"bar_pct\": " + JsonNum(rung.bar_pct);
+    }
+    rows += "}";
+  }
+  std::printf("%s\n", table.ToString().c_str());
+  UpsertBenchRecord(
+      out_path,
+      "mt_ladder_items" + std::to_string(items) + "_t" +
+          std::to_string(threads),
+      {{"hardware_threads", JsonNum(hw)},
+       {"threads", JsonNum(static_cast<double>(threads))},
+       {"items", JsonNum(items)},
+       {"k", JsonNum(kLadderK)},
+       {"ops_per_txn", JsonNum(kOpsPerTxn)},
+       {"read_fraction", JsonNum(kReadFraction)},
+       {"compact_every", JsonNum(std::max<uint32_t>(1024, items / 2))},
+       {"rounds", JsonNum(kLadderRounds)},
+       {"arm_seconds", JsonNum(secs)},
+       {"trace_compiled", MDTS_TRACE_COMPILED ? "true" : "false"},
+       {"rungs", "[" + rows + "]"}});
+}
+
 int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
-  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("=== MT(k) closed-loop throughput (hardware threads: %u) ===\n\n",
               hw);
 
@@ -133,529 +348,17 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
     std::fflush(stdout);  // The URL must be visible even when piped.
   }
 
-  // -------------------------------------------------------------------
-  // Part 1: single-thread throughput at k = 3 on both contention levels.
-  // "sched" is MtkScheduler (what MtkOnline runs), "engine x1" the sharded
-  // engine with one shard.
-  // -------------------------------------------------------------------
-  std::printf("--- single-thread, k=3, %u ops/txn, %.0f%% reads ---\n",
-              kOpsPerTxn, kReadFraction * 100);
-  TablePrinter single({"items", "sched Mops", "engine Mops", "abort rate"});
-  double sched_low_mops = 0, engine_low_mops = 0;
+  // The ladder: items {65,536, 64} x threads {1, all hardware threads}.
+  MetricsRegistry* global =
+      live_sampler != nullptr ? &GlobalMetrics() : nullptr;
+  std::vector<GateReading> gates;
+  std::vector<size_t> thread_counts = {1};
+  if (hw > 1) thread_counts.push_back(hw);
   for (uint32_t items : {kLowContentionItems, kHighContentionItems}) {
-    const Workload w =
-        MakeWorkload(1, items, kOpsPerTxn, kReadFraction, 42);
-    const double secs = 1.0;
-    // Warmup + run, each system fresh.
-    MtkOptions mo;
-    mo.k = 3;
-    mo.starvation_fix = true;
-    {
-      MtkScheduler warm(mo);
-      (void)PerOpLoop(warm, w, 0, 1, 0.1);
+    for (size_t threads : thread_counts) {
+      const bool gated = items == kLowContentionItems && threads == hw;
+      RunCell(out_path, hw, items, threads, gated, global, gates);
     }
-    MtkScheduler sched(mo);
-    const LoopResult rs = PerOpLoop(sched, w, 0, 1, secs);
-    EngineOptions eo;
-    eo.k = 3;
-    eo.num_shards = 1;
-    eo.starvation_fix = true;
-    ShardedMtkEngine engine(eo);
-    const LoopResult re = RunClosedLoop(engine, w, 1, secs);
-    if (items == kLowContentionItems) {
-      sched_low_mops = Mops(rs);
-      engine_low_mops = Mops(re);
-    }
-    single.AddRow({std::to_string(items), Fmt(Mops(rs)), Fmt(Mops(re)),
-                   Fmt(rs.abort_rate(), 3)});
-  }
-  std::printf("%s\n", single.ToString().c_str());
-
-  UpsertBenchRecord(
-      out_path, "mt_throughput_single_thread_k3",
-      {{"hardware_threads", JsonNum(hw)},
-       {"items_low_contention", JsonNum(kLowContentionItems)},
-       {"sched_mops", JsonNum(sched_low_mops)},
-       {"engine_1shard_mops", JsonNum(engine_low_mops)}});
-
-  // -------------------------------------------------------------------
-  // Part 2: engine scaling sweep, threads x contention x k. Compaction is
-  // on, with a period scaled to the item count: the stop-the-world sweep
-  // is O(items), so a fixed small period would spend the whole run
-  // scanning 65536 item histories.
-  // -------------------------------------------------------------------
-  const std::vector<size_t> thread_counts = {1, 2, 4, 8};
-  double scaling_4t = 0, mops_1t_low_k3 = 0, mops_4t_low_k3 = 0;
-  for (uint32_t items : {kLowContentionItems, kHighContentionItems}) {
-    for (size_t k : {1u, 3u, 7u}) {
-      std::printf("--- engine: %u items, k=%zu ---\n", items, k);
-      TablePrinter table({"threads", "Mops", "commit/s", "abort rate",
-                          "p50 us", "p99 us", "cross-shard", "released"});
-      std::string mops_list, abort_list, p50_list, p99_list;
-      for (size_t threads : thread_counts) {
-        EngineOptions eo;
-        eo.k = k;
-        eo.num_shards = 32;  // Over-provisioned so locksets rarely collide.
-        eo.starvation_fix = true;
-        // When serving live telemetry, publish into the global registry so
-        // the exporter has something to show. An attached registry costs
-        // ~1% (part 3), which is uniform across the sweep.
-        if (live_sampler != nullptr) eo.metrics = &GlobalMetrics();
-        // The stop-the-world sweep is O(items): scale the period with the
-        // item count so compaction stays amortized, with a floor so hot
-        // small-table runs still reclaim aggressively.
-        eo.compact_every = std::max<uint64_t>(1024, items / 2);
-        const Workload w =
-            MakeWorkload(threads, items, kOpsPerTxn, kReadFraction, 42);
-        {
-          ShardedMtkEngine warm(eo);
-          (void)RunClosedLoop(warm, w, threads, 0.08);
-        }
-        ShardedMtkEngine engine(eo);
-        LoopResult r = RunClosedLoop(engine, w, threads, 0.5);
-        const EngineStats st = engine.stats();
-        const uint64_t decided = st.single_shard_ops + st.cross_shard_ops;
-        const double cross_frac =
-            decided ? static_cast<double>(st.cross_shard_ops) / decided : 0;
-        const double p50 = LatencyUs(r, 50);
-        const double p99 = LatencyUs(r, 99);
-        table.AddRow({std::to_string(threads), Fmt(Mops(r)),
-                      Fmt(static_cast<double>(r.committed) / r.seconds, 0),
-                      Fmt(r.abort_rate(), 3), Fmt(p50, 1), Fmt(p99, 1),
-                      Fmt(cross_frac, 2),
-                      std::to_string(st.txns_released)});
-        const char* sep = mops_list.empty() ? "" : ", ";
-        mops_list += sep + JsonNum(Mops(r));
-        abort_list += sep + JsonNum(r.abort_rate());
-        p50_list += sep + JsonNum(p50);
-        p99_list += sep + JsonNum(p99);
-        if (items == kLowContentionItems && k == 3) {
-          if (threads == 1) mops_1t_low_k3 = Mops(r);
-          if (threads == 4) mops_4t_low_k3 = Mops(r);
-        }
-      }
-      std::printf("%s\n", table.ToString().c_str());
-      const std::string name = "mt_engine_scaling_items" +
-                               std::to_string(items) + "_k" +
-                               std::to_string(k);
-      UpsertBenchRecord(out_path, name,
-                        {{"hardware_threads", JsonNum(hw)},
-                         {"num_shards", JsonNum(32)},
-                         {"threads", "[1, 2, 4, 8]"},
-                         {"mops", "[" + mops_list + "]"},
-                         {"abort_rate", "[" + abort_list + "]"},
-                         {"p50_us", "[" + p50_list + "]"},
-                         {"p99_us", "[" + p99_list + "]"}});
-    }
-  }
-  scaling_4t = mops_1t_low_k3 > 0 ? mops_4t_low_k3 / mops_1t_low_k3 : 0;
-
-  // -------------------------------------------------------------------
-  // Part 2b: batched admission x contention, single thread (the per-op
-  // arm then matches the threads=1 cells of part 2). The per-op arm
-  // drives Process in a plain closed loop; the batched arms keep `batch`
-  // transactions in flight and admit one operation per transaction per
-  // ProcessBatch call. Goodput (committed ops/s) is the comparison metric:
-  // batching also raises the number of concurrently live transactions per
-  // worker, which under high contention raises the conflict rate - a real
-  // tradeoff the table reports instead of hiding.
-  // -------------------------------------------------------------------
-  const std::vector<size_t> batch_sizes = {1, 8, 32};
-  // Every arm runs with a metrics registry attached (the deployed
-  // configuration: the engine's counters are pulled at snapshot time, and
-  // the sampled phase histograms are recorded per batch). Arms are
-  // interleaved and the medians compared, like part 3.
-  constexpr int kBatchReps = 3;
-  constexpr double kBatchSecs = 0.4;
-  double perop_goodput_low = 0, batch8_goodput_low = 0;
-  for (uint32_t items : {kLowContentionItems, kHighContentionItems}) {
-    std::printf(
-        "--- batched admission: %u items, k=3, 1 thread, "
-        "median of %d x %.1fs ---\n",
-        items, kBatchReps, kBatchSecs);
-    TablePrinter table({"mode", "goodput Mops", "accepted Mops",
-                        "abort rate"});
-    EngineOptions eo;
-    eo.k = 3;
-    eo.num_shards = 32;
-    eo.starvation_fix = true;
-    eo.compact_every = std::max<uint64_t>(1024, items / 2);
-    const Workload w = MakeWorkload(1, items, kOpsPerTxn, kReadFraction, 42);
-
-    // Arm 0 is the per-op closed loop; arm 1 + b is batch_sizes[b].
-    const size_t n_arms = 1 + batch_sizes.size();
-    std::vector<std::vector<double>> gp(n_arms), ab(n_arms), mp(n_arms);
-    std::vector<EngineStats> arm_stats(n_arms);
-    MetricsRegistry scratch_reg;
-    eo.metrics = live_sampler != nullptr ? &GlobalMetrics() : &scratch_reg;
-    for (int rep = 0; rep < kBatchReps; ++rep) {
-      for (size_t a = 0; a < n_arms; ++a) {
-        const size_t batch = a == 0 ? 0 : batch_sizes[a - 1];
-        if (rep == 0) {
-          ShardedMtkEngine warm(eo);
-          (void)RunClosedLoop(warm, w, 1, 0.08, batch);
-        }
-        ShardedMtkEngine engine(eo);
-        const LoopResult r = RunClosedLoop(engine, w, 1, kBatchSecs, batch);
-        arm_stats[a] = engine.stats();
-        gp[a].push_back(GoodputMops(r, kOpsPerTxn));
-        ab[a].push_back(r.abort_rate());
-        mp[a].push_back(Mops(r));
-      }
-    }
-
-    std::string cells;
-    for (size_t a = 0; a < n_arms; ++a) {
-      const double goodput = Median(gp[a]);
-      const double abort = Median(ab[a]);
-      const std::string mode =
-          a == 0 ? "per-op" : "batch=" + std::to_string(batch_sizes[a - 1]);
-      table.AddRow({mode, Fmt(goodput), Fmt(Median(mp[a])), Fmt(abort, 3)});
-      if (a == 0) continue;
-      const size_t batch = batch_sizes[a - 1];
-      const EngineStats& st = arm_stats[a];
-      const double avg_batch =
-          st.batches > 0 ? static_cast<double>(st.batch_ops) /
-                               static_cast<double>(st.batches)
-                         : 0;
-      if (!cells.empty()) cells += ", ";
-      cells += "{\"batch\": " + JsonNum(static_cast<double>(batch)) +
-               ", \"goodput_mops\": " + JsonNum(goodput) +
-               ", \"abort_rate\": " + JsonNum(abort) +
-               ", \"avg_batch_ops\": " + JsonNum(avg_batch) + "}";
-      if (items == kLowContentionItems && batch == 8) {
-        batch8_goodput_low = goodput;
-      }
-    }
-    if (items == kLowContentionItems) perop_goodput_low = Median(gp[0]);
-    std::printf("%s\n", table.ToString().c_str());
-    UpsertBenchRecord(
-        out_path, "mt_engine_batch_sweep_items" + std::to_string(items),
-        {{"hardware_threads", JsonNum(hw)},
-         {"num_shards", JsonNum(32)},
-         {"k", JsonNum(3)},
-         {"threads", JsonNum(1)},
-         {"ops_per_txn", JsonNum(kOpsPerTxn)},
-         {"ab_reps", JsonNum(kBatchReps)},
-         {"metrics_attached", "true"},
-         {"cells", "[{\"perop_goodput_mops\": " + JsonNum(Median(gp[0])) +
-                       ", \"perop_abort_rate\": " + JsonNum(Median(ab[0])) +
-                       ", \"batch\": [" + cells + "]}]"}});
-  }
-
-  // -------------------------------------------------------------------
-  // Parts 3, 3b, 3f: observability overhead gates on part 2's engine cell
-  // (k=3, low contention, 32 shards), tracing runtime-disabled. Each gate
-  // is an arm pair that differs in one layer: 3 attaches a metrics
-  // registry (collector + sampled phase histograms) to an engine without
-  // one; 3b adds a Sampler ticking every 100 ms and an idle HTTP exporter
-  // to that registry; 3f adds a FlightRecorder and 1-in-64 phase
-  // attribution to a registry-attached engine whose attribution is off
-  // (shift 63). Adjacent A/B pairs, order flipped per pair, median of
-  // per-pair deltas (MeasurePairs, common/bench_clock.h), so drift and
-  // interference bursts hit both arms alike. Each record also carries the
-  // quartiles of the per-pair deltas. A gate over its bar fails the run
-  // once every record is written.
-  // -------------------------------------------------------------------
-  const size_t obs_threads = hw >= 4 ? 4 : 1;
-  EngineOptions obs_eo;
-  obs_eo.k = 3;
-  obs_eo.num_shards = 32;
-  obs_eo.starvation_fix = true;
-  obs_eo.compact_every = std::max<uint64_t>(1024, kLowContentionItems / 2);
-  const Workload obs_w = MakeWorkload(obs_threads, kLowContentionItems,
-                                      kOpsPerTxn, kReadFraction, 42);
-  constexpr int kObsPairs = 9;
-  // Arm length: interference bursts on shared hosts run for a few hundred
-  // ms, so 0.3 s arms land entirely inside or outside a burst (+-8% per
-  // arm); 1 s arms integrate over it.
-  constexpr double kObsArmSecs = 1.0;
-  constexpr uint64_t kLiveSampleMs = 100;
-  auto obs_arm = [&](const EngineOptions& eo) {
-    ShardedMtkEngine engine(eo);
-    return Mops(RunClosedLoop(engine, obs_w, obs_threads, kObsArmSecs));
-  };
-  auto registry_arm = [&](uint32_t phase_sample_shift,
-                          FlightRecorder* flight) {
-    MetricsRegistry reg;
-    EngineOptions eo = obs_eo;
-    eo.metrics = &reg;
-    eo.phase_sample_shift = phase_sample_shift;
-    eo.flight = flight;
-    return obs_arm(eo);
-  };
-  const std::vector<OverheadGate> gates = {
-      {"mt_throughput_obs_overhead", "obs_overhead_pct",
-       "metrics registry attached", 3.0, [&] { return obs_arm(obs_eo); },
-       [&] { return registry_arm(6, nullptr); }},
-      {"mt_throughput_live_obs_overhead", "live_obs_overhead_pct",
-       "sampler @100ms + idle exporter", 2.0,
-       [&] { return registry_arm(6, nullptr); },
-       [&] {
-         MetricsRegistry reg;
-         EngineOptions eo = obs_eo;
-         eo.metrics = &reg;
-         SamplerOptions so;
-         so.registry = &reg;
-         so.interval_ms = kLiveSampleMs;
-         Sampler sampler(so);
-         StarvationWatchdogOptions wo;
-         wo.source_gauge = "engine.max_consecutive_aborts";
-         sampler.AddStarvationWatchdog(wo);
-         sampler.Start();
-         HttpExporterOptions ho;
-         ho.registry = &reg;
-         ho.sampler = &sampler;
-         ho.port = 0;  // Ephemeral; idle listener, worst case for the bench.
-         HttpExporter exporter(ho);
-         const bool serving = exporter.Start();
-         const double m = obs_arm(eo);
-         if (serving) exporter.Stop();
-         sampler.Stop();
-         return m;
-       }},
-      {"mt_throughput_flight_obs_overhead", "flight_obs_overhead_pct",
-       "flight recorder + 1-in-64 phase attribution", 3.0,
-       [&] { return registry_arm(63, nullptr); },
-       [&] {
-         FlightRecorderOptions fro;
-         fro.rings = 4;
-         fro.capacity = 256;
-         fro.k = 3;
-         FlightRecorder flight(fro);
-         return registry_arm(6, &flight);
-       }},
-  };
-  {
-    ShardedMtkEngine warm(obs_eo);
-    (void)RunClosedLoop(warm, obs_w, obs_threads, 0.1);
-  }
-  std::vector<double> gate_pct;  // Per gate, in table order.
-  for (const OverheadGate& g : gates) {
-    const PairedAb ab = MeasurePairs(kObsPairs, g.baseline, g.instrumented);
-    std::printf(
-        "--- overhead of %s: k=3, %u items, %zu threads ---\n"
-        "baseline %.2f Mops; instrumented %.2f Mops; overhead %.2f%% "
-        "(pair quartiles %.2f%% .. %.2f%%; bar: < %.0f%%)%s\n\n",
-        g.title, kLowContentionItems, obs_threads, ab.med_a, ab.med_b,
-        ab.delta_pct, ab.delta_q1_pct, ab.delta_q3_pct, g.bar_pct,
-        ab.delta_pct < g.bar_pct ? "" : "  [ABOVE BAR]");
-    UpsertBenchRecord(
-        out_path, g.record,
-        {{"hardware_threads", JsonNum(hw)},
-         {"threads", JsonNum(static_cast<double>(obs_threads))},
-         {"ab_pairs", JsonNum(kObsPairs)},
-         {"ab_arm_seconds", JsonNum(kObsArmSecs)},
-         {"baseline_mops", JsonNum(ab.med_a)},
-         {"instrumented_mops", JsonNum(ab.med_b)},
-         {g.field, JsonNum(ab.delta_pct)},
-         {"overhead_q1_pct", JsonNum(ab.delta_q1_pct)},
-         {"overhead_q3_pct", JsonNum(ab.delta_q3_pct)},
-         {"bar_pct", JsonNum(g.bar_pct)},
-         {"trace_compiled", MDTS_TRACE_COMPILED ? "true" : "false"}});
-    gate_pct.push_back(ab.delta_pct);
-  }
-
-  // -------------------------------------------------------------------
-  // Part 4: multiversion vs single-version admission, threads x
-  // contention x k x batch. Both arms run the same engine configuration
-  // (32 shards, starvation fix, periodic compaction - for the MV arm the
-  // sweep is also what refreshes the GC watermark); the only difference
-  // is EngineOptions::multiversion. The interesting cell is high
-  // contention, where SV aborts every read/write conflict and MV serves
-  // reads from older versions instead.
-  // -------------------------------------------------------------------
-  std::printf("\n--- part 4: multiversion vs single-version engine ---\n");
-  const size_t mv_threads_hi = hw >= 4 ? 4 : hw >= 2 ? 2 : 1;
-  double acc_sv_abort = 0, acc_mv_abort = 0, acc_sv_goodput = 0,
-         acc_mv_goodput = 0;
-  uint64_t acc_mv_read_rejects = 0, acc_mv_live_versions = 0,
-           acc_mv_installed = 0;
-  for (uint32_t items : {kHighContentionItems, uint32_t{4096}}) {
-    TablePrinter mv_table({"threads", "k", "batch", "SV good Mops",
-                           "MV good Mops", "MV/SV", "SV abort", "MV abort",
-                           "MV read rej", "MV live vers"});
-    std::string cells;
-    std::vector<size_t> mv_thread_levels{1};
-    if (mv_threads_hi > 1) mv_thread_levels.push_back(mv_threads_hi);
-    for (size_t threads : mv_thread_levels) {
-      for (size_t k : {size_t{3}, size_t{5}}) {
-        for (size_t batch : {size_t{1}, size_t{8}}) {
-          const Workload w = MakeWorkload(threads, items, kOpsPerTxn,
-                                          kReadFraction, 42);
-          EngineOptions eo;
-          eo.k = k;
-          eo.num_shards = 32;
-          eo.starvation_fix = true;
-          eo.compact_every = 256;
-          // A/B interleaved: SV then MV per rep, medians compared.
-          constexpr int kMvReps = 3;
-          std::vector<double> sv_gp, mv_gp, sv_ab, mv_ab;
-          EngineStats sv_st, mv_st;
-          for (int rep = 0; rep < kMvReps; ++rep) {
-            for (const bool mv : {false, true}) {
-              eo.multiversion = mv;
-              ShardedMtkEngine engine(eo);
-              const LoopResult r = RunClosedLoop(engine, w, threads, 0.3,
-                                                 batch == 1 ? 0 : batch);
-              (mv ? mv_st : sv_st) = engine.stats();
-              (mv ? mv_gp : sv_gp).push_back(GoodputMops(r, kOpsPerTxn));
-              (mv ? mv_ab : sv_ab).push_back(r.abort_rate());
-            }
-          }
-          const double svg = Median(sv_gp), mvg = Median(mv_gp);
-          const double sva = Median(sv_ab), mva = Median(mv_ab);
-          mv_table.AddRow(
-              {std::to_string(threads), std::to_string(k),
-               std::to_string(batch), Fmt(svg), Fmt(mvg),
-               Fmt(svg > 0 ? mvg / svg : 0), Fmt(sva, 3), Fmt(mva, 3),
-               std::to_string(mv_st.read_rejects),
-               std::to_string(mv_st.live_versions)});
-          if (!cells.empty()) cells += ", ";
-          cells += "{\"threads\": " + JsonNum(static_cast<double>(threads)) +
-                   ", \"k\": " + JsonNum(static_cast<double>(k)) +
-                   ", \"batch\": " + JsonNum(static_cast<double>(batch)) +
-                   ", \"sv_goodput_mops\": " + JsonNum(svg) +
-                   ", \"mv_goodput_mops\": " + JsonNum(mvg) +
-                   ", \"sv_abort_rate\": " + JsonNum(sva) +
-                   ", \"mv_abort_rate\": " + JsonNum(mva) +
-                   ", \"mv_read_rejects\": " +
-                   JsonNum(static_cast<double>(mv_st.read_rejects)) +
-                   ", \"mv_old_version_reads\": " +
-                   JsonNum(static_cast<double>(mv_st.old_version_reads)) +
-                   ", \"mv_versions_installed\": " +
-                   JsonNum(static_cast<double>(mv_st.versions_installed)) +
-                   ", \"mv_versions_gc\": " +
-                   JsonNum(static_cast<double>(mv_st.versions_gc)) +
-                   ", \"mv_live_versions\": " +
-                   JsonNum(static_cast<double>(mv_st.live_versions)) + "}";
-          // The acceptance cell: high contention, k=3, batched, all
-          // hardware threads.
-          if (items == kHighContentionItems && k == 3 && batch == 8 &&
-              threads == mv_threads_hi) {
-            acc_sv_abort = sva;
-            acc_mv_abort = mva;
-            acc_sv_goodput = svg;
-            acc_mv_goodput = mvg;
-            acc_mv_read_rejects = mv_st.read_rejects;
-            acc_mv_live_versions = mv_st.live_versions;
-            acc_mv_installed = mv_st.versions_installed;
-          }
-        }
-      }
-    }
-    std::printf("items = %u:\n%s\n", items, mv_table.ToString().c_str());
-    UpsertBenchRecord(out_path,
-                      "mt_engine_mv_sweep_items" + std::to_string(items),
-                      {{"hardware_threads", JsonNum(hw)},
-                       {"num_shards", JsonNum(32)},
-                       {"ops_per_txn", JsonNum(kOpsPerTxn)},
-                       {"read_fraction", JsonNum(kReadFraction)},
-                       {"compact_every", JsonNum(256)},
-                       {"ab_reps", JsonNum(3)},
-                       {"cells", "[" + cells + "]"}});
-  }
-  std::printf(
-      "MV acceptance cell (items=%u, k=3, batch=8, %zu threads): abort "
-      "%.3f -> %.3f, goodput %.2f -> %.2f Mops (%.2fx), %llu read rejects, "
-      "%llu live versions (of %llu installed)\n",
-      kHighContentionItems, mv_threads_hi, acc_sv_abort, acc_mv_abort,
-      acc_sv_goodput, acc_mv_goodput,
-      acc_sv_goodput > 0 ? acc_mv_goodput / acc_sv_goodput : 0,
-      static_cast<unsigned long long>(acc_mv_read_rejects),
-      static_cast<unsigned long long>(acc_mv_live_versions),
-      static_cast<unsigned long long>(acc_mv_installed));
-  UpsertBenchRecord(
-      out_path, "mt_engine_mv_acceptance",
-      {{"hardware_threads", JsonNum(hw)},
-       {"items", JsonNum(kHighContentionItems)},
-       {"k", JsonNum(3)},
-       {"batch", JsonNum(8)},
-       {"threads", JsonNum(static_cast<double>(mv_threads_hi))},
-       {"sv_abort_rate", JsonNum(acc_sv_abort)},
-       {"mv_abort_rate", JsonNum(acc_mv_abort)},
-       {"sv_goodput_mops", JsonNum(acc_sv_goodput)},
-       {"mv_goodput_mops", JsonNum(acc_mv_goodput)},
-       {"mv_over_sv_goodput",
-        JsonNum(acc_sv_goodput > 0 ? acc_mv_goodput / acc_sv_goodput : 0)},
-       {"mv_read_rejects", JsonNum(static_cast<double>(acc_mv_read_rejects))},
-       {"mv_live_versions",
-        JsonNum(static_cast<double>(acc_mv_live_versions))},
-       {"mv_versions_installed",
-        JsonNum(static_cast<double>(acc_mv_installed))}});
-
-  // -------------------------------------------------------------------
-  // Part 4 work cell: does MV pay for itself once transactions stay open?
-  // A client-side spin after every accepted op stands in for application
-  // work; the longer a transaction runs, the more of its reads meet a
-  // peer's newer write, which SV answers with an abort and MV with an
-  // older version. Same engine configuration as the sweep above (k=3,
-  // per-op admission, all hardware threads up to 4). SV and MV run in
-  // adjacent pairs, order flipped per pair, and MV/SV is the median of
-  // the per-pair ratios (MeasurePairs), so drift and interference
-  // bursts hit both arms alike.
-  // -------------------------------------------------------------------
-  {
-    constexpr int kWorkPairs = 7;
-    constexpr double kWorkArmSecs = 0.5;
-    const Workload w = MakeWorkload(mv_threads_hi, kHighContentionItems,
-                                    kOpsPerTxn, kReadFraction, 42);
-    EngineOptions eo;
-    eo.k = 3;
-    eo.num_shards = 32;
-    eo.starvation_fix = true;
-    eo.compact_every = 256;
-    TablePrinter work_table({"work us", "SV good Mops", "MV good Mops",
-                             "MV/SV", "SV abort", "MV abort",
-                             "MV read rej"});
-    std::string cells;
-    for (const uint64_t work_us : {uint64_t{0}, uint64_t{50}}) {
-      std::vector<double> sv_ab, mv_ab;
-      uint64_t mv_read_rejects = 0;
-      auto arm = [&](bool mv, std::vector<double>& aborts) {
-        eo.multiversion = mv;
-        ShardedMtkEngine engine(eo);
-        const LoopResult r = RunClosedLoop(engine, w, mv_threads_hi,
-                                           kWorkArmSecs, 0, work_us * 1000);
-        aborts.push_back(r.abort_rate());
-        if (mv) mv_read_rejects += engine.stats().read_rejects;
-        return GoodputMops(r, kOpsPerTxn);
-      };
-      const PairedAb ab =
-          MeasurePairs(kWorkPairs, [&] { return arm(false, sv_ab); },
-                       [&] { return arm(true, mv_ab); });
-      const double ratio = 1.0 - ab.delta_pct / 100.0;
-      const double sva = Median(sv_ab), mva = Median(mv_ab);
-      work_table.AddRow({std::to_string(work_us), Fmt(ab.med_a, 4),
-                         Fmt(ab.med_b, 4), Fmt(ratio), Fmt(sva, 3),
-                         Fmt(mva, 3), std::to_string(mv_read_rejects)});
-      if (!cells.empty()) cells += ", ";
-      cells += "{\"work_us\": " + JsonNum(static_cast<double>(work_us)) +
-               ", \"sv_goodput_mops\": " + JsonNum(ab.med_a) +
-               ", \"mv_goodput_mops\": " + JsonNum(ab.med_b) +
-               ", \"mv_over_sv_goodput\": " + JsonNum(ratio) +
-               ", \"sv_abort_rate\": " + JsonNum(sva) +
-               ", \"mv_abort_rate\": " + JsonNum(mva) +
-               ", \"mv_read_rejects\": " +
-               JsonNum(static_cast<double>(mv_read_rejects)) + "}";
-    }
-    std::printf("per-op work (items=%u, k=3, batch=1, %zu threads):\n%s\n",
-                kHighContentionItems, mv_threads_hi,
-                work_table.ToString().c_str());
-    UpsertBenchRecord(
-        out_path, "mt_engine_mv_work_items64",
-        {{"hardware_threads", JsonNum(hw)},
-         {"threads", JsonNum(static_cast<double>(mv_threads_hi))},
-         {"items", JsonNum(kHighContentionItems)},
-         {"k", JsonNum(3)},
-         {"batch", JsonNum(1)},
-         {"num_shards", JsonNum(32)},
-         {"ops_per_txn", JsonNum(kOpsPerTxn)},
-         {"read_fraction", JsonNum(kReadFraction)},
-         {"compact_every", JsonNum(256)},
-         {"ab_pairs", JsonNum(kWorkPairs)},
-         {"ab_arm_seconds", JsonNum(kWorkArmSecs)},
-         {"cells", "[" + cells + "]"}});
   }
 
   // -------------------------------------------------------------------
@@ -714,10 +417,11 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
       ao.min_k = 3;
       // Calibrate the abort-rate bands to this engine's closed-loop driver:
       // restart-and-replay keeps the healthy low-contention op reject rate
-      // near 0.47-0.50 (part 2b), while the batch=32 hot-set collapse sits
-      // at 0.90+. The stock 0.5/0.2 bands straddle the healthy baseline and
-      // would shrink on noise; 0.70/0.55 puts the baseline inside the quiet
-      // band and the collapse alone inside the shrink band.
+      // near 0.47-0.50 (one client, 65,536 items), while the batch=32
+      // hot-set collapse sits at 0.90+. The stock 0.5/0.2 bands straddle
+      // the healthy baseline and would shrink on noise; 0.70/0.55 puts the
+      // baseline inside the quiet band and the collapse alone inside the
+      // shrink band.
       ao.abort_rate_shrink = 0.70;
       ao.abort_rate_quiet = 0.55;
       ctl = std::make_unique<AdmissionController>(ao);
@@ -910,31 +614,6 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
        {"low_phase_batch_win_retained", JsonNum(retained)},
        {"low_phase_batch_gain_mops", JsonNum(batch_gain)}});
 
-  std::vector<std::pair<std::string, std::string>> acceptance = {
-      {"hardware_threads", JsonNum(hw)},
-      {"scaling_4t_over_1t_low_contention_k3", JsonNum(scaling_4t)},
-      {"note",
-       JsonStr(hw >= 4 ? "thread counts within hardware parallelism"
-                       : "hardware threads < 4: scaling ratio reflects "
-                         "timeslicing, not parallel speedup")},
-      {"batch8_over_perop_goodput_low_contention",
-       JsonNum(perop_goodput_low > 0
-                   ? batch8_goodput_low / perop_goodput_low
-                   : 0)}};
-  for (size_t i = 0; i < gates.size(); ++i) {
-    acceptance.emplace_back(gates[i].field, JsonNum(gate_pct[i]));
-  }
-  UpsertBenchRecord(out_path, "mt_throughput_acceptance", acceptance);
-
-  std::printf(
-      "single-thread (k=3, low contention): %.2f Mops sched, %.2f Mops "
-      "engine x1\n",
-      sched_low_mops, engine_low_mops);
-  std::printf("engine scaling 4t/1t (low contention, k=3): %.2fx%s\n",
-              scaling_4t,
-              hw < 4 ? "  [hardware threads < 4: timeslicing, not a "
-                       "parallel speedup measurement]"
-                     : "");
   std::printf("results upserted into %s\n", out_path);
 
   if (live_exporter != nullptr) {
@@ -946,11 +625,11 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
   }
   std::fflush(stdout);  // Keep the verdicts after the tables when merged.
   int status = 0;
-  for (size_t i = 0; i < gates.size(); ++i) {
-    if (gate_pct[i] < gates[i].bar_pct) continue;
+  for (const GateReading& g : gates) {
+    if (g.pct < g.bar_pct) continue;
     std::fprintf(stderr,
                  "GATE FAILED: %s = %.2f%% (bar: < %.0f%%) at %zu threads\n",
-                 gates[i].field, gate_pct[i], gates[i].bar_pct, obs_threads);
+                 g.field, g.pct, g.bar_pct, g.threads);
     status = 1;
   }
   return status;

@@ -60,48 +60,60 @@ inline double Median(std::vector<double> v) {
   return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
-/// A paired A/B measurement: each arm's median reading, and the per-pair
-/// deltas (a - b) / a in percent - their median, the headline, and their
-/// quartiles, the spread a reader judges the headline against.
-struct PairedAb {
-  double med_a = 0, med_b = 0;
+/// One arm of a rotated-rounds measurement: its median reading, and the
+/// median and quartiles over rounds of its per-round delta against its
+/// parent, (parent - arm) / parent in percent (positive: the arm reads
+/// lower than its parent). A root arm has no delta (has_delta is false).
+struct RoundsArm {
+  double median = 0;
+  bool has_delta = false;
   double delta_pct = 0;
   double delta_q1_pct = 0, delta_q3_pct = 0;
 };
 
-/// Runs `pairs` adjacent A/B pairs, each arm returning one reading, with
-/// the order flipped every other pair so machine-wide drift taxes both
-/// arms alike instead of always the second. The headline is the median of
-/// the per-pair deltas, not a comparison of per-arm medians: shared hosts
-/// show multi-hundred-ms interference bursts that depress whichever arm
-/// they land on by 10% or more, and a burst corrupts one pair's delta
-/// (voted out by the median over pairs) where it would shift a per-arm
-/// median.
-template <typename A, typename B>
-PairedAb MeasurePairs(int pairs, A&& run_a, B&& run_b) {
-  PairedAb r;
-  std::vector<double> as, bs, deltas;
-  for (int p = 0; p < pairs; ++p) {
-    double a = 0, b = 0;
-    if (p % 2 == 0) {
-      a = run_a();
-      b = run_b();
-    } else {
-      b = run_b();
-      a = run_a();
+/// Runs each of parents.size() arms once per round for `rounds` rounds;
+/// run(i) returns arm i's reading. Round r runs the arms in the order
+/// r, r + 1, ... (mod n), so machine-wide drift and the cost of going
+/// first or last fall on every arm alike; with two arms this is the A/B,
+/// B/A alternation. parents[i] is the arm that arm i is measured against,
+/// or -1 for a root. Each delta is taken within one round, and the
+/// headline is the median of those per-round deltas, not a comparison of
+/// per-arm medians: shared hosts show multi-hundred-ms interference
+/// bursts that depress whichever arm they land on by 10% or more, and a
+/// burst corrupts one round's delta (voted out by the median over rounds)
+/// where it would shift a per-arm median. An arm measured twice against
+/// itself (a null arm) shows the noise floor in its quartiles.
+template <typename Run>
+std::vector<RoundsArm> MeasureRounds(int rounds,
+                                     const std::vector<int>& parents,
+                                     Run&& run) {
+  const size_t n = parents.size();
+  std::vector<std::vector<double>> readings(n), deltas(n);
+  std::vector<double> round_reading(n);
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t arm = (static_cast<size_t>(r) + i) % n;
+      round_reading[arm] = run(arm);
+      readings[arm].push_back(round_reading[arm]);
     }
-    as.push_back(a);
-    bs.push_back(b);
-    if (a > 0) deltas.push_back((a - b) / a * 100.0);
+    for (size_t i = 0; i < n; ++i) {
+      if (parents[i] < 0) continue;
+      const double base = round_reading[static_cast<size_t>(parents[i])];
+      if (base > 0) {
+        deltas[i].push_back((base - round_reading[i]) / base * 100.0);
+      }
+    }
   }
-  r.med_a = Median(as);
-  r.med_b = Median(bs);
-  r.delta_pct = Median(deltas);
-  if (!deltas.empty()) {
-    r.delta_q1_pct = Percentile(deltas, 25);
-    r.delta_q3_pct = Percentile(deltas, 75);
+  std::vector<RoundsArm> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i].median = Median(readings[i]);
+    if (deltas[i].empty()) continue;
+    out[i].has_delta = true;
+    out[i].delta_pct = Median(deltas[i]);
+    out[i].delta_q1_pct = Percentile(deltas[i], 25);
+    out[i].delta_q3_pct = Percentile(deltas[i], 75);
   }
-  return r;
+  return out;
 }
 
 }  // namespace mdts

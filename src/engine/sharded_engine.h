@@ -108,9 +108,9 @@ struct EngineOptions {
   /// decision/commit points while the covering shard locks are still held,
   /// so a dump is a consistent tail of engine history. Ring selection is
   /// txn % FlightRecorder::rings(). Null disables (the default); must
-  /// outlive the engine. bench/mt_throughput part 3 measures the
-  /// attached-vs-null delta as flight_obs_overhead_pct (acceptance bar:
-  /// < 3%).
+  /// outlive the engine. The `flight` rung of bench/mt_throughput's cost
+  /// ladder measures the attached-vs-null delta as
+  /// flight_obs_overhead_pct (acceptance bar: < 3%).
   FlightRecorder* flight = nullptr;
 
   /// Phase attribution sampling: 1 in 2^phase_sample_shift batches (and,

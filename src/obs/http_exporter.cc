@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -17,11 +16,7 @@ namespace mdts {
 
 namespace {
 
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  *out += buf;
-}
+using obs_internal::AppendU64;
 
 /// Prometheus metric name: [a-zA-Z_:][a-zA-Z0-9_:]*. Registry names are
 /// dotted snake_case, so replacing every invalid byte with '_' under the

@@ -16,6 +16,12 @@ size_t ThreadSlot() {
   return slot;
 }
 
+void AppendU64(std::string* out, uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
+  *out += buf;
+}
+
 }  // namespace obs_internal
 
 void Histogram::AtomicMin(std::atomic<uint64_t>& a, uint64_t v) {
@@ -175,11 +181,7 @@ MetricsRegistry& GlobalMetrics() {
 
 namespace {
 
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  *out += buf;
-}
+using obs_internal::AppendU64;
 
 void AppendI64(std::string* out, int64_t v) {
   char buf[24];

@@ -20,6 +20,9 @@ namespace obs_internal {
 /// wide. Counters and histograms stripe their slots by it so concurrent
 /// writers from distinct threads touch distinct cache lines.
 size_t ThreadSlot();
+
+/// Appends v in decimal; the text and JSON writers of src/obs share it.
+void AppendU64(std::string* out, uint64_t v);
 }  // namespace obs_internal
 
 /// Monotonically increasing event counter, safe for concurrent writers.

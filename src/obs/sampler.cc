@@ -1,12 +1,13 @@
 #include "obs/sampler.h"
 
 #include <cassert>
-#include <cinttypes>
 #include <cstdio>
 
 namespace mdts {
 
 namespace {
+
+using obs_internal::AppendU64;
 
 void AppendNum(std::string* out, double v) {
   char buf[40];
@@ -19,12 +20,6 @@ void AppendNum(std::string* out, double v) {
 void AppendTime(std::string* out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  *out += buf;
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
   *out += buf;
 }
 

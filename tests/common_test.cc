@@ -288,6 +288,55 @@ TEST(BenchClockTest, PercentileMatchesCeilRankFormula) {
   EXPECT_DOUBLE_EQ(PercentileSorted(one, 0), 42.0);
 }
 
+TEST(BenchClockTest, MeasureRoundsRotatesAndPricesEachArmAgainstItsParent) {
+  // Scripted arms: arm 0 is the root, arm 1 reads 10% below it, arm 2 10%
+  // below arm 1, and arm 3 is a null arm - arm 0 again with +-1% noise.
+  // Drift moves a whole round; in round 3 a burst halves arm 2 alone.
+  constexpr size_t kRounds = 7;
+  const std::vector<int> parents = {-1, 0, 1, 0};
+  const size_t n = parents.size();
+  std::vector<size_t> order;
+  const std::vector<RoundsArm> arms =
+      MeasureRounds(kRounds, parents, [&](size_t arm) {
+        const size_t round = order.size() / n;
+        order.push_back(arm);
+        const double base = 100.0 + 10.0 * static_cast<double>(round);
+        switch (arm) {
+          case 0:
+            return base;
+          case 1:
+            return base * 0.9;
+          case 2:
+            return base * 0.81 * (round == 3 ? 0.5 : 1.0);
+          default:
+            return base * (round % 2 == 0 ? 1.01 : 0.99);
+        }
+      });
+
+  // Round r runs the arms in the order r, r + 1, ... (mod n).
+  ASSERT_EQ(order.size(), kRounds * n);
+  for (size_t r = 0; r < kRounds; ++r) {
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(order[r * n + i], (r + i) % n) << "round " << r;
+    }
+  }
+
+  ASSERT_EQ(arms.size(), n);
+  EXPECT_FALSE(arms[0].has_delta);
+  EXPECT_DOUBLE_EQ(arms[0].median, 130.0);  // Readings 100, 110, ..., 160.
+  // Each delta is against the arm's own parent: arm 2 costs 10% of arm 1,
+  // not 19% of the root. The burst round's 55% is voted out.
+  EXPECT_TRUE(arms[1].has_delta);
+  EXPECT_NEAR(arms[1].delta_pct, 10.0, 1e-9);
+  EXPECT_NEAR(arms[2].delta_pct, 10.0, 1e-9);
+  EXPECT_NEAR(arms[2].delta_q1_pct, 10.0, 1e-9);
+  EXPECT_NEAR(arms[2].delta_q3_pct, 10.0, 1e-9);
+  // The null arm's deltas straddle 0, at the noise amplitude.
+  EXPECT_LE(std::abs(arms[3].delta_pct), 1.0 + 1e-9);
+  EXPECT_NEAR(arms[3].delta_q1_pct, -1.0, 1e-9);
+  EXPECT_NEAR(arms[3].delta_q3_pct, 1.0, 1e-9);
+}
+
 TEST(BenchClockTest, StopwatchIsMonotonic) {
   Stopwatch sw;
   const uint64_t a = sw.ElapsedNanos();
