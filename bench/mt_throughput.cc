@@ -95,7 +95,9 @@ constexpr double kCellArmSecs = 0.1;
 
 // What a rung runs: the layers stacked on the closed-loop client.
 struct Stack {
-  bool scheduler = false;  // MtkScheduler (1 client only), not the engine.
+  // MtkScheduler (1 client only), not the engine; it runs the engine's
+  // element rule (column_clocks), so shards1 prices the engine layer only.
+  bool scheduler = false;
   size_t shards = 1;
   bool metrics = false;  // A registry, phase attribution off (shift 63).
   bool live = false;     // Sampler @100 ms + idle HTTP exporter on it.
@@ -165,6 +167,7 @@ LoopResult RunStack(const Stack& s, const Workload& w, size_t threads,
     MtkOptions mo;
     mo.k = kLadderK;
     mo.starvation_fix = true;
+    mo.column_clocks = true;
     MtkScheduler sched(mo);
     return RunClosedLoop(sched, w, 1, secs);
   }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/timestamp_vector.h"
 #include "core/types.h"
@@ -75,6 +76,25 @@ class StripedCounters {
     }
   }
 
+  /// Receive rule for the last column (ColumnClocks' twin): moves this
+  /// stripe's counters past v, a value of any stripe, so its next Upper
+  /// exceeds and its next Lower undercuts every value it has seen. Striped
+  /// engines need it most: a stripe whose counter lags its peers' hands out
+  /// values that already compare below the transactions it must follow.
+  /// With one stripe it moves only past values the counter did not hand
+  /// out: T0's 0, and starvation seeds when k = 1.
+  void Observe(TsElement v) {
+    // Raw positions r with r * n + stripe > v start at floor(d / n) + 1,
+    // those with r * n + stripe < v end at ceil(d / n) - 1.
+    const TsElement n = n_;
+    const TsElement d = v - static_cast<TsElement>(stripe_);
+    const TsElement q = d / n;  // Truncated toward zero.
+    const TsElement floor_q = d % n < 0 ? q - 1 : q;
+    const TsElement ceil_q = d % n > 0 ? q + 1 : q;
+    upper_ = std::max(upper_, floor_q + 1);
+    lower_ = std::min(lower_, ceil_q - 1);
+  }
+
   /// Moves both counters outward to at least `other`'s positions (DMT(k)'s
   /// clock synchronization adopts the global extremes this way).
   void Widen(const StripedCounters& other) {
@@ -89,24 +109,90 @@ class StripedCounters {
   uint32_t n_;
 };
 
-/// Algorithm 1's plain encoding of TS(j, m) < TS(i, m) on one column whose
+/// Lamport clocks for the columns other than the last: an extension of
+/// Algorithm 1, not the paper's rule. Line 20's TS(i, m) := TS(j, m) + 1
+/// fixes a transaction's element in column m from its *first* dependency
+/// there, so a later dependency on a transaction whose element is larger
+/// already compares kGreater; on a strictly serial history MT(k) with
+/// k >= 2 then aborts about half its attempts. A clock per column hands out
+/// elements past every value the column has seen instead:
+///
+///   one side undefined:  b = max(a, hi) + 1, or a = min(b, lo) - 1;
+///   both undefined:      two fresh hi values;
+///   receive rule:        a kLess/kGreater decided in column m moves m's
+///                        clocks past both elements (Observe); decided in
+///                        the last column, it moves the counter stripe
+///                        past them (StripedCounters::Observe).
+///
+/// Theorem 2 needs only that a new element exceed (undercut) the one it
+/// must follow (precede), so safety is unchanged; the accepted class is no
+/// longer TO(k). The clocks start where the paper's constants do (the
+/// first pair is 1 < 2). Equal values across vectors stay allowed: two
+/// clocks may hand out the same element, as line 20 does.
+class ColumnClocks {
+ public:
+  /// Clocks for the k - 1 non-last columns of k-element vectors.
+  explicit ColumnClocks(size_t k = 1) : cols_(k > 1 ? k - 1 : 0) {}
+
+  /// Smallest value > `above` and > every value column m has seen;
+  /// `above` may be kUndefinedElement (no bound beyond the clock).
+  TsElement Above(size_t m, TsElement above) {
+    Column& c = cols_[m];
+    const TsElement v =
+        above != kUndefinedElement && above >= c.upper ? above + 1 : c.upper;
+    c.upper = v + 1;
+    return v;
+  }
+
+  /// Largest value < `below` (defined) and < every value column m has seen.
+  TsElement Below(size_t m, TsElement below) {
+    Column& c = cols_[m];
+    const TsElement v = below <= c.lower ? below - 1 : c.lower;
+    c.lower = v - 1;
+    return v;
+  }
+
+  /// Receive rule (and recovery resync): column m has seen v.
+  void Observe(size_t m, TsElement v) {
+    Column& c = cols_[m];
+    if (v >= c.upper) c.upper = v + 1;
+    if (v <= c.lower) c.lower = v - 1;
+  }
+
+  size_t columns() const { return cols_.size(); }
+
+ private:
+  struct Column {
+    TsElement upper = 1;  // Next value Above hands out unbounded.
+    TsElement lower = 0;  // Next value Below hands out unbounded.
+  };
+  std::vector<Column> cols_;
+};
+
+/// Algorithm 1's encoding of TS(j, m) < TS(i, m) on one column whose
 /// elements a = TS(j, m) and b = TS(i, m) are not both defined. Both
 /// undefined ('=', line 19): the constants 1 < 2, or two counter values in
 /// the last column. One undefined (line 20): one past the defined side, or
 /// a counter value bounded by it in the last column. `last` is the counter
-/// pair when m is the last column, null otherwise. Returns the number of
-/// elements assigned.
+/// pair when m is the last column, null otherwise; `clocks`, when non-null,
+/// replaces the constants and the +-1 steps of the other columns with
+/// column m's clock values (ColumnClocks). Returns the number of elements
+/// assigned.
 ///
 /// Columns other than the last may hold equal values across vectors,
 /// which is what lets MT(k) keep transactions unordered longer than
 /// MT(k-1) (Section III-C); counter values keep every fully assigned
 /// vector distinguishable from every other.
 inline uint32_t EncodeColumn(TsElement& a, TsElement& b,
-                             StripedCounters* last) {
+                             StripedCounters* last,
+                             ColumnClocks* clocks = nullptr, size_t m = 0) {
   if (a == kUndefinedElement && b == kUndefinedElement) {
     if (last != nullptr) {
       a = last->Upper(kUndefinedElement);
       b = last->Upper(a);
+    } else if (clocks != nullptr) {
+      a = clocks->Above(m, kUndefinedElement);
+      b = clocks->Above(m, a);
     } else {
       a = 1;
       b = 2;
@@ -114,9 +200,13 @@ inline uint32_t EncodeColumn(TsElement& a, TsElement& b,
     return 2;
   }
   if (b == kUndefinedElement) {
-    b = last != nullptr ? last->Upper(a) : a + 1;
+    b = last != nullptr     ? last->Upper(a)
+        : clocks != nullptr ? clocks->Above(m, a)
+                            : a + 1;
   } else {
-    a = last != nullptr ? last->Lower(b) : b - 1;
+    a = last != nullptr     ? last->Lower(b)
+        : clocks != nullptr ? clocks->Below(m, b)
+                            : b - 1;
   }
   return 1;
 }
@@ -135,7 +225,11 @@ struct EncodeOutcome {
 /// Algorithm 1's Set(j, i) encoding step: the one implementation behind
 /// MtkScheduler, ShardedMtkEngine, VectorTable (and through it the MV and
 /// nested schedulers) and DMT(k). Callers differ only in which
-/// StripedCounters supply last-column values.
+/// StripedCounters supply last-column values, and in `clocks`: null runs
+/// Algorithm 1's rule bit for bit, non-null draws the other columns'
+/// values from those ColumnClocks and applies the receive rule to every
+/// kLess/kGreater, on the clocks or, in the last column, on `counters`
+/// (the engine always does; MtkScheduler and MvMtkScheduler on request).
 ///
 /// Every branch that would write TS(j) refuses when j is the virtual
 /// transaction: TS(0) must stay <0, *, ..., *> forever (the engine reads it
@@ -155,15 +249,27 @@ inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
                                       size_t k, TimestampVector& tj,
                                       TimestampVector& ti, bool j_is_virtual,
                                       bool right_end,
-                                      StripedCounters& counters) {
+                                      StripedCounters& counters,
+                                      ColumnClocks* clocks) {
   EncodeOutcome out;
   const size_t m = cr.index;
   switch (cr.order) {
     case VectorOrder::kLess:
-      out.ok = true;  // Line 17: the dependency is already encoded.
-      return out;
     case VectorOrder::kGreater:
-      out.why = AbortReason::kLexOrder;  // Line 18: opposite order is fixed.
+      if (clocks != nullptr && m < k) {  // The receive rule.
+        if (m + 1 < k) {
+          clocks->Observe(m, tj.Get(m));
+          clocks->Observe(m, ti.Get(m));
+        } else {
+          counters.Observe(tj.Get(m));
+          counters.Observe(ti.Get(m));
+        }
+      }
+      if (cr.order == VectorOrder::kLess) {
+        out.ok = true;  // Line 17: the dependency is already encoded.
+      } else {
+        out.why = AbortReason::kLexOrder;  // Line 18: opposite order fixed.
+      }
       return out;
     case VectorOrder::kIdentical:
       // All k elements equal and defined. Algorithm 1's distinct k-th
@@ -208,7 +314,7 @@ inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
       TsElement a = kUndefinedElement;
       TsElement b = kUndefinedElement;
       out.elements_assigned +=
-          EncodeColumn(a, b, p + 1 == k ? &counters : nullptr);
+          EncodeColumn(a, b, p + 1 == k ? &counters : nullptr, clocks, p);
       tj.Set(p, a);
       ti.Set(p, b);
       return out;
@@ -216,7 +322,8 @@ inline EncodeOutcome EncodeDependency(const VectorCompareResult& cr,
   }
   TsElement a = tj.Get(m);  // Undefined slots hold kUndefinedElement.
   TsElement b = ti.Get(m);
-  out.elements_assigned += EncodeColumn(a, b, m + 1 == k ? &counters : nullptr);
+  out.elements_assigned +=
+      EncodeColumn(a, b, m + 1 == k ? &counters : nullptr, clocks, m);
   // Write back only the element that changed: TS(j) may be T0's shared
   // vector when only TS(i, m) was undefined.
   if (!tj.IsDefined(m)) tj.Set(m, a);

@@ -21,7 +21,7 @@ const char* OpDecisionName(OpDecision d) {
 }
 
 MtkScheduler::MtkScheduler(const MtkOptions& options)
-    : options_(options), t0_(options.k) {
+    : options_(options), t0_(options.k), clocks_(options.k) {
   assert(options_.k >= 1);
   // Line 2 of Algorithm 1: the virtual transaction T0, which conceptually
   // read and wrote every item first, starts with TS(0) = <0, *, ..., *> and
@@ -65,7 +65,8 @@ bool MtkScheduler::SetStates(TxnState& sj, TxnState& si, TxnId j, TxnId i,
   ++stats_.set_calls;
   const VectorCompareResult cr = CompareStates(sj, si);
   const EncodeOutcome out = EncodeDependency(
-      cr, options_.k, sj.ts, si.ts, j == kVirtualTxn, right_end, counters_);
+      cr, options_.k, sj.ts, si.ts, j == kVirtualTxn, right_end, counters_,
+      options_.column_clocks ? &clocks_ : nullptr);
   stats_.elements_assigned += out.elements_assigned;
   if (!out.ok) {
     set_failure_ = out.why;

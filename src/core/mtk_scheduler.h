@@ -63,6 +63,14 @@ struct MtkOptions {
   /// AccessHistory::Compact). Leave 0 for recognizer-style use, where every
   /// transaction's final vector must stay inspectable.
   uint64_t compact_every = 0;
+
+  /// Draw the elements of every column but the last from per-column
+  /// Lamport clocks (ColumnClocks, core/encoding.h) instead of line 20's
+  /// TS(j, m) + 1 - the rule ShardedMtkEngine always runs. An extension,
+  /// not the paper's rule: a strictly serial history no longer aborts at
+  /// k >= 2, and the accepted class is no longer TO(k). Off by default, so
+  /// the worked examples and the recognizer keep the paper's decisions.
+  bool column_clocks = false;
 };
 
 /// One recorded dependency encoding: processing `op` (the `position`-th
@@ -258,6 +266,7 @@ class MtkScheduler {
   uint64_t commits_since_compact_ = 0;
   std::vector<ItemState> items_;
   StripedCounters counters_;  // lcount/ucount for k-th elements.
+  ColumnClocks clocks_;       // Used only with options_.column_clocks.
   RejectInfo last_reject_;
   // Cause of the most recent SetStates() == false, consumed by the reject
   // paths of Process: kGreater -> kLexOrder, kIdentical -> kEncodingExhausted.

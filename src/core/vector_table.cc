@@ -4,8 +4,11 @@
 
 namespace mdts {
 
-VectorTable::VectorTable(size_t k)
-    : k_(k), virtual_(TimestampVector::Virtual(k)) {
+VectorTable::VectorTable(size_t k, bool column_clocks)
+    : k_(k),
+      virtual_(TimestampVector::Virtual(k)),
+      clocks_(k),
+      column_clocks_(column_clocks) {
   assert(k_ >= 1);
 }
 
@@ -27,7 +30,8 @@ bool VectorTable::Set(uint32_t j, uint32_t i, StripedCounters& counters,
   if (j == i) return true;
   const EncodeOutcome out =
       EncodeDependency(CompareIds(j, i), k_, Mutable(j), Mutable(i), j == 0,
-                       /*right_end=*/false, counters);
+                       /*right_end=*/false, counters,
+                       column_clocks_ ? &clocks_ : nullptr);
   elements_assigned_ += out.elements_assigned;
   if (!out.ok && why != nullptr) *why = out.why;
   return out.ok;

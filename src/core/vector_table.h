@@ -23,7 +23,9 @@ class VectorTable {
  public:
   /// Creates a table of k-element vectors. Entity 0 is initialized as the
   /// virtual entity <0, *, ..., *>; all others start fully undefined.
-  explicit VectorTable(size_t k);
+  /// `column_clocks` draws every column but the last from the table's
+  /// ColumnClocks (core/encoding.h) instead of Algorithm 1's line 20.
+  explicit VectorTable(size_t k, bool column_clocks = false);
 
   size_t k() const { return k_; }
 
@@ -78,6 +80,8 @@ class VectorTable {
   std::deque<TimestampVector> vectors_;  // Ids [base_, base_ + size()).
   uint32_t base_ = 1;
   StripedCounters counters_;
+  ColumnClocks clocks_;
+  bool column_clocks_;
   uint64_t element_comparisons_ = 0;
   uint64_t elements_assigned_ = 0;
 };

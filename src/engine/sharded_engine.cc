@@ -115,6 +115,7 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
     shards_.back().index = static_cast<uint32_t>(s);
     shards_.back().counters = StripedCounters(
         static_cast<uint32_t>(s), static_cast<uint32_t>(num_shards_));
+    shards_.back().clocks = ColumnClocks(options_.k);
   }
   if (MetricsRegistry* reg = options_.metrics) {
     m_consec_aborts_ = reg->GetGauge("engine.max_consecutive_aborts");
@@ -208,7 +209,8 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
   ++shx.stats.set_calls;
   const VectorCompareResult cr = CompareStates(shx, sj, si);
   // Last-column values come from shard shx's counter stripe, globally
-  // unique via the value * N + shard encoding.
+  // unique via the value * N + shard encoding; the other columns' from
+  // shx's ColumnClocks, whose receive rule also runs here.
   // New encodings use the runtime MT(k+) width, not the physical k: the
   // vectors stay physically k wide (Compare walks them in full, and the
   // elements beyond the active width hold the constants every narrower
@@ -217,7 +219,7 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
   // store. See SetActiveK.
   const EncodeOutcome out = EncodeDependency(
       cr, active_k_.load(std::memory_order_relaxed), sj.ts, si.ts,
-      j == kVirtualTxn, /*right_end=*/false, shx.counters);
+      j == kVirtualTxn, /*right_end=*/false, shx.counters, &shx.clocks);
   shx.stats.elements_assigned += out.elements_assigned;
   if (!out.ok) {
     *why = out.why;
@@ -566,6 +568,11 @@ void ShardedMtkEngine::LockShard(Shard& sh) {
 
 OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* reason) {
   MDTS_TRACE_SPAN(op.type == OpType::kRead ? "engine.read" : "engine.write");
+  // Start the transaction's flight-ring slot toward L1 (as CommitTxn does
+  // again): a transaction that aborts nothing writes no record before its
+  // commit record, so without this the commit-point lock stalls on a slot
+  // last touched a whole ring ago.
+  if (options_.flight != nullptr) options_.flight->PrefetchNext(op.txn);
   OpDecision d = OpDecision::kReject;
   ProcessBatch(std::span<const Op>(&op, 1), &d, reason);
   return d;
@@ -588,7 +595,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
   // plus the in-place extensions taken mid-round, decide = the decision
   // loops minus those extensions and the MV read walks, mv_read = the MV
   // read-path decisions. Unsampled batches skip every clock read.
-  const bool phase_sampled = SamplePhases(batch_seq_);
+  const bool phase_sampled = SamplePhases(kBatchSeq);
   uint64_t t_entry = 0;
   uint64_t admission_ns = 0;
   uint64_t lock_ns = 0;
@@ -948,7 +955,7 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
   if (flight != nullptr) flight->PrefetchNext(txn);
   // Commit-side phase attribution, sampled on its own sequence (a commit
   // is not tied to any one batch): wal_append / fsync / ack.
-  const bool sampled = SamplePhases(commit_seq_);
+  const bool sampled = SamplePhases(kCommitSeq);
   uint64_t wal_append_ns = 0;
   uint64_t fsync_ns = 0;
   uint64_t ack_ns = 0;
@@ -1045,8 +1052,12 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
     }
   }
   // A commit is exactly what the livelock guardrail waits for: reset the
-  // commit-free streak and depose the champion once it gets through.
-  batches_since_commit_.store(0, std::memory_order_relaxed);
+  // commit-free streak and depose the champion once it gets through. The
+  // streak counts only multi-op batches; without them the store is
+  // skipped, so commits leave the line clean.
+  if (batches_since_commit_.load(std::memory_order_relaxed) != 0) {
+    batches_since_commit_.store(0, std::memory_order_relaxed);
+  }
   uint64_t champ = fallback_champion_.load(std::memory_order_relaxed);
   if (champ == static_cast<uint64_t>(txn)) {
     fallback_champion_.compare_exchange_strong(champ, 0,
@@ -1227,6 +1238,9 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
   MDTS_TRACE_SPAN("engine.recover");
   for (Shard& sh : shards_) LockShard(sh);
   size_t applied = 0;
+  // Every column's recovered extremes, for the clock resync below.
+  std::vector<TsElement> col_min(options_.k, kUndefinedElement);
+  std::vector<TsElement> col_max(options_.k, kUndefinedElement);
   for (const WalCommitRecord& r : recovery.records) {
     if (r.txn == kVirtualTxn) continue;
     Shard& shi = ShardForTxn(r.txn);
@@ -1244,8 +1258,21 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
       const TsElement v = r.vec.Get(m);
       shards_[StripedCounters::StripeOf(v, static_cast<uint32_t>(num_shards_))]
           .counters.AdvancePast(v);
+      if (col_min[m] == kUndefinedElement || v < col_min[m]) col_min[m] = v;
+      if (col_max[m] == kUndefinedElement || v > col_max[m]) col_max[m] = v;
     }
     ++applied;
+  }
+  // Column-clock resync: any shard may order a fresh transaction after a
+  // recovered one, so every shard's clocks move past every recovered
+  // element. Without it a fresh writer's first element would come from a
+  // clock still at 1, below the recovered writers it must follow next.
+  for (Shard& sh : shards_) {
+    for (size_t m = 0; m < sh.clocks.columns(); ++m) {
+      if (col_min[m] == kUndefinedElement) continue;
+      sh.clocks.Observe(m, col_min[m]);
+      sh.clocks.Observe(m, col_max[m]);
+    }
   }
   if (options_.multiversion) {
     // Rebuild the version chains from the merged record order: the merge

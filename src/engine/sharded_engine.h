@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/access_history.h"
+#include "core/encoding.h"
 #include "core/mtk_scheduler.h"
 #include "core/timestamp_vector.h"
 #include "core/types.h"
@@ -114,9 +115,9 @@ struct EngineOptions {
   FlightRecorder* flight = nullptr;
 
   /// Phase attribution sampling: 1 in 2^phase_sample_shift batches (and,
-  /// independently, commits) gets its lifecycle timed and recorded into
-  /// the "engine.phase.*_us" histograms; the rest skip every clock read.
-  /// 0 samples everything (tests); the default (6: 1 in 64, still
+  /// independently, commits) of each thread gets its lifecycle timed and
+  /// recorded into the "engine.phase.*_us" histograms; the rest skip every
+  /// clock read. 0 samples everything (tests); the default (6: 1 in 64, still
   /// thousands of samples per second at bench throughputs) keeps the
   /// steady-clock + histogram overhead inside the flight_obs_overhead_pct
   /// bar. Only meaningful with `metrics` attached - the histograms live
@@ -179,11 +180,13 @@ struct EngineStats {
 ///
 /// Layout: shard s owns the items with item % N == s (their RT/WT history
 /// stacks), the transaction states with txn % N == s (timestamp vector plus
-/// a lock-free liveness word), and a per-shard pair of last-column counters
+/// a lock-free liveness word), a per-shard pair of last-column counters
 /// whose values are made globally unique by the DMT(k) site encoding
 /// value * N + s (Section V's "concatenate the site number as low order
-/// bits"), here applied intra-process. Every mutation happens under the
-/// owning shard's mutex.
+/// bits"), here applied intra-process, and the ColumnClocks the other
+/// columns' elements come from (core/encoding.h: the engine's element rule,
+/// not Algorithm 1's line 20). Every mutation happens under the owning
+/// shard's mutex.
 ///
 /// Processing an operation T_i on item x needs x's shard, i's shard, and
 /// the shards of the item's current top reader and writer. Those tops are
@@ -433,6 +436,7 @@ class ShardedMtkEngine {
     uint32_t next_slot = 0;              // One past the highest created.
     std::vector<ItemState> items;        // Local index item / N.
     StripedCounters counters;  // Last-column stripe `index` of N.
+    ColumnClocks clocks;       // This shard's clocks for the other columns.
     EngineStats stats;
     /// Newest rejection decided on this shard (see RejectRecord).
     RejectRecord last_reject;
@@ -543,11 +547,16 @@ class ShardedMtkEngine {
   /// completed span carrying the same id - the p99-bucket-to-span link.
   void RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag);
 
+  /// Which sampling sequence an event advances (see SamplePhases).
+  enum PhaseSeq : size_t { kBatchSeq = 0, kCommitSeq = 1 };
+
   /// True for the 1-in-2^phase_sample_shift events that get timed (always
   /// false without a registry: the histograms would have nowhere to go).
-  bool SamplePhases(std::atomic<uint64_t>& seq) const {
-    return m_phase_[0] != nullptr &&
-           (seq.fetch_add(1, std::memory_order_relaxed) & phase_mask_) == 0;
+  /// The sequences are per thread, so sampling puts no shared atomic on
+  /// every batch and commit.
+  bool SamplePhases(PhaseSeq which) const {
+    static thread_local uint64_t seq[2];
+    return m_phase_[0] != nullptr && (seq[which]++ & phase_mask_) == 0;
   }
 
   /// Appends to s.writes. The list is sized once, on the incarnation's
@@ -646,12 +655,9 @@ class ShardedMtkEngine {
   Gauge* m_consec_aborts_ = nullptr;
 
   /// Phase-attribution state: the per-phase histograms (null without a
-  /// registry), the sampling mask (2^phase_sample_shift - 1), and the
-  /// batch/commit sequence counters the sampling gate consumes.
+  /// registry) and the sampling mask (2^phase_sample_shift - 1).
   Histogram* m_phase_[kNumTxnPhases] = {};
   uint64_t phase_mask_ = 0;
-  mutable std::atomic<uint64_t> batch_seq_{0};
-  mutable std::atomic<uint64_t> commit_seq_{0};
 };
 
 }  // namespace mdts

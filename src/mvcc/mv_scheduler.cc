@@ -6,7 +6,7 @@
 namespace mdts {
 
 MvMtkScheduler::MvMtkScheduler(const MvMtkOptions& options)
-    : options_(options), vectors_(options.k) {
+    : options_(options), vectors_(options.k, options.column_clocks) {
   txns_.resize(1);
   txns_[0].committed = true;  // The virtual T0.
 }

@@ -25,6 +25,11 @@ struct MvMtkOptions {
   /// writers indefinitely - the multiversion analogue of MVTO's
   /// write-rejection weakness.
   bool starvation_fix = false;
+
+  /// Per-column Lamport clocks for every column but the last (see
+  /// MtkOptions::column_clocks): the rule the engine's multiversion mode
+  /// runs. Off by default.
+  bool column_clocks = false;
 };
 
 /// Work counters of the multiversion scheduler.

@@ -3,7 +3,10 @@
 // several in-flight transactions at random, so tops of RT(x)/WT(x) abort
 // under the readers that Algorithm 1 line 10 accepted below them - the
 // case the old-reader list (core/access_history.h, ReadHistory) covers.
-// Both MtkScheduler and the 1-shard engine are audited, at k = 1..3.
+// Both element rules are audited at k = 1..3: MtkScheduler with the
+// paper's and with the column clocks (core/encoding.h ColumnClocks), and
+// the engine, which always runs the clocks, on 1 and 4 shards (sequential
+// calls).
 
 #include <gtest/gtest.h>
 
@@ -127,11 +130,33 @@ TEST(ClosedLoopDsrTest, SchedulerCommitsOnlyDsrHistories) {
   });
 }
 
+TEST(ClosedLoopDsrTest, SchedulerWithColumnClocksCommitsOnlyDsrHistories) {
+  ExpectOnlyDsrCommits([](size_t k) {
+    MtkOptions mo;
+    mo.k = k;
+    mo.starvation_fix = true;
+    mo.column_clocks = true;
+    return std::make_unique<MtkScheduler>(mo);
+  });
+}
+
 TEST(ClosedLoopDsrTest, SingleShardEngineCommitsOnlyDsrHistories) {
   ExpectOnlyDsrCommits([](size_t k) {
     EngineOptions eo;
     eo.k = k;
     eo.num_shards = 1;
+    eo.starvation_fix = true;
+    return std::make_unique<ShardedMtkEngine>(eo);
+  });
+}
+
+// Four shards: every shard draws from its own clocks and counter stripe,
+// so the receive rule, not one shared clock, keeps their elements apart.
+TEST(ClosedLoopDsrTest, FourShardEngineCommitsOnlyDsrHistories) {
+  ExpectOnlyDsrCommits([](size_t k) {
+    EngineOptions eo;
+    eo.k = k;
+    eo.num_shards = 4;
     eo.starvation_fix = true;
     return std::make_unique<ShardedMtkEngine>(eo);
   });

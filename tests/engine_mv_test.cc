@@ -39,9 +39,9 @@ bool SameVector(const TimestampVector& a, const TimestampVector& b) {
 
 // Feeds identical seeded closed-loop traffic to a single-shard multiversion
 // engine (batched admission) and the reference MvMtkScheduler (one Process
-// per op). With one shard, ProcessBatch decides in array order, so the two
-// must agree operation by operation - decisions, per-transaction vectors,
-// and the version/read counters.
+// per op, with the engine's column clocks). With one shard, ProcessBatch
+// decides in array order, so the two must agree operation by operation -
+// decisions, per-transaction vectors, and the version/read counters.
 struct DifferentialRun {
   size_t k = 3;
   bool starvation_fix = false;
@@ -65,6 +65,7 @@ void RunDifferential(const DifferentialRun& cfg) {
   MvMtkOptions mo;
   mo.k = cfg.k;
   mo.starvation_fix = cfg.starvation_fix;
+  mo.column_clocks = true;
   MvMtkScheduler ref(mo);
 
   std::mt19937_64 rng(cfg.seed);
@@ -276,12 +277,14 @@ TEST(EngineMvTest, WriteConflictClassifiedAsVersionConflict) {
             st.rejected);
 }
 
-TEST(EngineMvTest, ReadWalkFailureAfterSweepIsLexOrder) {
+TEST(EngineMvTest, ReadAfterSweepIsOrderedPastTheNewestWriter) {
   // W1[c] C1 R2[c] W2[d] C2, an all-committed sweep (d's chain keeps only
-  // T2's version), then W3[e] R3[d]: T3's first element comes from T0, so
-  // T2 is already ordered after T3 and the walk has no version left to
-  // take. The reject carries the refusing Set's cause, as MvMtkScheduler's
-  // does (MvSchedulerTest.ReadWalkFailureAfterPruneIsLexOrder).
+  // T2's version), then W3[e] R3[d]. Under Algorithm 1's line 20, T3's first
+  // element would come from T0 alone (1), T2 (2) would already be ordered
+  // after T3 and the walk would reject with kLexOrder - the paper-rule
+  // scheduler still does (MvSchedulerTest.ReadWalkFailureAfterPruneIsLexOrder).
+  // The engine's column clock hands T3 an element past every one its shard
+  // has seen (3), so R3[d] reads T2's version, the newest.
   constexpr ItemId kC = 0, kD = 1, kE = 2;
   EngineOptions eo;
   eo.k = 3;
@@ -296,8 +299,15 @@ TEST(EngineMvTest, ReadWalkFailureAfterSweepIsLexOrder) {
   engine.CompactAll();
   ASSERT_EQ(engine.Process({3, OpType::kWrite, kE}), OpDecision::kAccept);
   AbortReason why = AbortReason::kNone;
-  EXPECT_EQ(engine.Process({3, OpType::kRead, kD}, &why), OpDecision::kReject);
-  EXPECT_EQ(why, AbortReason::kLexOrder) << AbortReasonName(why);
+  EXPECT_EQ(engine.Process({3, OpType::kRead, kD}, &why), OpDecision::kAccept)
+      << AbortReasonName(why);
+  EXPECT_EQ(Compare(engine.TsSnapshot(2), engine.TsSnapshot(3)).order,
+            VectorOrder::kLess);
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.read_rejects, 0u);
+  EXPECT_EQ(st.old_version_reads, 0u);
+  engine.CommitTxn(3);
+  EXPECT_TRUE(engine.MvAuditChains());
 }
 
 TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {
@@ -494,10 +504,12 @@ TEST(EngineMvGcTest, PeriodicSweepKeepsFallbacksForFreshReaders) {
   // The compact_every sweep runs mid-traffic, so it keeps the tail even
   // when it finds everything committed: the next transaction's first read
   // pins its vector (here just past item 1's writer), and its read of item
-  // 0 must then fall back below item 0's newest writer.
+  // 0 must then fall back below item 0's newest writer. Items 0 and 1 live
+  // on different shards, and shard 1's column clock has seen none of item
+  // 0's writers (elements 1..6): T7 gets 1 there and T8 2, below T6.
   EngineOptions eo;
   eo.k = 3;
-  eo.num_shards = 1;
+  eo.num_shards = 2;
   eo.multiversion = true;
   eo.starvation_fix = true;
   eo.compact_every = 7;  // Fires at the seventh commit below.
@@ -514,6 +526,9 @@ TEST(EngineMvGcTest, PeriodicSweepKeepsFallbacksForFreshReaders) {
 
   AbortReason why = AbortReason::kNone;
   ASSERT_EQ(engine.Process({8, OpType::kRead, 1}), OpDecision::kAccept);
+  ASSERT_EQ(Compare(engine.TsSnapshot(6), engine.TsSnapshot(8)).order,
+            VectorOrder::kGreater)
+      << "T8 must already be pinned below item 0's newest writer";
   EXPECT_EQ(engine.Process({8, OpType::kRead, 0}, &why), OpDecision::kAccept)
       << AbortReasonName(why);
   EXPECT_EQ(engine.stats().old_version_reads, 1u);

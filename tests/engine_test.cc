@@ -22,10 +22,12 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Single-shard equivalence: with num_shards = 1 the engine must accept
-// exactly the logs MtkScheduler accepts and assign the same vectors, since
-// its counter encoding value * N + shard degenerates to the scheduler's
-// plain counters at N = 1. The engine's protocol options are k and the
-// starvation fix; every cell of that grid is covered.
+// exactly the logs MtkScheduler accepts with column_clocks on (the element
+// rule the engine always runs) and assign the same vectors, since its
+// counter encoding value * N + shard degenerates to the scheduler's plain
+// counters at N = 1 and its one shard's ColumnClocks to the scheduler's.
+// The engine's protocol options are k and the starvation fix; every cell
+// of that grid is covered.
 // ---------------------------------------------------------------------------
 
 struct EquivConfig {
@@ -50,6 +52,7 @@ void RunEquivalence(const EquivConfig& cfg, uint64_t seed) {
   MtkOptions mo;
   mo.k = cfg.k;
   mo.starvation_fix = cfg.starvation_fix;
+  mo.column_clocks = true;
   MtkScheduler sched(mo);
 
   EngineOptions eo;
@@ -122,6 +125,7 @@ TEST(EngineEquivalenceTest, SingleShardMatchesSchedulerWithCompaction) {
   mo.k = 3;
   mo.starvation_fix = true;
   mo.compact_every = 32;
+  mo.column_clocks = true;
   MtkScheduler sched(mo);
 
   EngineOptions eo;
@@ -342,6 +346,7 @@ void RunBatchEquivalence(const EquivConfig& cfg, size_t batch_size,
   MtkOptions mo;
   mo.k = cfg.k;
   mo.starvation_fix = cfg.starvation_fix;
+  mo.column_clocks = true;
   MtkScheduler sched(mo);
 
   EngineOptions eo;

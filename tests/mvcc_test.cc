@@ -180,10 +180,11 @@ TEST(MvSchedulerTest, PruneKeepsVersionsWithLiveReaders) {
 
 TEST(MvSchedulerTest, ReadWalkFailureAfterPruneIsLexOrder) {
   // W1[c] C1 R2[c] W2[d] C2, a prune (d's chain keeps only T2's version),
-  // then W3[e] R3[d]: T3's first element comes from T0, so T2 is already
-  // ordered after T3 and the walk has no version left to take. The reject
-  // carries the refusing Set's cause, as the engine's does
-  // (EngineMvTest.ReadWalkFailureAfterSweepIsLexOrder).
+  // then W3[e] R3[d]: under Algorithm 1's line 20, T3's first element comes
+  // from T0, so T2 is already ordered after T3 and the walk has no version
+  // left to take. The reject carries the refusing Set's cause. The column
+  // clocks accept R3[d] instead (the next test, and the engine's
+  // EngineMvTest.ReadAfterSweepIsOrderedPastTheNewestWriter).
   constexpr ItemId kC = 0, kD = 1, kE = 2;
   auto s = Make(3);
   ASSERT_EQ(s.Process(Op{1, OpType::kWrite, kC}), OpDecision::kAccept);
@@ -198,6 +199,30 @@ TEST(MvSchedulerTest, ReadWalkFailureAfterPruneIsLexOrder) {
   EXPECT_EQ(s.last_reject().reason, AbortReason::kLexOrder)
       << AbortReasonName(s.last_reject().reason);
   EXPECT_EQ(s.stats().read_rejects, 1u);
+}
+
+TEST(MvSchedulerTest, ColumnClocksOrderReadAfterPrunePastTheNewestWriter) {
+  // The same history under MvMtkOptions::column_clocks: T3's first element
+  // comes from the column clock, past T2's, so R3[d] reads T2's version.
+  constexpr ItemId kC = 0, kD = 1, kE = 2;
+  MvMtkOptions options;
+  options.k = 3;
+  options.column_clocks = true;
+  MvMtkScheduler s(options);
+  ASSERT_EQ(s.Process(Op{1, OpType::kWrite, kC}), OpDecision::kAccept);
+  s.CommitTxn(1);
+  ASSERT_EQ(s.Process(Op{2, OpType::kRead, kC}), OpDecision::kAccept);
+  ASSERT_EQ(s.Process(Op{2, OpType::kWrite, kD}), OpDecision::kAccept);
+  s.CommitTxn(2);
+  s.PruneVersions();
+  ASSERT_EQ(s.VersionCount(kD), 1u);
+  ASSERT_EQ(s.Process(Op{3, OpType::kWrite, kE}), OpDecision::kAccept);
+  EXPECT_EQ(s.Process(Op{3, OpType::kRead, kD}), OpDecision::kAccept);
+  EXPECT_EQ(Compare(s.Ts(2), s.Ts(3)).order, VectorOrder::kLess);
+  EXPECT_EQ(s.stats().read_rejects, 0u);
+  EXPECT_EQ(s.stats().old_version_reads, 0u);
+  s.CommitTxn(3);
+  EXPECT_TRUE(s.AuditMvsgAcyclic());
 }
 
 TEST(MvSchedulerTest, DumpVersionsListsChain) {

@@ -393,29 +393,45 @@ struct DriveOutcome {
   uint64_t rejects = 0;
 };
 
-// Seeded single-threaded closed loop: each transaction runs a few random
-// ops and commits unless one was rejected (lazy abort: the rejected
-// transaction is simply abandoned, as MtkScheduler semantics allow).
+// Seeded single-threaded closed loop with four transactions in flight:
+// each step issues the next random op of a random live transaction, which
+// commits after ops_per_txn accepted ops and is abandoned at its first
+// reject (lazy abort, as MtkScheduler semantics allow); a new transaction
+// takes the slot until `txns` have run. The interleaving is what makes
+// conflicts: a serial client barely aborts under the engine's column
+// clocks.
 DriveOutcome Drive(ShardedMtkEngine& engine, uint64_t seed, TxnId txns,
                    ItemId items, size_t ops_per_txn, int read_pct) {
+  constexpr size_t kInFlight = 4;
   std::mt19937_64 rng(seed);
   DriveOutcome out;
-  for (TxnId t = 1; t <= txns; ++t) {
-    bool alive = true;
-    for (size_t q = 0; q < ops_per_txn && alive; ++q) {
-      const Op op{t,
-                  static_cast<int>(rng() % 100) < read_pct ? OpType::kRead
-                                                           : OpType::kWrite,
-                  static_cast<ItemId>(rng() % items)};
-      AbortReason why = AbortReason::kNone;
-      if (engine.Process(op, &why) == OpDecision::kReject) {
-        ++out.rejects;
-        alive = false;
-      }
-    }
-    if (alive) {
-      engine.CommitTxn(t);
+  struct Live {
+    TxnId txn;
+    size_t done;
+  };
+  std::vector<Live> live;
+  TxnId next = 1;
+  while (live.size() < kInFlight && next <= txns) live.push_back({next++, 0});
+  while (!live.empty()) {
+    const size_t s = rng() % live.size();
+    Live& l = live[s];
+    const Op op{l.txn,
+                static_cast<int>(rng() % 100) < read_pct ? OpType::kRead
+                                                         : OpType::kWrite,
+                static_cast<ItemId>(rng() % items)};
+    AbortReason why = AbortReason::kNone;
+    if (engine.Process(op, &why) == OpDecision::kReject) {
+      ++out.rejects;
+    } else if (++l.done == ops_per_txn) {
+      engine.CommitTxn(l.txn);
       ++out.commits;
+    } else {
+      continue;
+    }
+    if (next <= txns) {
+      l = {next++, 0};
+    } else {
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(s));
     }
   }
   return out;

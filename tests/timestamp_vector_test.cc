@@ -323,6 +323,52 @@ TEST(StripedCountersTest, StripesNeverCollide) {
   }
 }
 
+TEST(StripedCountersTest, ObserveMovesPastAnyStripesValue) {
+  // Stripe 1 of 3 hands out 3r + 1; having seen 10 (stripe 1's class is
+  // 1, 4, 7, 10, 13) and -8 (class -8, -5, ...), it hands out 13 and -11.
+  for (const TsElement seen : {TsElement{9}, TsElement{10}, TsElement{11}}) {
+    StripedCounters c(1, 3);
+    c.Observe(seen);
+    const TsElement up = c.Upper(U);
+    EXPECT_GT(up, seen);
+    EXPECT_LE(up, seen + 3);
+    EXPECT_EQ(StripedCounters::StripeOf(up, 3), 1u);
+  }
+  for (const TsElement seen : {TsElement{-7}, TsElement{-8}, TsElement{-9}}) {
+    StripedCounters c(1, 3);
+    c.Observe(seen);
+    const TsElement down = c.Lower(1000);
+    EXPECT_LT(down, seen);
+    EXPECT_GE(down, seen - 3);
+    EXPECT_EQ(StripedCounters::StripeOf(down, 3), 1u);
+  }
+  // Observing what the stripe already passed moves nothing.
+  StripedCounters c;
+  EXPECT_EQ(c.Upper(U), 1);
+  c.Observe(1);
+  EXPECT_EQ(c.Upper(U), 2);
+}
+
+TEST(ColumnClocksTest, StartAtThePaperConstantsThenPassEverythingSeen) {
+  ColumnClocks clocks(3);  // Columns 0 and 1; column 2 is the counters'.
+  EXPECT_EQ(clocks.columns(), 2u);
+  // Both undefined: 1 < 2, as line 19's constants.
+  EXPECT_EQ(clocks.Above(1, U), 1);
+  EXPECT_EQ(clocks.Above(1, 1), 2);
+  // One undefined: past the bound and past every value handed out.
+  EXPECT_EQ(clocks.Above(1, 0), 3);
+  EXPECT_EQ(clocks.Above(1, 7), 8);
+  EXPECT_EQ(clocks.Below(1, 5), 0);
+  EXPECT_EQ(clocks.Below(1, -4), -5);
+  // The receive rule: values seen elsewhere move the clocks past them.
+  clocks.Observe(1, 20);
+  clocks.Observe(1, -30);
+  EXPECT_EQ(clocks.Above(1, 2), 21);
+  EXPECT_EQ(clocks.Below(1, 2), -31);
+  // Columns are independent.
+  EXPECT_EQ(clocks.Above(0, 0), 1);
+}
+
 TEST(VectorTableTest, SetNeverRewritesTheVirtualEntity) {
   // Set(0, b) gives b <1,*,*>; Set(a, b) hands a the leading 0 that
   // collides with TS(0) = <0,*,*>; Set(0, a) then finds '=' at column 2,

@@ -27,6 +27,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/timestamp_vector.h"
@@ -566,6 +567,78 @@ TEST(WalEngineTest, CleanShutdownRoundTripRebuildsCommittedState) {
     if (--checked == 0) break;
   }
   fs::remove_all(dir);
+}
+
+// RecoverFrom resyncs the column clocks, not only the last-column
+// counters: a fresh transaction writes the items of the five recovered
+// writers with the largest vectors, smallest first. Each write orders it
+// after one more of them, so a clock left at its start would hand the first
+// write an element below the next writer's and the second write would
+// compare kGreater.
+TEST(WalEngineTest, RecoveryResyncsColumnClocksForFreshWriters) {
+  for (const size_t shards : {1u, 32u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string dir = FreshDir("engine_clock_resync");
+    WalOptions wo;
+    wo.dir = dir;
+    wo.num_streams = 2;
+    wo.k = 3;
+    ParallelWal wal(wo);
+    ASSERT_TRUE(wal.ok());
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = shards;
+    eo.starvation_fix = true;
+    eo.wal = &wal;
+    ShardedMtkEngine engine(eo);
+    std::mt19937_64 rng(5);
+    TxnId txn = 1;
+    for (size_t committed = 0; committed < 200; ++txn) {
+      bool ok = true;
+      for (size_t o = 0; o < 2 && ok; ++o) {
+        ok = engine.Process({txn, OpType::kWrite,
+                             static_cast<ItemId>(rng() % 64)}) ==
+             OpDecision::kAccept;
+      }
+      if (ok) {
+        engine.CommitTxn(txn);
+        ++committed;
+      }
+    }
+    wal.Close();
+
+    WalRecovery rec = ParallelWal::Recover(dir);
+    ASSERT_TRUE(rec.ok) << rec.error;
+    EngineOptions fresh_eo = eo;
+    fresh_eo.wal = nullptr;
+    ShardedMtkEngine recovered(fresh_eo);
+    ASSERT_EQ(recovered.RecoverFrom(rec), rec.records.size());
+    // Five items whose recovered writers hold the largest distinct first
+    // elements, smallest first.
+    std::map<TsElement, std::pair<ItemId, size_t>> by_first;
+    for (const auto& [item, idx] : rec.item_writer) {
+      by_first[rec.records[idx].vec.Get(0)] = {item, idx};
+    }
+    ASSERT_GE(by_first.size(), 5u);
+    std::vector<std::pair<ItemId, size_t>> writers;
+    for (auto it = std::prev(by_first.end(), 5); it != by_first.end(); ++it) {
+      writers.push_back(it->second);
+    }
+    const TxnId fresh = txn;
+    for (const auto& [item, idx] : writers) {
+      AbortReason why = AbortReason::kNone;
+      ASSERT_EQ(recovered.Process({fresh, OpType::kWrite, item}, &why),
+                OpDecision::kAccept)
+          << "item " << item << ": " << AbortReasonName(why);
+    }
+    for (const auto& [item, idx] : writers) {
+      EXPECT_EQ(Compare(rec.records[idx].vec, recovered.TsSnapshot(fresh))
+                    .order,
+                VectorOrder::kLess)
+          << "recovered writer of item " << item;
+    }
+    fs::remove_all(dir);
+  }
 }
 
 TEST(WalEngineTest, AttachedWalLogsCommitsBeforeAcknowledging) {
