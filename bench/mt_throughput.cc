@@ -1,9 +1,8 @@
 // Closed-loop multithreaded MT(k) throughput benchmark: the cost ladder
-// of the thread-safe ShardedMtkEngine, plus adaptive admission across a
-// contention phase change. Every loop is the shared closed-loop client
-// (workload/closed_loop.h): restart and replay on reject, abandon after
-// kMaxTries, so abort handling and restart costs are part of every number
-// and the compaction watermark can always advance.
+// of the thread-safe ShardedMtkEngine. Every loop is the shared
+// closed-loop client (workload/closed_loop.h): restart and replay on
+// reject, abandon after kMaxTries, so abort handling and restart costs are
+// part of every number and the compaction watermark can always advance.
 //
 // The ladder prices the stack one layer at a time. A rung is a name, a
 // parent, and the one layer it adds to its parent's configuration; every
@@ -43,7 +42,6 @@
 #include "common/bench_clock.h"
 #include "common/bench_json.h"
 #include "common/table_printer.h"
-#include "control/admission.h"
 #include "core/mtk_scheduler.h"
 #include "core/types.h"
 #include "engine/sharded_engine.h"
@@ -89,9 +87,11 @@ constexpr int kLadderRounds = 9;
 // Arm length. In the gate cell, interference bursts on shared hosts run
 // for a few hundred ms, so 0.3 s arms land entirely inside or outside a
 // burst (+-8% per arm); 1 s arms integrate over it. The other cells price
-// the layers without a bar and use short arms.
+// the layers without a bar; their arms are as long as the run's time
+// budget allows, because short arms price a young table and widen the
+// null rung's quartiles.
 constexpr double kGateArmSecs = 1.0;
-constexpr double kCellArmSecs = 0.1;
+constexpr double kCellArmSecs = 0.18;
 
 // What a rung runs: the layers stacked on the closed-loop client.
 struct Stack {
@@ -363,259 +363,6 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms) {
       RunCell(out_path, hw, items, threads, gated, global, gates);
     }
   }
-
-  // -------------------------------------------------------------------
-  // Part 5: adaptive admission across a contention phase change. One
-  // engine lives through low -> high -> low contention; three arms run
-  // the identical schedule: the adaptive arm (AdmissionController driving
-  // batch size and MT(k+) width off a manually ticked Sampler, with the
-  // starvation watchdog's alert wired to EmergencyShrink) against static
-  // batch=32 (the low-contention champion that livelocks at items=64)
-  // and static batch=1 (the high-contention safe harbor that forfeits
-  // the batching win). Acceptance bars: the adaptive arm must escape the
-  // high-phase livelock without hand tuning - >= 0.5x the best static
-  // goodput there at an abort rate < 0.6 - while retaining >= 80% of the
-  // batch=32 gain over batch=1 across the two low phases.
-  // -------------------------------------------------------------------
-  std::printf(
-      "\n--- part 5: adaptive admission across a contention phase change "
-      "---\n");
-  constexpr double kPhaseSecs = 1.0;
-  constexpr double kTickSecs = 0.02;  // 50 controller windows per second.
-  constexpr size_t kAdaptiveMaxBatch = AdmissionController::kMaxBatch;
-  const Workload w_ad_low =
-      MakeWorkload(1, kLowContentionItems, kOpsPerTxn, kReadFraction, 42);
-  const Workload w_ad_high =
-      MakeWorkload(1, kHighContentionItems, kOpsPerTxn, kReadFraction, 42);
-
-  struct AdaptiveArm {
-    LoopResult low1, high, low2;
-    uint64_t grows = 0, shrinks = 0, k_switches = 0, alerts = 0;
-    double react_high_s = -1.0;  // High-phase start -> first shrink.
-    double react_low_s = -1.0;   // Recovery-phase start -> first grow.
-    uint32_t batch_end_high = 0, batch_end_low = 0;
-    uint32_t k_end_high = 0, k_end_low = 0;
-    std::string trace;  // Full decision trace (adaptive arm only).
-  };
-  auto run_adaptive_arm = [&](bool adaptive, size_t static_batch) {
-    AdaptiveArm arm;
-    MetricsRegistry areg;
-    EngineOptions aeo;
-    aeo.k = 5;  // Physical width; the adaptive arm starts at active_k=3.
-    aeo.num_shards = 32;
-    aeo.starvation_fix = true;
-    aeo.compact_every = 4096;
-    aeo.metrics = &areg;
-    ShardedMtkEngine engine(aeo);
-    std::unique_ptr<Sampler> sampler;
-    std::unique_ptr<AdmissionController> ctl;
-    if (adaptive) {
-      engine.SetActiveK(3);  // Headroom for the MT(k+) widener (3..5).
-      SamplerOptions so;
-      so.registry = &areg;
-      sampler = std::make_unique<Sampler>(so);
-      AdmissionControlOptions ao;
-      ao.registry = &areg;
-      ao.engine = &engine;
-      ao.min_k = 3;
-      // Calibrate the abort-rate bands to this engine's closed-loop driver:
-      // restart-and-replay keeps the healthy low-contention op reject rate
-      // near 0.47-0.50 (one client, 65,536 items), while the batch=32
-      // hot-set collapse sits at 0.90+. The stock 0.5/0.2 bands straddle
-      // the healthy baseline and would shrink on noise; 0.70/0.55 puts the
-      // baseline inside the quiet band and the collapse alone inside the
-      // shrink band.
-      ao.abort_rate_shrink = 0.70;
-      ao.abort_rate_quiet = 0.55;
-      ctl = std::make_unique<AdmissionController>(ao);
-      AdmissionController* c = ctl.get();
-      StarvationWatchdogOptions wo;
-      wo.source_gauge = "engine.max_consecutive_aborts";
-      wo.on_alert = [c](const WatchdogAlert& a) {
-        c->EmergencyShrink(a.last_seq, a.last_time);
-      };
-      sampler->AddStarvationWatchdog(wo);
-      sampler->AddTickHook(
-          [c](uint64_t seq, double now) { c->TickOnce(seq, now); });
-    }
-    // One worker (t=0, stride 1): the experiment isolates the
-    // controller's reaction, not thread scaling. The static arms run the
-    // same loop at a constant width, so all three pay identical loop
-    // costs. The sampler ticks on the phase clock, so the decision trace
-    // lines up with the phase boundaries measured on it.
-    const size_t max_width = adaptive ? kAdaptiveMaxBatch : static_batch;
-    auto width = [&]() -> size_t {
-      return ctl != nullptr ? ctl->batch_size() : static_batch;
-    };
-    Stopwatch phase_clock;
-    uint64_t next_n = 0;  // The engine survives the phase changes.
-    double phase_start[3] = {};
-    LoopResult* phase_result[3] = {&arm.low1, &arm.high, &arm.low2};
-    for (int p = 0; p < 3; ++p) {
-      phase_start[p] = phase_clock.ElapsedSeconds();
-      double next_tick = kTickSecs;
-      auto tick = [&](double phase_t) {
-        if (sampler == nullptr || phase_t < next_tick) return;
-        sampler->TickOnce(phase_clock.ElapsedSeconds());
-        next_tick += kTickSecs;
-      };
-      *phase_result[p] =
-          BatchedLoop(engine, p == 1 ? w_ad_high : w_ad_low, 0, 1, max_width,
-                      width, tick, next_n, kPhaseSecs);
-      if (p == 1 && ctl != nullptr) {
-        arm.batch_end_high = ctl->batch_size();
-        arm.k_end_high = ctl->active_k();
-      }
-    }
-    const double high_start = phase_start[1];
-    const double low2_start = phase_start[2];
-    if (ctl != nullptr) {
-      arm.batch_end_low = ctl->batch_size();
-      arm.k_end_low = ctl->active_k();
-      arm.grows = ctl->grows();
-      arm.shrinks = ctl->shrinks();
-      arm.k_switches = ctl->k_switches();
-      arm.alerts = sampler->alerts().size();
-      arm.trace = ctl->TraceString();
-      for (const AdmissionDecision& d : ctl->decisions()) {
-        if (arm.react_high_s < 0 && d.time >= high_start &&
-            (d.action == AdmissionAction::kShrink ||
-             d.action == AdmissionAction::kEmergencyShrink)) {
-          arm.react_high_s = d.time - high_start;
-        }
-        if (arm.react_low_s < 0 && d.time >= low2_start &&
-            d.action == AdmissionAction::kGrow) {
-          arm.react_low_s = d.time - low2_start;
-        }
-      }
-    }
-    return arm;
-  };
-  // A/B/C interleaved, medians over kAdReps full schedules: 1-second
-  // phases on a shared container are individually noisy, and the
-  // acceptance ratios divide two of them.
-  constexpr int kAdReps = 3;
-  std::vector<AdaptiveArm> reps_ad, reps_b32, reps_b1;
-  for (int rep = 0; rep < kAdReps; ++rep) {
-    reps_ad.push_back(run_adaptive_arm(true, 0));
-    reps_b32.push_back(run_adaptive_arm(false, kAdaptiveMaxBatch));
-    reps_b1.push_back(run_adaptive_arm(false, 1));
-  }
-  const AdaptiveArm& arm_adapt = reps_ad[0];  // Controller narrative.
-  auto med_of = [&](const std::vector<AdaptiveArm>& v, auto metric) {
-    std::vector<double> xs;
-    xs.reserve(v.size());
-    for (const AdaptiveArm& a : v) xs.push_back(metric(a));
-    return Median(std::move(xs));
-  };
-  auto low_goodput = [&](const AdaptiveArm& a) {
-    const double secs = a.low1.seconds + a.low2.seconds;
-    return secs > 0 ? static_cast<double>(a.low1.committed +
-                                          a.low2.committed) *
-                          kOpsPerTxn / secs / 1e6
-                    : 0.0;
-  };
-  auto high_gp = [&](const AdaptiveArm& a) {
-    return GoodputMops(a.high, kOpsPerTxn);
-  };
-  auto low1_gp = [&](const AdaptiveArm& a) {
-    return GoodputMops(a.low1, kOpsPerTxn);
-  };
-  auto low2_gp = [&](const AdaptiveArm& a) {
-    return GoodputMops(a.low2, kOpsPerTxn);
-  };
-  auto high_ab = [&](const AdaptiveArm& a) { return a.high.abort_rate(); };
-  const double ad_high = med_of(reps_ad, high_gp);
-  const double b32_high = med_of(reps_b32, high_gp);
-  const double b1_high = med_of(reps_b1, high_gp);
-  const double ad_high_abort = med_of(reps_ad, high_ab);
-  const double best_static_high = std::max(b32_high, b1_high);
-  const double ad_low = med_of(reps_ad, low_goodput);
-  const double b32_low = med_of(reps_b32, low_goodput);
-  const double b1_low = med_of(reps_b1, low_goodput);
-  // Share of the static batching win the adaptive arm keeps across the
-  // low phases; when batch=32 is not actually ahead of batch=1 on this
-  // machine the gain is vacuous and retention reports 1.
-  const double batch_gain = b32_low - b1_low;
-  const double retained =
-      batch_gain > 0 ? (ad_low - b1_low) / batch_gain : 1.0;
-  const double high_ratio =
-      best_static_high > 0 ? ad_high / best_static_high : 0.0;
-
-  TablePrinter ad_table({"arm", "low1 good Mops", "high good Mops",
-                         "low2 good Mops", "high abort", "grows", "shrinks",
-                         "kSw"});
-  auto ad_row = [&](const char* name, const std::vector<AdaptiveArm>& v,
-                    bool ctl_arm) {
-    const AdaptiveArm& a0 = v[0];
-    ad_table.AddRow({name, Fmt(med_of(v, low1_gp)), Fmt(med_of(v, high_gp)),
-                     Fmt(med_of(v, low2_gp)), Fmt(med_of(v, high_ab), 3),
-                     ctl_arm ? std::to_string(a0.grows) : "-",
-                     ctl_arm ? std::to_string(a0.shrinks) : "-",
-                     ctl_arm ? std::to_string(a0.k_switches) : "-"});
-  };
-  ad_row("adaptive", reps_ad, true);
-  ad_row("batch=32", reps_b32, false);
-  ad_row("batch=1", reps_b1, false);
-  std::printf("%s\n", ad_table.ToString().c_str());
-  std::printf("adaptive decision trace (rep 0):\n%s",
-              arm_adapt.trace.c_str());
-  std::printf(
-      "adaptive reaction: first shrink %.0f ms into the high phase (ends "
-      "it at batch %u, k %u); first grow %.0f ms into the recovery phase "
-      "(ends the run at batch %u, k %u); %llu watchdog alert(s)\n",
-      arm_adapt.react_high_s * 1e3, arm_adapt.batch_end_high,
-      arm_adapt.k_end_high, arm_adapt.react_low_s * 1e3,
-      arm_adapt.batch_end_low, arm_adapt.k_end_low,
-      static_cast<unsigned long long>(arm_adapt.alerts));
-  std::printf(
-      "acceptance: high-phase adaptive/best-static %.2f (bar >= 0.5, "
-      "abort %.3f < 0.6), low-phase batch-win retention %.2f (bar >= "
-      "0.8)\n",
-      high_ratio, ad_high_abort, retained);
-
-  UpsertBenchRecord(
-      out_path, "mt_engine_adaptive_phase_change",
-      {{"hardware_threads", JsonNum(hw)},
-       {"phase_seconds", JsonNum(kPhaseSecs)},
-       {"tick_seconds", JsonNum(kTickSecs)},
-       {"items_low", JsonNum(kLowContentionItems)},
-       {"items_high", JsonNum(kHighContentionItems)},
-       {"max_batch", JsonNum(kAdaptiveMaxBatch)},
-       {"physical_k", JsonNum(5)},
-       {"initial_active_k", JsonNum(3)},
-       {"ab_reps", JsonNum(kAdReps)},
-       {"adaptive_low1_goodput_mops", JsonNum(med_of(reps_ad, low1_gp))},
-       {"adaptive_high_goodput_mops", JsonNum(ad_high)},
-       {"adaptive_low2_goodput_mops", JsonNum(med_of(reps_ad, low2_gp))},
-       {"adaptive_high_abort_rate", JsonNum(ad_high_abort)},
-       {"static32_high_goodput_mops", JsonNum(b32_high)},
-       {"static32_high_abort_rate", JsonNum(med_of(reps_b32, high_ab))},
-       {"static1_high_goodput_mops", JsonNum(b1_high)},
-       {"adaptive_low_goodput_mops", JsonNum(ad_low)},
-       {"static32_low_goodput_mops", JsonNum(b32_low)},
-       {"static1_low_goodput_mops", JsonNum(b1_low)},
-       {"grows", JsonNum(static_cast<double>(arm_adapt.grows))},
-       {"shrinks", JsonNum(static_cast<double>(arm_adapt.shrinks))},
-       {"k_switches", JsonNum(static_cast<double>(arm_adapt.k_switches))},
-       {"watchdog_alerts", JsonNum(static_cast<double>(arm_adapt.alerts))},
-       {"react_high_seconds", JsonNum(arm_adapt.react_high_s)},
-       {"react_recovery_seconds", JsonNum(arm_adapt.react_low_s)},
-       {"batch_end_of_high_phase",
-        JsonNum(static_cast<double>(arm_adapt.batch_end_high))},
-       {"batch_end_of_run",
-        JsonNum(static_cast<double>(arm_adapt.batch_end_low))},
-       {"k_end_of_high_phase",
-        JsonNum(static_cast<double>(arm_adapt.k_end_high))},
-       {"k_end_of_run",
-        JsonNum(static_cast<double>(arm_adapt.k_end_low))}});
-  UpsertBenchRecord(
-      out_path, "mt_engine_adaptive_acceptance",
-      {{"hardware_threads", JsonNum(hw)},
-       {"high_phase_adaptive_over_best_static", JsonNum(high_ratio)},
-       {"high_phase_adaptive_abort_rate", JsonNum(ad_high_abort)},
-       {"low_phase_batch_win_retained", JsonNum(retained)},
-       {"low_phase_batch_gain_mops", JsonNum(batch_gain)}});
 
   std::printf("results upserted into %s\n", out_path);
 

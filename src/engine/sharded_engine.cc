@@ -105,8 +105,6 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
   static_assert(sizeof(ItemState) <= 80);
   assert(options_.k >= 1);
   options_.num_shards = num_shards_;
-  active_k_.store(static_cast<uint32_t>(options_.k),
-                  std::memory_order_relaxed);
   if ((num_shards_ & (num_shards_ - 1)) == 0) {
     shard_idx_mask_ = num_shards_ - 1;
   }
@@ -211,15 +209,9 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
   // Last-column values come from shard shx's counter stripe, globally
   // unique via the value * N + shard encoding; the other columns' from
   // shx's ColumnClocks, whose receive rule also runs here.
-  // New encodings use the runtime MT(k+) width, not the physical k: the
-  // vectors stay physically k wide (Compare walks them in full, and the
-  // elements beyond the active width hold the constants every narrower
-  // encoding fixes), so decisions made under different widths stay
-  // mutually consistent - Theorem 5's shared-prefix composite on one
-  // store. See SetActiveK.
   const EncodeOutcome out = EncodeDependency(
-      cr, active_k_.load(std::memory_order_relaxed), sj.ts, si.ts,
-      j == kVirtualTxn, /*right_end=*/false, shx.counters, &shx.clocks);
+      cr, options_.k, sj.ts, si.ts, j == kVirtualTxn, /*right_end=*/false,
+      shx.counters, &shx.clocks);
   shx.stats.elements_assigned += out.elements_assigned;
   if (!out.ok) {
     *why = out.why;
@@ -499,12 +491,6 @@ void ShardedMtkEngine::RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag) {
     Tracer::Get().Emit(e);
   }
 #endif
-}
-
-void ShardedMtkEngine::SetActiveK(size_t k) {
-  if (k < 1) k = 1;
-  if (k > options_.k) k = options_.k;
-  active_k_.store(static_cast<uint32_t>(k), std::memory_order_relaxed);
 }
 
 OpDecision ShardedMtkEngine::RejectLocked(Shard& shx, const Op& op,

@@ -281,21 +281,6 @@ class ShardedMtkEngine {
   bool IsAborted(TxnId txn) const;
   bool IsCommitted(TxnId txn) const;
 
-  /// Runtime protocol width: how many of the k physical vector elements new
-  /// dependency encodings may use (the MT(k+) composite run on one physical
-  /// store - Theorem 5's shared-prefix property is what makes mixing sound:
-  /// a dependency encoded at width h is exactly an MT(h) encoding, and
-  /// Compare walks the full physical vectors, where elements beyond h hold
-  /// the constants every lower-width encoding also fixes, so decisions made
-  /// at different widths order consistently). Clamped to [1, options().k].
-  /// Thread-safe and cheap (one relaxed store); decisions concurrent with a
-  /// switch use whichever width they load - both are sound. This is the
-  /// admission controller's k actuator.
-  void SetActiveK(size_t k);
-  size_t active_k() const {
-    return active_k_.load(std::memory_order_relaxed);
-  }
-
   /// Explain-style rendering of the most recent rejection (engine-wide,
   /// by reject order): FormatReject plus, for kBatchThrottled, the
   /// guardrail context - the champion transaction the throttled peer was
@@ -624,10 +609,6 @@ class ShardedMtkEngine {
   /// per-shard, because that round number must be one global sequence.
   std::atomic<uint64_t> batch_fallbacks_{0};
 
-  /// Runtime MT(k+) width (see SetActiveK); initialized to options_.k.
-  /// Relaxed everywhere: any value a decision loads is a sound width, and
-  /// vector storage is always the physical k.
-  std::atomic<uint32_t> active_k_{1};
   /// Ticket clock ordering RejectRecords across shards.
   std::atomic<uint64_t> reject_seq_{0};
 

@@ -86,22 +86,12 @@ std::string FlightRecord::ToJson() const {
   return out;
 }
 
-std::string ControlEvent::ToJson() const {
-  std::string out = "{\"seq\": " + std::to_string(seq);
-  out += ", \"time_us\": " + std::to_string(time_us);
-  out += ", \"event\": \"control\", \"action\": \"" + action + "\"";
-  out += ", \"batch_size\": " + std::to_string(batch_size);
-  out += ", \"k\": " + std::to_string(k) + "}";
-  return out;
-}
-
 FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
     : options_(options),
       ring_mask_(std::bit_ceil(std::max<size_t>(options.rings, 1)) - 1),
       rings_(std::make_unique<Ring[]>(ring_mask_ + 1)) {
   const size_t capacity = std::max<size_t>(options.capacity, 2);
   for (size_t r = 0; r <= ring_mask_; ++r) rings_[r].Init(capacity);
-  control_.Init(capacity);
   options_.rings = ring_mask_ + 1;
   options_.capacity = rings_[0].capacity();
 }
@@ -176,34 +166,6 @@ void FlightRecorder::RecordAbort(size_t ring, TxnId txn, AbortReason reason,
       1, std::memory_order_relaxed);
   Record(ring, txn, /*commit=*/false, reason, blocker, op, false, {}, nullptr,
          vec, time_us);
-}
-
-void FlightRecorder::RecordControl(const char* action, uint32_t batch_size,
-                                   uint32_t k, uint64_t time_us) {
-  control_.Write([&](const ControlRing::Payload& p) {
-    p.Put(0, seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-    p.Put(1, time_us);
-    p.Put(2, reinterpret_cast<uintptr_t>(action));
-    p.Put(3, batch_size | static_cast<uint64_t>(k) << 32);
-  });
-}
-
-std::vector<ControlEvent> FlightRecorder::ControlEvents() const {
-  std::vector<ControlEvent> out;
-  control_.ForEach([&](const auto& w) {
-    ControlEvent ev;
-    ev.seq = w[0];
-    ev.time_us = w[1];
-    ev.action = reinterpret_cast<const char*>(static_cast<uintptr_t>(w[2]));
-    ev.batch_size = static_cast<uint32_t>(w[3]);
-    ev.k = static_cast<uint32_t>(w[3] >> 32);
-    out.push_back(std::move(ev));
-  });
-  std::sort(out.begin(), out.end(),
-            [](const ControlEvent& a, const ControlEvent& b) {
-              return a.seq < b.seq;
-            });
-  return out;
 }
 
 std::vector<FlightRecord> FlightRecorder::Drain() const {
@@ -288,17 +250,6 @@ std::string FlightRecorder::ToJson() const {
     out += records[q].ToJson();
   }
   out += "]";
-  // Control events only appear when an actuator recorded any, so dumps
-  // from uncontrolled runs are byte-identical to the pre-control format.
-  const std::vector<ControlEvent> control = ControlEvents();
-  if (!control.empty()) {
-    out += ", \"control\": [";
-    for (size_t q = 0; q < control.size(); ++q) {
-      if (q != 0) out += ", ";
-      out += control[q].ToJson();
-    }
-    out += "]";
-  }
   out += "}";
   return out;
 }

@@ -70,21 +70,6 @@ struct FlightRecord {
   std::string ToJson() const;
 };
 
-/// One control-plane decision captured alongside the transaction records:
-/// what an actuator (the admission controller) did and the state it left
-/// behind. Kept in its own small ring so transaction totals and the
-/// commit/abort reconciliation audits are untouched.
-struct ControlEvent {
-  uint64_t seq = 0;      ///< Shares the recorder's global sequence space.
-  uint64_t time_us = 0;  ///< Caller's record-point clock.
-  std::string action;    ///< "grow", "shrink", "emergency_shrink", ...
-  uint32_t batch_size = 0;  ///< Advisory batch size after the action.
-  uint32_t k = 0;           ///< Active protocol dimension after the action.
-
-  /// {"seq": ..., "event": "control", "action": ..., ...}.
-  std::string ToJson() const;
-};
-
 struct FlightRecorderOptions {
   /// Independent rings; writers pick one (the engine uses txn % num_shards)
   /// so concurrent recording never contends across rings. Rounded up to a
@@ -106,10 +91,10 @@ struct FlightRecorderOptions {
 /// _Exit, and the HttpExporter's /flight.json endpoint.
 ///
 /// Concurrency contract: recording never blocks or loses newer records (a
-/// ring overwrites its oldest entry), control events included. Drain/ToJson
-/// are best-effort under concurrent writers - a slot overwritten mid-copy
-/// is detected by its stamp and skipped - and exact once writers are
-/// quiescent, which is the state at every dump trigger above.
+/// ring overwrites its oldest entry). Drain/ToJson are best-effort under
+/// concurrent writers - a slot overwritten mid-copy is detected by its
+/// stamp and skipped - and exact once writers are quiescent, which is the
+/// state at every dump trigger above.
 class FlightRecorder {
  public:
   /// Vector elements captured per record (the TimestampVector inline
@@ -142,17 +127,6 @@ class FlightRecorder {
   void RecordAbort(size_t ring, TxnId txn, AbortReason reason, TxnId blocker,
                    const Op* op, const TimestampVector* vec,
                    uint64_t time_us);
-
-  /// Records a control-plane decision (admission-controller actuation).
-  /// `action` must be a static string (AdmissionActionName); the control
-  /// ring stores the pointer. Lock-free like the transaction records, on
-  /// its own ring of `capacity` events; ToJson() includes them under
-  /// "control".
-  void RecordControl(const char* action, uint32_t batch_size, uint32_t k,
-                     uint64_t time_us);
-
-  /// Snapshot of the retained control events, oldest first.
-  std::vector<ControlEvent> ControlEvents() const;
 
   /// Prefetches (for write) the slot the ring's next record will land in.
   /// Call it on transaction-commit entry, a few hundred nanoseconds ahead
@@ -200,9 +174,6 @@ class FlightRecorder {
   static constexpr size_t kPayloadWords =
       kHeaderWords + kPhaseWords + kWriteWords + kMaxVecElements;
   using Ring = SeqlockRing<kPayloadWords>;
-  // Control event words: w0 seq, w1 time_us, w2 action (static string
-  // pointer), w3 batch_size | k<<32.
-  using ControlRing = SeqlockRing<4>;
 
   void Record(size_t ring, TxnId txn, bool commit, AbortReason reason,
               TxnId blocker, const Op* op, bool sampled,
@@ -216,7 +187,6 @@ class FlightRecorder {
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> aborts_by_reason_[kNumAbortReasons] = {};
-  ControlRing control_;  ///< Last `capacity` control events.
 };
 
 }  // namespace mdts

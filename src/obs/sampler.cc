@@ -52,11 +52,6 @@ void Sampler::AddStarvationWatchdog(
   watchdogs_.emplace_back(options, options_.registry);
 }
 
-void Sampler::AddTickHook(std::function<void(uint64_t, double)> hook) {
-  std::lock_guard<std::mutex> g(mu_);
-  tick_hooks_.push_back(std::move(hook));
-}
-
 double Sampler::SteadySeconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        epoch_)
@@ -95,11 +90,6 @@ void Sampler::TickLocked(double raw_now) {
   if (ring_.size() > options_.capacity) ring_.pop_front();
   for (StarvationWatchdog& w : watchdogs_) {
     w.Evaluate(seq_, now);
-  }
-  // Hooks run last: a hook reacting to this window (the admission
-  // controller) sees the watchdogs' alert state for the same window.
-  for (const auto& hook : tick_hooks_) {
-    hook(seq_, now);
   }
 }
 

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -68,16 +67,6 @@ class Sampler {
   /// snapshot is taken (so the sample still shows the window's peak).
   void AddStarvationWatchdog(const StarvationWatchdogOptions& options);
 
-  /// Registers a callback invoked at every tick, after the snapshot and
-  /// the watchdogs (so a hook that consults the registry sees post-window
-  /// state, and a watchdog alert raised this window has already run its
-  /// on_alert). `seq`/`now` identify the window, as in Evaluate. This is
-  /// how the obs layer drives engine-side consumers (e.g. the admission
-  /// controller's TickOnce) without depending on them: hooks are plain
-  /// functions. Add hooks before the first tick; they run on whichever
-  /// thread ticks (the background thread under Start()).
-  void AddTickHook(std::function<void(uint64_t seq, double now)> hook);
-
   /// Takes one sample at the given timestamp (seconds, any monotone
   /// clock). A non-increasing timestamp - e.g. a second simulation run
   /// restarting its clock at 0 - rebases that and all later ticks to
@@ -125,7 +114,6 @@ class Sampler {
   mutable std::mutex mu_;
   std::deque<Sample> ring_;
   std::deque<StarvationWatchdog> watchdogs_;
-  std::vector<std::function<void(uint64_t, double)>> tick_hooks_;
   uint64_t seq_ = 0;
   double last_time_ = 0.0;
   double time_offset_ = 0.0;  // Rebase across clock-restarting drivers.

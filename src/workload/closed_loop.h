@@ -170,25 +170,18 @@ LoopResult PerOpLoop(Target& target, const Workload& w, size_t t,
   return res;
 }
 
-/// Worker t's batched loop: up to `max_batch` transactions in flight, one
-/// operation of each per ProcessBatch call (one lockset acquisition covers
-/// the round). A rejected slot restarts and replays its program from the
-/// top; a finished one commits and takes the next id from `next_n`, which
-/// the caller owns so ids keep advancing across phases on one target.
-///
-/// `width()` is re-read every round and clamped to [1, max_batch]. When it
-/// shrinks, slots beyond it park by committing the prefix they had accepted
-/// (a commit covers exactly the accepted operations): freezing them live
-/// would leave immortal top writers that every later accessor of their
-/// items rejects on. `on_clock(elapsed_seconds)` runs at every clock check
-/// (every 16 rounds) that does not end the loop. On return every slot still
-/// in flight is resolved the same way; those commits are not counted.
-/// `stop` sees this worker's running result after every round.
-template <typename Target, typename Width, typename OnClock,
-          typename Stop = NeverStop>
+/// Worker t's batched loop: `batch` transactions in flight, one operation
+/// of each per ProcessBatch call (one lockset acquisition covers the
+/// round). A rejected slot restarts and replays its program from the top; a
+/// finished one commits and takes the next id. The clock is read every 16
+/// rounds. On return every slot still in flight commits the prefix it had
+/// accepted (a commit covers exactly the accepted operations; left live,
+/// it would be an immortal top writer that every later accessor of its
+/// items rejects on); those commits are not counted. `stop` sees this
+/// worker's running result after every round.
+template <typename Target, typename Stop = NeverStop>
 LoopResult BatchedLoop(Target& target, const Workload& w, size_t t,
-                       size_t stride, size_t max_batch, Width width,
-                       OnClock on_clock, uint64_t& next_n, double seconds,
+                       size_t stride, size_t batch, double seconds,
                        Stop stop = {}) {
   LoopResult res;
   const std::vector<StreamOp>& stream = w.ops[t];
@@ -200,34 +193,28 @@ LoopResult BatchedLoop(Target& target, const Workload& w, size_t t,
     uint32_t tries = 0;  // Rejections of this transaction so far.
   };
   Stopwatch total;
+  uint64_t next_n = 0;
   auto next_txn = [&](Slot& s) {
     s.n = next_n++;
     s.txn = static_cast<TxnId>(1 + t + s.n * stride);
     s.done = 0;
     s.tries = 0;
   };
-  std::vector<Slot> slots(max_batch);
+  std::vector<Slot> slots(batch);
   for (Slot& s : slots) next_txn(s);
-  std::vector<Op> ops(max_batch);
-  std::vector<OpDecision> dec(max_batch);
+  std::vector<Op> ops(batch);
+  std::vector<OpDecision> dec(batch);
   for (uint64_t round = 0;; ++round) {
     if ((round & 15) == 0) {
       res.seconds = total.ElapsedSeconds();
       if (res.seconds >= seconds) break;
-      on_clock(res.seconds);
     }
-    const size_t live = std::clamp<size_t>(width(), 1, max_batch);
-    for (size_t b = live; b < max_batch; ++b) {
-      if (slots[b].done == 0) continue;
-      target.CommitTxn(slots[b].txn);
-      next_txn(slots[b]);
-    }
-    for (size_t b = 0; b < live; ++b) {
+    for (size_t b = 0; b < batch; ++b) {
       const Slot& s = slots[b];
       ops[b] = ToOp(s.txn, stream[(s.n % programs) * w.ops_per_txn + s.done]);
     }
-    target.ProcessBatch(std::span<const Op>(ops.data(), live), dec.data());
-    for (size_t b = 0; b < live; ++b) {
+    target.ProcessBatch(std::span<const Op>(ops), dec.data());
+    for (size_t b = 0; b < batch; ++b) {
       Slot& s = slots[b];
       if (dec[b] == OpDecision::kReject) {
         ++res.aborts;
@@ -258,7 +245,7 @@ LoopResult BatchedLoop(Target& target, const Workload& w, size_t t,
 /// Runs `threads` workers over one shared target (worker t issues ids
 /// 1 + t + n * threads) and merges their results; a single worker runs on
 /// the calling thread. batch == 0 drives the per-op loop, batch >= 1 the
-/// batched loop at that static width (targets without ProcessBatch always
+/// batched loop at that width (targets without ProcessBatch always
 /// run per-op).
 template <typename Target, typename Stop = NeverStop>
 LoopResult RunClosedLoop(Target& target, const Workload& w, size_t threads,
@@ -269,10 +256,7 @@ LoopResult RunClosedLoop(Target& target, const Workload& w, size_t threads,
                     target.ProcessBatch(ops, out);
                   }) {
       if (batch > 0) {
-        uint64_t next_n = 0;
-        return BatchedLoop(
-            target, w, t, threads, batch, [batch] { return batch; },
-            [](double) {}, next_n, seconds, stop);
+        return BatchedLoop(target, w, t, threads, batch, seconds, stop);
       }
     }
     return PerOpLoop(target, w, t, threads, seconds, work_ns, stop);

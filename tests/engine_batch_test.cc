@@ -485,63 +485,5 @@ TEST(ClosedLoopEngineTest, FourWorkersStripeIdsAndCountEveryCommit) {
   }
 }
 
-// Forwards to the engine and records every CommitTxn with the number of
-// operations the transaction had accepted since its last (re)start.
-struct CommitRecorder {
-  ShardedMtkEngine& engine;
-  std::map<TxnId, uint32_t> accepted;
-  std::vector<std::pair<TxnId, uint32_t>> commits;
-
-  size_t ProcessBatch(std::span<const Op> ops, OpDecision* out) {
-    const size_t n = engine.ProcessBatch(ops, out);
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (out[i] != OpDecision::kReject) ++accepted[ops[i].txn];
-    }
-    return n;
-  }
-  void CommitTxn(TxnId txn) {
-    engine.CommitTxn(txn);
-    commits.emplace_back(txn, accepted[txn]);
-  }
-  void RestartTxn(TxnId txn) {
-    engine.RestartTxn(txn);
-    accepted[txn] = 0;
-  }
-};
-
-// Width 8 for three rounds, then 2: the six slots beyond the new width
-// commit their three-op prefixes and take fresh ids, none of which counts
-// as a committed program; at the stop the two live slots resolve the same
-// way. k=1 over 65,536 items keeps these eight transactions conflict-free.
-TEST(ClosedLoopEngineTest, ShrinkingWidthCommitsParkedPrefixes) {
-  EngineOptions eo = DriverEngine(1);
-  eo.k = 1;
-  ShardedMtkEngine engine(eo);
-  CommitRecorder target{engine, {}, {}};
-  const Workload w = MakeWorkload(1, 65536, 6, 0.6, 42);
-  int rounds = 0;
-  int clock_checks = 0;
-  uint64_t next_n = 0;
-  const LoopResult r = BatchedLoop(
-      target, w, 0, 1, /*max_batch=*/8,
-      [&]() -> size_t { return ++rounds <= 3 ? 8 : 2; },
-      [&](double) { ++clock_checks; }, next_n, 600.0,
-      [&](const LoopResult&) { return rounds >= 5; });
-  EXPECT_EQ(r.aborts, 0u);
-  EXPECT_EQ(r.committed, 0u);
-  EXPECT_EQ(r.ops_accepted, 8u * 3 + 2u * 2);
-  EXPECT_EQ(clock_checks, 1);  // Round 0 only: every 16 rounds.
-  EXPECT_EQ(next_n, 14u);      // Eight first ids, six fresh after parking.
-  const std::vector<std::pair<TxnId, uint32_t>> expected = {
-      {3, 3}, {4, 3}, {5, 3}, {6, 3}, {7, 3}, {8, 3},  // Parked in round 4.
-      {1, 5}, {2, 5}};                                 // Resolved at stop.
-  EXPECT_EQ(target.commits, expected);
-  for (TxnId txn = 1; txn <= 8; ++txn) EXPECT_TRUE(engine.IsCommitted(txn));
-  for (TxnId txn = 9; txn <= 14; ++txn) {
-    EXPECT_FALSE(engine.IsCommitted(txn)) << "fresh id " << txn;
-  }
-  EXPECT_EQ(engine.stats().commits, 8u);
-}
-
 }  // namespace
 }  // namespace mdts

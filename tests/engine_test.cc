@@ -926,5 +926,96 @@ TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// ExplainLastReject: per-reason rendering.
+// ---------------------------------------------------------------------------
+
+TEST(ExplainLastRejectTest, FreshEngineHasNothingToExplain) {
+  EngineOptions eo;
+  eo.k = 2;
+  ShardedMtkEngine engine(eo);
+  EXPECT_EQ(engine.ExplainLastReject(), "no rejection yet");
+}
+
+TEST(ExplainLastRejectTest, LexOrderRejectNamesReasonAndBlocker) {
+  // MT(1) degenerates to timestamp ordering: once T2 has taken the later
+  // write position on x, T1's attempt to write x again has no legal
+  // position and rejects with T2 as the blocking transaction.
+  EngineOptions eo;
+  eo.k = 1;
+  eo.num_shards = 1;
+  ShardedMtkEngine engine(eo);
+  EXPECT_EQ(engine.Process({1, OpType::kWrite, 7}), OpDecision::kAccept);
+  EXPECT_EQ(engine.Process({2, OpType::kWrite, 7}), OpDecision::kAccept);
+  ASSERT_EQ(engine.Process({1, OpType::kWrite, 7}), OpDecision::kReject);
+  const std::string out = engine.ExplainLastReject();
+  EXPECT_NE(out.find("W1[i7]"), std::string::npos) << out;
+  EXPECT_NE(out.find("rejected: "), std::string::npos) << out;
+  EXPECT_NE(out.find("blocker T2"), std::string::npos) << out;
+}
+
+TEST(ExplainLastRejectTest, InvalidOpRendersWithoutBlocker) {
+  EngineOptions eo;
+  eo.k = 2;
+  eo.num_shards = 2;
+  ShardedMtkEngine engine(eo);
+  Op bad;
+  bad.txn = kVirtualTxn;  // The reserved id is not admissible traffic.
+  bad.type = OpType::kWrite;
+  bad.item = 3;
+  OpDecision dec = OpDecision::kAccept;
+  engine.ProcessBatch(std::span<const Op>(&bad, 1), &dec);
+  ASSERT_EQ(dec, OpDecision::kReject);
+  const std::string out = engine.ExplainLastReject();
+  EXPECT_NE(out.find("invalid_op"), std::string::npos) << out;
+  EXPECT_EQ(out.find("blocker"), std::string::npos) << out;
+}
+
+TEST(ExplainLastRejectTest, BatchThrottledNamesChampionAndFallbackRound) {
+  // Reuse the livelock-guardrail recipe: all-write width-32 batches over
+  // 64 items form a commit-free streak, the guardrail elects a champion,
+  // and every other batched operation rejects as kBatchThrottled. The
+  // explain line must then carry the champion id and the fallback round.
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = 4;
+  eo.starvation_fix = true;
+  ShardedMtkEngine engine(eo);
+
+  constexpr size_t kWidth = 32;
+  constexpr ItemId kItems = 64;
+  std::mt19937_64 rng(4242);
+  std::vector<TxnId> txns(kWidth);
+  uint32_t started = 0;
+  for (TxnId& t : txns) t = static_cast<TxnId>(++started);
+  std::vector<Op> batch(kWidth);
+  std::vector<OpDecision> dec(kWidth);
+  bool saw_throttled = false;
+  for (size_t round = 0; round < 5000 && !saw_throttled; ++round) {
+    for (size_t b = 0; b < kWidth; ++b) {
+      batch[b].txn = txns[b];
+      batch[b].type = OpType::kWrite;
+      batch[b].item = static_cast<ItemId>(rng() % kItems);
+    }
+    engine.ProcessBatch(std::span<const Op>(batch.data(), kWidth),
+                        dec.data());
+    for (size_t b = 0; b < kWidth; ++b) {
+      if (dec[b] == OpDecision::kReject) {
+        engine.RestartTxn(txns[b]);
+      }
+    }
+    saw_throttled =
+        engine.stats().reject_reasons[AbortReason::kBatchThrottled] > 0;
+  }
+  ASSERT_TRUE(saw_throttled) << "guardrail never engaged";
+  // The throttled rejects were the most recent ones of the last round
+  // (the champion's own operations are not throttled, but at width 32
+  // over 64 items the round always contains non-champion rejects).
+  const std::string out = engine.ExplainLastReject();
+  EXPECT_NE(out.find("batch_throttled"), std::string::npos) << out;
+  EXPECT_NE(out.find("champion T"), std::string::npos) << out;
+  EXPECT_NE(out.find("fallback round "), std::string::npos) << out;
+}
+
 }  // namespace
 }  // namespace mdts

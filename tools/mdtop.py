@@ -11,9 +11,7 @@ counters) and an abort-reason mix with proportional bars, the gauge values,
 and the most recent starvation-watchdog alerts. When the exporter also
 serves /phases.json (per-transaction latency attribution), a phases pane
 shows each lifecycle phase's count, mean, p50/p99, max, and the exemplar
-transaction behind the worst sample. When an AdmissionController publishes
-engine.adaptive.* metrics, an adaptive-admission pane shows the current
-batch width / active k and this window's grow/shrink/k-switch rates. A distributed pane lists the dmt.*
+transaction behind the worst sample. A distributed pane lists the dmt.*
 rates - or an explicit "no dist metrics" placeholder when the exporter is
 engine-only - and, when /paths.json is live (fault_sweep --serve --paths),
 a critical-path pane with the per-segment-class share of distributed time
@@ -150,10 +148,9 @@ def render(series, endpoint, phases=None, paths=None):
                 or n.endswith(".versions_gc")}
     dist = {n: r for n, r in rates.items() if n.startswith("dmt.")
             and n not in commits and n not in aborts}
-    adaptive = {n: r for n, r in rates.items() if ".adaptive." in n}
     other = {n: r for n, r in rates.items()
              if n not in commits and n not in aborts and n not in versions
-             and n not in dist and n not in adaptive}
+             and n not in dist}
 
     lines.append("throughput")
     for n in sorted(commits):
@@ -180,30 +177,6 @@ def render(series, endpoint, phases=None, paths=None):
                          f"{versions[n]:>12.1f}/s")
 
     gauges = w.get("gauges", {})
-    if adaptive or any(n.startswith("engine.adaptive.") for n in gauges):
-        # Closed-loop admission controller: the current actuator settings
-        # (batch width and active k) plus this window's decision rates.
-        # Sustained grow AND shrink traffic in the same frame is churn -
-        # the same signal tools/metrics_diff.py flags across runs.
-        lines.append("adaptive admission")
-        batch = gauges.get("engine.adaptive.batch_size")
-        k = gauges.get("engine.adaptive.k")
-        singular = {"grows": "grow", "shrinks": "shrink",
-                    "k_switches": "k_switch"}
-        moved = {n.rsplit(".", 1)[-1]: r for n, r in adaptive.items() if r}
-        last = (singular.get(max(moved, key=moved.get),
-                             max(moved, key=moved.get))
-                if moved else "none this window")
-        if batch is not None or k is not None:
-            lines.append(f"  batch={'?' if batch is None else batch} "
-                         f"active_k={'?' if k is None else k}  "
-                         f"last action: {last}")
-        for n in sorted(adaptive, key=adaptive.get, reverse=True):
-            lines.append(f"  {shorten(n):<{NAME_WIDTH}} "
-                         f"{adaptive[n]:>12.1f}/s")
-        if not adaptive:
-            lines.append("  (no decisions this window)")
-
     if other:
         lines.append("other rates")
         for n in sorted(other, key=other.get, reverse=True)[:8]:

@@ -12,11 +12,7 @@ the two snapshots, mirroring HistogramSnapshot::Percentile (power-of-two
 buckets, bucket b covering values up to 2^b - 1, clamped by the after-side
 max). The per-phase regression check flags any "engine.phase.*_us" or
 "dmt.path.*_us" histogram whose full-distribution p99 rose by more than
-the tolerance. The controller-oscillation check flags adaptive-admission
-churn between the snapshots: every grow paired with a shrink is one
-reversal of the batch actuator, and more than --churn reversals (or more
-than 2x --churn active-k switches) means the controller is hunting
-instead of converging. With --all, unchanged entries are listed too.
+the tolerance. With --all, unchanged entries are listed too.
 --tolerance=N treats absolute deltas up to N as unchanged (useful when
 comparing runs with small nondeterministic counters, e.g. retry or
 lock-wait tallies).
@@ -124,16 +120,9 @@ def main():
     parser.add_argument("--tolerance", type=int, default=0, metavar="N",
                         help="treat absolute deltas up to N as unchanged "
                              "(default 0: exact)")
-    parser.add_argument("--churn", type=int, default=4, metavar="N",
-                        help="adaptive-admission oscillation threshold: "
-                             "flag more than N grow/shrink reversals (or "
-                             "2xN k switches) between the snapshots "
-                             "(default 4)")
     args = parser.parse_args()
     if args.tolerance < 0:
         parser.error("--tolerance must be >= 0")
-    if args.churn < 0:
-        parser.error("--churn must be >= 0")
 
     counters_a, gauges_a, hists_a = load(args.before)
     counters_b, gauges_b, hists_b = load(args.after)
@@ -195,30 +184,6 @@ def main():
                   + (f", tolerance {args.tolerance}" if args.tolerance
                      else "")
                   + ")")
-
-    # Controller-oscillation flag: between the snapshots, every grow that
-    # is paired with a shrink is one reversal of the batch actuator - a
-    # controller tracking a genuine phase change makes a few, one hunting
-    # around a threshold makes many. Same idea for the active-k actuator,
-    # where widen/narrow both land in engine.adaptive.k_switches (so a
-    # full adapt-and-recover cycle costs 2). Modeled on the phase p99
-    # regression check above: crossing the threshold fails the diff.
-    d_grows = (int(counters_b.get("engine.adaptive.grows", 0))
-               - int(counters_a.get("engine.adaptive.grows", 0)))
-    d_shrinks = (int(counters_b.get("engine.adaptive.shrinks", 0))
-                 - int(counters_a.get("engine.adaptive.shrinks", 0)))
-    d_kswitch = (int(counters_b.get("engine.adaptive.k_switches", 0))
-                 - int(counters_a.get("engine.adaptive.k_switches", 0)))
-    reversals = min(max(d_grows, 0), max(d_shrinks, 0))
-    if reversals > args.churn:
-        changed += 1
-        print(f"controller oscillation: {reversals} grow/shrink reversals "
-              f"(+{d_grows} grows, +{d_shrinks} shrinks; churn threshold "
-              f"{args.churn})")
-    if d_kswitch > 2 * args.churn:
-        changed += 1
-        print(f"controller oscillation: {d_kswitch} active-k switches "
-              f"(churn threshold {2 * args.churn})")
 
     # Multiversion bookkeeping lint: when a snapshot carries the
     # version-chain series, the live-version gauge should equal installs
