@@ -10,8 +10,8 @@
 // (scheduler with either rule, engine on 1 and 32 shards) x k {1, 2, 3, 7}
 // x items {64, 4,096, 65,536} x transactions in flight {1, 8}. With one in
 // flight the history is strictly serial; with 8 the client interleaves one
-// operation of each per round (the engine's ProcessBatch, the scheduler's
-// Process in the same order).
+// operation of each per round, one Process call per transaction in slot
+// order.
 //
 // Self-checks (exit 1 on REPRODUCTION FAILURE): the 1-shard engine makes
 // exactly the clock scheduler's decisions in every cell; a serial client
@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,23 +43,6 @@ constexpr double kReadFraction = 0.6;
 constexpr size_t kKs[] = {1, 2, 3, 7};
 constexpr uint32_t kItems[] = {64, 4096, 65536};
 constexpr size_t kInFlight[] = {1, 8};
-
-// MtkScheduler with the batched loop's interface: one Process per operation,
-// in array order - what the 1-shard engine's ProcessBatch decides too.
-struct SequentialScheduler {
-  MtkScheduler sched;
-  OpDecision Process(const Op& op) { return sched.Process(op); }
-  size_t ProcessBatch(std::span<const Op> ops, OpDecision* out) {
-    size_t accepted = 0;
-    for (size_t q = 0; q < ops.size(); ++q) {
-      out[q] = sched.Process(ops[q]);
-      accepted += out[q] == OpDecision::kAccept;
-    }
-    return accepted;
-  }
-  void CommitTxn(TxnId t) { sched.CommitTxn(t); }
-  void RestartTxn(TxnId t) { sched.RestartTxn(t); }
-};
 
 struct Target {
   const char* name;
@@ -84,14 +66,14 @@ bool EnoughTxns(const LoopResult& r) { return r.txns() >= kTxns; }
 LoopResult RunCell(const Target& t, size_t k, uint32_t items,
                    size_t in_flight) {
   const Workload w = MakeWorkload(1, items, kOpsPerTxn, kReadFraction, 42);
-  const size_t batch = in_flight > 1 ? in_flight : 0;
+  const size_t interleaved = in_flight > 1 ? in_flight : 0;
   if (t.shards == 0) {
     MtkOptions mo;
     mo.k = k;
     mo.starvation_fix = true;
     mo.column_clocks = t.clocks;
-    SequentialScheduler s{MtkScheduler(mo)};
-    return RunClosedLoop(s, w, 1, 600.0, batch, 0, EnoughTxns);
+    MtkScheduler sched(mo);
+    return RunClosedLoop(sched, w, 1, 600.0, interleaved, 0, EnoughTxns);
   }
   EngineOptions eo;
   eo.k = k;
@@ -99,7 +81,7 @@ LoopResult RunCell(const Target& t, size_t k, uint32_t items,
   eo.starvation_fix = true;
   eo.compact_every = std::max<uint64_t>(1024, items / 2);
   ShardedMtkEngine engine(eo);
-  return RunClosedLoop(engine, w, 1, 600.0, batch, 0, EnoughTxns);
+  return RunClosedLoop(engine, w, 1, 600.0, interleaved, 0, EnoughTxns);
 }
 
 int failures = 0;

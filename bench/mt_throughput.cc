@@ -102,7 +102,6 @@ struct Stack {
   bool metrics = false;  // A registry, phase attribution off (shift 63).
   bool live = false;     // Sampler @100 ms + idle HTTP exporter on it.
   bool flight = false;   // FlightRecorder 4x256 + 1-in-64 attribution.
-  size_t batch = 0;      // Batched admission width; 0 = per op.
   bool multiversion = false;
   uint64_t work_ns = 0;  // Client spin after every accepted op.
 };
@@ -118,8 +117,8 @@ struct Rung {
   double bar_pct = 0;
 };
 
-// The main chain is perfbench's `solo` stack; batching, MV and client
-// work branch off the 32-shard engine.
+// The main chain is perfbench's `solo` stack; MV and client work branch
+// off the 32-shard engine.
 const Rung kRungs[] = {
     {"sched", nullptr, [](Stack& s) { s.scheduler = true; }},
     {"shards1", "sched",
@@ -134,7 +133,6 @@ const Rung kRungs[] = {
      "live_obs_overhead_pct", 2.0},
     {"flight", "live", [](Stack& s) { s.flight = true; },
      "flight_obs_overhead_pct", 3.0},
-    {"batch8", "shards32", [](Stack& s) { s.batch = 8; }},
     {"mv", "shards32", [](Stack& s) { s.multiversion = true; }},
     {"work50", "shards32", [](Stack& s) { s.work_ns = 50'000; }},
     {"mv_work50", "work50", [](Stack& s) { s.multiversion = true; }},
@@ -203,7 +201,7 @@ LoopResult RunStack(const Stack& s, const Workload& w, size_t threads,
     exporter.emplace(ho).Start();
   }
   ShardedMtkEngine engine(eo);
-  return RunClosedLoop(engine, w, threads, secs, s.batch, s.work_ns);
+  return RunClosedLoop(engine, w, threads, secs, /*in_flight=*/0, s.work_ns);
 }
 
 struct GateReading {
@@ -241,18 +239,13 @@ void RunCell(const char* out_path, unsigned hw, uint32_t items,
         LoopResult r = RunStack(StackOf(*rungs[i]), w, threads, secs, global);
         goodput[i].push_back(GoodputMops(r, kOpsPerTxn));
         aborts[i].push_back(r.abort_rate());
-        if (!r.latencies_ns.empty()) {  // The batched loop samples none.
-          p50[i].push_back(Percentile(r.latencies_ns, 50) / 1e3);
-          p99[i].push_back(PercentileSorted(r.latencies_ns, 99) / 1e3);
-        }
+        p50[i].push_back(Percentile(r.latencies_ns, 50) / 1e3);
+        p99[i].push_back(PercentileSorted(r.latencies_ns, 99) / 1e3);
         return Mops(r);
       });
 
   TablePrinter table({"rung", "parent", "Mops", "good Mops", "abort",
                       "p50 us", "p99 us", "delta %", "quartiles %", "bar"});
-  auto num_or_null = [](const std::vector<double>& v) {
-    return v.empty() ? std::string("null") : JsonNum(Median(v));
-  };
   std::string rows;
   for (size_t i = 0; i < n; ++i) {
     const Rung& rung = *rungs[i];
@@ -267,8 +260,7 @@ void RunCell(const char* out_path, unsigned hw, uint32_t items,
     }
     table.AddRow({rung.name, parent, Fmt(a.median), Fmt(Median(goodput[i])),
                   Fmt(Median(aborts[i]), 3),
-                  p50[i].empty() ? "-" : Fmt(Median(p50[i]), 1),
-                  p99[i].empty() ? "-" : Fmt(Median(p99[i]), 1),
+                  Fmt(Median(p50[i]), 1), Fmt(Median(p99[i]), 1),
                   a.has_delta ? Fmt(a.delta_pct) : "-",
                   a.has_delta ? Fmt(a.delta_q1_pct) + " .. " +
                                     Fmt(a.delta_q3_pct)
@@ -280,8 +272,8 @@ void RunCell(const char* out_path, unsigned hw, uint32_t items,
             ", \"mops\": " + JsonNum(a.median) +
             ", \"goodput_mops\": " + JsonNum(Median(goodput[i])) +
             ", \"abort_rate\": " + JsonNum(Median(aborts[i])) +
-            ", \"p50_us\": " + num_or_null(p50[i]) +
-            ", \"p99_us\": " + num_or_null(p99[i]);
+            ", \"p50_us\": " + JsonNum(Median(p50[i])) +
+            ", \"p99_us\": " + JsonNum(Median(p99[i]));
     if (a.has_delta) {
       rows += ", \"delta_pct\": " + JsonNum(a.delta_pct) +
               ", \"delta_q1_pct\": " + JsonNum(a.delta_q1_pct) +

@@ -206,7 +206,7 @@ int RunCrash(const std::string& dir, uint64_t crash_after) {
   eo.wal = &wal;
   ShardedMtkEngine engine(eo);
   RunClosedLoop(engine, LoadWorkload(2), /*threads=*/2, /*seconds=*/60.0,
-                /*batch=*/0, /*work_ns=*/0, [&](const LoopResult&) {
+                /*in_flight=*/0, /*work_ns=*/0, [&](const LoopResult&) {
                   if (wal.stats().appends >= crash_after) {
                     std::_Exit(3);  // Abrupt: buffered WAL tails are torn.
                   }

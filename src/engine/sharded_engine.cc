@@ -15,7 +15,7 @@ namespace mdts {
 
 namespace {
 
-/// Phase-attribution clock; read only on sampled batches/commits.
+/// Phase-attribution clock; read only on sampled ops/commits.
 uint64_t NowNs() {
   return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now().time_since_epoch())
@@ -38,9 +38,6 @@ void AppendEngineMetrics(const EngineStats& st, MetricsSnapshot& out) {
   counter("engine.lock_retries", st.lock_retries);
   counter("engine.full_lock_fallbacks", st.full_lock_fallbacks);
   counter("engine.compactions", st.compactions);
-  counter("engine.batches", st.batches);
-  counter("engine.batch_ops", st.batch_ops);
-  counter("engine.batch_fallbacks", st.batch_fallbacks);
   counter("engine.versions_installed", st.versions_installed);
   counter("engine.versions_gc", st.versions_gc);
   counter("engine.commits", st.commits);
@@ -129,7 +126,7 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
   }
   // Shard 0's slot 0 is the virtual transaction, which lives outside the
   // chunked storage (and outside compaction); real ids there start at slot 1.
-  shards_[0].base_slot.store(1, std::memory_order_relaxed);
+  shards_[0].base_slot = 1;
   shards_[0].next_slot = 1;
   t0_.ts = TimestampVector::Virtual(options_.k);
   t0_.life = 2;  // Committed, incarnation 0; never written again.
@@ -163,7 +160,7 @@ ShardedMtkEngine::TxnState& ShardedMtkEngine::StateLocked(Shard& sh,
                                                           TxnId txn) {
   assert(txn != kVirtualTxn && txn % num_shards_ == sh.index);
   const uint32_t slot = static_cast<uint32_t>(txn / num_shards_);
-  assert(slot >= sh.base_slot.load(std::memory_order_relaxed) &&
+  assert(slot >= sh.base_slot &&
          "access to a compacted (released) txn");
   const uint32_t ci = slot >> kChunkBits;
   if (ci >= kDirSize) {
@@ -422,7 +419,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     si.begin_stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
   }
   // Every chain entry is live - MvUnlinkDeadLocked ran under this lock -
-  // and the batch lockset covers every chain writer's and reader's shard,
+  // and the held lockset covers every chain writer's and reader's shard,
   // freezing their liveness words and vectors for the whole decision.
   struct Policy {
     ShardedMtkEngine* e;
@@ -496,8 +493,7 @@ void ShardedMtkEngine::RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag) {
 OpDecision ShardedMtkEngine::RejectLocked(Shard& shx, const Op& op,
                                           AbortReason reason, TxnId blocker,
                                           const TxnState* si,
-                                          AbortReason* why,
-                                          uint64_t fallback_round) {
+                                          AbortReason* why) {
   ++shx.stats.rejected;
   shx.stats.reject_reasons.Add(reason);
   RejectRecord& r = shx.last_reject;
@@ -505,7 +501,6 @@ OpDecision ShardedMtkEngine::RejectLocked(Shard& shx, const Op& op,
   r.reason = reason;
   r.op = op;
   r.blocker = blocker;
-  r.fallback_round = fallback_round;
   if (why != nullptr) *why = reason;
   if (options_.flight != nullptr) {
     options_.flight->RecordAbort(op.txn, op.txn, reason, blocker, &op,
@@ -517,13 +512,12 @@ OpDecision ShardedMtkEngine::RejectLocked(Shard& shx, const Op& op,
 
 OpDecision ShardedMtkEngine::AbortLocked(Shard& shx, const Op& op,
                                          AbortReason reason, TxnId blocker,
-                                         TxnState& si, AbortReason* why,
-                                         uint64_t fallback_round) {
+                                         TxnState& si, AbortReason* why) {
   StoreLife(si, si.life | 1);
   if (options_.multiversion) {
     mv_dead_epoch_.fetch_add(1, std::memory_order_release);
   }
-  return RejectLocked(shx, op, reason, blocker, &si, why, fallback_round);
+  return RejectLocked(shx, op, reason, blocker, &si, why);
 }
 
 std::string ShardedMtkEngine::ExplainLastReject() const {
@@ -533,16 +527,10 @@ std::string ShardedMtkEngine::ExplainLastReject() const {
     if (sh.last_reject.seq > newest.seq) newest = sh.last_reject;
   }
   if (newest.seq == 0) return "no rejection yet";
-  std::string out =
-      FormatReject(OpName(newest.op), newest.reason,
-                   newest.blocker == kVirtualTxn
-                       ? 0
-                       : static_cast<uint32_t>(newest.blocker));
-  if (newest.reason == AbortReason::kBatchThrottled) {
-    out += "; champion T" + std::to_string(newest.blocker) +
-           ", fallback round " + std::to_string(newest.fallback_round);
-  }
-  return out;
+  return FormatReject(OpName(newest.op), newest.reason,
+                      newest.blocker == kVirtualTxn
+                          ? 0
+                          : static_cast<uint32_t>(newest.blocker));
 }
 
 void ShardedMtkEngine::LockShard(Shard& sh) {
@@ -552,151 +540,63 @@ void ShardedMtkEngine::LockShard(Shard& sh) {
   MDTS_TRACE_INSTANT_ARG("engine.shard_lock_contention", "shard", sh.index);
 }
 
-OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* reason) {
+OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
   MDTS_TRACE_SPAN(op.type == OpType::kRead ? "engine.read" : "engine.write");
   // Start the transaction's flight-ring slot toward L1 (as CommitTxn does
   // again): a transaction that aborts nothing writes no record before its
   // commit record, so without this the commit-point lock stalls on a slot
   // last touched a whole ring ago.
   if (options_.flight != nullptr) options_.flight->PrefetchNext(op.txn);
-  OpDecision d = OpDecision::kReject;
-  ProcessBatch(std::span<const Op>(&op, 1), &d, reason);
-  return d;
-}
-
-size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
-                                      OpDecision* decisions,
-                                      AbortReason* reasons) {
-  MDTS_TRACE_SPAN("engine.batch");
-  const size_t n = ops.size();
-  if (n == 0) {
-    std::lock_guard<std::mutex> g(shards_[0].mu);
-    ++shards_[0].stats.batches;
-    return 0;
+  if (why != nullptr) *why = AbortReason::kNone;
+  Shard& shx = ShardForItem(op.item);
+  if (op.txn == kVirtualTxn) {
+    // T0 is virtual; it issues no operations. Not an admission decision,
+    // so the single/cross-shard counters stay untouched.
+    LockShard(shx);
+    RejectLocked(shx, op, AbortReason::kInvalidOp, kVirtualTxn, nullptr, why);
+    shx.mu.unlock();
+    return OpDecision::kReject;
   }
-  if (reasons != nullptr) std::fill_n(reasons, n, AbortReason::kNone);
+  Shard& shi = ShardForTxn(op.txn);
 
-  // Phase attribution (sampled): admission = batch entry to the first
-  // lock acquisition, lock = acquiring the sorted locksets (all rounds)
-  // plus the in-place extensions taken mid-round, decide = the decision
-  // loops minus those extensions and the MV read walks, mv_read = the MV
-  // read-path decisions. Unsampled batches skip every clock read.
-  const bool phase_sampled = SamplePhases(kBatchSeq);
-  uint64_t t_entry = 0;
+  // Phase attribution (sampled): admission = op entry to the first lock
+  // acquisition, lock = acquiring the sorted locksets (all rounds) plus
+  // the in-place extensions taken mid-round, decide = the decision minus
+  // those extensions and the MV read walk, mv_read = the MV read-path
+  // decision. Unsampled ops skip every clock read.
+  const bool phase_sampled = SamplePhases(kOpSeq);
+  const uint64_t t_entry = phase_sampled ? NowNs() : 0;
   uint64_t admission_ns = 0;
   uint64_t lock_ns = 0;
   uint64_t decide_ns = 0;
   uint64_t mv_read_ns = 0;
-  TxnId phase_tag = kVirtualTxn;
-  if (phase_sampled) {
-    t_entry = NowNs();
-    for (const Op& op : ops) {
-      if (op.txn != kVirtualTxn) {
-        phase_tag = op.txn;
-        break;
-      }
-    }
-  }
 
-  // Livelock guardrail: multi-op batches under heavy conflict can abort
-  // each other forever (every round rejects some peer, every rejected peer
-  // restarts and rejoins, and no transaction ever reaches CommitTxn - the
-  // benched batch>=8 collapse at 64 items). Commit-free multi-op batches
-  // are that livelock's engine-wide signature, so after
-  // kBatchFallbackRounds of them admission is serialized: one transaction
-  // is elected champion and every other batched operation is throttled
-  // until the champion commits.
-  TxnId champion = kVirtualTxn;
-  if (n >= 2) {
-    uint64_t cur = fallback_champion_.load(std::memory_order_acquire);
-    if (cur == 0 &&
-        batches_since_commit_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-            kBatchFallbackRounds) {
-      TxnId cand = kVirtualTxn;
-      for (const Op& op : ops) {
-        if (op.txn != kVirtualTxn) {
-          cand = op.txn;
-          break;
-        }
-      }
-      if (cand != kVirtualTxn) {
-        uint64_t expected = 0;
-        if (!fallback_champion_.compare_exchange_strong(
-                expected, cand, std::memory_order_acq_rel)) {
-          cand = static_cast<TxnId>(expected);  // Adopt the race winner.
-        }
-        cur = cand;
-      }
-    }
-    if (cur != 0) {
-      champion = static_cast<TxnId>(cur);
-      bool present = false;
-      for (const Op& op : ops) {
-        if (op.txn == champion) {
-          present = true;
-          break;
-        }
-      }
-      if (present) {
-        champion_missing_.store(0, std::memory_order_relaxed);
-      } else if (champion_missing_.fetch_add(1, std::memory_order_relaxed) +
-                     1 >=
-                 kBatchFallbackRounds) {
-        // The champion stopped submitting batches (its issuer gave up or
-        // commits through another path): depose it so peers can progress.
-        fallback_champion_.compare_exchange_strong(
-            cur, 0, std::memory_order_acq_rel);
-        champion_missing_.store(0, std::memory_order_relaxed);
-        champion = kVirtualTxn;
-      }
-      if (champion != kVirtualTxn) {
-        batch_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  // Decided flags, inline for typical batch sizes.
-  constexpr size_t kInlineBatch = 128;
-  uint8_t inline_flags[kInlineBatch];
-  std::vector<uint8_t> heap_flags;
-  uint8_t* decided = inline_flags;
-  if (n > kInlineBatch) {
-    heap_flags.assign(n, 0);
-    decided = heap_flags.data();
-  } else {
-    std::fill_n(inline_flags, n, uint8_t{0});
-  }
-
-  // Round-one lockset: the union of every operation's base pair (item
-  // shard, issuer shard), acquired in sorted order. Tops are discovered
-  // under the locks, and a top on a shard outside the set extends it in
-  // place (see `cover` below), so an uncontended batch needing at most 64
-  // shards is decided in this one round.
+  // Round-one lockset {shard(x), shard(i)}, acquired in sorted order. Tops
+  // are discovered under the locks, and a top on a shard outside the set
+  // extends it in place (see `cover` below), so an uncontended op needing
+  // at most 64 shards is decided in this one round.
   ShardLockSet want;
-  for (size_t q = 0; q < n; ++q) {
-    want.Add(static_cast<uint32_t>(ops[q].item % num_shards_));
-    if (ops[q].txn != kVirtualTxn) {
-      want.Add(static_cast<uint32_t>(ops[q].txn % num_shards_));
-    }
-  }
-
-  size_t accepted = 0;
-  size_t undecided = n;
+  want.Add(shx.index);
+  want.Add(shi.index);
   uint64_t retries = 0;
   uint64_t fallbacks = 0;
-  bool lock_all = false;
-  if (want.overflow) {  // More distinct shards than the set can track.
-    lock_all = true;
-    ++fallbacks;
-  }
-
+  bool all = false;  // Every shard locked; set between rounds only.
+  auto unlock = [&] {
+    if (all) {
+      for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
+        it->mu.unlock();
+      }
+    } else {
+      for (size_t q = want.count; q-- > 0;) shards_[want.At(q)].mu.unlock();
+    }
+  };
+  OpDecision d = OpDecision::kReject;
   for (size_t attempt = 0;; ++attempt) {
     uint64_t t_lock0 = 0;
     if (phase_sampled) {
       t_lock0 = NowNs();
       if (attempt == 0) admission_ns = t_lock0 - t_entry;
     }
-    const bool all = lock_all;  // Lock and unlock must use the same mode.
     if (all) {
       for (Shard& sh : shards_) LockShard(sh);
     } else {
@@ -709,7 +609,6 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       t_decide0 = NowNs();
       lock_ns += t_decide0 - t_lock0;
     }
-    ShardLockSet next;
     uint64_t extend_ns = 0;  // Extension lock time inside this round.
 
     // The one coverage-miss path, shared by the single-version tops and
@@ -724,10 +623,10 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
     // stops early. Then `resolve` runs again (a top can die between the
     // peek and the moment its shard is held) and the op is decided in
     // place if it is covered. A failed try_lock, a full lockset or a need
-    // still uncovered defers the op: its whole lockset goes into `next`,
-    // the lockset of the round after.
-    auto cover = [&](Shard& shx, Shard& shi, auto&& resolve) -> bool {
-      ShardLockSet need;
+    // still uncovered defers the op to the next round, whose lockset is
+    // shard(x), shard(i) and the last `need`.
+    ShardLockSet need;
+    auto cover = [&](auto&& resolve) -> bool {
       resolve(need);
       if (all || want.Covers(need)) return true;
       if (!need.overflow) {
@@ -755,95 +654,68 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
           need = again;
         }
       }
-      next.Add(shx.index);
-      next.Add(shi.index);
-      for (size_t q = 0; q < need.count; ++q) next.Add(need.At(q));
-      next.overflow |= need.overflow;
       return false;
     };
-    for (size_t q = 0; q < n; ++q) {
-      if (decided[q] != 0) continue;
-      const Op& op = ops[q];
-      AbortReason* why = reasons != nullptr ? &reasons[q] : nullptr;
-      Shard& shx = ShardForItem(op.item);
-      if (op.txn == kVirtualTxn) {
-        // T0 is virtual; it issues no operations. Not an admission
-        // decision, so the single/cross-shard counters stay untouched.
-        decisions[q] = RejectLocked(shx, op, AbortReason::kInvalidOp,
-                                    kVirtualTxn, nullptr, why);
-        decided[q] = 1;
-        --undecided;
-        continue;
-      }
-      Shard& shi = ShardForTxn(op.txn);
-      TxnState& si = StateLocked(shi, op.txn);
-      // Serialized-admission fallback: every non-champion operation is
-      // throttled. Decided in round one - shi and shx are always in the
-      // round-one lockset - and counted as a normal admission decision so
-      // the accepted + ignored + rejected == single + cross invariant holds.
-      const bool throttled = champion != kVirtualTxn && op.txn != champion;
-      ItemState* item = nullptr;
-      MvItem* chain = nullptr;
-      Ref jr;
-      Ref jw;
-      if (!throttled) {
-        item = &ItemLocked(shx, op.item);
-        if (options_.multiversion) {
-          if (!item->mv) item->mv = std::make_unique<MvItem>();
-          chain = item->mv.get();
-          // The per-op dead-unlink walk only pays off when something died:
-          // gate it on the engine-wide dead epoch. Equal epochs mean no
-          // abort store since this chain's last scrub, so no entry can be
-          // dead. (A death racing this very decision was always possible -
-          // liveness reads are lock-free - and stays benign: the encodings
-          // against a just-dead transaction merely add constraints, and the
-          // entry is unlinked at the next epoch change.) Unlinking first
-          // (safe under shard(x) alone) keeps the coverage set to the live
-          // population.
-          MvUnlinkDeadLocked(shx, *chain,
-                             mv_dead_epoch_.load(std::memory_order_acquire));
-          // Reads order against every live chain writer, writes also
-          // against its readers, so the lockset must cover all their
-          // shards: the cover summary bits (a superset of the live
-          // population, so a stale bit at worst widens the lockset), or a
-          // walk of the chain beyond 64 shards.
-          auto chain_shards = [&](ShardLockSet& need) {
-            if (num_shards_ <= 64) {
-              for (uint64_t m = chain->cover; m != 0; m &= m - 1) {
-                need.Add(static_cast<uint32_t>(std::countr_zero(m)));
-              }
-              return;
-            }
-            chain->ForEachAccess([&](const Access& a) {
-              if (a.txn != kVirtualTxn) {
-                need.Add(static_cast<uint32_t>(ShardIndex(a.txn)));
-              }
-            });
-          };
-          if (!cover(shx, shi, chain_shards)) continue;
-        } else {
-          // Resolve the tops under shard(x); liveness reads are lock-free,
-          // so this works even when the accessors' shards are not (yet)
-          // held. A write is also ordered after every live line-10 reader.
-          auto top_shards = [&](ShardLockSet& need) {
-            jr = item->readers.Top(Probe());
-            jw = item->writers.Top(Probe());
-            if (jr.txn != kVirtualTxn) {
-              need.Add(static_cast<uint32_t>(ShardIndex(jr.txn)));
-            }
-            if (jw.txn != kVirtualTxn) {
-              need.Add(static_cast<uint32_t>(ShardIndex(jw.txn)));
-            }
-            if (op.type == OpType::kWrite) {
-              item->readers.ForEachOld(Probe(), [&](const Ref& r) {
-                need.Add(static_cast<uint32_t>(ShardIndex(r.txn)));
-                return true;
-              });
-            }
-          };
-          if (!cover(shx, shi, top_shards)) continue;
+    TxnState& si = StateLocked(shi, op.txn);
+    ItemState& item = ItemLocked(shx, op.item);
+    MvItem* chain = nullptr;
+    Ref jr;
+    Ref jw;
+    bool covered;
+    if (options_.multiversion) {
+      if (!item.mv) item.mv = std::make_unique<MvItem>();
+      chain = item.mv.get();
+      // The per-op dead-unlink walk only pays off when something died:
+      // gate it on the engine-wide dead epoch. Equal epochs mean no
+      // abort store since this chain's last scrub, so no entry can be
+      // dead. (A death racing this very decision was always possible -
+      // liveness reads are lock-free - and stays benign: the encodings
+      // against a just-dead transaction merely add constraints, and the
+      // entry is unlinked at the next epoch change.) Unlinking first
+      // (safe under shard(x) alone) keeps the coverage set to the live
+      // population.
+      MvUnlinkDeadLocked(shx, *chain,
+                         mv_dead_epoch_.load(std::memory_order_acquire));
+      // Reads order against every live chain writer, writes also against
+      // its readers, so the lockset must cover all their shards: the
+      // cover summary bits (a superset of the live population, so a stale
+      // bit at worst widens the lockset), or a walk of the chain beyond
+      // 64 shards.
+      covered = cover([&](ShardLockSet& out) {
+        if (num_shards_ <= 64) {
+          for (uint64_t m = chain->cover; m != 0; m &= m - 1) {
+            out.Add(static_cast<uint32_t>(std::countr_zero(m)));
+          }
+          return;
         }
-      }
+        chain->ForEachAccess([&](const Access& a) {
+          if (a.txn != kVirtualTxn) {
+            out.Add(static_cast<uint32_t>(ShardIndex(a.txn)));
+          }
+        });
+      });
+    } else {
+      // Resolve the tops under shard(x); liveness reads are lock-free, so
+      // this works even when the accessors' shards are not (yet) held. A
+      // write is also ordered after every live line-10 reader.
+      covered = cover([&](ShardLockSet& out) {
+        jr = item.readers.Top(Probe());
+        jw = item.writers.Top(Probe());
+        if (jr.txn != kVirtualTxn) {
+          out.Add(static_cast<uint32_t>(ShardIndex(jr.txn)));
+        }
+        if (jw.txn != kVirtualTxn) {
+          out.Add(static_cast<uint32_t>(ShardIndex(jw.txn)));
+        }
+        if (op.type == OpType::kWrite) {
+          item.readers.ForEachOld(Probe(), [&](const Ref& r) {
+            out.Add(static_cast<uint32_t>(ShardIndex(r.txn)));
+            return true;
+          });
+        }
+      });
+    }
+    if (covered) {
       // Everything the decision touches - item stacks or chain, the
       // vectors, shard(x)'s counters - is under a held mutex, and so is
       // the liveness of every accessor it reads: clearing it needs their
@@ -854,82 +726,59 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       } else {
         ++shx.stats.single_shard_ops;
       }
-      OpDecision d;
       if (LifeAborted(si.life) || LifeCommitted(si.life)) {
         d = RejectLocked(shx, op, AbortReason::kStaleTxn, kVirtualTxn, &si,
                          why);
-      } else if (throttled) {
-        // The champion is the blocker the throttled peer waits out. The
-        // vector reset (and no starvation seeding) keeps it from rejoining
-        // as a super-competitor that could outrank the champion.
-        d = AbortLocked(shx, op, AbortReason::kBatchThrottled, champion, si,
-                        why, batch_fallbacks_.load(std::memory_order_relaxed));
-        si.ts.Reset();
       } else if (chain == nullptr) {
-        d = DecideLocked(op, shx, *item, si, jr, jw, why);
+        d = DecideLocked(op, shx, item, si, jr, jw, why);
       } else if (phase_sampled && op.type == OpType::kRead) {
         const uint64_t t0 = NowNs();
         d = DecideMvLocked(op, shx, *chain, si, why);
-        mv_read_ns += NowNs() - t0;
+        mv_read_ns = NowNs() - t0;
       } else {
         d = DecideMvLocked(op, shx, *chain, si, why);
       }
-      decisions[q] = d;
-      if (d == OpDecision::kAccept) ++accepted;
-      decided[q] = 1;
-      --undecided;
     }
     if (phase_sampled) {
       decide_ns += NowNs() - t_decide0 - extend_ns;
       lock_ns += extend_ns;
     }
-
-    if (undecided == 0) {
-      // Attribute the batch itself and its retry work to a shard we
-      // still hold.
-      Shard& sh0 = all ? shards_[0] : shards_[want.At(0)];
-      ++sh0.stats.batches;
-      sh0.stats.batch_ops += n;
-      sh0.stats.lock_retries += retries;
-      sh0.stats.full_lock_fallbacks += fallbacks;
-      if (all) {
-        for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-          it->mu.unlock();
-        }
-      } else {
-        for (size_t q = want.count; q-- > 0;) {
-          shards_[want.At(q)].mu.unlock();
-        }
-      }
+    if (covered) {
+      // Attribute the retry work to shard(x), which every round holds.
+      shx.stats.lock_retries += retries;
+      shx.stats.full_lock_fallbacks += fallbacks;
+      unlock();
       break;
     }
 
-    // Some ops were deferred: a try_lock met a peer's lock, a top died and
-    // its successor's shard was missing, or the set was full. all == false
+    // Deferred: a try_lock met a peer's lock, a top died and its
+    // successor's shard was missing, or the set was full. all == false
     // here: a full lock covers every top. Tops can keep shifting under
     // contention, so after kMaxLockRetries unstable rounds take every
     // lock.
     assert(!all);
-    for (size_t q = want.count; q-- > 0;) shards_[want.At(q)].mu.unlock();
+    unlock();
     ++retries;
+    ShardLockSet next = need;
+    next.Add(shx.index);
+    next.Add(shi.index);
     want = next;
     if (next.overflow || attempt >= kMaxLockRetries) {
-      lock_all = true;
+      all = true;
       ++fallbacks;
     }
   }
 
   if (phase_sampled) {
-    RecordPhase(TxnPhase::kAdmission, admission_ns, phase_tag);
-    RecordPhase(TxnPhase::kLock, lock_ns, phase_tag);
+    RecordPhase(TxnPhase::kAdmission, admission_ns, op.txn);
+    RecordPhase(TxnPhase::kLock, lock_ns, op.txn);
     RecordPhase(TxnPhase::kDecide,
-                decide_ns > mv_read_ns ? decide_ns - mv_read_ns : 0,
-                phase_tag);
+                decide_ns > mv_read_ns ? decide_ns - mv_read_ns : 0, op.txn);
     if (options_.multiversion) {
-      RecordPhase(TxnPhase::kMvRead, mv_read_ns, phase_tag);
+      RecordPhase(TxnPhase::kMvRead, mv_read_ns, op.txn);
     }
   }
-  return accepted;
+  return d;
 }
 
 void ShardedMtkEngine::CommitTxn(TxnId txn) {
@@ -940,7 +789,7 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
   // does not stall on them.
   if (flight != nullptr) flight->PrefetchNext(txn);
   // Commit-side phase attribution, sampled on its own sequence (a commit
-  // is not tied to any one batch): wal_append / fsync / ack.
+  // is not tied to any one op): wal_append / fsync / ack.
   const bool sampled = SamplePhases(kCommitSeq);
   uint64_t wal_append_ns = 0;
   uint64_t fsync_ns = 0;
@@ -1037,19 +886,6 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
       shx.mu.unlock();
     }
   }
-  // A commit is exactly what the livelock guardrail waits for: reset the
-  // commit-free streak and depose the champion once it gets through. The
-  // streak counts only multi-op batches; without them the store is
-  // skipped, so commits leave the line clean.
-  if (batches_since_commit_.load(std::memory_order_relaxed) != 0) {
-    batches_since_commit_.store(0, std::memory_order_relaxed);
-  }
-  uint64_t champ = fallback_champion_.load(std::memory_order_relaxed);
-  if (champ == static_cast<uint64_t>(txn)) {
-    fallback_champion_.compare_exchange_strong(champ, 0,
-                                               std::memory_order_acq_rel);
-    champion_missing_.store(0, std::memory_order_relaxed);
-  }
   if (options_.compact_every > 0 &&
       commits_since_compact_.fetch_add(1, std::memory_order_relaxed) + 1 >=
           options_.compact_every) {
@@ -1087,19 +923,23 @@ bool ShardedMtkEngine::IsAborted(TxnId txn) const {
   if (txn == kVirtualTxn) return false;
   Shard& sh = ShardForTxn(txn);
   const uint32_t slot = static_cast<uint32_t>(txn / num_shards_);
-  if (slot < sh.base_slot.load(std::memory_order_acquire)) return false;
+  // The owner's lock keeps Compact from freeing the state's chunk between
+  // the base check and the read.
+  std::lock_guard<std::mutex> g(sh.mu);
+  if (slot < sh.base_slot) return false;
   const TxnState* s = PeekState(txn);
-  return s != nullptr && LifeAborted(LoadLife(*s));
+  return s != nullptr && LifeAborted(s->life);
 }
 
 bool ShardedMtkEngine::IsCommitted(TxnId txn) const {
   if (txn == kVirtualTxn) return true;
   Shard& sh = ShardForTxn(txn);
   const uint32_t slot = static_cast<uint32_t>(txn / num_shards_);
+  std::lock_guard<std::mutex> g(sh.mu);
   // Only committed states are released.
-  if (slot < sh.base_slot.load(std::memory_order_acquire)) return true;
+  if (slot < sh.base_slot) return true;
   const TxnState* s = PeekState(txn);
-  return s != nullptr && LifeCommitted(LoadLife(*s));
+  return s != nullptr && LifeCommitted(s->life);
 }
 
 TimestampVector ShardedMtkEngine::TsSnapshot(TxnId txn) const {
@@ -1129,7 +969,7 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
     uint64_t wm = mv_stamp_.load(std::memory_order_relaxed) + 1;
     bool all_committed = true;
     for (Shard& sh : shards_) {
-      for (uint32_t slot = sh.base_slot.load(std::memory_order_relaxed);
+      for (uint32_t slot = sh.base_slot;
            slot < sh.next_slot; ++slot) {
         Chunk* c = sh.dir[slot >> kChunkBits].load(std::memory_order_relaxed);
         if (c == nullptr) {
@@ -1180,7 +1020,7 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
   // free chunks it has fully passed.
   size_t total = 0;
   for (Shard& sh : shards_) {
-    const uint32_t old_base = sh.base_slot.load(std::memory_order_relaxed);
+    const uint32_t old_base = sh.base_slot;
     uint32_t slot = old_base;
     const uint32_t stop = min_ref[sh.index];
     while (slot < stop) {
@@ -1196,7 +1036,7 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
         delete sh.dir[ci].load(std::memory_order_relaxed);
         sh.dir[ci].store(nullptr, std::memory_order_release);
       }
-      sh.base_slot.store(slot, std::memory_order_release);
+      sh.base_slot = slot;
       sh.stats.txns_released += slot - old_base;
       total += slot - old_base;
     }
@@ -1357,15 +1197,12 @@ EngineStats ShardedMtkEngine::stats() const {
     out.lock_contention += s.lock_contention;
     out.compactions += s.compactions;
     out.commits += s.commits;
-    out.batches += s.batches;
-    out.batch_ops += s.batch_ops;
     out.versions_installed += s.versions_installed;
     out.versions_gc += s.versions_gc;
     out.old_version_reads += s.old_version_reads;
     out.read_rejects += s.read_rejects;
     out.reject_reasons += s.reject_reasons;
   }
-  out.batch_fallbacks = batch_fallbacks_.load(std::memory_order_relaxed);
   const int64_t lv = live_versions_.load(std::memory_order_relaxed);
   out.live_versions = lv < 0 ? 0 : static_cast<uint64_t>(lv);
   return out;

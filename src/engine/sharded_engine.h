@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -51,9 +50,8 @@ struct EngineOptions {
   /// (they essentially never abort - the multiversion payoff); a write
   /// installs a new version at the newest feasible slot or rejects with
   /// kVersionConflict. All chain state is mutated under the same sorted
-  /// shard locksets and batched admission as the single-version mode, and
-  /// lives outside the item state, allocated on an item's first
-  /// multiversion access.
+  /// shard locksets as the single-version mode, and lives outside the item
+  /// state, allocated on an item's first multiversion access.
   ///
   /// Version storage is reclaimed by the live watermark (see CompactAll),
   /// with a floor the engine picks itself. An explicit CompactAll() that
@@ -105,16 +103,16 @@ struct EngineOptions {
   /// invalid operations included, so its abort_reasons() always equals
   /// stats().reject_reasons - with the classified reason, the refused
   /// operation, the blocking transaction and the vector before any
-  /// starvation seed or throttle reset. Records are captured at the
-  /// decision/commit points while the covering shard locks are still held,
-  /// so a dump is a consistent tail of engine history. Ring selection is
+  /// starvation seed. Records are captured at the decision/commit points
+  /// while the covering shard locks are still held, so a dump is a
+  /// consistent tail of engine history. Ring selection is
   /// txn % FlightRecorder::rings(). Null disables (the default); must
   /// outlive the engine. The `flight` rung of bench/mt_throughput's cost
   /// ladder measures the attached-vs-null delta as
   /// flight_obs_overhead_pct (acceptance bar: < 3%).
   FlightRecorder* flight = nullptr;
 
-  /// Phase attribution sampling: 1 in 2^phase_sample_shift batches (and,
+  /// Phase attribution sampling: 1 in 2^phase_sample_shift ops (and,
   /// independently, commits) of each thread gets its lifecycle timed and
   /// recorded into the "engine.phase.*_us" histograms; the rest skip every
   /// clock read. 0 samples everything (tests); the default (6: 1 in 64, still
@@ -151,13 +149,6 @@ struct EngineStats {
   uint64_t compactions = 0;
   /// CommitTxn calls, counted at the commit point.
   uint64_t commits = 0;
-  /// ProcessBatch invocations (Process counts as a batch of one) and the
-  /// operations they carried; batch_ops / batches is the mean batch size.
-  uint64_t batches = 0;
-  uint64_t batch_ops = 0;
-  /// ProcessBatch rounds decided under the livelock-guardrail fallback
-  /// (see ShardedMtkEngine::kBatchFallbackRounds).
-  uint64_t batch_fallbacks = 0;
   /// Multiversion mode: versions installed (writes accepted into chains,
   /// including RecoverFrom rebuilds) and versions unlinked by garbage
   /// collection (dead-writer unlinks plus watermark truncations).
@@ -225,37 +216,12 @@ class ShardedMtkEngine {
   ShardedMtkEngine& operator=(const ShardedMtkEngine&) = delete;
 
   /// Algorithm 1's Scheduler procedure for one operation; thread-safe.
-  /// On kReject, `*reason` (when non-null) receives the classified cause.
-  /// Implemented as a ProcessBatch of one.
+  /// `*reason` (when non-null) receives the classified cause of a kReject,
+  /// kNone otherwise. The lock rounds are described in the class comment:
+  /// an op the in-place extension cannot cover is retried under a lockset
+  /// rebuilt around the tops just observed, and after kMaxLockRetries such
+  /// rounds under every shard's lock.
   OpDecision Process(const Op& op, AbortReason* reason = nullptr);
-
-  /// Batched admission: decides every operation in `ops`, writing
-  /// decisions[q] for each (and, when `reasons` is non-null, reasons[q] -
-  /// kNone for non-rejected operations). Returns the number of accepted
-  /// operations. Thread-safe; `decisions` must hold ops.size() entries.
-  ///
-  /// The batch's shard lockset - the union of every operation's item and
-  /// issuer shards - is acquired once per round in sorted order, and every
-  /// operation is decided under it, amortizing LockShard calls and
-  /// liveness resolution across the batch. A top accessor on an unlocked
-  /// shard extends the held lockset in place (see the class comment).
-  /// Operations the extension cannot cover - a try_lock failed, a top died
-  /// and its successor's shard is missing, or the set is full - are
-  /// retried on the next round under a lockset rebuilt around the tops just
-  /// observed, falling back to locking every shard after kMaxLockRetries
-  /// rounds.
-  ///
-  /// Within a round, operations are decided in array order; a deferred
-  /// operation is decided in a later round, after array-later operations -
-  /// observably equivalent to the caller interleaving its ops with other
-  /// threads'. Deferral needs a peer thread (a held lock or a death) or a
-  /// lockset of more than 64 shards, so when no other thread touches the
-  /// engine and num_shards <= 64 (always with num_shards == 1), every
-  /// operation is decided in round one, the array order is exactly the
-  /// decision order, and the batch is equivalent to ops.size() Process
-  /// calls.
-  size_t ProcessBatch(std::span<const Op> ops, OpDecision* decisions,
-                      AbortReason* reasons = nullptr);
 
   /// Marks the transaction committed; triggers CompactAll() every
   /// compact_every commits engine-wide. With EngineOptions::wal attached,
@@ -278,14 +244,15 @@ class ShardedMtkEngine {
   /// semantics identical to MtkScheduler::RestartTxn).
   void RestartTxn(TxnId txn);
 
+  /// Liveness queries, answered under the owner shard's lock (CompactAll
+  /// may be releasing the state's chunk). A released id reads committed:
+  /// only committed states are released.
   bool IsAborted(TxnId txn) const;
   bool IsCommitted(TxnId txn) const;
 
   /// Explain-style rendering of the most recent rejection (engine-wide,
-  /// by reject order): FormatReject plus, for kBatchThrottled, the
-  /// guardrail context - the champion transaction the throttled peer was
-  /// waiting out and the fallback round that decided it. Takes each shard
-  /// lock in turn; "no rejection yet" before the first reject.
+  /// by reject order) through FormatReject. Takes each shard lock in turn;
+  /// "no rejection yet" before the first reject.
   std::string ExplainLastReject() const;
 
   /// Copy of the transaction's current vector, taken under its shard lock.
@@ -334,18 +301,6 @@ class ShardedMtkEngine {
   /// Optimistic cross-shard lock rounds retried this many times before
   /// falling back to locking every shard.
   static constexpr size_t kMaxLockRetries = 16;
-  /// Batched-admission livelock guardrail: after this many consecutive
-  /// ProcessBatch calls (batch size >= 2, engine-wide) without a single
-  /// intervening CommitTxn - the signature of the benched batch>=8
-  /// collapse at 64 items, where every round aborts every peer and no
-  /// transaction ever finishes - the engine falls back to serialized
-  /// admission: one live transaction is elected champion and every other
-  /// batched operation is throttled (rejected with kBatchThrottled, no
-  /// starvation seeding) until the champion commits, which guarantees
-  /// forward progress. Counted in EngineStats::batch_fallbacks (published
-  /// as "engine.batch_fallbacks"). Process (a batch of one) is never
-  /// throttled.
-  static constexpr size_t kBatchFallbackRounds = 64;
 
  private:
   /// Liveness word, packed so peers can test liveness without the owning
@@ -379,8 +334,8 @@ class ShardedMtkEngine {
     /// (txn % num_shards) is set for every writer and reader linked into
     /// the chain. A superset of the live population - dead accessors'
     /// bits linger until MvUnlinkDeadLocked recomputes the mask - which
-    /// is sound for batch lockset coverage: a stale bit can only widen
-    /// the lockset, never hide a live accessor's shard. Turns the per-op
+    /// is sound for lockset coverage: a stale bit can only widen the
+    /// lockset, never hide a live accessor's shard. Turns the per-op
     /// coverage check from a full chain walk into one mask test.
     uint64_t cover = 0;
     /// mv_dead_epoch_ value at the chain's last dead-unlink; while no
@@ -400,15 +355,12 @@ class ShardedMtkEngine {
   /// the decision point (the locks the reject paths already hold) and read
   /// back by ExplainLastReject. `seq` comes from the engine-wide
   /// reject_seq_ ticket, so the newest record across shards is the one
-  /// with the largest seq. For kBatchThrottled, `blocker` is the elected
-  /// champion and `fallback_round` the value of the engine-wide fallback
-  /// counter when the throttle fired (0 for every other reason).
+  /// with the largest seq.
   struct RejectRecord {
     uint64_t seq = 0;  ///< 0 = no rejection recorded yet.
     AbortReason reason = AbortReason::kNone;
     Op op;
     TxnId blocker = kVirtualTxn;
-    uint64_t fallback_round = 0;
   };
 
   struct alignas(64) Shard {
@@ -417,7 +369,7 @@ class ShardedMtkEngine {
     /// Atomic chunk directory: slot / kChunkSize indexes it. Published with
     /// release stores under mu; liveness peeks load-acquire without mu.
     std::vector<std::atomic<Chunk*>> dir;
-    std::atomic<uint32_t> base_slot{0};  // Slots below are released.
+    uint32_t base_slot = 0;              // Slots below are released.
     uint32_t next_slot = 0;              // One past the highest created.
     std::vector<ItemState> items;        // Local index item / N.
     StripedCounters counters;  // Last-column stripe `index` of N.
@@ -533,12 +485,12 @@ class ShardedMtkEngine {
   void RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag);
 
   /// Which sampling sequence an event advances (see SamplePhases).
-  enum PhaseSeq : size_t { kBatchSeq = 0, kCommitSeq = 1 };
+  enum PhaseSeq : size_t { kOpSeq = 0, kCommitSeq = 1 };
 
   /// True for the 1-in-2^phase_sample_shift events that get timed (always
   /// false without a registry: the histograms would have nowhere to go).
   /// The sequences are per thread, so sampling puts no shared atomic on
-  /// every batch and commit.
+  /// every op and commit.
   bool SamplePhases(PhaseSeq which) const {
     static thread_local uint64_t seq[2];
     return m_phase_[0] != nullptr && (seq[which]++ & phase_mask_) == 0;
@@ -557,18 +509,16 @@ class ShardedMtkEngine {
   /// fresh-ticketed record for ExplainLastReject, writes `*why` (when
   /// non-null) and writes the flight abort record carrying `si`'s vector
   /// (null for T0's invalid op). Requires shx.mu and, for a non-null `si`,
-  /// its owner shard's. A site that then seeds or resets TS(i) does so
-  /// after this call, so the record shows the vector that was refused.
+  /// its owner shard's. A site that then seeds TS(i) does so after this
+  /// call, so the record shows the vector that was refused.
   OpDecision RejectLocked(Shard& shx, const Op& op, AbortReason reason,
-                          TxnId blocker, const TxnState* si, AbortReason* why,
-                          uint64_t fallback_round = 0);
+                          TxnId blocker, const TxnState* si, AbortReason* why);
 
   /// A reject that ends the incarnation: sets its aborted bit (and, in
   /// multiversion mode only, bumps mv_dead_epoch_ so chains scrub the new
   /// death), then RejectLocked.
   OpDecision AbortLocked(Shard& shx, const Op& op, AbortReason reason,
-                         TxnId blocker, TxnState& si, AbortReason* why,
-                         uint64_t fallback_round = 0);
+                         TxnId blocker, TxnState& si, AbortReason* why);
 
   /// Acquires sh.mu, counting the acquisition as contended (per-shard
   /// stats, trace instant) when try_lock fails first.
@@ -592,22 +542,6 @@ class ShardedMtkEngine {
   /// Engine-wide commit counter driving the compact_every trigger. Relaxed:
   /// an occasional early or late CompactAll is harmless.
   std::atomic<uint64_t> commits_since_compact_{0};
-
-  // Livelock guardrail (see kBatchFallbackRounds). All
-  // relaxed: the guardrail is a heuristic trigger, not a correctness gate -
-  // the throttle decisions themselves happen under the shard locks.
-  /// Multi-op ProcessBatch calls since the last CommitTxn.
-  std::atomic<uint64_t> batches_since_commit_{0};
-  /// Champion transaction id; 0 = no fallback active.
-  std::atomic<uint64_t> fallback_champion_{0};
-  /// Consecutive fallback batches that carried no champion operation;
-  /// clears a champion that stopped submitting (committed via another
-  /// engine API, or its issuer gave up) so the guardrail cannot wedge.
-  std::atomic<uint64_t> champion_missing_{0};
-  /// Fallback batches decided (EngineStats::batch_fallbacks); throttle
-  /// RejectRecords carry it as their fallback round. Engine-wide, not
-  /// per-shard, because that round number must be one global sequence.
-  std::atomic<uint64_t> batch_fallbacks_{0};
 
   /// Ticket clock ordering RejectRecords across shards.
   std::atomic<uint64_t> reject_seq_{0};

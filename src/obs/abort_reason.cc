@@ -28,8 +28,6 @@ const char* AbortReasonName(AbortReason reason) {
       return "fault_injected";
     case AbortReason::kRetryCapExhausted:
       return "retry_cap_exhausted";
-    case AbortReason::kBatchThrottled:
-      return "batch_throttled";
     case AbortReason::kVersionConflict:
       return "version_conflict";
     case AbortReason::kNumReasons:
@@ -64,8 +62,6 @@ const char* AbortReasonDescription(AbortReason reason) {
       return "abort forced by the fault injector";
     case AbortReason::kRetryCapExhausted:
       return "attempt cap reached; the transaction gave up";
-    case AbortReason::kBatchThrottled:
-      return "throttled while a livelocked batch drains its champion";
     case AbortReason::kVersionConflict:
       return "no feasible version-chain slot for the write";
     case AbortReason::kNumReasons:

@@ -42,9 +42,6 @@ enum class AbortReason : uint8_t {
   kFaultInjected,      // Abort directly forced by the fault injector.
   kRetryCapExhausted,  // Starvation guard: the transaction hit its attempt
                        // cap and gave up.
-  kBatchThrottled,     // Engine livelock guardrail: the batch is in
-                       // serialized-admission fallback and this operation's
-                       // transaction is not the elected champion.
   kVersionConflict,    // Multiversion write-write conflict: no feasible
                        // version-chain slot (a newer version's writer, or a
                        // reader of an older version, is already ordered

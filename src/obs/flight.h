@@ -19,7 +19,7 @@ namespace mdts {
 /// Attributed slices of a transaction's lifecycle, indexed into
 /// FlightRecord::phase_us and the "engine.phase.<name>_us" histograms the
 /// engine publishes when a registry is attached:
-///   admission   batch entry until the first shard-lock acquisition starts
+///   admission   op entry until the first shard-lock acquisition starts
 ///   lock        acquiring the sorted shard locksets (all rounds)
 ///   decide      the decision bodies (single-version, and MV writes)
 ///   mv_read     multiversion read-path version-chain walks
@@ -134,8 +134,9 @@ class FlightRecorder {
   /// without the prefetch the miss lands inside the commit-point critical
   /// section. Best-effort - a racing writer may take the ticket first,
   /// which only wastes the hint. Not worth issuing on paths that rarely
-  /// record (e.g. per batch for the minority that aborts): stores to a
-  /// cold slot drain through the store buffer without stalling the core.
+  /// record (e.g. the reject path, which only the minority that aborts
+  /// takes): stores to a cold slot drain through the store buffer without
+  /// stalling the core.
   void PrefetchNext(size_t ring) const {
     rings_[ring & ring_mask_].PrefetchNext();
   }

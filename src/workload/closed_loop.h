@@ -8,15 +8,14 @@
 // number, and measurements taken with it compare with each other.
 //
 // A target is anything with Process / CommitTxn / RestartTxn
-// (MtkScheduler, ShardedMtkEngine); the batched loop also needs
-// ProcessBatch. Programs are generated outside the timed loops by
-// MakeWorkload. Loops stop on a wall-clock budget and, optionally, on a
-// predicate checked after every transaction (per-op) or round (batched);
-// the predicate is a template parameter, so NeverStop costs nothing.
+// (MtkScheduler, ShardedMtkEngine). Programs are generated outside the
+// timed loops by MakeWorkload. Loops stop on a wall-clock budget and,
+// optionally, on a predicate checked after every transaction (per-op) or
+// round (interleaved); the predicate is a template parameter, so NeverStop
+// costs nothing.
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -170,19 +169,20 @@ LoopResult PerOpLoop(Target& target, const Workload& w, size_t t,
   return res;
 }
 
-/// Worker t's batched loop: `batch` transactions in flight, one operation
-/// of each per ProcessBatch call (one lockset acquisition covers the
-/// round). A rejected slot restarts and replays its program from the top; a
-/// finished one commits and takes the next id. The clock is read every 16
-/// rounds. On return every slot still in flight commits the prefix it had
-/// accepted (a commit covers exactly the accepted operations; left live,
-/// it would be an immortal top writer that every later accessor of its
-/// items rejects on); those commits are not counted. `stop` sees this
-/// worker's running result after every round.
+/// Worker t's interleaved loop: `in_flight` transactions open at once.
+/// Each round decides one operation of each, one Process call per slot in
+/// slot order, and then settles the slots: a rejected one restarts and
+/// replays its program from the top, a finished one commits and takes the
+/// next id. The clock is read every 16 rounds. On return every slot still
+/// in flight commits the prefix it had accepted (a commit covers exactly
+/// the accepted operations; left live, it would be an immortal top writer
+/// that every later accessor of its items rejects on); those commits are
+/// not counted. `stop` sees this worker's running result after every
+/// round.
 template <typename Target, typename Stop = NeverStop>
-LoopResult BatchedLoop(Target& target, const Workload& w, size_t t,
-                       size_t stride, size_t batch, double seconds,
-                       Stop stop = {}) {
+LoopResult InterleavedLoop(Target& target, const Workload& w, size_t t,
+                           size_t stride, size_t in_flight, double seconds,
+                           Stop stop = {}) {
   LoopResult res;
   const std::vector<StreamOp>& stream = w.ops[t];
   const size_t programs = stream.size() / w.ops_per_txn;
@@ -200,21 +200,20 @@ LoopResult BatchedLoop(Target& target, const Workload& w, size_t t,
     s.done = 0;
     s.tries = 0;
   };
-  std::vector<Slot> slots(batch);
+  std::vector<Slot> slots(in_flight);
   for (Slot& s : slots) next_txn(s);
-  std::vector<Op> ops(batch);
-  std::vector<OpDecision> dec(batch);
+  std::vector<OpDecision> dec(in_flight);
   for (uint64_t round = 0;; ++round) {
     if ((round & 15) == 0) {
       res.seconds = total.ElapsedSeconds();
       if (res.seconds >= seconds) break;
     }
-    for (size_t b = 0; b < batch; ++b) {
+    for (size_t b = 0; b < in_flight; ++b) {
       const Slot& s = slots[b];
-      ops[b] = ToOp(s.txn, stream[(s.n % programs) * w.ops_per_txn + s.done]);
+      dec[b] = target.Process(
+          ToOp(s.txn, stream[(s.n % programs) * w.ops_per_txn + s.done]));
     }
-    target.ProcessBatch(std::span<const Op>(ops), dec.data());
-    for (size_t b = 0; b < batch; ++b) {
+    for (size_t b = 0; b < in_flight; ++b) {
       Slot& s = slots[b];
       if (dec[b] == OpDecision::kReject) {
         ++res.aborts;
@@ -244,20 +243,15 @@ LoopResult BatchedLoop(Target& target, const Workload& w, size_t t,
 
 /// Runs `threads` workers over one shared target (worker t issues ids
 /// 1 + t + n * threads) and merges their results; a single worker runs on
-/// the calling thread. batch == 0 drives the per-op loop, batch >= 1 the
-/// batched loop at that width (targets without ProcessBatch always
-/// run per-op).
+/// the calling thread. in_flight == 0 drives the per-op loop, in_flight
+/// >= 1 the interleaved loop with that many transactions open.
 template <typename Target, typename Stop = NeverStop>
 LoopResult RunClosedLoop(Target& target, const Workload& w, size_t threads,
-                         double seconds, size_t batch = 0,
+                         double seconds, size_t in_flight = 0,
                          uint64_t work_ns = 0, Stop stop = {}) {
   auto worker = [&](size_t t) {
-    if constexpr (requires(std::span<const Op> ops, OpDecision* out) {
-                    target.ProcessBatch(ops, out);
-                  }) {
-      if (batch > 0) {
-        return BatchedLoop(target, w, t, threads, batch, seconds, stop);
-      }
+    if (in_flight > 0) {
+      return InterleavedLoop(target, w, t, threads, in_flight, seconds, stop);
     }
     return PerOpLoop(target, w, t, threads, seconds, work_ns, stop);
   };

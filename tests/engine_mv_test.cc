@@ -3,7 +3,7 @@
 //
 //  1. Differential: with num_shards == 1 the engine's multiversion mode
 //     must make bit-identical decisions and assign bit-identical vectors
-//     to the src/mvcc MvMtkScheduler it ports, across batch sizes and
+//     to the src/mvcc MvMtkScheduler it ports, across ops per round and
 //     protocol variants, on seeded closed-loop workloads.
 //  2. Concurrency: multi-threaded chain traffic with commit-side GC and
 //     CompactAll sweeps must be race-clean, keep every chain's version
@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <random>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -38,10 +37,10 @@ bool SameVector(const TimestampVector& a, const TimestampVector& b) {
 }
 
 // Feeds identical seeded closed-loop traffic to a single-shard multiversion
-// engine (batched admission) and the reference MvMtkScheduler (one Process
-// per op, with the engine's column clocks). With one shard, ProcessBatch
-// decides in array order, so the two must agree operation by operation -
-// decisions, per-transaction vectors, and the version/read counters.
+// engine and the reference MvMtkScheduler (with the engine's column
+// clocks), `batch` operations per round, one Process call each in order on
+// both. The two must agree operation by operation - decisions,
+// per-transaction vectors, and the version/read counters.
 struct DifferentialRun {
   size_t k = 3;
   bool starvation_fix = false;
@@ -94,8 +93,9 @@ void RunDifferential(const DifferentialRun& cfg) {
       op.item = static_cast<ItemId>(rng() % cfg.items);
       ops.push_back(op);
     }
-    engine.ProcessBatch(std::span<const Op>(ops.data(), ops.size()),
-                        dec.data(), why.data());
+    for (size_t b = 0; b < ops.size(); ++b) {
+      dec[b] = engine.Process(ops[b], &why[b]);
+    }
     for (size_t b = 0; b < ops.size(); ++b) {
       const OpDecision rd = ref.Process(ops[b]);
       ASSERT_EQ(dec[b], rd)
@@ -323,24 +323,16 @@ TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {
 
   std::mt19937_64 rng(7);
   TxnId next = 1;
-  std::vector<Op> batch(4);
-  std::vector<OpDecision> dec(4);
   for (int round = 0; round < 400; ++round) {
     const TxnId t = next++;
-    for (size_t b = 0; b < batch.size(); ++b) {
-      batch[b] = {t, rng() % 2 == 0 ? OpType::kRead : OpType::kWrite,
-                  static_cast<ItemId>(rng() % 8)};
+    for (int o = 0; o < 4; ++o) {
+      engine.Process({t, rng() % 2 == 0 ? OpType::kRead : OpType::kWrite,
+                      static_cast<ItemId>(rng() % 8)});
     }
-    const size_t ok =
-        engine.ProcessBatch(std::span<const Op>(batch.data(), batch.size()),
-                            dec.data());
     if (engine.IsAborted(t)) {
       engine.RestartTxn(t);
-    } else if (ok == batch.size()) {
-      engine.CommitTxn(t);
     } else {
-      engine.CommitTxn(t);  // Partial acceptance still commits: reads
-                            // and writes accepted so far are consistent.
+      engine.CommitTxn(t);
     }
   }
   const EngineStats st = engine.stats();
@@ -351,8 +343,7 @@ TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {
             st.versions_installed);
   EXPECT_EQ(snap.CounterValue("engine.versions_gc"), st.versions_gc);
   EXPECT_EQ(snap.CounterValue("engine.lock_contention"), st.lock_contention);
-  EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
-  EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
+  EXPECT_EQ(snap.CounterValue("engine.commits"), st.commits);
   EXPECT_EQ(snap.CounterValue("engine.compactions"), st.compactions);
   EXPECT_EQ(snap.GaugeValue("engine.live_versions"),
             static_cast<int64_t>(st.live_versions));
@@ -601,24 +592,19 @@ uint64_t MvWorker(ShardedMtkEngine& engine, size_t t, size_t stride,
   uint64_t committed = 0;
   size_t done = 0;
   uint64_t rounds = 0;
-  std::vector<Op> batch;
-  std::vector<OpDecision> dec(4);
   while (committed < txns_to_commit) {
     if (++rounds > 2000000) {
       ADD_FAILURE() << "mv worker " << t << " starved at " << committed;
       break;
     }
-    batch.clear();
     const size_t width = 1 + rng() % 4;
+    size_t accepted = 0;
     for (size_t b = 0; b < width; ++b) {
-      batch.push_back({txn, rng() % 5 < 3 ? OpType::kRead : OpType::kWrite,
-                       static_cast<ItemId>(rng() % items)});
-    }
-    engine.ProcessBatch(std::span<const Op>(batch.data(), batch.size()),
-                        dec.data());
-    for (size_t b = 0; b < batch.size(); ++b) {
-      if (dec[b] == OpDecision::kAccept &&
-          batch[b].type == OpType::kRead) {
+      const Op op{txn, rng() % 5 < 3 ? OpType::kRead : OpType::kWrite,
+                  static_cast<ItemId>(rng() % items)};
+      if (engine.Process(op) != OpDecision::kAccept) continue;
+      ++accepted;
+      if (op.type == OpType::kRead) {
         read_accepts->fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -627,9 +613,7 @@ uint64_t MvWorker(ShardedMtkEngine& engine, size_t t, size_t stride,
       done = 0;
       continue;
     }
-    for (size_t b = 0; b < batch.size(); ++b) {
-      if (dec[b] == OpDecision::kAccept) ++done;
-    }
+    done += accepted;
     if (done >= ops_per_txn) {
       engine.CommitTxn(txn);
       ++committed;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <random>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -336,120 +335,6 @@ TEST(CompactionTwinTest, EngineCompactAllChangesNoDecision) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched admission: ProcessBatch with num_shards = 1 decides in array
-// order, so feeding the same stream to MtkScheduler one operation at a time
-// must produce elementwise-identical decisions and final vectors.
-// ---------------------------------------------------------------------------
-
-void RunBatchEquivalence(const EquivConfig& cfg, size_t batch_size,
-                         uint64_t seed) {
-  MtkOptions mo;
-  mo.k = cfg.k;
-  mo.starvation_fix = cfg.starvation_fix;
-  mo.column_clocks = true;
-  MtkScheduler sched(mo);
-
-  EngineOptions eo;
-  eo.k = cfg.k;
-  eo.num_shards = 1;
-  eo.starvation_fix = cfg.starvation_fix;
-  ShardedMtkEngine engine(eo);
-
-  std::mt19937_64 rng(seed);
-  constexpr ItemId kItems = 10;
-  constexpr size_t kLive = 16;
-  constexpr size_t kRounds = 500;
-
-  std::vector<TxnId> live;
-  TxnId next_txn = 1;
-  for (size_t n = 0; n < kLive; ++n) live.push_back(next_txn++);
-  std::vector<TxnId> all_txns = live;
-
-  std::vector<Op> batch(batch_size);
-  std::vector<OpDecision> want(batch_size);
-  std::vector<OpDecision> got(batch_size);
-  std::vector<AbortReason> why(batch_size);
-
-  for (size_t round = 0; round < kRounds; ++round) {
-    // A batch may contain several operations of one transaction, including
-    // a transaction an earlier operation in the same batch aborts: both
-    // sides then classify the later operations as stale rejects, because
-    // the single-shard batch decides in array order like the sequential
-    // scheduler.
-    for (size_t b = 0; b < batch_size; ++b) {
-      Op& op = batch[b];
-      op.txn = live[rng() % live.size()];
-      op.type = rng() % 8 < 5 ? OpType::kRead : OpType::kWrite;
-      op.item = static_cast<ItemId>(rng() % kItems);
-    }
-    size_t want_accepts = 0;
-    for (size_t b = 0; b < batch_size; ++b) {
-      want[b] = sched.Process(batch[b]);
-      if (want[b] == OpDecision::kAccept) ++want_accepts;
-    }
-    const size_t accepts = engine.ProcessBatch(
-        std::span<const Op>(batch.data(), batch_size), got.data(), why.data());
-    ASSERT_EQ(accepts, want_accepts) << "round " << round;
-    for (size_t b = 0; b < batch_size; ++b) {
-      ASSERT_EQ(want[b], got[b])
-          << "round " << round << " pos " << b << " txn " << batch[b].txn
-          << " item " << batch[b].item;
-      if (got[b] == OpDecision::kReject) {
-        EXPECT_NE(why[b], AbortReason::kNone) << "round " << round;
-      } else {
-        EXPECT_EQ(why[b], AbortReason::kNone) << "round " << round;
-      }
-    }
-    // Lifecycle between batches, mirrored on both sides.
-    for (TxnId& slot : live) {
-      const TxnId t = slot;
-      ASSERT_EQ(sched.IsAborted(t), engine.IsAborted(t)) << "txn " << t;
-      if (sched.IsAborted(t)) {
-        if (rng() % 2 == 0) {
-          sched.RestartTxn(t);
-          engine.RestartTxn(t);
-        }
-      } else if (rng() % 8 == 0) {
-        sched.CommitTxn(t);
-        engine.CommitTxn(t);
-        slot = next_txn;
-        all_txns.push_back(next_txn);
-        ++next_txn;
-      }
-    }
-  }
-
-  for (TxnId t : all_txns) {
-    ASSERT_EQ(sched.IsAborted(t), engine.IsAborted(t)) << "txn " << t;
-    ASSERT_EQ(sched.IsCommitted(t), engine.IsCommitted(t)) << "txn " << t;
-    EXPECT_TRUE(sched.Ts(t) == engine.TsSnapshot(t))
-        << "txn " << t << ": " << sched.Ts(t).ToString() << " vs "
-        << engine.TsSnapshot(t).ToString();
-  }
-  EXPECT_TRUE(sched.Ts(kVirtualTxn) == engine.TsSnapshot(kVirtualTxn));
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.batches, kRounds);
-  EXPECT_EQ(st.batch_ops, kRounds * batch_size);
-}
-
-TEST(EngineBatchEquivalenceTest, BatchedSingleShardMatchesSchedulerAcrossSizes) {
-  uint64_t seed = 30260805;
-  for (size_t batch : {size_t{1}, size_t{2}, size_t{7}, size_t{16},
-                       size_t{64}, size_t{160}}) {
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    RunBatchEquivalence({3, true}, batch, seed++);
-  }
-}
-
-TEST(EngineBatchEquivalenceTest, BatchedEquivalenceAcrossConfigs) {
-  uint64_t seed = 40260805;
-  for (const EquivConfig& cfg : EquivGrid()) {
-    SCOPED_TRACE(EquivName(cfg));
-    RunBatchEquivalence(cfg, 8, seed++);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Concurrency.
 // ---------------------------------------------------------------------------
 
@@ -603,83 +488,6 @@ TEST(ShardedEngineTest, ManyShardsHotItemsKeepLocksetBounded) {
   }
 }
 
-// The ProcessBatch shape of the regression above: each thread keeps four
-// transactions in flight and submits one operation of each per batch, so a
-// batch's lockset already spans several shards when a top on a missing
-// shard turns up. Extending it in place try_locks shards below the held
-// ones; under this contention some of those fail and defer the op, which
-// must still end in a covered round or the full-lock fallback.
-TEST(ShardedEngineTest, ManyShardsHotItemsBatchedExtensionFallsBack) {
-  constexpr size_t kThreads = 4;
-  constexpr size_t kWidth = 4;
-  constexpr uint32_t kTxnsPerThread = 1500;
-  constexpr ItemId kItems = 8;
-  EngineOptions eo;
-  eo.k = 3;
-  eo.num_shards = 32;
-  eo.starvation_fix = true;
-  ShardedMtkEngine engine(eo);
-
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&engine, t] {
-      std::mt19937_64 rng(9100 + t);
-      struct Slot {
-        TxnId txn = kVirtualTxn;  // kVirtualTxn = idle, nothing left.
-        size_t done = 0;
-        size_t ops = 0;
-      };
-      uint32_t started = 0;
-      auto fresh = [&](Slot& s) {
-        s.done = 0;
-        s.ops = 1 + rng() % 3;
-        s.txn = started < kTxnsPerThread
-                    ? static_cast<TxnId>(1 + t + started++ * kThreads)
-                    : kVirtualTxn;
-      };
-      std::vector<Slot> slots(kWidth);
-      for (Slot& s : slots) fresh(s);
-      std::vector<Op> batch;
-      std::vector<size_t> owner;
-      std::vector<OpDecision> dec(kWidth);
-      for (uint64_t rounds = 0;; ++rounds) {
-        ASSERT_LT(rounds, 2000000u) << "thread " << t << " starved";
-        batch.clear();
-        owner.clear();
-        for (size_t b = 0; b < kWidth; ++b) {
-          if (slots[b].txn == kVirtualTxn) continue;
-          Op op;
-          op.txn = slots[b].txn;
-          op.type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
-          op.item = static_cast<ItemId>(rng() % kItems);
-          batch.push_back(op);
-          owner.push_back(b);
-        }
-        if (batch.empty()) break;
-        engine.ProcessBatch(std::span<const Op>(batch), dec.data());
-        for (size_t q = 0; q < batch.size(); ++q) {
-          Slot& s = slots[owner[q]];
-          if (dec[q] == OpDecision::kReject) {
-            engine.RestartTxn(s.txn);
-            s.done = 0;
-          } else if (++s.done == s.ops) {
-            engine.CommitTxn(s.txn);
-            fresh(s);
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
-            st.single_shard_ops + st.cross_shard_ops);
-  for (TxnId txn = 1; txn <= kThreads * kTxnsPerThread; ++txn) {
-    EXPECT_TRUE(engine.IsCommitted(txn)) << "txn " << txn;
-  }
-}
-
 // Regression: on a large table nearly every op's top reader or writer lives
 // on a third shard, outside {shard(x), shard(i)}. Uncontended, the engine
 // must take that shard into the held lockset and decide in the same round;
@@ -720,11 +528,11 @@ TEST(ShardedEngineTest, UncontendedCrossShardOpsDecideInOneRound) {
             st.single_shard_ops + st.cross_shard_ops);
 }
 
-// A lockset tracks at most 64 shards. A batch whose base pairs span more
-// must lock every shard at once. A batch that holds 64 shards cannot take a
-// top's shard in place: the op is deferred to a smaller lockset. A
-// multiversion write whose chain readers span more than 64 shards cannot be
-// vouched for by any tracked set: it must fall back to the full lock.
+// A lockset tracks at most 64 shards. A multiversion op orders against
+// every chain writer (a write also against every chain reader), and beyond
+// 64 shards the lockset covering them comes from a walk of the chain. Once
+// the chain's accessors span more than 64 shards no tracked set can vouch
+// for them: the op is deferred once and decided under the full lock.
 TEST(ShardedEngineTest, NeedsBeyondSixtyFourShardsTakeTheFullLock) {
 #if defined(__SANITIZE_THREAD__)
   // The full lock holds all 128 shard mutexes at once, past the 64 locks
@@ -734,45 +542,31 @@ TEST(ShardedEngineTest, NeedsBeyondSixtyFourShardsTakeTheFullLock) {
 #endif
   constexpr size_t kShards = 128;
   constexpr ItemId kHot = 64;
-  for (const bool mv : {false, true}) {
-    SCOPED_TRACE(mv ? "multiversion" : "single-version");
-    EngineOptions eo;
-    eo.k = 3;
-    eo.num_shards = kShards;
-    eo.multiversion = mv;
-    ShardedMtkEngine engine(eo);
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = kShards;
+  eo.multiversion = true;
+  ShardedMtkEngine engine(eo);
 
-    // Txn t lives on shard t: 100 readers of the hot item on 100 shards.
-    std::vector<Op> batch;
-    for (TxnId t = 1; t <= 100; ++t) {
-      batch.push_back(Op{t, OpType::kRead, kHot});
-    }
-    std::vector<OpDecision> dec(batch.size());
-    EXPECT_EQ(engine.ProcessBatch(std::span<const Op>(batch), dec.data()),
-              batch.size());
-    EXPECT_EQ(engine.stats().full_lock_fallbacks, 1u);
-    EXPECT_EQ(engine.stats().lock_retries, 0u);
-
-    // Base pairs on exactly shards 1..64: txn 128 + j reads item j, and
-    // txn 192 (shard 64) writes the hot item, whose top reader (txn 100)
-    // and chain readers lie outside the full set.
-    batch.clear();
-    for (ItemId j = 1; j < kHot; ++j) {
-      batch.push_back(Op{static_cast<TxnId>(kShards + j), OpType::kRead, j});
-    }
-    batch.push_back(Op{kShards + kHot, OpType::kWrite, kHot});
-    dec.assign(batch.size(), OpDecision::kReject);
-    EXPECT_EQ(engine.ProcessBatch(std::span<const Op>(batch), dec.data()),
-              batch.size());
-    const EngineStats st = engine.stats();
-    EXPECT_EQ(st.lock_retries, 1u);
-    EXPECT_EQ(st.full_lock_fallbacks, mv ? 2u : 1u);
-    EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
-              st.single_shard_ops + st.cross_shard_ops);
-    if (mv) {
-      EXPECT_TRUE(engine.MvAuditChains());
-    }
+  // Txn t lives on shard t: 100 readers of the hot item on 100 shards.
+  for (TxnId t = 1; t <= 100; ++t) {
+    ASSERT_EQ(engine.Process(Op{t, OpType::kRead, kHot}), OpDecision::kAccept)
+        << "reader T" << t;
   }
+  const EngineStats before = engine.stats();
+  EXPECT_GT(before.full_lock_fallbacks, 0u);
+  EXPECT_EQ(before.lock_retries, before.full_lock_fallbacks);
+
+  // Txn 192 (shard 64) writes the hot item: its chain readers lie on 100
+  // shards.
+  ASSERT_EQ(engine.Process(Op{kShards + kHot, OpType::kWrite, kHot}),
+            OpDecision::kAccept);
+  const EngineStats st = engine.stats();
+  EXPECT_EQ(st.lock_retries, before.lock_retries + 1);
+  EXPECT_EQ(st.full_lock_fallbacks, before.full_lock_fallbacks + 1);
+  EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
+            st.single_shard_ops + st.cross_shard_ops);
+  EXPECT_TRUE(engine.MvAuditChains());
 }
 
 TEST(ShardedEngineTest, CompactionBoundsMemorySingleThreaded) {
@@ -835,11 +629,10 @@ TEST(ShardedEngineTest, VirtualTransactionIsProtectedAndImmutable) {
   EXPECT_TRUE(engine.TsSnapshot(kVirtualTxn) == t0);
 }
 
-// Batch-path rejects must land in EngineStats.reject_reasons, in the
-// registry's collected counters and in the flight recorder: per-reason
-// equality, total() == rejected, the engine.batches / engine.batch_ops
-// counters matching the stats struct, and one flight record per commit and
-// per reject of any reason. Single-version and multiversion mode alike.
+// Rejects must land in EngineStats.reject_reasons, in the registry's
+// collected counters and in the flight recorder: per-reason equality,
+// total() == rejected, and one flight record per commit and per reject of
+// any reason. Single-version and multiversion mode alike.
 TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
   for (const bool multiversion : {false, true}) {
     SCOPED_TRACE(multiversion ? "multiversion" : "single-version");
@@ -860,25 +653,27 @@ TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
     std::mt19937_64 rng(20260805);
     constexpr ItemId kItems = 4;
     constexpr size_t kRounds = 400;
-    constexpr size_t kBatch = 16;
+    constexpr size_t kOpsPerRound = 16;
     std::vector<TxnId> live;
     TxnId next_txn = 1;
     for (size_t n = 0; n < 12; ++n) live.push_back(next_txn++);
 
-    std::vector<Op> batch(kBatch);
-    std::vector<OpDecision> dec(kBatch);
     uint64_t commits = 0;
+    uint64_t ops = 0;
     for (size_t round = 0; round < kRounds; ++round) {
-      for (Op& op : batch) {
+      for (size_t q = 0; q < kOpsPerRound; ++q) {
         // Mix in T0 submissions (kInvalidOp) and operations of transactions
-        // aborted earlier in the run or earlier in this very batch
+        // aborted earlier in the run or earlier in this very round
         // (kStaleTxn) alongside ordinary conflicting traffic.
+        Op op;
         op.txn = rng() % 32 == 0 ? kVirtualTxn : live[rng() % live.size()];
         op.type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
         op.item = static_cast<ItemId>(rng() % kItems);
+        AbortReason why = AbortReason::kStaleTxn;
+        const OpDecision d = engine.Process(op, &why);
+        EXPECT_EQ(d == OpDecision::kReject, why != AbortReason::kNone);
+        ++ops;
       }
-      engine.ProcessBatch(std::span<const Op>(batch.data(), kBatch),
-                          dec.data());
       for (TxnId& slot : live) {
         if (engine.IsAborted(slot)) {
           if (rng() % 2 == 0) engine.RestartTxn(slot);
@@ -898,13 +693,10 @@ TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
               0u);
     EXPECT_GT(st.reject_reasons[AbortReason::kStaleTxn], 0u);
     EXPECT_GT(st.reject_reasons[AbortReason::kInvalidOp], 0u);
-    EXPECT_EQ(st.batches, kRounds);
-    EXPECT_EQ(st.batch_ops, kRounds * kBatch);
+    EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected, ops);
 
     const auto snap = reg.Snapshot();
     EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
-    EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
-    EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
     EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
     for (size_t r = 1; r < kNumAbortReasons; ++r) {
       const AbortReason reason = static_cast<AbortReason>(r);
@@ -963,58 +755,10 @@ TEST(ExplainLastRejectTest, InvalidOpRendersWithoutBlocker) {
   bad.txn = kVirtualTxn;  // The reserved id is not admissible traffic.
   bad.type = OpType::kWrite;
   bad.item = 3;
-  OpDecision dec = OpDecision::kAccept;
-  engine.ProcessBatch(std::span<const Op>(&bad, 1), &dec);
-  ASSERT_EQ(dec, OpDecision::kReject);
+  ASSERT_EQ(engine.Process(bad), OpDecision::kReject);
   const std::string out = engine.ExplainLastReject();
   EXPECT_NE(out.find("invalid_op"), std::string::npos) << out;
   EXPECT_EQ(out.find("blocker"), std::string::npos) << out;
-}
-
-TEST(ExplainLastRejectTest, BatchThrottledNamesChampionAndFallbackRound) {
-  // Reuse the livelock-guardrail recipe: all-write width-32 batches over
-  // 64 items form a commit-free streak, the guardrail elects a champion,
-  // and every other batched operation rejects as kBatchThrottled. The
-  // explain line must then carry the champion id and the fallback round.
-  EngineOptions eo;
-  eo.k = 3;
-  eo.num_shards = 4;
-  eo.starvation_fix = true;
-  ShardedMtkEngine engine(eo);
-
-  constexpr size_t kWidth = 32;
-  constexpr ItemId kItems = 64;
-  std::mt19937_64 rng(4242);
-  std::vector<TxnId> txns(kWidth);
-  uint32_t started = 0;
-  for (TxnId& t : txns) t = static_cast<TxnId>(++started);
-  std::vector<Op> batch(kWidth);
-  std::vector<OpDecision> dec(kWidth);
-  bool saw_throttled = false;
-  for (size_t round = 0; round < 5000 && !saw_throttled; ++round) {
-    for (size_t b = 0; b < kWidth; ++b) {
-      batch[b].txn = txns[b];
-      batch[b].type = OpType::kWrite;
-      batch[b].item = static_cast<ItemId>(rng() % kItems);
-    }
-    engine.ProcessBatch(std::span<const Op>(batch.data(), kWidth),
-                        dec.data());
-    for (size_t b = 0; b < kWidth; ++b) {
-      if (dec[b] == OpDecision::kReject) {
-        engine.RestartTxn(txns[b]);
-      }
-    }
-    saw_throttled =
-        engine.stats().reject_reasons[AbortReason::kBatchThrottled] > 0;
-  }
-  ASSERT_TRUE(saw_throttled) << "guardrail never engaged";
-  // The throttled rejects were the most recent ones of the last round
-  // (the champion's own operations are not throttled, but at width 32
-  // over 64 items the round always contains non-champion rejects).
-  const std::string out = engine.ExplainLastReject();
-  EXPECT_NE(out.find("batch_throttled"), std::string::npos) << out;
-  EXPECT_NE(out.find("champion T"), std::string::npos) << out;
-  EXPECT_NE(out.find("fallback round "), std::string::npos) << out;
 }
 
 }  // namespace

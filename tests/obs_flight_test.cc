@@ -489,7 +489,7 @@ TEST(EngineFlightTest, CommitRecordsCarryVectorWritesAndSampledPhases) {
   eo.num_shards = 1;
   eo.metrics = &reg;
   eo.flight = &flight;
-  eo.phase_sample_shift = 0;  // Sample every batch and every commit.
+  eo.phase_sample_shift = 0;  // Sample every op and every commit.
   ShardedMtkEngine engine(eo);
 
   const DriveOutcome out = Drive(engine, 23, 60, 16, 3, 30);

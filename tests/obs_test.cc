@@ -464,9 +464,6 @@ TEST(ReconciliationTest, EngineStatsMatchMirroredRegistry) {
   EXPECT_EQ(snap.CounterValue("engine.full_lock_fallbacks"),
             st.full_lock_fallbacks);
   EXPECT_EQ(snap.CounterValue("engine.compactions"), st.compactions);
-  EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
-  EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
-  EXPECT_EQ(snap.CounterValue("engine.batch_fallbacks"), st.batch_fallbacks);
   EXPECT_EQ(snap.CounterValue("engine.versions_installed"),
             st.versions_installed);
   EXPECT_EQ(snap.CounterValue("engine.versions_gc"), st.versions_gc);
