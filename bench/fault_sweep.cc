@@ -184,18 +184,11 @@ int Run(const char* trace_path, const char* metrics_path, int serve_port,
   }
 
   if (trace_path != nullptr) {
-    if (MDTS_TRACE_COMPILED) {
-      // The whole sweep runs on one thread, so a single generous ring
-      // keeps the tail of the simulated timeline (oldest events of a long
-      // sweep are overwritten, newest survive).
-      Tracer::Get().Enable(1 << 18);
-      std::printf("tracing enabled; Chrome trace JSON -> %s\n", trace_path);
-    } else {
-      std::printf(
-          "--trace requested but the build has MDTS_TRACE=OFF; no trace "
-          "will be written\n");
-      trace_path = nullptr;
-    }
+    // The whole sweep runs on one thread, so a single generous ring keeps
+    // the tail of the simulated timeline (oldest events of a long sweep are
+    // overwritten, newest survive).
+    Tracer::Get().Enable(1 << 18);
+    std::printf("tracing enabled; Chrome trace JSON -> %s\n", trace_path);
   }
   std::printf("=== DMT(k) fault sweep: loss x crash x k ===\n\n");
   std::printf(

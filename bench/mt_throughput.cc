@@ -49,7 +49,6 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 #include "workload/closed_loop.h"
 
 namespace mdts {
@@ -299,7 +298,6 @@ void RunCell(const char* out_path, unsigned hw, uint32_t items,
        {"compact_every", JsonNum(std::max<uint32_t>(1024, items / 2))},
        {"rounds", JsonNum(kLadderRounds)},
        {"arm_seconds", JsonNum(secs)},
-       {"trace_compiled", MDTS_TRACE_COMPILED ? "true" : "false"},
        {"rungs", "[" + rows + "]"}});
 }
 

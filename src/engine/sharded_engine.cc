@@ -1,7 +1,6 @@
 #include "engine/sharded_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <stdexcept>
@@ -45,50 +44,6 @@ void AppendEngineMetrics(const EngineStats& st, MetricsSnapshot& out) {
                           static_cast<int64_t>(st.live_versions));
 }
 
-/// Sorted set of shard indices for the deadlock-free ordered acquisition:
-/// insertion keeps the array ordered, membership is O(1) through the
-/// bitmask for indices < 64 (a linear scan beyond). Bounded at kCapacity
-/// entries; asking for more sets `overflow`, which callers answer by
-/// locking every shard.
-struct ShardLockSet {
-  static constexpr size_t kCapacity = 64;
-  uint32_t v[kCapacity];
-  size_t count = 0;
-  uint64_t mask = 0;
-  bool overflow = false;
-
-  uint32_t At(size_t q) const { return v[q]; }
-  bool Has(uint32_t s) const {
-    if (s < 64) return ((mask >> s) & 1) != 0;
-    for (size_t q = 0; q < count; ++q) {
-      if (v[q] == s) return true;
-    }
-    return false;
-  }
-  /// False when `o` overflowed: its untracked shards cannot be vouched for.
-  bool Covers(const ShardLockSet& o) const {
-    if (o.overflow) return false;
-    for (size_t q = 0; q < o.count; ++q) {
-      if (!Has(o.v[q])) return false;
-    }
-    return true;
-  }
-  void Add(uint32_t s) {
-    if (Has(s)) return;
-    if (count == kCapacity) {
-      overflow = true;
-      return;
-    }
-    size_t q = count++;
-    while (q > 0 && v[q - 1] > s) {
-      v[q] = v[q - 1];
-      --q;
-    }
-    v[q] = s;
-    if (s < 64) mask |= uint64_t{1} << s;
-  }
-};
-
 }  // namespace
 
 ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
@@ -101,11 +56,17 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
   // may creep back into the item state every single-version item pays for.
   static_assert(sizeof(ItemState) <= 80);
   assert(options_.k >= 1);
+  if (num_shards_ > kMaxShards) {
+    throw std::invalid_argument(
+        "ShardedMtkEngine: num_shards=" + std::to_string(num_shards_) +
+        " exceeds kMaxShards=" + std::to_string(kMaxShards));
+  }
   options_.num_shards = num_shards_;
   if ((num_shards_ & (num_shards_ - 1)) == 0) {
     shard_idx_mask_ = num_shards_ - 1;
   }
   for (size_t s = 0; s < num_shards_; ++s) {
+    all_shards_.Add(s);
     shards_.emplace_back();
     shards_.back().index = static_cast<uint32_t>(s);
     shards_.back().counters = StripedCounters(
@@ -274,18 +235,19 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, MvItem& chain,
   if (chain.unlink_epoch == dead_epoch) return;
   chain.unlink_epoch = dead_epoch;
   const size_t gone = chain.UnlinkDead(Probe());
-  if (num_shards_ <= 64) {
-    // Rebuild the shard-coverage mask from the survivors - the only place
-    // stale (dead-accessor) bits are ever shed. Incremental ORs at read
-    // and install time keep it a superset between unlinks.
-    uint64_t cover = 0;
-    chain.ForEachAccess([&](const Access& a) {
-      if (a.txn != kVirtualTxn) {
-        cover |= uint64_t{1} << (a.txn % num_shards_);
-      }
-    });
-    chain.cover = cover;
+  // Rebuild the coverage sets from the survivors - the only place stale
+  // (dead-accessor) shards are ever shed. Incremental adds at read and
+  // install time keep them supersets between unlinks.
+  chain.writers = {};
+  chain.accessors = {};
+  for (size_t v = 0; v < chain.size(); ++v) {
+    const MvVersion& ver = chain.At(v);
+    if (ver.writer.txn != kVirtualTxn) {
+      chain.writers.Add(ShardIndex(ver.writer.txn));
+    }
+    for (const Access& r : ver.readers) chain.accessors.Add(ShardIndex(r.txn));
   }
+  chain.accessors.AddAll(chain.writers);
   if (gone != 0) {
     chain.newest.end_stamp = 0;  // A promoted version is newest again.
     shx.stats.versions_gc += gone;
@@ -302,9 +264,8 @@ void ShardedMtkEngine::MvInstalledLocked(Shard& shx, MvItem& chain,
   const uint64_t stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
   v.begin_stamp = stamp;
   (&v == &chain.newest ? chain.older.back() : v).end_stamp = stamp;
-  if (num_shards_ <= 64) {
-    chain.cover |= uint64_t{1} << (v.writer.txn % num_shards_);
-  }
+  chain.writers.Add(ShardIndex(v.writer.txn));
+  chain.accessors.Add(ShardIndex(v.writer.txn));
   ++shx.stats.versions_installed;
   live_versions_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -419,8 +380,9 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     si.begin_stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
   }
   // Every chain entry is live - MvUnlinkDeadLocked ran under this lock -
-  // and the held lockset covers every chain writer's and reader's shard,
-  // freezing their liveness words and vectors for the whole decision.
+  // and the held lockset covers the shard of every chain writer (for a
+  // write, also of every reader), freezing the liveness words and vectors
+  // the decision reads: a read's walk sets only (writer, reader) pairs.
   struct Policy {
     ShardedMtkEngine* e;
     Shard& shx;
@@ -453,7 +415,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
   if (read) {
     out.version->read_stamp =
         mv_stamp_.fetch_add(1, std::memory_order_relaxed);
-    if (num_shards_ <= 64) chain.cover |= uint64_t{1} << (i % num_shards_);
+    chain.accessors.Add(ShardIndex(i));
     if (out.old_version) ++shx.stats.old_version_reads;
   } else {
     MvInstalledLocked(shx, chain, *out.version);
@@ -467,7 +429,6 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
 void ShardedMtkEngine::RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag) {
   const uint64_t us = ns / 1000;
   m_phase_[static_cast<size_t>(phase)]->RecordWithExemplar(us, tag);
-#if MDTS_TRACE_COMPILED
   if (Tracer::Enabled()) {
     // A completed span backdated over the measured slice, carrying the
     // same transaction id the histogram exemplar points at - so a p99
@@ -487,7 +448,6 @@ void ShardedMtkEngine::RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag) {
     e.arg = tag;
     Tracer::Get().Emit(e);
   }
-#endif
 }
 
 OpDecision ShardedMtkEngine::RejectLocked(Shard& shx, const Op& op,
@@ -533,11 +493,19 @@ std::string ShardedMtkEngine::ExplainLastReject() const {
                           : static_cast<uint32_t>(newest.blocker));
 }
 
-void ShardedMtkEngine::LockShard(Shard& sh) {
+void ShardedMtkEngine::LockShard(Shard& sh) const {
   if (sh.mu.try_lock()) return;
   sh.mu.lock();
   ++sh.stats.lock_contention;  // sh.mu is held now.
   MDTS_TRACE_INSTANT_ARG("engine.shard_lock_contention", "shard", sh.index);
+}
+
+void ShardedMtkEngine::LockShards(const ShardSet& set) const {
+  set.ForEach([this](size_t s) { LockShard(shards_[s]); });
+}
+
+void ShardedMtkEngine::UnlockShards(const ShardSet& set) const {
+  set.ForEachDescending([this](size_t s) { shards_[s].mu.unlock(); });
 }
 
 OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
@@ -560,7 +528,7 @@ OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
   Shard& shi = ShardForTxn(op.txn);
 
   // Phase attribution (sampled): admission = op entry to the first lock
-  // acquisition, lock = acquiring the sorted locksets (all rounds) plus
+  // acquisition, lock = acquiring the ordered locksets (all rounds) plus
   // the in-place extensions taken mid-round, decide = the decision minus
   // those extensions and the MV read walk, mv_read = the MV read-path
   // decision. Unsampled ops skip every clock read.
@@ -571,25 +539,15 @@ OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
   uint64_t decide_ns = 0;
   uint64_t mv_read_ns = 0;
 
-  // Round-one lockset {shard(x), shard(i)}, acquired in sorted order. Tops
-  // are discovered under the locks, and a top on a shard outside the set
-  // extends it in place (see `cover` below), so an uncontended op needing
-  // at most 64 shards is decided in this one round.
-  ShardLockSet want;
+  // Round-one lockset {shard(x), shard(i)}, acquired in ascending order.
+  // Tops are discovered under the locks, and a top on a shard outside the
+  // set extends it in place (see `cover` below), so an uncontended op is
+  // decided in this one round.
+  ShardSet want;
   want.Add(shx.index);
   want.Add(shi.index);
   uint64_t retries = 0;
   uint64_t fallbacks = 0;
-  bool all = false;  // Every shard locked; set between rounds only.
-  auto unlock = [&] {
-    if (all) {
-      for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-        it->mu.unlock();
-      }
-    } else {
-      for (size_t q = want.count; q-- > 0;) shards_[want.At(q)].mu.unlock();
-    }
-  };
   OpDecision d = OpDecision::kReject;
   for (size_t attempt = 0;; ++attempt) {
     uint64_t t_lock0 = 0;
@@ -597,13 +555,7 @@ OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
       t_lock0 = NowNs();
       if (attempt == 0) admission_ns = t_lock0 - t_entry;
     }
-    if (all) {
-      for (Shard& sh : shards_) LockShard(sh);
-    } else {
-      for (size_t q = 0; q < want.count; ++q) {
-        LockShard(shards_[want.At(q)]);
-      }
-    }
+    LockShards(want);
     uint64_t t_decide0 = 0;
     if (phase_sampled) {
       t_decide0 = NowNs();
@@ -619,41 +571,35 @@ OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
     // above every held one, a try_lock for the rest. A thread never blocks
     // on a shard below one it holds, so no wait cycle can form - all the
     // Section V-B ordered-locking argument asks - and every shard taken
-    // joins `want`, so the unlock paths stay exact even when the extension
+    // joins `want`, so the unlock stays exact even when the extension
     // stops early. Then `resolve` runs again (a top can die between the
     // peek and the moment its shard is held) and the op is decided in
-    // place if it is covered. A failed try_lock, a full lockset or a need
-    // still uncovered defers the op to the next round, whose lockset is
-    // shard(x), shard(i) and the last `need`.
-    ShardLockSet need;
+    // place if it is covered. A failed try_lock or a need still uncovered
+    // defers the op to the next round, whose lockset is shard(x), shard(i)
+    // and the last `need`.
+    ShardSet need;
     auto cover = [&](auto&& resolve) -> bool {
       resolve(need);
-      if (all || want.Covers(need)) return true;
-      if (!need.overflow) {
-        const uint64_t t0 = phase_sampled ? NowNs() : 0;
-        bool held = true;
-        for (size_t q = 0; q < need.count && held; ++q) {
-          const uint32_t s = need.At(q);
-          if (want.Has(s)) continue;
-          if (want.count == ShardLockSet::kCapacity) {
-            held = false;
-          } else if (s > want.At(want.count - 1)) {
-            LockShard(shards_[s]);
-            want.Add(s);
-          } else if (shards_[s].mu.try_lock()) {
-            want.Add(s);
-          } else {
-            held = false;
-          }
+      if (want.Covers(need)) return true;
+      const uint64_t t0 = phase_sampled ? NowNs() : 0;
+      const size_t top = want.Max();
+      bool held = true;
+      need.Minus(want).ForEach([&](size_t s) {
+        if (!held) return;
+        if (s > top) {
+          LockShard(shards_[s]);
+        } else if (!shards_[s].mu.try_lock()) {
+          held = false;
+          return;
         }
-        if (phase_sampled) extend_ns += NowNs() - t0;
-        if (held) {
-          ShardLockSet again;
-          resolve(again);
-          if (want.Covers(again)) return true;
-          need = again;
-        }
-      }
+        want.Add(s);
+      });
+      if (phase_sampled) extend_ns += NowNs() - t0;
+      if (!held) return false;
+      ShardSet again;
+      resolve(again);
+      if (want.Covers(again)) return true;
+      need = again;
       return false;
     };
     TxnState& si = StateLocked(shi, op.txn);
@@ -672,44 +618,28 @@ OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
       // liveness reads are lock-free - and stays benign: the encodings
       // against a just-dead transaction merely add constraints, and the
       // entry is unlinked at the next epoch change.) Unlinking first
-      // (safe under shard(x) alone) keeps the coverage set to the live
+      // (safe under shard(x) alone) keeps the coverage sets to the live
       // population.
       MvUnlinkDeadLocked(shx, *chain,
                          mv_dead_epoch_.load(std::memory_order_acquire));
       // Reads order against every live chain writer, writes also against
-      // its readers, so the lockset must cover all their shards: the
-      // cover summary bits (a superset of the live population, so a stale
-      // bit at worst widens the lockset), or a walk of the chain beyond
-      // 64 shards.
-      covered = cover([&](ShardLockSet& out) {
-        if (num_shards_ <= 64) {
-          for (uint64_t m = chain->cover; m != 0; m &= m - 1) {
-            out.Add(static_cast<uint32_t>(std::countr_zero(m)));
-          }
-          return;
-        }
-        chain->ForEachAccess([&](const Access& a) {
-          if (a.txn != kVirtualTxn) {
-            out.Add(static_cast<uint32_t>(ShardIndex(a.txn)));
-          }
-        });
+      // its readers, so the lockset must cover those shards.
+      covered = cover([&](ShardSet& out) {
+        out.AddAll(op.type == OpType::kRead ? chain->writers
+                                            : chain->accessors);
       });
     } else {
       // Resolve the tops under shard(x); liveness reads are lock-free, so
       // this works even when the accessors' shards are not (yet) held. A
       // write is also ordered after every live line-10 reader.
-      covered = cover([&](ShardLockSet& out) {
+      covered = cover([&](ShardSet& out) {
         jr = item.readers.Top(Probe());
         jw = item.writers.Top(Probe());
-        if (jr.txn != kVirtualTxn) {
-          out.Add(static_cast<uint32_t>(ShardIndex(jr.txn)));
-        }
-        if (jw.txn != kVirtualTxn) {
-          out.Add(static_cast<uint32_t>(ShardIndex(jw.txn)));
-        }
+        if (jr.txn != kVirtualTxn) out.Add(ShardIndex(jr.txn));
+        if (jw.txn != kVirtualTxn) out.Add(ShardIndex(jw.txn));
         if (op.type == OpType::kWrite) {
           item.readers.ForEachOld(Probe(), [&](const Ref& r) {
-            out.Add(static_cast<uint32_t>(ShardIndex(r.txn)));
+            out.Add(ShardIndex(r.txn));
             return true;
           });
         }
@@ -721,7 +651,7 @@ OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
       // the liveness of every accessor it reads: clearing it needs their
       // (held) shards. Single- vs cross-shard is read off the lockset held
       // at decision time, extensions included.
-      if (all || want.count > 1) {
+      if (want.Multiple()) {
         ++shx.stats.cross_shard_ops;
       } else {
         ++shx.stats.single_shard_ops;
@@ -747,25 +677,24 @@ OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* why) {
       // Attribute the retry work to shard(x), which every round holds.
       shx.stats.lock_retries += retries;
       shx.stats.full_lock_fallbacks += fallbacks;
-      unlock();
+      UnlockShards(want);
       break;
     }
 
-    // Deferred: a try_lock met a peer's lock, a top died and its
-    // successor's shard was missing, or the set was full. all == false
-    // here: a full lock covers every top. Tops can keep shifting under
-    // contention, so after kMaxLockRetries unstable rounds take every
-    // lock.
-    assert(!all);
-    unlock();
+    // Deferred: a try_lock met a peer's lock, or a top died and its
+    // successor's shard was missing. Never after a fallback round: every
+    // shard covers every top. Tops can keep shifting under contention, so
+    // after kMaxLockRetries unstable rounds take every lock.
+    assert(fallbacks == 0);
+    UnlockShards(want);
     ++retries;
-    ShardLockSet next = need;
-    next.Add(shx.index);
-    next.Add(shi.index);
-    want = next;
-    if (next.overflow || attempt >= kMaxLockRetries) {
-      all = true;
+    if (attempt >= kMaxLockRetries) {
+      want = all_shards_;
       ++fallbacks;
+    } else {
+      want = need;
+      want.Add(shx.index);
+      want.Add(shi.index);
     }
   }
 
@@ -953,7 +882,7 @@ size_t ShardedMtkEngine::CompactAll() { return Compact(/*periodic=*/false); }
 
 size_t ShardedMtkEngine::Compact(bool periodic) {
   MDTS_TRACE_SPAN("engine.compact");
-  for (Shard& sh : shards_) LockShard(sh);
+  LockShards(all_shards_);
   if (options_.multiversion) {
     // 1-MV. Exact live watermark: with every shard lock held, no liveness
     // word or begin stamp can move, so the minimum begin stamp over live
@@ -1042,9 +971,7 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
     }
   }
   ++shards_[0].stats.compactions;
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    it->mu.unlock();
-  }
+  UnlockShards(all_shards_);
   return total;
 }
 
@@ -1062,7 +989,7 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
         " does not match engine k=" + std::to_string(options_.k));
   }
   MDTS_TRACE_SPAN("engine.recover");
-  for (Shard& sh : shards_) LockShard(sh);
+  LockShards(all_shards_);
   size_t applied = 0;
   // Every column's recovered extremes, for the clock resync below.
   std::vector<TsElement> col_min(options_.k, kUndefinedElement);
@@ -1136,16 +1063,13 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
       it.writers.Push({r.txn, 0});
     }
   }
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    it->mu.unlock();
-  }
+  UnlockShards(all_shards_);
   return applied;
 }
 
 bool ShardedMtkEngine::MvAuditChains() const {
   if (!options_.multiversion) return true;
-  auto* self = const_cast<ShardedMtkEngine*>(this);
-  for (Shard& sh : shards_) self->LockShard(sh);
+  LockShards(all_shards_);
   bool ok = true;
   auto live = [probe = Probe()](const Access& a) {
     return a.Live(probe(a.txn));
@@ -1172,9 +1096,7 @@ bool ShardedMtkEngine::MvAuditChains() const {
       }
     }
   }
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    it->mu.unlock();
-  }
+  UnlockShards(all_shards_);
   return ok;
 }
 

@@ -2,6 +2,7 @@
 #define MDTS_ENGINE_SHARDED_ENGINE_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -36,7 +37,8 @@ struct EngineOptions {
   size_t k = 3;
 
   /// Number of shards the items, transaction states, and last-column
-  /// counters are striped across. Clamped to >= 1.
+  /// counters are striped across. Clamped to >= 1; the constructor throws
+  /// std::invalid_argument above ShardedMtkEngine::kMaxShards (256).
   size_t num_shards = 8;
 
   /// Section III-D-4 starvation fix (see MtkOptions::starvation_fix).
@@ -49,7 +51,7 @@ struct EngineOptions {
   /// stamp clock. Reads take the newest version they can be ordered after
   /// (they essentially never abort - the multiversion payoff); a write
   /// installs a new version at the newest feasible slot or rejects with
-  /// kVersionConflict. All chain state is mutated under the same sorted
+  /// kVersionConflict. All chain state is mutated under the same ordered
   /// shard locksets as the single-version mode, and lives outside the item
   /// state, allocated on an item's first multiversion access.
   ///
@@ -189,11 +191,14 @@ struct EngineStats {
 /// Deadlock freedom rests on one rule: block only on a shard above every
 /// held shard; try_lock the rest. A thread never waits for a shard below
 /// one it holds, so no wait cycle can form (the ordered-locking argument of
-/// the paper's Section V-B). Only when a try_lock meets a peer's lock, a
-/// top dies and its successor lives elsewhere, or the set would exceed 64
-/// shards is the op deferred: the engine releases, relocks the rebuilt
-/// lockset in sorted order and revalidates; after kMaxLockRetries such
-/// rounds it falls back to locking all shards, which trivially validates.
+/// the paper's Section V-B). Only when a try_lock meets a peer's lock, or a
+/// top dies and its successor lives elsewhere, is the op deferred: the
+/// engine releases, relocks the rebuilt lockset in ascending order and
+/// revalidates; after kMaxLockRetries such rounds it locks every shard,
+/// which trivially validates. Every lockset - a round's, the fallback's,
+/// and the every-shard sets of CompactAll, RecoverFrom and MvAuditChains -
+/// is a ShardSet, locked ascending by LockShards and released descending by
+/// UnlockShards.
 /// Transaction states live in chunk-granular arrays published through an
 /// atomic directory, so the lock-free liveness peeks never race with a
 /// growing container.
@@ -301,8 +306,72 @@ class ShardedMtkEngine {
   /// Optimistic cross-shard lock rounds retried this many times before
   /// falling back to locking every shard.
   static constexpr size_t kMaxLockRetries = 16;
+  /// Most shards an engine can have: the width of a ShardSet.
+  static constexpr size_t kMaxShards = 256;
 
  private:
+  /// Set of shard indices below kMaxShards, one bit per shard. Iteration
+  /// is in index order, which is the engine's lock order.
+  class ShardSet {
+   public:
+    void Add(size_t s) { w_[s / 64] |= uint64_t{1} << (s % 64); }
+    void AddAll(const ShardSet& o) {
+      for (size_t q = 0; q < kWords; ++q) w_[q] |= o.w_[q];
+    }
+    bool Covers(const ShardSet& o) const {
+      for (size_t q = 0; q < kWords; ++q) {
+        if ((o.w_[q] & ~w_[q]) != 0) return false;
+      }
+      return true;
+    }
+    /// The members of this set that `o` lacks.
+    ShardSet Minus(const ShardSet& o) const {
+      ShardSet d;
+      for (size_t q = 0; q < kWords; ++q) d.w_[q] = w_[q] & ~o.w_[q];
+      return d;
+    }
+    /// Whether the set has more than one member.
+    bool Multiple() const {
+      bool seen = false;
+      for (const uint64_t w : w_) {
+        if (w == 0) continue;
+        if (seen || (w & (w - 1)) != 0) return true;
+        seen = true;
+      }
+      return false;
+    }
+    /// Highest member; the set must not be empty.
+    size_t Max() const {
+      size_t q = kWords - 1;
+      while (w_[q] == 0) --q;
+      return q * 64 + 63 - static_cast<size_t>(std::countl_zero(w_[q]));
+    }
+    /// Calls f(s) for every member s, ascending.
+    template <typename F>
+    void ForEach(F&& f) const {
+      for (size_t q = 0; q < kWords; ++q) {
+        for (uint64_t m = w_[q]; m != 0; m &= m - 1) {
+          f(q * 64 + static_cast<size_t>(std::countr_zero(m)));
+        }
+      }
+    }
+    /// Calls f(s) for every member s, descending.
+    template <typename F>
+    void ForEachDescending(F&& f) const {
+      for (size_t q = kWords; q-- > 0;) {
+        for (uint64_t m = w_[q]; m != 0;) {
+          const size_t b = 63 - static_cast<size_t>(std::countl_zero(m));
+          f(q * 64 + b);
+          m &= ~(uint64_t{1} << b);
+        }
+      }
+    }
+
+   private:
+    static constexpr size_t kWords = kMaxShards / 64;
+    uint64_t w_[kWords] = {};
+  };
+
   /// Liveness word, packed so peers can test liveness without the owning
   /// shard's lock: (incarnation << 2) | (committed << 1) | aborted. A
   /// (txn, incarnation) pair that is ever observed dead stays dead:
@@ -327,17 +396,17 @@ class ShardedMtkEngine {
     std::vector<TxnState> states;  // Exactly kChunkSize; never resized.
   };
 
-  /// A multiversion item: its chain (core/version_chain.h) plus two
+  /// A multiversion item: its chain (core/version_chain.h) plus the
   /// summaries of it the engine keeps for lockset coverage and unlinking.
   struct MvItem : MvChain {
-    /// Shard-coverage summary (num_shards <= 64 only): bit
-    /// (txn % num_shards) is set for every writer and reader linked into
-    /// the chain. A superset of the live population - dead accessors'
-    /// bits linger until MvUnlinkDeadLocked recomputes the mask - which
-    /// is sound for lockset coverage: a stale bit can only widen the
-    /// lockset, never hide a live accessor's shard. Turns the per-op
-    /// coverage check from a full chain walk into one mask test.
-    uint64_t cover = 0;
+    /// Shards of the chain's linked writers (a read orders against these
+    /// only) and of its writers and readers (a write orders against all of
+    /// them). Supersets of the live population - dead accessors' shards
+    /// linger until MvUnlinkDeadLocked rebuilds both sets - which is sound
+    /// for lockset coverage: a stale shard can only widen the lockset,
+    /// never hide a live accessor's shard.
+    ShardSet writers;
+    ShardSet accessors;
     /// mv_dead_epoch_ value at the chain's last dead-unlink; while no
     /// incarnation has died engine-wide since, the chain can hold no
     /// dead entry and the unlink walk is skipped.
@@ -448,19 +517,19 @@ class ShardedMtkEngine {
 
   /// Multiversion decision body: runs the shared MvChain read walk or
   /// write placement (core/version_chain.h) with SetStates as its Set, then
-  /// stamps and counts what it did. Every shard referenced by the chain's
-  /// writers and readers is held, plus shard(item) and shard(txn).
+  /// stamps and counts what it did. Held: shard(item), shard(txn) and the
+  /// shards of the chain's writers (for a write, also of its readers).
   OpDecision DecideMvLocked(const Op& op, Shard& shx, MvItem& chain,
                             TxnState& si, AbortReason* why);
 
   /// Stamps a version just linked into `chain` (begin stamp, the end stamp
-  /// of the version it superseded, coverage) and counts it.
+  /// of the version it superseded, the coverage sets) and counts it.
   void MvInstalledLocked(Shard& shx, MvItem& chain, MvVersion& v);
 
   /// MvChain::UnlinkDead unless nothing died engine-wide since the chain's
-  /// last unlink (`dead_epoch`, read before the call), then the coverage
-  /// rebuild; counts the unlinked versions as versions_gc. Dead is
-  /// permanent, so shard(item).mu alone suffices.
+  /// last unlink (`dead_epoch`, read before the call), then the rebuild of
+  /// both coverage sets; counts the unlinked versions as versions_gc. Dead
+  /// is permanent, so shard(item).mu alone suffices.
   void MvUnlinkDeadLocked(Shard& shx, MvItem& chain, uint64_t dead_epoch);
 
   /// Watermark truncation: drops the oldest-prefix of versions below the
@@ -480,7 +549,7 @@ class ShardedMtkEngine {
 
   /// Records one attributed phase slice: microseconds into the
   /// "engine.phase.<name>_us" histogram (exemplar-tagged with the
-  /// transaction id) and, when tracing is compiled+enabled, a matching
+  /// transaction id) and, when tracing is enabled, a matching
   /// completed span carrying the same id - the p99-bucket-to-span link.
   void RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag);
 
@@ -522,7 +591,12 @@ class ShardedMtkEngine {
 
   /// Acquires sh.mu, counting the acquisition as contended (per-shard
   /// stats, trace instant) when try_lock fails first.
-  void LockShard(Shard& sh);
+  void LockShard(Shard& sh) const;
+
+  /// The one multi-shard acquisition: LockShard on every member of `set`,
+  /// ascending (the lock order), and the release, descending.
+  void LockShards(const ShardSet& set) const;
+  void UnlockShards(const ShardSet& set) const;
 
   /// CompactAll's body; `periodic` marks the compact_every sweep
   /// CommitTxn triggers (see EngineOptions::multiversion for the floor).
@@ -538,6 +612,9 @@ class ShardedMtkEngine {
   /// fall back to the division). See ShardIndex().
   uint64_t shard_idx_mask_ = 0;
   mutable std::deque<Shard> shards_;  // Deque: Shard is not movable.
+  /// Every shard: the kMaxLockRetries fallback's lockset and the
+  /// stop-the-world lockset of Compact, RecoverFrom and MvAuditChains.
+  ShardSet all_shards_;
   TxnState t0_;                       // Immutable after construction.
   /// Engine-wide commit counter driving the compact_every trigger. Relaxed:
   /// an occasional early or late CompactAll is harmless.
@@ -562,7 +639,7 @@ class ShardedMtkEngine {
   /// aborted bit. Chains compare their unlink_epoch against it to skip
   /// the per-op dead-unlink walk when nothing can have died. Starts at 1
   /// so a fresh chain (epoch 0) always takes its first unlink, which also
-  /// seeds its cover mask.
+  /// seeds its coverage sets.
   std::atomic<uint64_t> mv_dead_epoch_{1};
 
   /// Starvation gauge ("engine.max_consecutive_aborts"); null without a

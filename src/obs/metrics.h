@@ -17,61 +17,35 @@ namespace mdts {
 
 namespace obs_internal {
 /// Dense per-thread index (0, 1, 2, ...) assigned on first use, process
-/// wide. Counters and histograms stripe their slots by it so concurrent
-/// writers from distinct threads touch distinct cache lines.
+/// wide. Histograms stripe their slots by it so concurrent writers from
+/// distinct threads touch distinct cache lines.
 size_t ThreadSlot();
 
 /// Appends v in decimal; the text and JSON writers of src/obs share it.
 void AppendU64(std::string* out, uint64_t v);
 }  // namespace obs_internal
 
-/// Monotonically increasing event counter, safe for concurrent writers.
-///
-/// Layout: kSlots cache-line-padded slots. Each of the first kSlots - 1
-/// threads (by obs_internal::ThreadSlot()) owns one slot exclusively and
-/// bumps it with a plain relaxed load + store - no lock prefix, so the hot
-/// path costs about one L1 store. Threads beyond that share the last slot
-/// through fetch_add (correct, merely slower). Value() sums all slots; it
-/// is monotone per writer but, like any relaxed sharded counter, may
-/// observe a mid-flight mix across writers.
+/// Monotonically increasing event counter, safe for concurrent writers:
+/// one relaxed atomic word. No hot path writes a registry counter - the
+/// engine, the WAL and DMT(k) publish through pull collectors - so its
+/// writers (watchdog raises, collector folds) are rare.
 class Counter {
  public:
-  static constexpr size_t kSlots = 16;
-
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void Add(uint64_t n = 1) {
-    const size_t t = obs_internal::ThreadSlot();
-    if (t < kSlots - 1) {
-      std::atomic<uint64_t>& s = slots_[t].v;
-      s.store(s.load(std::memory_order_relaxed) + n,
-              std::memory_order_relaxed);
-    } else {
-      slots_[kSlots - 1].v.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Slot& s : slots_) {
-      total += s.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> v{0};
-  };
-  Slot slots_[kSlots];
+  std::atomic<uint64_t> v_{0};
 };
 
 /// Point-in-time level instrument (set/add semantics), safe for concurrent
-/// writers. Unlike Counter it can move down, so it is a single atomic word
-/// rather than striped slots: gauge updates are rare (per restart / per
-/// sampling window), never per-operation hot-path events.
+/// writers. Unlike Counter it can move down. Like it, a single atomic word:
+/// gauge updates are rare (per restart / per sampling window), never
+/// per-operation hot-path events.
 class Gauge {
  public:
   Gauge() = default;
@@ -126,7 +100,11 @@ struct HistogramSnapshot {
 };
 
 /// Log-scale (power-of-two buckets) histogram for latencies and sizes,
-/// safe for concurrent writers; same exclusive-slot striping as Counter.
+/// safe for concurrent writers. Layout: kSlots cache-line-padded slots.
+/// Each of the first kSlots - 1 threads (by obs_internal::ThreadSlot())
+/// owns one slot exclusively and bumps it with a plain relaxed load +
+/// store - no lock prefix; threads beyond that share the last slot through
+/// fetch_add (correct, merely slower).
 class Histogram {
  public:
   static constexpr size_t kSlots = 8;

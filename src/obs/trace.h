@@ -9,16 +9,9 @@
 
 #include "obs/seqlock_ring.h"
 
-/// Compile-time gate for the event tracer. The build defines MDTS_TRACE=1
-/// by default (CMake option MDTS_TRACE); with it off every MDTS_TRACE_*
-/// macro compiles to nothing. With it on, tracing still costs nothing
-/// until Tracer::Enable(): each macro is one relaxed atomic load plus a
-/// predictable branch.
-#if defined(MDTS_TRACE) && MDTS_TRACE
-#define MDTS_TRACE_COMPILED 1
-#else
-#define MDTS_TRACE_COMPILED 0
-#endif
+/// The event tracer is always compiled in and gated at runtime: until
+/// Tracer::Enable(), each MDTS_TRACE_* macro costs one relaxed atomic load
+/// plus a predictable branch.
 
 namespace mdts {
 
@@ -127,8 +120,6 @@ class TraceSpan {
 
 }  // namespace mdts
 
-#if MDTS_TRACE_COMPILED
-
 /// Scoped 'X' event on the calling thread's real-time lane.
 #define MDTS_TRACE_SPAN(name) ::mdts::TraceSpan mdts_trace_span_(name)
 
@@ -186,26 +177,5 @@ class TraceSpan {
       ::mdts::Tracer::Get().Emit(mdts_te_);                                 \
     }                                                                       \
   } while (0)
-
-#else  // !MDTS_TRACE_COMPILED
-
-#define MDTS_TRACE_SPAN(name) \
-  do {                        \
-  } while (0)
-#define MDTS_TRACE_INSTANT(name_str) \
-  do {                               \
-  } while (0)
-#define MDTS_TRACE_INSTANT_ARG(name_str, arg_name_str, arg_v) \
-  do {                                                        \
-  } while (0)
-#define MDTS_TRACE_AT(name_str, ph_c, pid_v, tid_v, ts_v) \
-  do {                                                    \
-  } while (0)
-#define MDTS_TRACE_AT_ARG(name_str, ph_c, pid_v, tid_v, ts_v, arg_name_str, \
-                          arg_v)                                            \
-  do {                                                                      \
-  } while (0)
-
-#endif  // MDTS_TRACE_COMPILED
 
 #endif  // MDTS_OBS_TRACE_H_

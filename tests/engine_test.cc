@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -444,7 +445,7 @@ TEST(ShardedEngineTest, ManyShardsHotItemsKeepLocksetBounded) {
   constexpr ItemId kItems = 8;  // Very hot: tops churn constantly.
   EngineOptions eo;
   eo.k = 3;
-  eo.num_shards = 32;  // Far more shards than the lockset can hold.
+  eo.num_shards = 32;  // Far more shards than hot items.
   eo.starvation_fix = true;
   ShardedMtkEngine engine(eo);
 
@@ -492,52 +493,57 @@ TEST(ShardedEngineTest, ManyShardsHotItemsKeepLocksetBounded) {
 // on a third shard, outside {shard(x), shard(i)}. Uncontended, the engine
 // must take that shard into the held lockset and decide in the same round;
 // releasing everything and relocking cost about one extra round per op.
+// 256 shards is kMaxShards, the top word of a ShardSet.
 TEST(ShardedEngineTest, UncontendedCrossShardOpsDecideInOneRound) {
   constexpr ItemId kItems = 4096;
   constexpr uint32_t kTxns = 2000;
   constexpr size_t kOpsPerTxn = 6;
-  EngineOptions eo;
-  eo.k = 3;
-  eo.num_shards = 32;
-  eo.starvation_fix = true;
-  ShardedMtkEngine engine(eo);
+  for (const size_t shards : {size_t{32}, ShardedMtkEngine::kMaxShards}) {
+    SCOPED_TRACE(shards);
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = shards;
+    eo.starvation_fix = true;
+    ShardedMtkEngine engine(eo);
 
-  std::mt19937_64 rng(14);
-  for (TxnId txn = 1; txn <= kTxns; ++txn) {
-    for (size_t attempts = 0;; ++attempts) {
-      ASSERT_LT(attempts, 1000u) << "txn " << txn << " starved";
-      bool ok = true;
-      for (size_t o = 0; o < kOpsPerTxn && ok; ++o) {
-        Op op;
-        op.txn = txn;
-        op.type = rng() % 10 < 6 ? OpType::kRead : OpType::kWrite;
-        op.item = static_cast<ItemId>(rng() % kItems);
-        ok = engine.Process(op) != OpDecision::kReject;
+    std::mt19937_64 rng(14);
+    for (TxnId txn = 1; txn <= kTxns; ++txn) {
+      for (size_t attempts = 0;; ++attempts) {
+        ASSERT_LT(attempts, 1000u) << "txn " << txn << " starved";
+        bool ok = true;
+        for (size_t o = 0; o < kOpsPerTxn && ok; ++o) {
+          Op op;
+          op.txn = txn;
+          op.type = rng() % 10 < 6 ? OpType::kRead : OpType::kWrite;
+          op.item = static_cast<ItemId>(rng() % kItems);
+          ok = engine.Process(op) != OpDecision::kReject;
+        }
+        if (ok) break;
+        engine.RestartTxn(txn);
       }
-      if (ok) break;
-      engine.RestartTxn(txn);
+      engine.CommitTxn(txn);
     }
-    engine.CommitTxn(txn);
-  }
 
-  const EngineStats st = engine.stats();
-  EXPECT_EQ(st.lock_retries, 0u);
-  EXPECT_EQ(st.full_lock_fallbacks, 0u);
-  EXPECT_GT(st.cross_shard_ops, 0u);
-  EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
-            st.single_shard_ops + st.cross_shard_ops);
+    const EngineStats st = engine.stats();
+    EXPECT_EQ(st.lock_retries, 0u);
+    EXPECT_EQ(st.full_lock_fallbacks, 0u);
+    EXPECT_GT(st.cross_shard_ops, 0u);
+    EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
+              st.single_shard_ops + st.cross_shard_ops);
+  }
 }
 
-// A lockset tracks at most 64 shards. A multiversion op orders against
-// every chain writer (a write also against every chain reader), and beyond
-// 64 shards the lockset covering them comes from a walk of the chain. Once
-// the chain's accessors span more than 64 shards no tracked set can vouch
-// for them: the op is deferred once and decided under the full lock.
-TEST(ShardedEngineTest, NeedsBeyondSixtyFourShardsTakeTheFullLock) {
+// A multiversion read orders against the chain's writers only, a write
+// also against every chain reader. 100 readers of one item on 100 of 128
+// shards therefore cost each other nothing, and the writer after them
+// extends its lockset in place over all 100 reader shards: every op is
+// decided in its first round, with no full lock.
+TEST(ShardedEngineTest, MvAccessorsOnManyShardsDecideInOneRound) {
 #if defined(__SANITIZE_THREAD__)
-  // The full lock holds all 128 shard mutexes at once, past the 64 locks
-  // per thread ThreadSanitizer's deadlock detector can track. The test is
-  // single-threaded, so the race detector has nothing to add here.
+  // The writer holds 101 shard mutexes at once (and MvAuditChains all
+  // 128), past the 64 locks per thread ThreadSanitizer's deadlock detector
+  // can track. The test is single-threaded, so the race detector has
+  // nothing to add here.
   GTEST_SKIP() << "needs more than 64 mutexes held by one thread";
 #endif
   constexpr size_t kShards = 128;
@@ -553,20 +559,27 @@ TEST(ShardedEngineTest, NeedsBeyondSixtyFourShardsTakeTheFullLock) {
     ASSERT_EQ(engine.Process(Op{t, OpType::kRead, kHot}), OpDecision::kAccept)
         << "reader T" << t;
   }
-  const EngineStats before = engine.stats();
-  EXPECT_GT(before.full_lock_fallbacks, 0u);
-  EXPECT_EQ(before.lock_retries, before.full_lock_fallbacks);
-
   // Txn 192 (shard 64) writes the hot item: its chain readers lie on 100
-  // shards.
+  // shards, 63 below its own and 36 above.
   ASSERT_EQ(engine.Process(Op{kShards + kHot, OpType::kWrite, kHot}),
             OpDecision::kAccept);
   const EngineStats st = engine.stats();
-  EXPECT_EQ(st.lock_retries, before.lock_retries + 1);
-  EXPECT_EQ(st.full_lock_fallbacks, before.full_lock_fallbacks + 1);
+  EXPECT_EQ(st.lock_retries, 0u);
+  EXPECT_EQ(st.full_lock_fallbacks, 0u);
   EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
             st.single_shard_ops + st.cross_shard_ops);
   EXPECT_TRUE(engine.MvAuditChains());
+}
+
+// A ShardSet spans kMaxShards shards; a larger engine is refused up front
+// rather than locking a set it cannot represent. (kMaxShards itself runs in
+// UncontendedCrossShardOpsDecideInOneRound.) The clamp to one shard stays.
+TEST(ShardedEngineTest, ShardCountAboveTheCapThrows) {
+  EngineOptions eo;
+  eo.num_shards = ShardedMtkEngine::kMaxShards + 1;
+  EXPECT_THROW(ShardedMtkEngine{eo}, std::invalid_argument);
+  eo.num_shards = 0;
+  EXPECT_EQ(ShardedMtkEngine(eo).num_shards(), 1u);
 }
 
 TEST(ShardedEngineTest, CompactionBoundsMemorySingleThreaded) {
