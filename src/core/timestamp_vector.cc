@@ -1,7 +1,6 @@
 #include "core/timestamp_vector.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace mdts {
@@ -19,7 +18,7 @@ TimestampVector::TimestampVector(size_t k) : k_(static_cast<uint32_t>(k)) {
 }
 
 TimestampVector::TimestampVector(const TimestampVector& o)
-    : k_(o.k_), mask_(o.mask_) {
+    : k_(o.k_) {
   if (k_ <= kInlineCapacity) {
     std::copy(o.inline_, o.inline_ + kInlineCapacity, inline_);
   } else {
@@ -29,7 +28,7 @@ TimestampVector::TimestampVector(const TimestampVector& o)
 }
 
 TimestampVector::TimestampVector(TimestampVector&& o) noexcept
-    : k_(o.k_), mask_(o.mask_) {
+    : k_(o.k_) {
   if (k_ <= kInlineCapacity) {
     std::copy(o.inline_, o.inline_ + kInlineCapacity, inline_);
   } else {
@@ -42,7 +41,6 @@ TimestampVector& TimestampVector::operator=(const TimestampVector& o) {
   if (this == &o) return *this;
   if (k_ > kInlineCapacity) delete[] heap_;
   k_ = o.k_;
-  mask_ = o.mask_;
   if (k_ <= kInlineCapacity) {
     std::copy(o.inline_, o.inline_ + kInlineCapacity, inline_);
   } else {
@@ -56,7 +54,6 @@ TimestampVector& TimestampVector::operator=(TimestampVector&& o) noexcept {
   if (this == &o) return *this;
   if (k_ > kInlineCapacity) delete[] heap_;
   k_ = o.k_;
-  mask_ = o.mask_;
   if (k_ <= kInlineCapacity) {
     std::copy(o.inline_, o.inline_ + kInlineCapacity, inline_);
   } else {
@@ -73,30 +70,22 @@ TimestampVector TimestampVector::Virtual(size_t k) {
 }
 
 size_t TimestampVector::DefinedPrefixLength() const {
-  const size_t p = static_cast<size_t>(std::countr_one(mask_));
-  if (p < kMaskBits || k_ <= kMaskBits) return p < k_ ? p : k_;
-  // Mask exhausted on an oversized vector: continue with a sentinel scan.
-  size_t n = kMaskBits;
   const TsElement* d = data();
+  size_t n = 0;
   while (n < k_ && d[n] != kUndefinedElement) ++n;
   return n;
 }
 
 size_t TimestampVector::DefinedCount() const {
-  size_t n = static_cast<size_t>(std::popcount(mask_));
-  if (k_ > kMaskBits) {
-    const TsElement* d = data();
-    for (size_t m = kMaskBits; m < k_; ++m) {
-      if (d[m] != kUndefinedElement) ++n;
-    }
-  }
+  const TsElement* d = data();
+  size_t n = 0;
+  for (size_t m = 0; m < k_; ++m) n += d[m] != kUndefinedElement;
   return n;
 }
 
 void TimestampVector::Reset() {
   TsElement* d = data();
   for (size_t m = 0; m < k_; ++m) d[m] = kUndefinedElement;
-  mask_ = 0;
 }
 
 std::string TimestampVector::ToString() const {

@@ -1,7 +1,6 @@
 #ifndef MDTS_CORE_TIMESTAMP_VECTOR_H_
 #define MDTS_CORE_TIMESTAMP_VECTOR_H_
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -42,19 +41,13 @@ struct VectorCompareResult {
 /// Layout: the whole object is 72 bytes. Elements live inline (no heap
 /// allocation, no pointer chase) for k <= kInlineCapacity, which covers
 /// Theorem 3's k = 2q-1 for every transaction of up to 4 operations; larger
-/// vectors spill to one heap block. A bitmask mirrors which elements are
-/// defined (undefined slots also hold the kUndefinedElement sentinel), so
-/// definedness queries, the defined-prefix length, and most of Compare()
-/// resolve with mask arithmetic instead of per-element branching.
+/// vectors spill to one heap block. An undefined element holds the
+/// kUndefinedElement sentinel, the only record of '*': definedness queries,
+/// the defined-prefix length and Compare() all read the element words.
 class TimestampVector {
  public:
   /// Largest k stored inline.
   static constexpr size_t kInlineCapacity = 8;
-  /// Largest k whose defined-elements set fits the bitmask; larger vectors
-  /// fall back to the reference comparator and sentinel scans (no protocol
-  /// configuration in this repository goes near it: Theorem 3 needs
-  /// k = 2q-1, i.e. transactions of 16+ operations to exceed it).
-  static constexpr size_t kMaskBits = 32;
 
   /// All k elements undefined: the initial state of every real transaction.
   explicit TimestampVector(size_t k);
@@ -72,20 +65,12 @@ class TimestampVector {
 
   size_t size() const { return k_; }
 
-  bool IsDefined(size_t m) const {
-    if (m < kMaskBits) return (mask_ >> m) & 1u;
-    return data()[m] != kUndefinedElement;
-  }
+  bool IsDefined(size_t m) const { return data()[m] != kUndefinedElement; }
   TsElement Get(size_t m) const { return data()[m]; }
-  void Set(size_t m, TsElement v) {
-    data()[m] = v;
-    if (m < kMaskBits) {
-      const uint32_t bit = uint32_t{1} << m;
-      mask_ = v == kUndefinedElement ? (mask_ & ~bit) : (mask_ | bit);
-    }
-  }
+  /// Writing kUndefinedElement un-defines the element.
+  void Set(size_t m, TsElement v) { data()[m] = v; }
 
-  /// Number of leading elements that are defined. O(1) for k <= kMaskBits.
+  /// Number of leading elements that are defined.
   size_t DefinedPrefixLength() const;
 
   /// Count of defined elements anywhere in the vector.
@@ -103,11 +88,8 @@ class TimestampVector {
     return k_ <= kInlineCapacity ? inline_ : heap_;
   }
 
-  /// Bit m set iff element m is defined (meaningful for m < kMaskBits).
-  uint32_t defined_mask() const { return mask_; }
-
   friend bool operator==(const TimestampVector& a, const TimestampVector& b) {
-    if (a.k_ != b.k_ || a.mask_ != b.mask_) return false;
+    if (a.k_ != b.k_) return false;
     const TsElement* pa = a.data();
     const TsElement* pb = b.data();
     for (size_t m = 0; m < a.k_; ++m) {
@@ -124,12 +106,10 @@ class TimestampVector {
     TsElement* heap_;  // Engaged iff k_ > kInlineCapacity.
   };
   uint32_t k_;
-  uint32_t mask_ = 0;  // Bit m set iff element m is defined (m < kMaskBits).
 };
 
 /// The reference comparator: the literal per-element transcription of
-/// Definition 6. Kept for differential testing against Compare() and as its
-/// fallback for k > 32.
+/// Definition 6. Kept for differential testing against Compare().
 VectorCompareResult CompareNaive(const TimestampVector& a,
                                  const TimestampVector& b);
 
@@ -140,32 +120,29 @@ VectorCompareResult CompareNaive(const TimestampVector& a,
 ///   both undefined     -> kEqual     exactly one undefined -> kUndetermined
 /// Vectors must have equal size.
 ///
-/// The common defined prefix is located with one mask AND plus a
-/// count-trailing-ones, the prefix values are scanned with a branch-light
-/// memcmp-style loop, and the decision at the break position is read off
-/// the two masks. Defined inline so scheduler hot loops can absorb it.
+/// One test per element finds that position: the pair's XOR is nonzero
+/// when the elements differ (a sentinel differs from every integer), and a
+/// sentinel on a's side stops an equal pair (both undefined). Defined
+/// inline so scheduler hot loops can absorb it.
 inline VectorCompareResult Compare(const TimestampVector& a,
                                    const TimestampVector& b) {
   assert(a.size() == b.size());
   const size_t k = a.size();
-  if (k > TimestampVector::kMaskBits) return CompareNaive(a, b);
-  // p = first position where the elements are not both defined; everything
-  // before it is a both-defined prefix that only needs a value scan.
-  const uint32_t both = a.defined_mask() & b.defined_mask();
-  const size_t p = static_cast<size_t>(std::countr_one(both));
   const TsElement* pa = a.data();
   const TsElement* pb = b.data();
-  for (size_t m = 0; m < p; ++m) {
-    if (pa[m] != pb[m]) {
-      return {pa[m] < pb[m] ? VectorOrder::kLess : VectorOrder::kGreater, m};
-    }
+  size_t m = 0;
+  for (; m < k; ++m) {
+    const uint64_t diff =
+        static_cast<uint64_t>(pa[m]) ^ static_cast<uint64_t>(pb[m]);
+    if ((diff | uint64_t{pa[m] == kUndefinedElement}) != 0) break;
   }
-  if (p >= k) return {VectorOrder::kIdentical, k};
-  // Exactly one or neither side defined at p: two mask bits decide.
-  const bool da = (a.defined_mask() >> p) & 1u;
-  const bool db = (b.defined_mask() >> p) & 1u;
-  if (!da && !db) return {VectorOrder::kEqual, p};
-  return {VectorOrder::kUndetermined, p};
+  if (m == k) return {VectorOrder::kIdentical, k};
+  const TsElement x = pa[m];
+  const TsElement y = pb[m];
+  if (x != kUndefinedElement && y != kUndefinedElement) {
+    return {x < y ? VectorOrder::kLess : VectorOrder::kGreater, m};
+  }
+  return {x == y ? VectorOrder::kEqual : VectorOrder::kUndetermined, m};
 }
 
 /// Convenience: strict Definition-6 "less than".

@@ -1,8 +1,13 @@
 #include "engine/sharded_engine.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
+#include <limits>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -51,6 +56,8 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
       num_shards_(options.num_shards < 1 ? 1 : options.num_shards),
       track_writes_(options.wal != nullptr || options.flight != nullptr ||
                     options.multiversion),
+      pow2_shards_(std::has_single_bit(num_shards_)),
+      shard_shift_(static_cast<uint32_t>(std::countr_zero(num_shards_))),
       t0_(options.k) {
   // Multiversion chain state lives behind ItemState::mv; nothing of it
   // may creep back into the item state every single-version item pays for.
@@ -62,13 +69,21 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
         " exceeds kMaxShards=" + std::to_string(kMaxShards));
   }
   options_.num_shards = num_shards_;
-  if ((num_shards_ & (num_shards_ - 1)) == 0) {
-    shard_idx_mask_ = num_shards_ - 1;
-  }
+  // Each shard's slice has an entry for every chunk up to the highest slot
+  // a TxnId can map to. MAP_NORESERVE: the ~32 MB of address space commits
+  // nothing until a page is written.
+  const uint64_t dir_chunks =
+      (LocalIndex(std::numeric_limits<TxnId>::max()) >> kChunkBits) + 1;
+  const size_t dir_bytes = num_shards_ * dir_chunks * sizeof(Chunk*);
+  void* dir = ::mmap(nullptr, dir_bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (dir == MAP_FAILED) throw std::bad_alloc();
+  dir_ = {static_cast<Chunk**>(dir), DirUnmap{dir_bytes}};
   for (size_t s = 0; s < num_shards_; ++s) {
     all_shards_.Add(s);
     shards_.emplace_back();
     shards_.back().index = static_cast<uint32_t>(s);
+    shards_.back().dir = dir_.get() + s * dir_chunks;
     shards_.back().counters = StripedCounters(
         static_cast<uint32_t>(s), static_cast<uint32_t>(num_shards_));
     shards_.back().clocks = ColumnClocks(options_.k);
@@ -101,34 +116,34 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
 
 ShardedMtkEngine::~ShardedMtkEngine() {
   if (options_.metrics != nullptr) options_.metrics->RemoveCollector(this);
-  for (Shard& sh : shards_) {
-    for (auto& entry : sh.dir) {
-      delete entry.load(std::memory_order_relaxed);
-    }
+  for (const Shard& sh : shards_) {
+    ForEachDirEntry(sh, [](std::atomic_ref<Chunk*> e) {
+      delete e.load(std::memory_order_relaxed);
+    });
   }
+}
+
+void ShardedMtkEngine::DirUnmap::operator()(Chunk** dir) const {
+  ::munmap(dir, bytes);
 }
 
 ShardedMtkEngine::TxnState* ShardedMtkEngine::PeekState(TxnId txn) const {
   if (txn == kVirtualTxn) return const_cast<TxnState*>(&t0_);
-  Shard& sh = ShardForTxn(txn);
-  const uint32_t slot = static_cast<uint32_t>(txn / num_shards_);
-  Chunk* c = sh.dir[slot >> kChunkBits].load(std::memory_order_acquire);
+  const Shard& sh = ShardForTxn(txn);
+  const uint64_t slot = LocalIndex(txn);
+  Chunk* c = DirEntry(sh, slot >> kChunkBits).load(std::memory_order_acquire);
   if (c == nullptr) return nullptr;
   return &c->states[slot & (kChunkSize - 1)];
 }
 
 ShardedMtkEngine::TxnState& ShardedMtkEngine::StateLocked(Shard& sh,
                                                           TxnId txn) {
-  assert(txn != kVirtualTxn && txn % num_shards_ == sh.index);
-  const uint32_t slot = static_cast<uint32_t>(txn / num_shards_);
+  assert(txn != kVirtualTxn && ShardIndex(txn) == sh.index);
+  const uint64_t slot = LocalIndex(txn);
   assert(slot >= sh.base_slot &&
          "access to a compacted (released) txn");
-  const uint32_t ci = slot >> kChunkBits;
-  if (ci >= kDirSize) {
-    throw std::runtime_error(
-        "ShardedMtkEngine: per-shard transaction-slot capacity exceeded");
-  }
-  Chunk* c = sh.dir[ci].load(std::memory_order_relaxed);
+  const std::atomic_ref<Chunk*> entry = DirEntry(sh, slot >> kChunkBits);
+  Chunk* c = entry.load(std::memory_order_relaxed);
   if (c == nullptr) {
     // Build the chunk fully before publication: lock-free liveness peeks
     // may load the pointer the instant the release store lands.
@@ -137,7 +152,7 @@ ShardedMtkEngine::TxnState& ShardedMtkEngine::StateLocked(Shard& sh,
     for (uint32_t n = 0; n < kChunkSize; ++n) {
       fresh->states.emplace_back(options_.k);
     }
-    sh.dir[ci].store(fresh, std::memory_order_release);
+    entry.store(fresh, std::memory_order_release);
     c = fresh;
   }
   if (slot >= sh.next_slot) sh.next_slot = slot + 1;
@@ -146,7 +161,7 @@ ShardedMtkEngine::TxnState& ShardedMtkEngine::StateLocked(Shard& sh,
 
 ShardedMtkEngine::ItemState& ShardedMtkEngine::ItemLocked(Shard& sh,
                                                           ItemId item) {
-  const size_t local = item / num_shards_;
+  const size_t local = LocalIndex(item);
   if (sh.items.size() <= local) sh.items.resize(local + 1);
   return sh.items[local];
 }
@@ -251,8 +266,6 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, MvItem& chain,
   if (gone != 0) {
     chain.newest.end_stamp = 0;  // A promoted version is newest again.
     shx.stats.versions_gc += gone;
-    live_versions_.fetch_add(-static_cast<int64_t>(gone),
-                             std::memory_order_relaxed);
   }
 }
 
@@ -267,7 +280,6 @@ void ShardedMtkEngine::MvInstalledLocked(Shard& shx, MvItem& chain,
   chain.writers.Add(ShardIndex(v.writer.txn));
   chain.accessors.Add(ShardIndex(v.writer.txn));
   ++shx.stats.versions_installed;
-  live_versions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ShardedMtkEngine::MvPruneLocked(Shard& shx, MvItem& chain,
@@ -352,8 +364,6 @@ void ShardedMtkEngine::MvPruneLocked(Shard& shx, MvItem& chain,
                     chain.older.begin() + static_cast<long>(cut));
   if (gone != 0) {
     shx.stats.versions_gc += gone;
-    live_versions_.fetch_add(-static_cast<int64_t>(gone),
-                             std::memory_order_relaxed);
   }
 }
 
@@ -454,7 +464,6 @@ OpDecision ShardedMtkEngine::RejectLocked(Shard& shx, const Op& op,
                                           AbortReason reason, TxnId blocker,
                                           const TxnState* si,
                                           AbortReason* why) {
-  ++shx.stats.rejected;
   shx.stats.reject_reasons.Add(reason);
   RejectRecord& r = shx.last_reject;
   r.seq = reject_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -851,7 +860,7 @@ void ShardedMtkEngine::RestartTxn(TxnId txn) {
 bool ShardedMtkEngine::IsAborted(TxnId txn) const {
   if (txn == kVirtualTxn) return false;
   Shard& sh = ShardForTxn(txn);
-  const uint32_t slot = static_cast<uint32_t>(txn / num_shards_);
+  const uint64_t slot = LocalIndex(txn);
   // The owner's lock keeps Compact from freeing the state's chunk between
   // the base check and the read.
   std::lock_guard<std::mutex> g(sh.mu);
@@ -863,7 +872,7 @@ bool ShardedMtkEngine::IsAborted(TxnId txn) const {
 bool ShardedMtkEngine::IsCommitted(TxnId txn) const {
   if (txn == kVirtualTxn) return true;
   Shard& sh = ShardForTxn(txn);
-  const uint32_t slot = static_cast<uint32_t>(txn / num_shards_);
+  const uint64_t slot = LocalIndex(txn);
   std::lock_guard<std::mutex> g(sh.mu);
   // Only committed states are released.
   if (slot < sh.base_slot) return true;
@@ -898,9 +907,9 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
     uint64_t wm = mv_stamp_.load(std::memory_order_relaxed) + 1;
     bool all_committed = true;
     for (Shard& sh : shards_) {
-      for (uint32_t slot = sh.base_slot;
-           slot < sh.next_slot; ++slot) {
-        Chunk* c = sh.dir[slot >> kChunkBits].load(std::memory_order_relaxed);
+      for (uint64_t slot = sh.base_slot; slot < sh.next_slot; ++slot) {
+        Chunk* c =
+            DirEntry(sh, slot >> kChunkBits).load(std::memory_order_relaxed);
         if (c == nullptr) {
           slot |= kChunkSize - 1;  // Skip the rest of the missing chunk.
           continue;
@@ -929,13 +938,12 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
   // Multiversion chains reference transactions through version writers and
   // readers (the stacks stay empty), and a referenced state must survive:
   // PeekState on a released chunk would dangle.
-  std::vector<uint32_t> min_ref(num_shards_);
+  std::vector<uint64_t> min_ref(num_shards_);
   for (size_t t = 0; t < num_shards_; ++t) min_ref[t] = shards_[t].next_slot;
   auto note_ref = [&](const Access& a) {
     if (a.txn == kVirtualTxn) return;
-    const size_t t = a.txn % num_shards_;
-    min_ref[t] =
-        std::min(min_ref[t], static_cast<uint32_t>(a.txn / num_shards_));
+    uint64_t& m = min_ref[ShardIndex(a.txn)];
+    m = std::min(m, LocalIndex(a.txn));
   };
   for (Shard& sh : shards_) {
     for (const ItemState& item : sh.items) {
@@ -949,21 +957,23 @@ size_t ShardedMtkEngine::Compact(bool periodic) {
   // free chunks it has fully passed.
   size_t total = 0;
   for (Shard& sh : shards_) {
-    const uint32_t old_base = sh.base_slot;
-    uint32_t slot = old_base;
-    const uint32_t stop = min_ref[sh.index];
+    const uint64_t old_base = sh.base_slot;
+    uint64_t slot = old_base;
+    const uint64_t stop = min_ref[sh.index];
     while (slot < stop) {
-      Chunk* c = sh.dir[slot >> kChunkBits].load(std::memory_order_relaxed);
+      Chunk* c =
+          DirEntry(sh, slot >> kChunkBits).load(std::memory_order_relaxed);
       if (c == nullptr) break;  // A never-created gap blocks, as the
                                 // auto-created states do in MtkScheduler.
       if (!LifeCommitted(c->states[slot & (kChunkSize - 1)].life)) break;
       ++slot;
     }
     if (slot > old_base) {
-      for (uint32_t ci = old_base >> kChunkBits;
-           static_cast<uint64_t>(ci + 1) * kChunkSize <= slot; ++ci) {
-        delete sh.dir[ci].load(std::memory_order_relaxed);
-        sh.dir[ci].store(nullptr, std::memory_order_release);
+      for (uint64_t ci = old_base >> kChunkBits; (ci + 1) * kChunkSize <= slot;
+           ++ci) {
+        const std::atomic_ref<Chunk*> entry = DirEntry(sh, ci);
+        delete entry.load(std::memory_order_relaxed);
+        entry.store(nullptr, std::memory_order_release);
       }
       sh.base_slot = slot;
       sh.stats.txns_released += slot - old_base;
@@ -1106,7 +1116,6 @@ EngineStats ShardedMtkEngine::stats() const {
     std::lock_guard<std::mutex> g(sh.mu);
     const EngineStats& s = sh.stats;
     out.accepted += s.accepted;
-    out.rejected += s.rejected;
     out.ignored_writes += s.ignored_writes;
     out.set_calls += s.set_calls;
     out.elements_assigned += s.elements_assigned;
@@ -1125,8 +1134,10 @@ EngineStats ShardedMtkEngine::stats() const {
     out.read_rejects += s.read_rejects;
     out.reject_reasons += s.reject_reasons;
   }
-  const int64_t lv = live_versions_.load(std::memory_order_relaxed);
-  out.live_versions = lv < 0 ? 0 : static_cast<uint64_t>(lv);
+  out.rejected = out.reject_reasons.total();
+  // An item's installs and unlinks count on its own shard, under its lock,
+  // so the per-shard sums never see more unlinked than installed.
+  out.live_versions = out.versions_installed - out.versions_gc;
   return out;
 }
 
@@ -1134,11 +1145,9 @@ size_t ShardedMtkEngine::allocated_txn_states() const {
   size_t total = 0;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> g(sh.mu);
-    for (const auto& entry : sh.dir) {
-      if (entry.load(std::memory_order_relaxed) != nullptr) {
-        total += kChunkSize;
-      }
-    }
+    ForEachDirEntry(sh, [&total](std::atomic_ref<Chunk*> e) {
+      if (e.load(std::memory_order_relaxed) != nullptr) total += kChunkSize;
+    });
   }
   return total;
 }

@@ -158,14 +158,16 @@ struct EngineStats {
   uint64_t versions_gc = 0;
   /// Multiversion mode: versions currently linked across every chain
   /// (excluding the per-item virtual-T0 base) - the quantity the live
-  /// watermark bounds; equals versions_installed - versions_gc.
+  /// watermark bounds; stats() computes it as versions_installed -
+  /// versions_gc.
   uint64_t live_versions = 0;
   /// Multiversion mode: reads served by a version other than the newest
   /// live one, and reads that exhausted the whole chain (degenerate vector
   /// states only - the acceptance bar for MV mode is zero).
   uint64_t old_version_reads = 0;
   uint64_t read_rejects = 0;
-  /// Per-reason breakdown of `rejected`; reject_reasons.total() == rejected.
+  /// Per-reason breakdown of `rejected`; stats() computes `rejected` as
+  /// reject_reasons.total().
   AbortReasonCounts reject_reasons;
 };
 
@@ -201,7 +203,9 @@ struct EngineStats {
 /// UnlockShards.
 /// Transaction states live in chunk-granular arrays published through an
 /// atomic directory, so the lock-free liveness peeks never race with a
-/// growing container.
+/// growing container. The directory is one lazily backed anonymous mapping
+/// per engine with an entry for every chunk a 32-bit TxnId can name; a page
+/// of it takes memory only once a chunk pointer is stored there.
 ///
 /// Aborts are lazy, exactly like MtkScheduler: a rejected transaction's
 /// item accesses stay on the stacks until a later operation pops entries
@@ -288,18 +292,18 @@ class ShardedMtkEngine {
 
   /// Transaction states currently backed by allocated chunks (the quantity
   /// CompactAll bounds; chunk-granular, so it exceeds the live count by at
-  /// most kChunkSize per shard).
+  /// most kChunkSize per shard). Walks each shard's directory from its
+  /// base chunk to its highest created one.
   size_t allocated_txn_states() const;
 
   size_t num_shards() const { return num_shards_; }
   const EngineOptions& options() const { return options_; }
 
-  /// States per chunk; the unit of storage release.
+  /// States per chunk: the unit of allocation and of storage release. A
+  /// shard's directory has one entry per chunk of the slots its share of
+  /// the 32-bit TxnId space can name.
   static constexpr uint32_t kChunkBits = 10;
   static constexpr uint32_t kChunkSize = 1u << kChunkBits;
-  /// Directory entries per shard: caps a shard's transaction slots at
-  /// kDirSize * kChunkSize (Process throws beyond it).
-  static constexpr uint32_t kDirSize = 1u << 16;
   /// Committed versions a multiversion chain keeps through any prune but
   /// an explicit all-committed sweep (see EngineOptions::multiversion).
   static constexpr size_t kMvKeepTail = 16;
@@ -435,18 +439,18 @@ class ShardedMtkEngine {
   struct alignas(64) Shard {
     mutable std::mutex mu;
     uint32_t index = 0;
-    /// Atomic chunk directory: slot / kChunkSize indexes it. Published with
-    /// release stores under mu; liveness peeks load-acquire without mu.
-    std::vector<std::atomic<Chunk*>> dir;
-    uint32_t base_slot = 0;              // Slots below are released.
-    uint32_t next_slot = 0;              // One past the highest created.
+    /// This shard's slice of dir_: slot / kChunkSize indexes it, through
+    /// DirEntry. Published with release stores under mu; liveness peeks
+    /// load-acquire without mu.
+    Chunk** dir = nullptr;
+    uint64_t base_slot = 0;              // Slots below are released.
+    uint64_t next_slot = 0;              // One past the highest created.
     std::vector<ItemState> items;        // Local index item / N.
     StripedCounters counters;  // Last-column stripe `index` of N.
     ColumnClocks clocks;       // This shard's clocks for the other columns.
     EngineStats stats;
     /// Newest rejection decided on this shard (see RejectRecord).
     RejectRecord last_reject;
-    Shard() : dir(kDirSize) {}
   };
 
   using Ref = LiveRef<TxnState>;
@@ -464,16 +468,35 @@ class ShardedMtkEngine {
     return static_cast<uint32_t>(w >> 2);
   }
 
-  Shard& ShardForTxn(TxnId txn) const { return shards_[txn % num_shards_]; }
-  Shard& ShardForItem(ItemId item) const {
-    return shards_[item % num_shards_];
+  /// The one shard map: transaction or item `x` lives on shard
+  /// ShardIndex(x) at local index LocalIndex(x) (its slot, or its place in
+  /// Shard::items). A mask and a shift when the shard count is a power of
+  /// two (every bench configuration), a division otherwise: every op maps
+  /// several ids, and a 64-bit division costs several ns.
+  size_t ShardIndex(uint64_t x) const {
+    return pow2_shards_ ? (x & (num_shards_ - 1)) : (x % num_shards_);
+  }
+  uint64_t LocalIndex(uint64_t x) const {
+    return pow2_shards_ ? (x >> shard_shift_) : (x / num_shards_);
   }
 
-  /// Shard index of `x` without the runtime division when the shard count
-  /// is a power of two (every bench/test configuration). The lockset
-  /// resolution runs this per top accessor; an idiv there is measurable.
-  size_t ShardIndex(uint64_t x) const {
-    return shard_idx_mask_ != 0 ? (x & shard_idx_mask_) : (x % num_shards_);
+  Shard& ShardForTxn(TxnId txn) const { return shards_[ShardIndex(txn)]; }
+  Shard& ShardForItem(ItemId item) const { return shards_[ShardIndex(item)]; }
+
+  /// Directory entry `ci` of `sh`, accessed atomically in place.
+  static std::atomic_ref<Chunk*> DirEntry(const Shard& sh, uint64_t ci) {
+    return std::atomic_ref<Chunk*>(sh.dir[ci]);
+  }
+
+  /// Calls f(entry) for every directory entry of `sh` that can hold a
+  /// chunk: from base_slot's chunk (Compact frees every chunk below it)
+  /// through next_slot - 1's. Requires sh.mu or exclusive access.
+  template <typename F>
+  static void ForEachDirEntry(const Shard& sh, F&& f) {
+    for (uint64_t ci = sh.base_slot >> kChunkBits;
+         ci * kChunkSize < sh.next_slot; ++ci) {
+      f(DirEntry(sh, ci));
+    }
   }
 
   /// Lock-free state lookup for liveness peeks; null only for ids never
@@ -573,8 +596,8 @@ class ShardedMtkEngine {
     s.writes.push_back(x);
   }
 
-  /// Every step of a reject, in one place: counts it (rejected and
-  /// reject_reasons on shx), overwrites shx.last_reject with a
+  /// Every step of a reject, in one place: counts it (reject_reasons on
+  /// shx), overwrites shx.last_reject with a
   /// fresh-ticketed record for ExplainLastReject, writes `*why` (when
   /// non-null) and writes the flight abort record carrying `si`'s vector
   /// (null for T0's invalid op). Requires shx.mu and, for a non-null `si`,
@@ -608,10 +631,20 @@ class ShardedMtkEngine {
   /// multiversion mode consumes the write set at commit. Fixed at
   /// construction.
   bool track_writes_;
-  /// num_shards_ - 1 when num_shards_ is a power of two, else 0 (sentinel:
-  /// fall back to the division). See ShardIndex().
-  uint64_t shard_idx_mask_ = 0;
+  /// Whether num_shards_ is a power of two, and then its log2 (see
+  /// ShardIndex).
+  bool pow2_shards_;
+  uint32_t shard_shift_;
   mutable std::deque<Shard> shards_;  // Deque: Shard is not movable.
+  /// Unmaps the directory mapping of `bytes`.
+  struct DirUnmap {
+    size_t bytes;
+    void operator()(Chunk** dir) const;
+  };
+  /// Every shard's chunk directory, one anonymous mapping cut into equal
+  /// slices, shard s's at Shard::dir. Pages fault in, zeroed, only where a
+  /// chunk pointer lands.
+  std::unique_ptr<Chunk*[], DirUnmap> dir_;
   /// Every shard: the kMaxLockRetries fallback's lockset and the
   /// stop-the-world lockset of Compact, RecoverFrom and MvAuditChains.
   ShardSet all_shards_;
@@ -632,9 +665,6 @@ class ShardedMtkEngine {
   /// Oldest live incarnation's begin stamp as of the last CompactAll;
   /// CommitTxn prunes written chains against it between sweeps.
   std::atomic<uint64_t> mv_watermark_{0};
-  /// Versions currently linked (excluding T0 bases); the bounded-memory
-  /// acceptance gauge.
-  std::atomic<int64_t> live_versions_{0};
   /// Bumped (release) right after any store that sets an incarnation's
   /// aborted bit. Chains compare their unlink_epoch against it to skip
   /// the per-op dead-unlink walk when nothing can have died. Starts at 1

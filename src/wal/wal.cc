@@ -190,20 +190,6 @@ ParallelWal::ParallelWal(const WalOptions& options) : options_(options) {
       out.counters.emplace_back("wal.bytes", st.bytes);
     });
   }
-  if (options_.sync_policy == WalSyncPolicy::kGroupCommit &&
-      options_.sync_interval_ms > 0) {
-    flusher_ = std::thread([this] {
-      std::unique_lock<std::mutex> lk(flusher_mu_);
-      while (!flusher_stop_) {
-        flusher_cv_.wait_for(
-            lk, std::chrono::milliseconds(options_.sync_interval_ms));
-        if (flusher_stop_) break;
-        lk.unlock();
-        SyncAll();
-        lk.lock();
-      }
-    });
-  }
 }
 
 ParallelWal::~ParallelWal() { Close(); }
@@ -385,14 +371,6 @@ void ParallelWal::SyncAll() {
 void ParallelWal::Close() {
   bool expected = false;
   if (!closed_.compare_exchange_strong(expected, true)) return;
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(flusher_mu_);
-      flusher_stop_ = true;
-    }
-    flusher_cv_.notify_all();
-    flusher_.join();
-  }
   if (!ok_) return;
   const bool crashed = crashed_.load(std::memory_order_acquire);
   for (Stream& s : streams_) {

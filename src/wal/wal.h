@@ -2,7 +2,6 @@
 #define MDTS_WAL_WAL_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -11,7 +10,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/timestamp_vector.h"
@@ -37,8 +35,8 @@ namespace mdts {
 /// covering its bytes has completed (WalAppendTicket::end_offset <=
 /// SyncedBytes(stream)). The sync policy decides when that happens:
 /// kEveryCommit on every append, kGroupCommit once `group_commit_ops`
-/// records are pending on the stream (or the optional interval flusher /
-/// an explicit SyncAll() boundary fires first), kNone only at Close().
+/// records are pending on the stream (or an explicit SyncAll() boundary
+/// comes first), kNone only at Close().
 /// Recovery promises to rebuild every durable record; records beyond the
 /// last fsync may survive (the OS often flushes more) but are not owed.
 
@@ -51,8 +49,8 @@ enum class WalSyncPolicy : uint8_t {
   kNone = 0,     ///< Never during the run (Close still syncs). Fastest,
                  ///< no durability until shutdown.
   kGroupCommit,  ///< Group commit: fsync once group_commit_ops records are
-                 ///< pending on a stream, when the interval flusher fires,
-                 ///< or on an explicit SyncAll() boundary.
+                 ///< pending on a stream, or on an explicit SyncAll()
+                 ///< boundary.
   kEveryCommit,  ///< fsync after every record. Strongest, slowest.
 };
 
@@ -79,11 +77,6 @@ struct WalOptions {
 
   /// kGroupCommit: pending-record count that triggers a stream fsync.
   size_t group_commit_ops = 32;
-
-  /// kGroupCommit: > 0 starts a background flusher that SyncAll()s every
-  /// this many milliseconds, bounding the durability latency of a commit
-  /// stuck in a group that never fills. 0 = no flusher.
-  uint64_t sync_interval_ms = 0;
 
   /// Registry that reads `wal.appends`, `wal.fsyncs` and `wal.bytes` from
   /// stats() through a collector at snapshot time, and receives the
@@ -235,7 +228,7 @@ class ParallelWal {
   /// records (no-op on streams with nothing pending, and after a crash).
   void SyncAll();
 
-  /// Stops the flusher and closes the stream files. A clean close syncs
+  /// Closes the stream files. A clean close syncs
   /// everything first; a crashed close truncates each file to its crash
   /// image (see WalCrashPoint). Idempotent; the destructor calls it.
   void Close();
@@ -303,12 +296,6 @@ class ParallelWal {
   std::atomic<uint64_t> append_failures_{0};
   std::atomic<uint64_t> fsyncs_total_{0};
   mutable std::deque<Stream> streams_;  // Deque: Stream is not movable.
-
-  // Background interval flusher (kGroupCommit with sync_interval_ms > 0).
-  std::thread flusher_;
-  std::mutex flusher_mu_;
-  std::condition_variable flusher_cv_;
-  bool flusher_stop_ = false;
 
   Histogram* m_group_size_ = nullptr;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -580,6 +581,37 @@ TEST(ShardedEngineTest, ShardCountAboveTheCapThrows) {
   EXPECT_THROW(ShardedMtkEngine{eo}, std::invalid_argument);
   eo.num_shards = 0;
   EXPECT_EQ(ShardedMtkEngine(eo).num_shards(), 1u);
+}
+
+// The chunk directory covers every slot a 32-bit TxnId can name, and only
+// the chunks that hold a state take memory: a sparse id far past the first
+// 2^26 slots of a shard is served like any other, and the walk behind
+// allocated_txn_states() finds just its chunk.
+TEST(ShardedEngineTest, TxnIdsPastTheOldDirectoryLimit) {
+  {
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = 1;
+    ShardedMtkEngine engine(eo);
+    const TxnId txn = (TxnId{1} << 26) + 5;
+    ASSERT_EQ(engine.Process(Op{txn, OpType::kWrite, 7}), OpDecision::kAccept);
+    engine.CommitTxn(txn);
+    engine.CompactAll();
+    EXPECT_TRUE(engine.IsCommitted(txn));
+    EXPECT_FALSE(engine.IsAborted(txn));
+    EXPECT_EQ(engine.allocated_txn_states(), ShardedMtkEngine::kChunkSize);
+  }
+  {
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = 32;
+    ShardedMtkEngine engine(eo);
+    const TxnId txn = std::numeric_limits<TxnId>::max() - 1;
+    ASSERT_EQ(engine.Process(Op{txn, OpType::kRead, 3}), OpDecision::kAccept);
+    ASSERT_EQ(engine.Process(Op{txn, OpType::kWrite, 4}), OpDecision::kAccept);
+    engine.CommitTxn(txn);
+    EXPECT_TRUE(engine.IsCommitted(txn));
+  }
 }
 
 TEST(ShardedEngineTest, CompactionBoundsMemorySingleThreaded) {

@@ -480,7 +480,6 @@ TEST(WalWriterTest, ConcurrentAppendsRecoverCompletely) {
   wo.k = 3;
   wo.sync_policy = WalSyncPolicy::kGroupCommit;
   wo.group_commit_ops = 4;
-  wo.sync_interval_ms = 1;  // Exercise the background flusher under races.
   wo.metrics = &reg;
   ParallelWal wal(wo);
   ASSERT_TRUE(wal.ok());
